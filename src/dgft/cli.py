@@ -15,7 +15,6 @@ clustering tolerance; an explicit ``--tol-cluster`` beats both.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -121,11 +120,7 @@ def _checked_decompose(g: Graph, cfg: RunConfig):
         # stderr would break byte-deterministic piping.
         warnings.simplefilter("ignore", IllConditionedBasisWarning)
         dec = decompose(
-            lap,
-            cfg.tol,
-            cluster_tol=cfg.cluster_tol,
-            normalize=not cfg.raw_basis,
-            snap_constant=not cfg.raw_basis,
+            lap, cfg.tol, cluster_tol=cfg.cluster_tol, normalize=not cfg.raw_basis
         )
     scale = max(1.0, float(np.linalg.norm(lap.matrix)))
     residual = float(np.linalg.norm(dec.reconstruct() - lap.matrix))
@@ -244,7 +239,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     doc = {
         "n": g.n,
-        "undirected": bool(g.is_undirected and g.is_real_nonnegative),
+        "undirected": g.is_undirected,
         "tol": cfg.tol,
         "cluster_tol": dec.cluster_tol,
         "diagonalizable": dec.is_diagonalizable,
@@ -277,17 +272,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         },
         "proper_vector_variation": variation,
     }
-
-    def writer(dst):
-        fh, close = fileio._writing(dst)
-        try:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        finally:
-            if close:
-                fh.close()
-
-    _write(args, writer)
+    _write(args, lambda dst: fileio.dump_report(doc, dst))
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SelfLoopError,
 )
 
-# Entrywise tolerance for treating a weight matrix as undirected.
+# Entrywise tolerance for accepting a matrix as real symmetric.
 SYMMETRY_TOL = 1e-12
 
 # Row sums of a Laplacian must vanish to this fraction of the largest
@@ -40,6 +40,17 @@ def _as_complex_square(matrix, *, copy: bool = True) -> np.ndarray:
     return a
 
 
+def is_real_symmetric(m: np.ndarray) -> bool:
+    """Real and symmetric, entrywise within SYMMETRY_TOL.
+
+    The one test for "symmetric": it picks the orthonormal path in
+    :func:`dgft.spectral.decompose` and defines :attr:`Graph.is_undirected`.
+    """
+    if float(np.max(np.abs(m.imag), initial=0.0)) > SYMMETRY_TOL:
+        return False
+    return float(np.max(np.abs(m - m.T), initial=0.0)) <= SYMMETRY_TOL
+
+
 @dataclass(frozen=True)
 class Graph:
     """Weighted directed graph over ``n`` nodes.
@@ -51,8 +62,6 @@ class Graph:
 
     n: int
     weights: np.ndarray
-    node_labels: list[str] | None = None
-    is_undirected: bool = field(init=False)
     is_real_nonnegative: bool = field(init=False)
 
     def __post_init__(self):
@@ -66,20 +75,22 @@ class Graph:
         if np.any(np.diag(w) != 0):
             bad = int(np.flatnonzero(np.diag(w))[0])
             raise SelfLoopError(f"nonzero diagonal entry at node {bad}")
-        if self.node_labels is not None and len(self.node_labels) != self.n:
-            raise DimensionMismatchError(
-                f"{len(self.node_labels)} labels for {self.n} nodes"
-            )
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(
-            self, "is_undirected", bool(np.max(np.abs(w - w.T), initial=0.0) <= SYMMETRY_TOL)
-        )
         object.__setattr__(
             self,
             "is_real_nonnegative",
             bool(np.all(w.imag == 0) and np.all(w.real >= 0)),
         )
+
+    @property
+    def is_undirected(self) -> bool:
+        """Whether the Laplacian is real symmetric (:func:`is_real_symmetric`).
+
+        Exactly the graphs that :func:`dgft.spectral.decompose` sends down
+        the orthonormal path; negative weights count, complex ones do not.
+        """
+        return is_real_symmetric(directed_laplacian(self).matrix)
 
 
 @dataclass(frozen=True)
@@ -135,11 +146,7 @@ def signal_values(f, n: int) -> np.ndarray:
     return values
 
 
-def build_graph(
-    n: int,
-    edges: list[tuple[int, int, complex]],
-    node_labels: list[str] | None = None,
-) -> Graph:
+def build_graph(n: int, edges: list[tuple[int, int, complex]]) -> Graph:
     """Build a graph from ``(src, dst, weight)`` triples with 0-based indices.
 
     Self-loops and duplicate (src, dst) pairs are rejected rather than
@@ -158,7 +165,7 @@ def build_graph(
             raise DuplicateEdgeError(f"duplicate edge ({src}, {dst})")
         seen.add((src, dst))
         weights[dst, src] = weight
-    return Graph(n=n, weights=weights, node_labels=node_labels)
+    return Graph(n=n, weights=weights)
 
 
 def in_degree_matrix(g: Graph) -> np.ndarray:

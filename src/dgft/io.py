@@ -11,11 +11,12 @@ The imaginary unit is ``i`` in every file format, independent of the
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -68,16 +69,20 @@ def parse_complex(token: str) -> complex:
     return value
 
 
-def _reading(src) -> tuple[IO[str], bool]:
-    if isinstance(src, (str, os.PathLike)):
-        return open(src, "r", encoding="utf-8"), True
-    return src, False
+@contextlib.contextmanager
+def _opened(target, mode: str) -> Iterator[IO[str]]:
+    """Open a path (closed on exit), or pass an open text file through."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
 
 
-def _writing(dst) -> tuple[IO[str], bool]:
-    if isinstance(dst, (str, os.PathLike)):
-        return open(dst, "w", encoding="utf-8"), True
-    return dst, False
+def _dump_json(doc, dst, indent: int | None = None) -> None:
+    with _opened(dst, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +97,7 @@ def load_graph(src, *, sum_duplicates: bool = False) -> Graph:
     skipped. Repeated (src, dst) pairs are an error unless
     ``sum_duplicates`` is set, in which case their weights accumulate.
     """
-    fh, close = _reading(src)
-    try:
+    with _opened(src, "r") as fh:
         n: int | None = None
         weights: dict[tuple[int, int], complex] = {}
         for lineno, raw in enumerate(fh, start=1):
@@ -140,15 +144,11 @@ def load_graph(src, *, sum_duplicates: bool = False) -> Graph:
             raise ParseError("missing 'nodes N' header", line=1)
         edges = [(s, d, w) for (s, d), w in sorted(weights.items())]
         return build_graph(n, edges)
-    finally:
-        if close:
-            fh.close()
 
 
 def dump_graph(g: Graph, dst) -> None:
     """Write a Graph back out as an edge list, edges sorted by (src, dst)."""
-    fh, close = _writing(dst)
-    try:
+    with _opened(dst, "w") as fh:
         fh.write(f"nodes {g.n}\n")
         entries = []
         for dst_idx in range(g.n):
@@ -159,9 +159,6 @@ def dump_graph(g: Graph, dst) -> None:
         entries.sort(key=lambda e: (e[0], e[1]))
         for src_id, dst_id, w in entries:
             fh.write(f"{src_id} {dst_id} {format_complex(w)}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +194,11 @@ def load_signal(src) -> GraphSignal:
     Values are plain numbers or [re, im] pairs; the declared length must
     match the list.
     """
-    fh, close = _reading(src)
-    try:
+    with _opened(src, "r") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
-    finally:
-        if close:
-            fh.close()
     if not isinstance(doc, dict):
         raise ParseError("signal file must hold a JSON object")
     if "values" not in doc or not isinstance(doc["values"], list):
@@ -223,14 +216,7 @@ def load_signal(src) -> GraphSignal:
 
 def dump_signal(signal, dst) -> None:
     values = signal.values if isinstance(signal, GraphSignal) else np.asarray(signal)
-    fh, close = _writing(dst)
-    try:
-        doc = {"n": int(len(values)), "values": [_value_to_json(v) for v in values]}
-        json.dump(doc, fh)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _dump_json({"n": int(len(values)), "values": [_value_to_json(v) for v in values]}, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +226,17 @@ def dump_signal(signal, dst) -> None:
 def dump_matrix_csv(m, dst) -> None:
     """Comma-separated rows, complex entries in the a+bi text form."""
     m = np.asarray(m, dtype=complex)
-    fh, close = _writing(dst)
-    try:
+    with _opened(dst, "w") as fh:
         for row in m:
             fh.write(",".join(format_complex(v) for v in row))
             fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def dump_matrix_json(m, dst) -> None:
     """{"n": N, "rows": [[...], ...]} with number-or-pair entries."""
     m = np.asarray(m, dtype=complex)
-    fh, close = _writing(dst)
-    try:
-        doc = {
-            "n": int(m.shape[0]),
-            "rows": [[_value_to_json(v) for v in row] for row in m],
-        }
-        json.dump(doc, fh)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    rows = [[_value_to_json(v) for v in row] for row in m]
+    _dump_json({"n": int(m.shape[0]), "rows": rows}, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +254,7 @@ def dump_spectrum_csv(spec: Spectrum, dst, *, natural_order: bool = False) -> No
     ``natural_order`` they are sorted by frequency rank instead. The
     spectral_index column keeps each row unambiguous either way.
     """
-    fh, close = _writing(dst)
-    try:
+    with _opened(dst, "w") as fh:
         fh.write(",".join(SPECTRUM_HEADER) + "\n")
         for r in _spectrum_row_order(spec, natural_order):
             lam = complex(spec.eigenvalues[r])
@@ -297,32 +269,28 @@ def dump_spectrum_csv(spec: Spectrum, dst, *, natural_order: bool = False) -> No
                 str(spec.ordering.ranks[r]),
             )
             fh.write(",".join(fields) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def dump_spectrum_json(spec: Spectrum, dst, *, natural_order: bool = False) -> None:
-    fh, close = _writing(dst)
-    try:
-        entries = []
-        for r in _spectrum_row_order(spec, natural_order):
-            lam = complex(spec.eigenvalues[r])
-            c = complex(spec.coefficients[r])
-            entries.append(
-                {
-                    "spectral_index": int(r),
-                    "eigenvalue": [lam.real, lam.imag],
-                    "coefficient": [c.real, c.imag],
-                    "magnitude": abs(c),
-                    "frequency_rank": spec.ordering.ranks[r],
-                }
-            )
-        json.dump({"n": spec.n, "entries": entries}, fh)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    entries = []
+    for r in _spectrum_row_order(spec, natural_order):
+        lam = complex(spec.eigenvalues[r])
+        c = complex(spec.coefficients[r])
+        entries.append(
+            {
+                "spectral_index": int(r),
+                "eigenvalue": [lam.real, lam.imag],
+                "coefficient": [c.real, c.imag],
+                "magnitude": abs(c),
+                "frequency_rank": spec.ordering.ranks[r],
+            }
+        )
+    _dump_json({"n": spec.n, "entries": entries}, dst)
+
+
+def dump_report(doc: dict, dst) -> None:
+    """A JSON report (``dgft analyze``), indented two spaces."""
+    _dump_json(doc, dst, indent=2)
 
 
 def _spectrum_from_arrays(eigenvalues, coefficients) -> Spectrum:
@@ -352,12 +320,8 @@ def load_spectrum(src) -> Spectrum:
     The frequency ordering is recomputed from the eigenvalues rather than
     trusted from the file; synthesis only needs indices right.
     """
-    fh, close = _reading(src)
-    try:
+    with _opened(src, "r") as fh:
         text = fh.read()
-    finally:
-        if close:
-            fh.close()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _load_spectrum_json(stripped)

@@ -32,7 +32,7 @@ from .errors import (
     NotSymmetricError,
     SingularMatrixError,
 )
-from .graph import _as_complex_square
+from .graph import _as_complex_square, is_real_symmetric
 
 # Rank decisions treat singular values below rank_tol * scale as zero.
 DEFAULT_RANK_TOL = 1e-8
@@ -42,9 +42,6 @@ SINGULAR_PIVOT_TOL = 1e-14
 
 # Basis condition number above which results carry an ill-conditioned flag.
 ILL_CONDITIONED_LIMIT = 1e12
-
-# Entrywise tolerance for accepting a matrix as real symmetric.
-SYMMETRY_TOL = 1e-12
 
 
 def default_cluster_tol(a: np.ndarray) -> float:
@@ -141,34 +138,30 @@ def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
     return [groups[r] for r in sorted(groups)]
 
 
-def _eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _converged(kernel, *args, **kwargs):
+    """Call an iterative LAPACK kernel; its convergence failure is typed."""
     try:
-        return np.linalg.eig(a)
+        return kernel(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise NoConvergenceError(f"{kernel.__name__} did not converge: {exc}") from exc
 
 
 def _nullspace_basis(m: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal basis of the numerical null space (SVD, threshold cutoff)."""
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = _converged(np.linalg.svd, m)
     rank = int(np.count_nonzero(s > cutoff))
     return vh[rank:].conj().T
-
-
-def _numerical_rank(m: np.ndarray, cutoff: float) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > cutoff))
 
 
 # Relative slack when deciding two magnitudes are the same frequency.
 DEFAULT_TIE_TOL = 1e-10
 
 
-def _chain_split(indices: list[int], key, slack: float) -> list[list[int]]:
-    """Split sorted indices where consecutive key values jump past slack."""
+def _chain_split(indices: list[int], key, slack) -> list[list[int]]:
+    """Split sorted indices where consecutive key values jump past slack(idx)."""
     out: list[list[int]] = []
     for idx in indices:
-        if out and abs(key(idx) - key(out[-1][-1])) <= slack:
+        if out and abs(key(idx) - key(out[-1][-1])) <= slack(idx):
             out[-1].append(idx)
         else:
             out.append([idx])
@@ -189,58 +182,23 @@ def order_with_ties(
     Jordan chains contiguous. Returns (order, tie groups of size >= 2).
     """
     w = np.asarray(values, dtype=complex).ravel()
-    by_mag = sorted(range(w.size), key=lambda r: abs(w[r]))
+
+    def mag(r: int) -> float:
+        return abs(w[r])
+
+    by_mag = sorted(range(w.size), key=mag)
     order: list[int] = []
     groups: list[tuple[int, ...]] = []
-    for group in _magnitude_groups(w, by_mag, tie_tol):
+    for group in _chain_split(by_mag, mag, lambda r: tie_tol * (1.0 + mag(r))):
         resolved: list[int] = []
         by_re = sorted(group, key=lambda r: w[r].real)
-        slack = tie_tol * (1.0 + max(abs(w[r]) for r in group))
-        for sub in _chain_split(by_re, lambda r: w[r].real, slack):
+        slack = tie_tol * (1.0 + max(mag(r) for r in group))
+        for sub in _chain_split(by_re, lambda r: w[r].real, lambda r: slack):
             resolved.extend(sorted(sub, key=lambda r: w[r].imag))
         order.extend(resolved)
         if len(resolved) > 1:
             groups.append(tuple(resolved))
     return order, groups
-
-
-def _magnitude_groups(
-    w: np.ndarray, by_mag: list[int], tie_tol: float
-) -> list[list[int]]:
-    out: list[list[int]] = []
-    for idx in by_mag:
-        if out and abs(abs(w[idx]) - abs(w[out[-1][-1]])) <= tie_tol * (
-            1.0 + abs(w[idx])
-        ):
-            out[-1].append(idx)
-        else:
-            out.append([idx])
-    return out
-
-
-def eigen_decompose(
-    a, tol: float = DEFAULT_RANK_TOL, *, cluster_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues and eigenvectors, or ``(eigenvalues, None)`` if defective.
-
-    Defectiveness is decided numerically: eigenvalues are clustered, and a
-    cluster whose null-space dimension (singular values of ``a - lam*I``
-    below ``tol`` times the Frobenius norm of ``a``) falls short of its
-    multiplicity marks the matrix as lacking a full eigenvector basis.
-    """
-    a = _as_complex_square(a, copy=False)
-    w, vectors = _eig(a)
-    scale = float(np.linalg.norm(a))
-    ct = default_cluster_tol(a) if cluster_tol is None else cluster_tol
-    n = a.shape[0]
-    for cluster in cluster_eigenvalues(w, ct):
-        if len(cluster) == 1:
-            continue
-        lam = w[cluster].mean()
-        nullity = n - _numerical_rank(a - lam * np.eye(n), tol * scale)
-        if nullity < len(cluster):
-            return w, None
-    return w, vectors
 
 
 def _normalize_chain(vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -279,8 +237,8 @@ def _jordan_chains(
     power s-1 to power s). Chain tops are picked from the deepest null
     space, orthogonal to everything already claimed, then walked down by
     repeated multiplication. Returned longest chain first, heads first
-    within each chain. May return fewer than ``multiplicity`` vectors when
-    the cluster was a numerical artifact; the caller backfills.
+    within each chain. Returns fewer than ``multiplicity`` vectors, or
+    none, when the cluster was a numerical artifact; the caller backfills.
     """
     n = a.shape[0]
     shifted = a - lam * np.eye(n, dtype=complex)
@@ -296,13 +254,14 @@ def _jordan_chains(
         nullities.append(basis.shape[1])
         bases.append(basis)
     depth = len(nullities) - 1
-    if depth == 0:
-        return []
-
     padded = nullities + [nullities[-1]]
     chain_counts = {
         s: 2 * padded[s] - padded[s - 1] - padded[s + 1] for s in range(1, depth + 1)
     }
+    # A nullity past the multiplicity, or nullity increments that grow
+    # with the power, fit no Jordan structure: the cluster is an artifact.
+    if depth == 0 or nullities[-1] > multiplicity or min(chain_counts.values()) < 0:
+        return []
 
     chains: list[list[np.ndarray]] = []
     for s in range(depth, 0, -1):
@@ -316,7 +275,7 @@ def _jordan_chains(
             r_norm = float(np.linalg.norm(r))
             if r_norm > 1e-12:
                 obstruction = np.column_stack([obstruction, r / r_norm])
-        for _ in range(max(chain_counts.get(s, 0), 0)):
+        for _ in range(chain_counts[s]):
             candidates = bases[s]
             residuals = candidates - obstruction @ (obstruction.conj().T @ candidates)
             norms = np.linalg.norm(residuals, axis=0)
@@ -340,7 +299,6 @@ def jordan_decompose(
     *,
     cluster_tol: float | None = None,
     normalize: bool = True,
-    snap_constant: bool = True,
 ) -> SpectralDecomposition:
     """Numerical Jordan decomposition A = V J V^{-1}.
 
@@ -351,10 +309,12 @@ def jordan_decompose(
     ordered by (magnitude, real, imaginary) of their eigenvalue and
     largest chain first within a cluster.
 
-    When ``snap_constant`` is set and the decomposition exposes a unique
-    simple eigenvalue at zero whose eigenspace contains the constant
-    vector (the situation for every connected graph Laplacian), that
-    column is snapped to ``(1/sqrt(n)) * ones`` exactly.
+    ``normalize`` applies the deterministic basis convention: each chain
+    is scaled and phased through its head (:func:`_normalize_chain`), and
+    when the decomposition exposes a unique simple eigenvalue at zero
+    whose eigenspace contains the constant vector (the situation for
+    every connected graph Laplacian), that column is snapped to
+    ``(1/sqrt(n)) * ones`` exactly. Clearing it keeps the raw columns.
 
     A basis condition estimate above 1e12 raises
     :class:`IllConditionedBasisWarning` and sets the flag on the result;
@@ -362,7 +322,7 @@ def jordan_decompose(
     """
     a = _as_complex_square(a, copy=False)
     n = a.shape[0]
-    w, eig_vectors = _eig(a)
+    w, eig_vectors = _converged(np.linalg.eig, a)
     scale = float(np.linalg.norm(a))
     ct = default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
 
@@ -397,7 +357,7 @@ def jordan_decompose(
 
     v = np.column_stack(columns).astype(complex)
 
-    if snap_constant:
+    if normalize:
         zero_limit = tol * max(1.0, scale)
         zero_blocks = [b for b in blocks if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
         if len(zero_blocks) == 1:
@@ -418,7 +378,7 @@ def jordan_decompose(
                 j[b.start + k, b.start + k + 1] = 1.0
 
     v_inv = invert(v)
-    condition = float(np.linalg.cond(v))
+    condition = float(_converged(np.linalg.cond, v))
     ill = condition > ILL_CONDITIONED_LIMIT
     if ill:
         warnings.warn(
@@ -447,27 +407,22 @@ def symmetric_eigen_decompose(
     *,
     tol: float = DEFAULT_RANK_TOL,
     normalize: bool = True,
-    snap_constant: bool = True,
 ) -> SpectralDecomposition:
     """Spectral decomposition of a real symmetric matrix.
 
     Eigenvalues come out exactly real and the basis orthonormal, so the
     inverse is the transpose; this is the cheap path every undirected
-    graph takes. Columns are ordered by (magnitude, value) and, unless
-    ``normalize`` is cleared, sign-fixed so the largest-magnitude entry
-    is positive.
+    graph takes. Columns are ordered by (magnitude, value). ``normalize``
+    applies the same basis convention as :func:`jordan_decompose`: each
+    column is sign-fixed so its largest-magnitude entry is positive, and
+    a unique constant null vector is snapped to ``(1/sqrt(n)) * ones``.
     """
     a = _as_complex_square(a, copy=False)
-    if float(np.max(np.abs(a.imag), initial=0.0)) > SYMMETRY_TOL:
-        raise NotSymmetricError("matrix has a nonzero imaginary part")
-    if float(np.max(np.abs(a - a.T), initial=0.0)) > SYMMETRY_TOL:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
+    if not is_real_symmetric(a):
+        raise NotSymmetricError("matrix is not real symmetric within tolerance")
     ar = np.ascontiguousarray((a.real + a.real.T) / 2.0)
     n = ar.shape[0]
-    try:
-        w, v = np.linalg.eigh(ar)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"symmetric eigenvalue iteration failed: {exc}") from exc
+    w, v = _converged(np.linalg.eigh, ar)
 
     order, _ = order_with_ties(w)
     w = w[order]
@@ -477,10 +432,7 @@ def symmetric_eigen_decompose(
             col = v[:, k]
             if col[int(np.argmax(np.abs(col)))] < 0:
                 v[:, k] = -col
-
-    scale = float(np.linalg.norm(ar))
-    if snap_constant:
-        zero_limit = tol * max(1.0, scale)
+        zero_limit = tol * max(1.0, float(np.linalg.norm(ar)))
         zero_idx = np.flatnonzero(np.abs(w) <= zero_limit)
         if zero_idx.size == 1:
             constant = np.full(n, 1.0 / math.sqrt(n))
@@ -501,7 +453,7 @@ def symmetric_eigen_decompose(
         blocks=blocks,
         is_diagonalizable=True,
         is_unitary_basis=True,
-        basis_condition=float(np.linalg.cond(vc)),
+        basis_condition=float(_converged(np.linalg.cond, vc)),
         ill_conditioned=False,
         cluster_tol=default_cluster_tol(ar),
     )
@@ -533,21 +485,16 @@ def _as_taps(taps) -> np.ndarray:
 
 
 def matrix_polynomial(a, taps) -> np.ndarray:
-    """Horner evaluation of ``taps[0]*I + taps[1]*A + ... `` as a matrix."""
+    """``taps[0]*I + taps[1]*A + ...`` as a matrix: Horner applied to I."""
     a = _as_complex_square(a, copy=False)
-    t = _as_taps(taps)
-    eye = np.eye(a.shape[0], dtype=complex)
-    result = t[-1] * eye
-    for coeff in t[-2::-1]:
-        result = result @ a + coeff * eye
-    return result
+    return matrix_polynomial_apply(a, taps, np.eye(a.shape[0], dtype=complex))
 
 
 def matrix_polynomial_apply(a, taps, vec: np.ndarray) -> np.ndarray:
     """Apply the tap polynomial in ``a`` to a vector without forming it.
 
-    Exactly ``len(taps) - 1`` matrix-vector products; ``a`` only needs to
-    support ``@`` against a vector.
+    Horner: exactly ``len(taps) - 1`` products with ``a``, which only
+    needs to support ``@``. ``vec`` may also be a block of columns.
     """
     t = _as_taps(taps)
     acc = t[-1] * vec

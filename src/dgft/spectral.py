@@ -17,12 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSymmetricError
-from .graph import DirectedLaplacian, Graph, directed_laplacian, signal_values
+from .graph import (
+    DirectedLaplacian,
+    Graph,
+    directed_laplacian,
+    is_real_symmetric,
+    signal_values,
+)
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TIE_TOL,
-    SYMMETRY_TOL,
     SpectralDecomposition,
     jordan_decompose,
     matrix_polynomial_apply,
@@ -171,39 +175,24 @@ def spectrum(decomposition: SpectralDecomposition, f) -> Spectrum:
     )
 
 
-def _is_real_symmetric(m: np.ndarray) -> bool:
-    if float(np.max(np.abs(m.imag), initial=0.0)) > SYMMETRY_TOL:
-        return False
-    return float(np.max(np.abs(m - m.T), initial=0.0)) <= SYMMETRY_TOL
-
-
 def decompose(
     source,
     tol: float = DEFAULT_RANK_TOL,
     *,
     cluster_tol: float | None = None,
     normalize: bool = True,
-    snap_constant: bool = True,
 ) -> SpectralDecomposition:
     """Spectral decomposition of a graph's Laplacian, picking the right path.
 
-    Real symmetric Laplacians (undirected graphs) go through the
-    orthonormal symmetric solver; everything else gets the Jordan
-    treatment. Both return the same SpectralDecomposition shape, so
-    callers never branch. ``normalize`` and ``snap_constant`` control the
-    deterministic basis convention (unit scale, pivot phase, constant
-    eigenvector snapped to ones over root n); clearing them returns the
-    backend's raw columns.
+    Real symmetric Laplacians (undirected graphs, :func:`is_real_symmetric`)
+    go through the orthonormal symmetric solver; everything else gets the
+    Jordan treatment. Both return the same SpectralDecomposition shape,
+    so callers never branch. ``normalize`` controls the deterministic
+    basis convention (unit scale, pivot phase, constant eigenvector
+    snapped to ones over root n); clearing it returns the backend's raw
+    columns.
     """
-    lap = as_laplacian(source)
-    m = lap.matrix
-    if _is_real_symmetric(m):
-        try:
-            return symmetric_eigen_decompose(
-                m, tol=tol, normalize=normalize, snap_constant=snap_constant
-            )
-        except NotSymmetricError:  # pragma: no cover - guarded by the check above
-            pass
-    return jordan_decompose(
-        m, tol, cluster_tol=cluster_tol, normalize=normalize, snap_constant=snap_constant
-    )
+    m = as_laplacian(source).matrix
+    if is_real_symmetric(m):
+        return symmetric_eigen_decompose(m, tol=tol, normalize=normalize)
+    return jordan_decompose(m, tol, cluster_tol=cluster_tol, normalize=normalize)

@@ -1,14 +1,17 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgft
 from dgft import apply_vertex_domain, decompose, demo_graph, gft
 from dgft.cli import main
-from dgft.io import load_signal, load_spectrum
+from dgft.io import load_graph, load_signal, load_spectrum
 from conftest import DATA
 
 DEMO = str(DATA / "demo_graph.txt")
@@ -277,6 +280,26 @@ class TestAnalyze:
         sizes = sorted(b["size"] for b in doc["blocks"])
         assert sizes == [1, 2]
 
+    def test_undirected_with_negative_weight(self, capsys, tmp_path):
+        # a negative weight keeps the Laplacian real symmetric
+        p = tmp_path / "signed.txt"
+        p.write_text("nodes 3\n1 2 2\n2 1 2\n2 3 -0.5\n3 2 -0.5\n")
+        code, out, _ = run_cli(capsys, "analyze", str(p))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["undirected"] is True
+        assert doc["unitary_basis"] is True
+
+    def test_complex_symmetric_weights_are_not_undirected(self, capsys, tmp_path):
+        p = tmp_path / "complex.txt"
+        p.write_text("nodes 3\n1 2 1+1i\n2 1 1+1i\n2 3 2\n3 2 2\n")
+        assert load_graph(p).is_undirected is False
+        code, out, _ = run_cli(capsys, "analyze", str(p))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["undirected"] is False
+        assert doc["unitary_basis"] is False
+
     def test_variation_identity_reported(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", DEMO)
         doc = json.loads(out)
@@ -326,10 +349,17 @@ class TestExitCodes:
         assert code == 2
 
 
-@pytest.mark.skipif(shutil.which("dgft") is None, reason="console script not on PATH")
 def test_console_script_smoke():
+    # the installed console script when it is on PATH, else the same
+    # entry point as a module, importable from wherever dgft was found
+    if shutil.which("dgft") is not None:
+        cmd, env = ["dgft"], None
+    else:
+        src = str(Path(dgft.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cmd, env = [sys.executable, "-m", "dgft.cli"], {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        ["dgft", "laplacian", "--ring", "3"], capture_output=True, text=True
+        [*cmd, "laplacian", "--ring", "3"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1,0,-1"

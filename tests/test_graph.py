@@ -131,10 +131,6 @@ class TestGraphDataclass:
         with pytest.raises(NonSquareError):
             Graph(n=2, weights=np.zeros((2, 3)))
 
-    def test_label_count_must_match(self):
-        with pytest.raises(DimensionMismatchError):
-            Graph(n=2, weights=np.zeros((2, 2)), node_labels=["a"])
-
     def test_undirected_flag(self):
         w = np.array([[0, 2.0], [2.0, 0]])
         assert Graph(n=2, weights=w).is_undirected

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgft import (
+    DgftError,
     EmptyTapsError,
     IllConditionedBasisWarning,
+    NoConvergenceError,
     NonSquareError,
     NotSymmetricError,
     SingularMatrixError,
@@ -19,7 +21,6 @@ from dgft import (
 from dgft.linalg import (
     cluster_eigenvalues,
     default_cluster_tol,
-    eigen_decompose,
     invert,
     jordan_decompose,
     matrix_polynomial,
@@ -77,25 +78,26 @@ class TestOrderWithTies:
 
 
 class TestEigenDecompose:
-    def test_diagonal_matrix(self):
-        w, v = eigen_decompose(np.diag([3.0, 1.0, 2.0]))
-        assert v is not None
-        assert sorted(np.real(w)) == pytest.approx([1.0, 2.0, 3.0])
+    """Defectiveness verdicts, read from ``jordan_decompose(a).is_diagonalizable``."""
 
-    def test_defective_matrix_returns_no_vectors(self):
-        a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        w, v = eigen_decompose(a)
-        assert v is None
-        assert np.allclose(sorted(np.real(w)), [1.0, 1.0])
+    def test_diagonal_matrix(self):
+        dec = jordan_decompose(np.diag([3.0, 1.0, 2.0]))
+        assert dec.is_diagonalizable
+        assert sorted(np.real(dec.eigenvalues)) == pytest.approx([1.0, 2.0, 3.0])
+
+    def test_defective_matrix_is_not_diagonalizable(self):
+        dec = jordan_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert not dec.is_diagonalizable
+        assert np.allclose(sorted(np.real(dec.eigenvalues)), [1.0, 1.0])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(NonSquareError):
-            eigen_decompose(np.zeros((2, 3)))
+            jordan_decompose(np.zeros((2, 3)))
 
     def test_identity_eigenvalues_all_one(self):
-        w, v = eigen_decompose(np.eye(4))
-        assert v is not None
-        assert np.all(w == 1.0)
+        dec = jordan_decompose(np.eye(4))
+        assert dec.is_diagonalizable
+        assert np.all(dec.eigenvalues == 1.0)
 
     def test_defective_marker_matches_exact_oracle(self):
         # triangular integer Laplacians keep their eigenvalues on the
@@ -107,11 +109,11 @@ class TestEigenDecompose:
         for name, g in defective_zoo() + controls:
             m = directed_laplacian(g).matrix
             assert m.shape[0] <= 6
-            _, vectors = eigen_decompose(m)
+            dec = jordan_decompose(m)
             want = exact_defective_triangular(
                 [[int(x.real) for x in row] for row in m]
             )
-            assert (vectors is None) == want, name
+            assert (not dec.is_diagonalizable) == want, name
 
 
 class TestJordanDecompose:
@@ -227,6 +229,29 @@ class TestJordanDecompose:
             1.0, np.linalg.norm(lap.matrix)
         )
 
+    def test_perturbed_chain_unions_fit_or_raise_typed(self):
+        # Disjoint paths of 3 and 5 nodes with unit weights times
+        # 1 + 1e-6 N(0, 1): the noise splits each Jordan block into a
+        # cluster whose null spaces fit no Jordan structure. Such a cluster
+        # is an artifact; it must never yield more columns than it holds.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lengths = [int(x) for x in rng.permutation([3, 3, 5, 5])]
+            perm = rng.permutation(16)
+            edges, start = [], 0
+            for length in lengths:
+                for k in range(length - 1):
+                    w = 1.0 + 1e-6 * float(rng.standard_normal())
+                    edges.append((int(perm[start + k]), int(perm[start + k + 1]), w))
+                start += length
+            lap = directed_laplacian(build_graph(16, edges)).matrix
+            try:
+                dec = jordan_decompose(lap)
+            except DgftError:
+                continue
+            residual = np.linalg.norm(dec.reconstruct() - lap)
+            assert residual <= 1e-6 * max(1.0, np.linalg.norm(lap)), seed
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10_000))
     def test_random_laplacian_reconstruction_property(self, n, seed):
@@ -236,6 +261,23 @@ class TestJordanDecompose:
         scale = max(1.0, np.linalg.norm(lap.matrix))
         assert np.linalg.norm(dec.reconstruct() - lap.matrix) <= 1e-8 * scale
         assert sum(b.size for b in dec.blocks) == n
+
+
+@pytest.mark.parametrize(
+    "kernel, decomposer, a",
+    [
+        ("svd", jordan_decompose, np.array([[1.0, 1.0], [0.0, 1.0]])),
+        ("cond", jordan_decompose, np.diag([1.0, 2.0])),
+        ("cond", symmetric_eigen_decompose, np.diag([1.0, 2.0])),
+    ],
+)
+def test_svd_failure_is_typed(monkeypatch, kernel, decomposer, a):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, kernel, fail)
+    with pytest.raises(NoConvergenceError, match="SVD did not converge"):
+        decomposer(a)
 
 
 class TestSymmetricEigenDecompose:
