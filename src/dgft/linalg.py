@@ -4,10 +4,18 @@ The eigenvalue, symmetric-eigenvalue, and LU kernels delegate to LAPACK
 (via numpy/scipy), which implements the classical pipelines: Hessenberg
 reduction plus implicitly shifted QR for the nonsymmetric case,
 tridiagonalization for the symmetric case, partial-pivoted LU for solves.
-What LAPACK does not provide, and what this module adds, is the numerical
-Jordan machinery: eigenvalue clustering, rank-revealing null-space chains
-of generalized eigenvectors, block assembly, and a deterministic basis
-normalization so downstream transforms are reproducible run to run.
+A matrix with an all-zero imaginary part goes through the real
+nonsymmetric kernel, so its conjugate eigenvalue pairs come out exactly
+conjugate. What LAPACK does not provide, and what this module adds, is the
+numerical Jordan machinery: eigenvalue clustering, rank-revealing
+null-space chains of generalized eigenvectors, block assembly, and a
+deterministic basis normalization so downstream transforms are
+reproducible run to run.
+
+``basis_condition`` is the 1-norm condition ``||V||_1 * ||V^-1||_1``,
+read off the inverse the decomposition builds anyway: at least 1, and n
+for a unitary basis such as the ring's DFT. scipy is imported only when a
+Jordan basis is inverted, so the symmetric path never loads it.
 
 Jordan structure is discontinuous in the matrix entries, so every
 multiplicity decision here is tolerance-driven. The defaults below are
@@ -22,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EmptyTapsError,
@@ -114,11 +121,20 @@ def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
     """Group indices of eigenvalues whose pairwise distance chains below tol.
 
     Single-linkage: two values land in one cluster when connected through
-    intermediate values each within ``tol`` of the next.
+    intermediate values each within ``tol`` of the next. Members are listed
+    in ascending index order and clusters by their smallest member.
+
+    Sort and sweep: after a sort by real part, each value is compared only
+    with the values after it whose real part lies within ``2 * tol``, so
+    the work follows the number of near pairs rather than n^2.
     """
     w = np.asarray(values, dtype=complex).ravel()
-    n = w.size
-    parent = list(range(n))
+    order = np.argsort(w.real, kind="stable")
+    ws = w[order]
+    # A pair within tol differs by at most tol in real part; doubling the
+    # window keeps that true through rounding, and the distance test decides.
+    ends = np.searchsorted(ws.real, ws.real + 2.0 * tol, side="right")
+    parent = list(range(w.size))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -126,16 +142,21 @@ def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for k in range(i + 1, n):
-            if abs(w[i] - w[k]) <= tol:
-                ri, rk = find(i), find(k)
-                if ri != rk:
-                    parent[rk] = ri
+    for s in np.flatnonzero(ends > np.arange(1, w.size + 1)):
+        near = np.abs(ws[s + 1 : ends[s]] - ws[s]) <= tol
+        for k in order[s + 1 : ends[s]][near]:
+            ri, rk = find(int(order[s])), find(int(k))
+            # The smaller index is the root, so each root is its cluster's minimum.
+            parent[max(ri, rk)] = min(ri, rk)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
+    for i in range(w.size):
         groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
+    return list(groups.values())
+
+
+def _basis_condition(v: np.ndarray, v_inv: np.ndarray) -> float:
+    """The 1-norm condition ``||V||_1 * ||V^-1||_1`` of a basis and its inverse."""
+    return float(np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1))
 
 
 def _converged(kernel, *args, **kwargs):
@@ -316,13 +337,13 @@ def jordan_decompose(
     every connected graph Laplacian), that column is snapped to
     ``(1/sqrt(n)) * ones`` exactly. Clearing it keeps the raw columns.
 
-    A basis condition estimate above 1e12 raises
+    A basis condition (:func:`_basis_condition`) above 1e12 raises
     :class:`IllConditionedBasisWarning` and sets the flag on the result;
     defective matrices legitimately live there, so it is not an error.
     """
     a = _as_complex_square(a, copy=False)
     n = a.shape[0]
-    w, eig_vectors = _converged(np.linalg.eig, a)
+    w, eig_vectors = _converged(np.linalg.eig, a if a.imag.any() else a.real)
     scale = float(np.linalg.norm(a))
     ct = default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
 
@@ -378,11 +399,11 @@ def jordan_decompose(
                 j[b.start + k, b.start + k + 1] = 1.0
 
     v_inv = invert(v)
-    condition = float(_converged(np.linalg.cond, v))
+    condition = _basis_condition(v, v_inv)
     ill = condition > ILL_CONDITIONED_LIMIT
     if ill:
         warnings.warn(
-            f"Jordan basis condition estimate {condition:.3e} exceeds "
+            f"Jordan basis condition {condition:.3e} exceeds "
             f"{ILL_CONDITIONED_LIMIT:.0e}; transform results carry that uncertainty",
             IllConditionedBasisWarning,
             stacklevel=2,
@@ -453,7 +474,7 @@ def symmetric_eigen_decompose(
         blocks=blocks,
         is_diagonalizable=True,
         is_unitary_basis=True,
-        basis_condition=float(_converged(np.linalg.cond, vc)),
+        basis_condition=_basis_condition(v, v.T),
         ill_conditioned=False,
         cluster_tol=default_cluster_tol(ar),
     )
@@ -461,6 +482,10 @@ def symmetric_eigen_decompose(
 
 def invert(a) -> np.ndarray:
     """Inverse via partial-pivoted LU, refusing pivots below threshold."""
+    # Deferred: importing scipy.linalg dominates CLI start-up, and nothing
+    # else in the package needs it.
+    import scipy.linalg
+
     a = _as_complex_square(a, copy=False)
     n = a.shape[0]
     scale = float(np.linalg.norm(a))

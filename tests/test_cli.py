@@ -300,6 +300,13 @@ class TestAnalyze:
         assert doc["undirected"] is False
         assert doc["unitary_basis"] is False
 
+    def test_ring_basis_condition_is_n(self, capsys):
+        # the DFT basis has unit columns of equal-magnitude entries, so
+        # kappa_1 = n up to the rounding in the computed eigenvectors
+        code, out, _ = run_cli(capsys, "analyze", "--ring", "4")
+        assert code == 0
+        assert json.loads(out)["basis_condition"] == pytest.approx(4.0, rel=1e-12)
+
     def test_variation_identity_reported(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", DEMO)
         doc = json.loads(out)
@@ -349,17 +356,43 @@ class TestExitCodes:
         assert code == 2
 
 
+def _env_importing_dgft() -> dict:
+    """Environment in which a child interpreter imports this dgft."""
+    src = str(Path(dgft.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_console_script_smoke():
     # the installed console script when it is on PATH, else the same
     # entry point as a module, importable from wherever dgft was found
     if shutil.which("dgft") is not None:
         cmd, env = ["dgft"], None
     else:
-        src = str(Path(dgft.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        cmd, env = [sys.executable, "-m", "dgft.cli"], {**os.environ, "PYTHONPATH": path}
+        cmd, env = [sys.executable, "-m", "dgft.cli"], _env_importing_dgft()
     proc = subprocess.run(
         [*cmd, "laplacian", "--ring", "3"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1,0,-1"
+
+
+def test_undirected_commands_never_import_scipy(tmp_path):
+    # importing scipy.linalg dominates CLI start-up; only Jordan inversion needs it
+    graph = tmp_path / "path.txt"
+    graph.write_text("nodes 3\n1 2 1\n2 1 1\n2 3 2\n3 2 2\n")
+    signal = tmp_path / "f.json"
+    signal.write_text('{"n": 3, "values": [1.0, 0.5, -2.0]}')
+    script = f"""
+import sys
+import dgft
+assert "scipy" not in sys.modules, "import dgft"
+import dgft.cli
+assert "scipy" not in sys.modules, "import dgft.cli"
+assert dgft.cli.main(["gft", {str(graph)!r}, "--signal", {str(signal)!r}]) == 0
+assert "scipy" not in sys.modules, "dgft gft"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env_importing_dgft()
+    )
+    assert proc.returncode == 0, proc.stderr

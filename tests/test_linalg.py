@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from dgft import (
     DgftError,
     EmptyTapsError,
+    Graph,
     IllConditionedBasisWarning,
     NoConvergenceError,
     NonSquareError,
     NotSymmetricError,
     SingularMatrixError,
     build_graph,
+    decompose,
     directed_laplacian,
+    order_frequencies,
 )
 from dgft.linalg import (
     cluster_eigenvalues,
@@ -28,7 +31,7 @@ from dgft.linalg import (
     order_with_ties,
     symmetric_eigen_decompose,
 )
-from conftest import defective_zoo, make_random_digraph
+from conftest import defective_zoo, make_random_digraph, make_random_undirected
 from oracles import exact_block_sizes, exact_defective_triangular
 
 
@@ -48,6 +51,37 @@ class TestClustering:
 
     def test_default_tol_floors_at_1e8(self):
         assert default_cluster_tol(np.zeros((3, 3))) == 1e-8
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0.25, 0.1]),
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=30),
+        st.integers(0, 5),
+    )
+    def test_matches_brute_force_single_linkage(self, step, grid, tol_steps):
+        # Grid points make exact ties in real part and distances of exactly
+        # tol common; step 0.1 adds the rounding of non-dyadic coordinates.
+        values = [complex(re * step, im * step) for re, im in grid]
+        tol = tol_steps * step
+        assert cluster_eigenvalues(values, tol) == _brute_force_clusters(values, tol)
+
+
+def _brute_force_clusters(values: list[complex], tol: float) -> list[list[int]]:
+    """Reference single linkage: flood fill over all pairs within tol."""
+    unseen = set(range(len(values)))
+    groups = []
+    while unseen:
+        frontier = [min(unseen)]
+        unseen.discard(frontier[0])
+        members = []
+        while frontier:
+            i = frontier.pop()
+            members.append(i)
+            near = {k for k in unseen if abs(values[i] - values[k]) <= tol}
+            unseen -= near
+            frontier.extend(near)
+        groups.append(sorted(members))
+    return sorted(groups)
 
 
 class TestOrderWithTies:
@@ -267,8 +301,6 @@ class TestJordanDecompose:
     "kernel, decomposer, a",
     [
         ("svd", jordan_decompose, np.array([[1.0, 1.0], [0.0, 1.0]])),
-        ("cond", jordan_decompose, np.diag([1.0, 2.0])),
-        ("cond", symmetric_eigen_decompose, np.diag([1.0, 2.0])),
     ],
 )
 def test_svd_failure_is_typed(monkeypatch, kernel, decomposer, a):
@@ -278,6 +310,48 @@ def test_svd_failure_is_typed(monkeypatch, kernel, decomposer, a):
     monkeypatch.setattr(np.linalg, kernel, fail)
     with pytest.raises(NoConvergenceError, match="SVD did not converge"):
         decomposer(a)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        make_random_digraph(np.random.default_rng(3), 12, p=0.5),
+        make_random_undirected(np.random.default_rng(3), 12),
+    ],
+    ids=["digraph", "undirected"],
+)
+def test_no_svd_outside_chain_extraction(monkeypatch, graph):
+    # Only Jordan chains need a rank decision; the basis condition comes
+    # from norms of V and its inverse.
+    def fail(*args, **kwargs):
+        raise AssertionError("SVD-based kernel called")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, "cond", fail)
+    dec = decompose(directed_laplacian(graph))
+    assert dec.is_diagonalizable
+    assert dec.is_unitary_basis == graph.is_undirected
+
+
+class TestBasisCondition:
+    def test_is_one_norm_condition_on_jordan_path(self):
+        graphs = [g for _, g in defective_zoo()]
+        graphs += [make_random_digraph(np.random.default_rng(seed), 20) for seed in range(10)]
+        for g in graphs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedBasisWarning)
+                dec = jordan_decompose(directed_laplacian(g).matrix)
+            expected = np.linalg.norm(dec.v, 1) * np.linalg.norm(dec.v_inv, 1)
+            assert dec.basis_condition == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_orthonormal_path_uses_transpose_norms(self):
+        for seed in range(5):
+            g = make_random_undirected(np.random.default_rng(seed), 15)
+            dec = decompose(directed_laplacian(g))
+            assert dec.is_unitary_basis
+            expected = np.linalg.norm(dec.v, 1) * np.linalg.norm(dec.v, np.inf)
+            assert dec.basis_condition == pytest.approx(expected, rel=1e-12, abs=0)
+            assert 1.0 <= dec.basis_condition <= dec.n
 
 
 class TestSymmetricEigenDecompose:
@@ -409,6 +483,30 @@ class TestDecompositionInvariants:
             trace = complex(np.trace(matrix))
             total = complex(np.sum(dec.eigenvalues))
             assert abs(total - trace) <= 1e-8 * abs(trace) + 1e-10, f"seed {seed}"
+
+    def test_real_weights_give_exact_conjugate_pairs(self):
+        for seed in range(20):
+            g = make_random_digraph(np.random.default_rng(seed), 60, p=0.08)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedBasisWarning)
+                w = jordan_decompose(directed_laplacian(g).matrix).eigenvalues
+            assert np.array_equal(np.sort(w), np.sort(w.conj())), f"seed {seed}"
+            ordering = order_frequencies(w)
+            group_of = {i: grp for grp in ordering.tie_groups for i in grp}
+            for i in np.flatnonzero(w.imag < 0):
+                partners = np.flatnonzero(w == w[i].conjugate())
+                assert (int(i), int(partners[0])) == group_of.get(int(i)), f"seed {seed}"
+
+    def test_complex_weights_reconstruct(self):
+        rng = np.random.default_rng(7)
+        g = make_random_digraph(rng, 60, p=0.08)
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=g.weights.shape))
+        lap = directed_laplacian(Graph(n=g.n, weights=g.weights * phases)).matrix
+        assert np.any(lap.imag != 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedBasisWarning)
+            dec = jordan_decompose(lap)
+        assert np.linalg.norm(dec.reconstruct() - lap) <= 1e-8 * np.linalg.norm(lap)
 
     def test_real_input_gives_conjugate_pairs(self):
         for seed, matrix, dec in _invariant_corpus():
