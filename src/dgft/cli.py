@@ -91,7 +91,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         cluster_tol=cluster,
         recon_tol=args.tol_recon,
         raw_basis=args.raw_basis,
-        sum_duplicates=getattr(args, "sum_duplicates", False),
+        sum_duplicates=args.sum_duplicates,
     )
 
 
@@ -280,15 +280,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
-def _add_common(p: argparse.ArgumentParser, *, graph_input: bool = True) -> None:
-    if graph_input:
-        p.add_argument("graph", nargs="?", help="edge-list file (or use --ring)")
-        p.add_argument("--ring", type=int, metavar="N", help="directed cycle on N nodes")
-        p.add_argument(
-            "--sum-duplicates",
-            action="store_true",
-            help="accumulate repeated edges instead of rejecting them",
-        )
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", nargs="?", help="edge-list file (or use --ring)")
+    p.add_argument("--ring", type=int, metavar="N", help="directed cycle on N nodes")
+    p.add_argument(
+        "--sum-duplicates",
+        action="store_true",
+        help="accumulate repeated edges instead of rejecting them",
+    )
     p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
     p.add_argument(
         "--tol",

@@ -5,14 +5,14 @@ H = h_0 I + h_1 L + ... + h_M L^M. Every such polynomial commutes with
 the shift S = I - L, and conversely (when each distinct eigenvalue of L
 has a one-dimensional eigenspace) every operator commuting with the
 shift is such a polynomial. Application is offered in the vertex domain
-(Horner, M matrix-vector products) and in the spectral domain (scalar
-multiplication per coefficient, with the triangular correction terms on
-Jordan blocks).
+(Horner in L, M matrix-vector products) and in the spectral domain
+(analysis, the same Horner routine in the Jordan matrix J, synthesis):
+h(J) is diagonal when L is diagonalizable and upper triangular on each
+Jordan block, where a chain's coefficients leak into those above it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,49 +79,16 @@ def materialize(lap, h) -> np.ndarray:
     return matrix_polynomial(lap.matrix, _as_filter(h).taps)
 
 
-def _derivative_weights(taps: np.ndarray, lam: complex, size: int) -> list[complex]:
-    """h(lam), h'(lam), h''(lam)/2!, ... up to the block size.
-
-    Weight k is sum over m >= k of C(m, k) * taps[m] * lam^(m-k), the
-    k-th Taylor coefficient of the tap polynomial at lam.
-    """
-    weights = []
-    for k in range(size):
-        acc = 0j
-        for m in range(k, taps.size):
-            acc += math.comb(m, k) * complex(taps[m]) * lam ** (m - k)
-        weights.append(acc)
-    return weights
-
-
-def filter_response(decomposition: SpectralDecomposition, h) -> np.ndarray:
-    """The filter acting on spectral coefficients: the matrix h(J).
-
-    Diagonal when the Laplacian is diagonalizable (entry r is the scalar
-    response h(lambda_r)); on a Jordan block of size s the response is
-    upper triangular Toeplitz with the k-th derivative weights of the tap
-    polynomial on the k-th superdiagonal, which is how a chain's
-    coefficients leak into the coefficients above them.
-    """
-    filt = _as_filter(h)
-    n = decomposition.n
-    out = np.zeros((n, n), dtype=complex)
-    for b in decomposition.blocks:
-        weights = _derivative_weights(filt.taps, complex(b.eigenvalue), b.size)
-        for i in range(b.size):
-            for k in range(b.size - i):
-                out[b.start + i, b.start + i + k] = weights[k]
-    return out
-
-
 def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndarray:
-    """Filter through the spectral domain: analyze, scale, synthesize.
+    """Filter through the spectral domain: analyze, apply h(J), synthesize.
 
-    Agrees with :func:`apply_vertex_domain` up to roundoff (exactly the
-    same linear map, factored differently).
+    ``L = V J V^{-1}`` gives ``h(L) = V h(J) V^{-1}``, so the middle step
+    is the same Horner routine the vertex domain runs, only on ``J``. It
+    agrees with :func:`apply_vertex_domain` up to roundoff.
     """
     f_hat = gft(decomposition, f)
-    return igft(decomposition, filter_response(decomposition, h) @ f_hat)
+    taps = _as_filter(h).taps
+    return igft(decomposition, matrix_polynomial_apply(decomposition.j, taps, f_hat))
 
 
 def commutator_residual(lap, operator: np.ndarray) -> float:

@@ -172,20 +172,27 @@ def _value_to_json(z: complex):
     return [z.real, z.imag]
 
 
+def _finite(re, im, where: str, line: int | None = None) -> complex:
+    """``re + im*i`` as a complex, refusing values no double holds finitely."""
+    try:
+        value = complex(float(re), float(im))
+    except OverflowError:
+        value = complex(math.inf)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ParseError(f"{where}: non-finite value", line=line)
+    return value
+
+
 def _value_from_json(item, where: str) -> complex:
     if isinstance(item, bool):
         raise ParseError(f"{where}: booleans are not signal values")
     if isinstance(item, (int, float)):
-        value = complex(item)
-    elif isinstance(item, list) and len(item) == 2 and all(
+        return _finite(item, 0.0, where)
+    if isinstance(item, list) and len(item) == 2 and all(
         isinstance(p, (int, float)) and not isinstance(p, bool) for p in item
     ):
-        value = complex(item[0], item[1])
-    else:
-        raise ParseError(f"{where}: expected a number or a [re, im] pair")
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ParseError(f"{where}: non-finite value")
-    return value
+        return _finite(item[0], item[1], where)
+    raise ParseError(f"{where}: expected a number or a [re, im] pair")
 
 
 def load_signal(src) -> GraphSignal:
@@ -303,7 +310,7 @@ def _spectrum_from_arrays(eigenvalues, coefficients) -> Spectrum:
 
 
 def _load_spectrum_rows(rows: Iterable[tuple[int, complex, complex]]) -> Spectrum:
-    collected = sorted(rows)
+    collected = sorted(rows, key=lambda r: r[0])
     indices = [r[0] for r in collected]
     if indices != list(range(len(collected))):
         raise ParseError("spectral_index values must cover 0..n-1 exactly once")
@@ -341,11 +348,13 @@ def _load_spectrum_json(text: str) -> Spectrum:
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")
         try:
-            idx = int(entry["spectral_index"])
+            idx = entry["spectral_index"]
             lam = _value_from_json(entry["eigenvalue"], f"{where}.eigenvalue")
             coeff = _value_from_json(entry["coefficient"], f"{where}.coefficient")
         except KeyError as exc:
             raise ParseError(f"{where}: missing field {exc.args[0]!r}") from None
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise ParseError(f"{where}.spectral_index: expected an integer")
         rows.append((idx, lam, coeff))
     return _load_spectrum_rows(rows)
 
@@ -371,8 +380,8 @@ def _load_spectrum_csv(text: str) -> Spectrum:
             )
         try:
             idx = int(fields[0])
-            lam = complex(float(fields[1]), float(fields[2]))
-            coeff = complex(float(fields[3]), float(fields[4]))
+            lam = _finite(fields[1], fields[2], "eigenvalue", lineno)
+            coeff = _finite(fields[3], fields[4], "coefficient", lineno)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         rows.append((idx, lam, coeff))

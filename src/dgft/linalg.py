@@ -19,8 +19,9 @@ Jordan basis is inverted, so the symmetric path never loads it.
 
 Jordan structure is discontinuous in the matrix entries, so every
 multiplicity decision here is tolerance-driven. The defaults below are
-engineering choices, exposed as parameters (and CLI flags) rather than
-baked in.
+engineering choices. The rank tolerance and the clustering tolerance are
+parameters (CLI ``--tol`` and ``--tol-cluster``); the tie, pivot and
+ill-conditioning thresholds are fixed module constants.
 """
 
 from __future__ import annotations
@@ -75,21 +76,19 @@ class SpectralDecomposition:
     """Factorization A = V J V^{-1} with per-block structure metadata.
 
     ``v`` holds the basis columns (chain heads are proper eigenvectors,
-    listed first within each block), ``j`` is block diagonal with unit
-    superdiagonals inside blocks, and ``eigenvalues`` is the diagonal of
-    ``j``. ``is_unitary_basis`` marks the symmetric path, where ``v_inv``
-    is exactly the transpose of ``v``.
+    listed first within each block) and ``j`` is block diagonal with unit
+    superdiagonals inside blocks. ``is_unitary_basis`` marks the symmetric
+    path, where ``v_inv`` is exactly the transpose of ``v``. The
+    eigenvalues and both verdicts are read off ``j``, ``blocks`` and
+    ``basis_condition`` rather than stored.
     """
 
     v: np.ndarray
     j: np.ndarray
     v_inv: np.ndarray
-    eigenvalues: np.ndarray
     blocks: tuple[JordanBlock, ...]
-    is_diagonalizable: bool
     is_unitary_basis: bool
     basis_condition: float
-    ill_conditioned: bool
     cluster_tol: float
     n: int = field(init=False)
 
@@ -100,12 +99,29 @@ class SpectralDecomposition:
             if m.shape != (n, n):
                 raise NonSquareError(f"{name} has shape {m.shape}, expected ({n}, {n})")
             m.flags.writeable = False
-        if self.eigenvalues.shape != (n,):
-            raise NonSquareError("eigenvalue vector length does not match the basis")
-        self.eigenvalues.flags.writeable = False
         if sum(b.size for b in self.blocks) != n:
             raise NonSquareError("block sizes do not sum to the matrix dimension")
         object.__setattr__(self, "n", n)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The diagonal of ``j``, one entry per basis column (read-only).
+
+        A copy, so a caller keeping the eigenvalues does not keep ``j``.
+        """
+        w = self.j.diagonal().copy()
+        w.flags.writeable = False
+        return w
+
+    @property
+    def is_diagonalizable(self) -> bool:
+        """Every Jordan block is 1x1."""
+        return all(b.size == 1 for b in self.blocks)
+
+    @property
+    def ill_conditioned(self) -> bool:
+        """The basis condition exceeds :data:`ILL_CONDITIONED_LIMIT`."""
+        return self.basis_condition > ILL_CONDITIONED_LIMIT
 
     @property
     def proper_indices(self) -> tuple[int, ...]:
@@ -222,23 +238,21 @@ def order_with_ties(
     return order, groups
 
 
-def _normalize_chain(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    """Scale and phase a Jordan chain via its head (the proper eigenvector).
+def _normalize_chains(v: np.ndarray, blocks: list[JordanBlock]) -> None:
+    """Scale and phase every Jordan chain of ``v`` in place via its head.
 
-    One scalar applies to the whole chain so the unit superdiagonal of the
-    block survives: the head gets unit norm with its largest-magnitude
-    entry rotated real positive (first such entry on ties), and the tail
-    inherits the same factor.
+    One scalar applies to a whole chain so the unit superdiagonal of its
+    block survives: the head (the proper eigenvector) gets unit norm with
+    its largest-magnitude entry rotated real positive (first such entry on
+    ties), and the tail inherits the same factor.
     """
-    head = vectors[0]
-    nrm = float(np.linalg.norm(head))
-    if nrm == 0.0:
-        return vectors
-    scaled = [v / nrm for v in vectors]
-    head = scaled[0]
-    pivot = head[int(np.argmax(np.abs(head)))]
-    phase = pivot / abs(pivot)
-    return [v * np.conj(phase) for v in scaled]
+    heads = v[:, [b.start for b in blocks]]
+    norms = np.linalg.norm(heads, axis=0)
+    pivots = heads[np.argmax(np.abs(heads), axis=0), np.arange(len(blocks))]
+    factors = np.ones(len(blocks), dtype=complex)
+    live = norms > 0  # a zero head (a singular basis) leaves its chain as it is
+    factors[live] = np.conj(pivots[live]) / (np.abs(pivots[live]) * norms[live])
+    v *= np.repeat(factors, [b.size for b in blocks])
 
 
 def _orthogonal_residual(x: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -314,6 +328,75 @@ def _jordan_chains(
     return chains
 
 
+def _finish(
+    a: np.ndarray,
+    assembled: list[tuple[complex, list[np.ndarray]]],
+    *,
+    tol: float,
+    cluster_tol: float,
+    normalize: bool,
+    unitary: bool,
+) -> SpectralDecomposition:
+    """The tail both decomposition paths share: basis convention, J, inverse.
+
+    ``assembled`` lists (eigenvalue, chain vectors) in final column order.
+    ``normalize`` applies the deterministic basis convention: each chain
+    is scaled and phased through its head (:func:`_normalize_chains`), and
+    when exactly one 1x1 block sits at zero (within ``tol`` relative to
+    ``||A||_F``) and ``A`` annihilates the constant vector (every
+    connected graph Laplacian), that column is snapped to
+    ``(1/sqrt(n)) * ones`` and its eigenvalue to exactly 0. A ``unitary``
+    basis is inverted by transposition, any other by :func:`invert`.
+
+    A basis condition (:func:`_basis_condition`) above 1e12 raises
+    :class:`IllConditionedBasisWarning` and sets the flag on the result;
+    defective matrices legitimately live there, so it is not an error.
+    """
+    n = a.shape[0]
+    blocks: list[JordanBlock] = []
+    start = 0
+    for lam, chain in assembled:
+        blocks.append(JordanBlock(eigenvalue=lam, size=len(chain), start=start))
+        start += len(chain)
+    v = np.column_stack([vec for _, chain in assembled for vec in chain]).astype(complex)
+
+    if normalize:
+        _normalize_chains(v, blocks)
+        zero_limit = tol * max(1.0, float(np.linalg.norm(a)))
+        zero = [k for k, b in enumerate(blocks) if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
+        constant = np.full(n, 1.0 / math.sqrt(n))
+        if len(zero) == 1 and float(np.linalg.norm(a @ constant)) <= zero_limit:
+            (k,) = zero
+            v[:, blocks[k].start] = constant
+            blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
+
+    lams = np.array([b.eigenvalue for b in blocks], dtype=complex)
+    j = np.diag(np.repeat(lams, [b.size for b in blocks]))
+    tail = np.ones(n, dtype=bool)
+    tail[[b.start for b in blocks]] = False  # columns that continue a chain
+    inner = np.flatnonzero(tail)
+    j[inner - 1, inner] = 1.0
+
+    v_inv = v.T.copy() if unitary else invert(v)
+    condition = _basis_condition(v, v_inv)
+    if condition > ILL_CONDITIONED_LIMIT:
+        warnings.warn(
+            f"Jordan basis condition {condition:.3e} exceeds "
+            f"{ILL_CONDITIONED_LIMIT:.0e}; transform results carry that uncertainty",
+            IllConditionedBasisWarning,
+            stacklevel=3,
+        )
+    return SpectralDecomposition(
+        v=v,
+        j=j,
+        v_inv=v_inv,
+        blocks=tuple(blocks),
+        is_unitary_basis=unitary,
+        basis_condition=condition,
+        cluster_tol=cluster_tol,
+    )
+
+
 def jordan_decompose(
     a,
     tol: float = DEFAULT_RANK_TOL,
@@ -330,19 +413,11 @@ def jordan_decompose(
     ordered by (magnitude, real, imaginary) of their eigenvalue and
     largest chain first within a cluster.
 
-    ``normalize`` applies the deterministic basis convention: each chain
-    is scaled and phased through its head (:func:`_normalize_chain`), and
-    when the decomposition exposes a unique simple eigenvalue at zero
-    whose eigenspace contains the constant vector (the situation for
-    every connected graph Laplacian), that column is snapped to
-    ``(1/sqrt(n)) * ones`` exactly. Clearing it keeps the raw columns.
-
-    A basis condition (:func:`_basis_condition`) above 1e12 raises
-    :class:`IllConditionedBasisWarning` and sets the flag on the result;
-    defective matrices legitimately live there, so it is not an error.
+    ``normalize`` applies the basis convention of :func:`_finish`;
+    clearing it keeps the raw chain and ``eig`` columns. A basis
+    condition above 1e12 raises :class:`IllConditionedBasisWarning`.
     """
     a = _as_complex_square(a, copy=False)
-    n = a.shape[0]
     w, eig_vectors = _converged(np.linalg.eig, a if a.imag.any() else a.real)
     scale = float(np.linalg.norm(a))
     ct = default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
@@ -368,59 +443,7 @@ def jordan_decompose(
         for idx in cluster[covered:]:
             assembled.append((complex(w[idx]), [np.asarray(eig_vectors[:, idx])]))
 
-    columns: list[np.ndarray] = []
-    blocks: list[JordanBlock] = []
-    for lam, chain in assembled:
-        if normalize:
-            chain = _normalize_chain(chain)
-        blocks.append(JordanBlock(eigenvalue=lam, size=len(chain), start=len(columns)))
-        columns.extend(chain)
-
-    v = np.column_stack(columns).astype(complex)
-
-    if normalize:
-        zero_limit = tol * max(1.0, scale)
-        zero_blocks = [b for b in blocks if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
-        if len(zero_blocks) == 1:
-            constant = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-            if float(np.linalg.norm(a @ constant)) <= zero_limit:
-                target = zero_blocks[0]
-                v[:, target.start] = constant
-                # The eigenvalue is exactly zero too, not just its vector.
-                blocks[blocks.index(target)] = JordanBlock(
-                    eigenvalue=0j, size=1, start=target.start
-                )
-
-    j = np.zeros((n, n), dtype=complex)
-    for b in blocks:
-        for k in range(b.size):
-            j[b.start + k, b.start + k] = b.eigenvalue
-            if k + 1 < b.size:
-                j[b.start + k, b.start + k + 1] = 1.0
-
-    v_inv = invert(v)
-    condition = _basis_condition(v, v_inv)
-    ill = condition > ILL_CONDITIONED_LIMIT
-    if ill:
-        warnings.warn(
-            f"Jordan basis condition {condition:.3e} exceeds "
-            f"{ILL_CONDITIONED_LIMIT:.0e}; transform results carry that uncertainty",
-            IllConditionedBasisWarning,
-            stacklevel=2,
-        )
-
-    return SpectralDecomposition(
-        v=v,
-        j=j,
-        v_inv=v_inv,
-        eigenvalues=np.diag(j).copy(),
-        blocks=tuple(blocks),
-        is_diagonalizable=all(b.size == 1 for b in blocks),
-        is_unitary_basis=False,
-        basis_condition=condition,
-        ill_conditioned=ill,
-        cluster_tol=ct,
-    )
+    return _finish(a, assembled, tol=tol, cluster_tol=ct, normalize=normalize, unitary=False)
 
 
 def symmetric_eigen_decompose(
@@ -433,50 +456,28 @@ def symmetric_eigen_decompose(
 
     Eigenvalues come out exactly real and the basis orthonormal, so the
     inverse is the transpose; this is the cheap path every undirected
-    graph takes. Columns are ordered by (magnitude, value). ``normalize``
-    applies the same basis convention as :func:`jordan_decompose`: each
-    column is sign-fixed so its largest-magnitude entry is positive, and
-    a unique constant null vector is snapped to ``(1/sqrt(n)) * ones``.
+    graph takes. Columns are ordered by (magnitude, value) and pass
+    through the same finisher as :func:`jordan_decompose` as 1x1 blocks,
+    so ``normalize`` applies the one shared basis convention
+    (:func:`_finish`): unit norm with the largest-magnitude entry
+    positive, and a unique constant null vector snapped to
+    ``(1/sqrt(n)) * ones``. Clearing it keeps the raw ``eigh`` columns.
     """
     a = _as_complex_square(a, copy=False)
     if not is_real_symmetric(a):
         raise NotSymmetricError("matrix is not real symmetric within tolerance")
     ar = np.ascontiguousarray((a.real + a.real.T) / 2.0)
-    n = ar.shape[0]
     w, v = _converged(np.linalg.eigh, ar)
 
     order, _ = order_with_ties(w)
-    w = w[order]
-    v = v[:, order]
-    if normalize:
-        for k in range(n):
-            col = v[:, k]
-            if col[int(np.argmax(np.abs(col)))] < 0:
-                v[:, k] = -col
-        zero_limit = tol * max(1.0, float(np.linalg.norm(ar)))
-        zero_idx = np.flatnonzero(np.abs(w) <= zero_limit)
-        if zero_idx.size == 1:
-            constant = np.full(n, 1.0 / math.sqrt(n))
-            if float(np.linalg.norm(ar @ constant)) <= zero_limit:
-                v[:, int(zero_idx[0])] = constant
-                w[int(zero_idx[0])] = 0.0
-
-    vc = v.astype(complex)
-    eigenvalues = w.astype(complex)  # imaginary parts exactly zero
-    blocks = tuple(
-        JordanBlock(eigenvalue=complex(w[k]), size=1, start=k) for k in range(n)
-    )
-    return SpectralDecomposition(
-        v=vc,
-        j=np.diag(eigenvalues),
-        v_inv=vc.T.copy(),
-        eigenvalues=eigenvalues,
-        blocks=blocks,
-        is_diagonalizable=True,
-        is_unitary_basis=True,
-        basis_condition=_basis_condition(v, v.T),
-        ill_conditioned=False,
+    assembled = [(complex(w[k]), [v[:, k]]) for k in order]
+    return _finish(
+        ar,
+        assembled,
+        tol=tol,
         cluster_tol=default_cluster_tol(ar),
+        normalize=normalize,
+        unitary=True,
     )
 
 

@@ -165,6 +165,14 @@ class TestGft:
         assert code == 3
         assert "5 nodes" in err
 
+    def test_signal_value_too_large_for_a_double_exits_2(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 5, "values": [1, 2, 3, 4, 1%s]}' % ("0" * 400))
+        code, out, err = run_cli(capsys, "gft", DEMO, "--signal", str(big))
+        assert code == 2
+        assert out == ""
+        assert "values[4]" in err
+
     def test_malformed_graph_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("nodes 2\n1 5 1.0\n")
@@ -203,6 +211,42 @@ class TestIgft:
         run_cli(capsys, "gft", "--ring", "4", "--signal", str(_ring_signal(tmp_path)), "-o", str(spec_path))
         code, _, _ = run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path))
         assert code == 3
+
+    def test_non_finite_csv_value_exits_2(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.csv"
+        run_cli(capsys, "gft", DEMO, "--signal", SIGNAL, "-o", str(spec_path))
+        lines = spec_path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "nan"
+        lines[2] = ",".join(fields)
+        spec_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path))
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err
+
+    def _json_spectrum(self, capsys, tmp_path, entry0) -> str:
+        spec_path = tmp_path / "spec.json"
+        run_cli(capsys, "gft", DEMO, "--signal", SIGNAL, "--format", "json", "-o", str(spec_path))
+        doc = json.loads(spec_path.read_text())
+        doc["entries"][0].update(entry0)
+        spec_path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 400))
+        return str(spec_path)
+
+    def test_json_value_too_large_for_a_double_exits_2(self, capsys, tmp_path):
+        spec_path = self._json_spectrum(capsys, tmp_path, {"coefficient": "BIG"})
+        code, out, err = run_cli(capsys, "igft", DEMO, "--spectrum", spec_path)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("index", [None, [0], 0.7, True, "0"])
+    def test_json_spectral_index_not_an_integer_exits_2(self, capsys, tmp_path, index):
+        spec_path = self._json_spectrum(capsys, tmp_path, {"spectral_index": index})
+        code, out, err = run_cli(capsys, "igft", DEMO, "--spectrum", spec_path)
+        assert code == 2
+        assert out == ""
+        assert "spectral_index" in err
 
 
 def _ring_signal(tmp_path):

@@ -13,7 +13,7 @@ from dgft import (
     decompose,
     demo_graph,
     directed_laplacian,
-    filter_response,
+    gft,
     is_shift_invariant,
     jordan_decompose,
     materialize,
@@ -99,22 +99,27 @@ class TestSpectralDomain:
             assert np.linalg.norm(a - b) <= 1e-7 * (1 + np.linalg.norm(a)), name
 
     def test_response_is_diagonal_when_diagonalizable(self):
+        # Filtering a basis vector scales its one coefficient by h(lambda_k).
         dec = decompose(demo_graph())
+        assert dec.is_diagonalizable
         taps = [2.0, -1.0]
-        resp = filter_response(dec, taps)
-        off = resp - np.diag(np.diag(resp))
-        assert np.all(off == 0)
         for k, lam in enumerate(dec.eigenvalues):
-            assert resp[k, k] == pytest.approx(2.0 - lam, rel=1e-12)
+            resp = gft(dec, apply_spectral_domain(dec, taps, dec.v[:, k]))
+            expected = np.zeros(dec.n, dtype=complex)
+            expected[k] = 2.0 - lam
+            assert np.allclose(resp, expected, rtol=0, atol=1e-12), k
 
     def test_response_equals_polynomial_of_block_matrix(self):
-        # h(J) computed through derivative weights must equal the plain
-        # matrix polynomial evaluated at J
+        # Horner on J inside the spectral domain is V h(J) V^-1 f, with
+        # h(J) the plain matrix polynomial evaluated at the block matrix.
+        rng = np.random.default_rng(11)
         for name, g in defective_zoo():
             dec = decompose(g)
             taps = [0.5, -2.0, 1.5, 0.25]
-            direct = matrix_polynomial(dec.j, taps)
-            assert np.allclose(filter_response(dec, taps), direct, atol=1e-10), name
+            f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+            direct = dec.v @ matrix_polynomial(dec.j, taps) @ dec.v_inv @ f
+            got = apply_spectral_domain(dec, taps, f)
+            assert np.allclose(got, direct, rtol=0, atol=1e-10), name
 
     @settings(max_examples=15, deadline=None)
     @given(

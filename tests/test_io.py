@@ -223,6 +223,21 @@ class TestSpectrumFiles:
         with pytest.raises(ParseError, match="spectral_index"):
             load_spectrum(stdio.StringIO("\n".join(lines) + "\n"))
 
+    @pytest.mark.parametrize("column", ["eig_re", "eig_im", "coeff_re", "coeff_im"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_csv_non_finite_rejected_with_line(self, column, value):
+        fields = dict(zip(SPECTRUM_HEADER, "1,0,0,1,0,1,1".split(",")))
+        fields[column] = value
+        lines = [",".join(SPECTRUM_HEADER), "0,0,0,1,0,1,0", ",".join(fields.values())]
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            load_spectrum(stdio.StringIO("\n".join(lines) + "\n"))
+        assert exc.value.line == 3
+
+    def test_repeated_index_rejected(self):
+        lines = [",".join(SPECTRUM_HEADER), "0,0,0,1,0,1,0", "0,1,0,2,0,2,1"]
+        with pytest.raises(ParseError, match="spectral_index"):
+            load_spectrum(stdio.StringIO("\n".join(lines) + "\n"))
+
     def test_csv_output_is_deterministic(self):
         spec = self._demo_spectrum()
         a, b = stdio.StringIO(), stdio.StringIO()

@@ -401,6 +401,76 @@ class TestSymmetricEigenDecompose:
         assert np.linalg.norm(dec.v.T @ dec.v - np.eye(3)) < 1e-12
 
 
+def _simple_undirected_laplacians(count: int = 8, n: int = 12):
+    """Seeded connected undirected Laplacians whose eigenvalues are well apart."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        lap = directed_laplacian(make_random_undirected(np.random.default_rng(seed), n)).matrix
+        seed += 1
+        w = np.sort(np.linalg.eigvalsh(lap.real))
+        if w[1] > 1e-3 and np.min(np.diff(w)) > 1e-3 * w[-1]:
+            out.append(lap)
+    return out
+
+
+class TestSharedFinisher:
+    """Both decomposition paths end in the same basis convention."""
+
+    def test_paths_agree_on_simple_undirected_spectra(self):
+        for lap in _simple_undirected_laplacians():
+            jd, sd = jordan_decompose(lap), symmetric_eigen_decompose(lap)
+            assert [(b.start, b.size) for b in jd.blocks] == [(b.start, b.size) for b in sd.blocks]
+            assert np.allclose(jd.eigenvalues, sd.eigenvalues, rtol=0, atol=1e-12)
+            (zero,) = [k for k, lam in enumerate(sd.eigenvalues) if lam == 0]
+            assert jd.eigenvalues[zero] == 0
+            constant = np.full(lap.shape[0], 1 / np.sqrt(lap.shape[0]), dtype=complex)
+            assert np.array_equal(jd.v[:, zero], constant)
+            assert np.array_equal(sd.v[:, zero], constant)
+            assert np.max(np.abs(jd.v - sd.v)) <= 1e-12
+
+    def test_raw_basis_keeps_kernel_columns(self):
+        for lap in _simple_undirected_laplacians(count=3):
+            w, vectors = np.linalg.eigh(lap.real)
+            order, _ = order_with_ties(w)
+            dec = symmetric_eigen_decompose(lap, normalize=False)
+            assert np.array_equal(dec.v, vectors[:, order].astype(complex))
+            assert np.array_equal(dec.v_inv, dec.v.T)
+
+            w, vectors = np.linalg.eig(lap.real)
+            order, _ = order_with_ties(w)
+            dec = jordan_decompose(lap, normalize=False)
+            assert np.array_equal(dec.v, vectors[:, order].astype(complex))
+            assert np.array_equal(dec.eigenvalues, w[order].astype(complex))
+
+    def test_normalization_matches_per_chain_reference(self):
+        # One factor per chain, taken from its head; the loop is the reference.
+        graphs = [g for _, g in defective_zoo()]
+        graphs += [make_random_digraph(np.random.default_rng(s), 9) for s in range(5)]
+        for g in graphs:
+            lap = directed_laplacian(g).matrix
+            raw = jordan_decompose(lap, normalize=False)
+            dec = jordan_decompose(lap)
+            for b, done in zip(raw.blocks, dec.blocks):
+                if done.eigenvalue == 0 and b.size == 1:
+                    continue  # the snapped constant column
+                chain = raw.v[:, b.start : b.start + b.size]
+                head = chain[:, 0] / np.linalg.norm(chain[:, 0])
+                pivot = head[int(np.argmax(np.abs(head)))]
+                want = chain / np.linalg.norm(chain[:, 0]) * np.conj(pivot / abs(pivot))
+                got = dec.v[:, b.start : b.start + b.size]
+                assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_derived_facts_are_read_only(self):
+        dec = symmetric_eigen_decompose(np.diag([2.0, 5.0]))
+        assert np.array_equal(dec.eigenvalues, np.diag(dec.j))
+        with pytest.raises(ValueError):
+            dec.eigenvalues[0] = 1.0
+        for name in ("eigenvalues", "is_diagonalizable", "ill_conditioned"):
+            with pytest.raises(AttributeError):
+                setattr(dec, name, None)
+
+
 class TestInvert:
     def test_round_trip(self):
         rng = np.random.default_rng(4)
