@@ -215,10 +215,15 @@ def load_signal(src) -> GraphSignal:
     ]
     if not values:
         raise ParseError("signal has no values")
-    declared = doc.get("n")
-    if declared is not None and declared != len(values):
-        raise ParseError(f"declared n={declared} but {len(values)} values present")
+    _check_declared_n(doc, len(values), "values")
     return GraphSignal(np.asarray(values, dtype=complex))
+
+
+def _check_declared_n(doc: dict, count: int, noun: str) -> None:
+    """An optional ``"n"`` field must match the number of items present."""
+    declared = doc.get("n")
+    if declared is not None and declared != count:
+        raise ParseError(f"declared n={declared} but {count} {noun} present")
 
 
 def dump_signal(signal, dst) -> None:
@@ -325,7 +330,8 @@ def load_spectrum(src) -> Spectrum:
     """Read a spectrum from CSV or JSON, sniffing the format from content.
 
     The frequency ordering is recomputed from the eigenvalues rather than
-    trusted from the file; synthesis only needs indices right.
+    trusted from the file; synthesis only needs indices right. A JSON
+    ``"n"``, when present, must match the number of entries.
     """
     with _opened(src, "r") as fh:
         text = fh.read()
@@ -356,6 +362,7 @@ def _load_spectrum_json(text: str) -> Spectrum:
         if not isinstance(idx, int) or isinstance(idx, bool):
             raise ParseError(f"{where}.spectral_index: expected an integer")
         rows.append((idx, lam, coeff))
+    _check_declared_n(doc, len(rows), "entries")
     return _load_spectrum_rows(rows)
 
 

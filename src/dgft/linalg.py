@@ -1,16 +1,19 @@
-"""Dense complex linear algebra: eigen and Jordan decompositions, inversion.
+"""Dense linear algebra: eigen and Jordan decompositions, inversion.
 
 The eigenvalue, symmetric-eigenvalue, and LU kernels delegate to LAPACK
 (via numpy/scipy), which implements the classical pipelines: Hessenberg
 reduction plus implicitly shifted QR for the nonsymmetric case,
 tridiagonalization for the symmetric case, partial-pivoted LU for solves.
-A matrix with an all-zero imaginary part goes through the real
+Results are complex, but the arithmetic stays real wherever the input is:
+a matrix with an all-zero imaginary part goes through the real
 nonsymmetric kernel, so its conjugate eigenvalue pairs come out exactly
-conjugate. What LAPACK does not provide, and what this module adds, is the
-numerical Jordan machinery: eigenvalue clustering, rank-revealing
-null-space chains of generalized eigenvectors, block assembly, and a
-deterministic basis normalization so downstream transforms are
-reproducible run to run.
+conjugate; the Jordan chains of each real eigenvalue cluster of such a
+matrix are built in real arithmetic; and a basis with an all-zero
+imaginary part is factored by a real LU. What LAPACK does not provide,
+and what this module adds, is the numerical Jordan machinery: eigenvalue
+clustering, rank-revealing null-space chains of generalized
+eigenvectors, block assembly, and a deterministic basis normalization so
+downstream transforms are reproducible run to run.
 
 ``basis_condition`` is the 1-norm condition ``||V||_1 * ||V^-1||_1``,
 read off the inverse the decomposition builds anyway: at least 1, and n
@@ -142,7 +145,9 @@ def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
 
     Sort and sweep: after a sort by real part, each value is compared only
     with the values after it whose real part lies within ``2 * tol``, so
-    the work follows the number of near pairs rather than n^2.
+    the work follows the number of near pairs rather than n^2. The near
+    pairs are index arrays, joined into clusters by
+    :func:`_component_minima` without a Python loop per pair.
     """
     w = np.asarray(values, dtype=complex).ravel()
     order = np.argsort(w.real, kind="stable")
@@ -150,24 +155,37 @@ def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
     # A pair within tol differs by at most tol in real part; doubling the
     # window keeps that true through rounding, and the distance test decides.
     ends = np.searchsorted(ws.real, ws.real + 2.0 * tol, side="right")
-    parent = list(range(w.size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for s in np.flatnonzero(ends > np.arange(1, w.size + 1)):
-        near = np.abs(ws[s + 1 : ends[s]] - ws[s]) <= tol
-        for k in order[s + 1 : ends[s]][near]:
-            ri, rk = find(int(order[s])), find(int(k))
-            # The smaller index is the root, so each root is its cluster's minimum.
-            parent[max(ri, rk)] = min(ri, rk)
+    # Every sorted position s against each t in (s, ends[s]), as flat arrays.
+    counts = np.maximum(ends - np.arange(1, w.size + 1), 0)
+    s = np.repeat(np.arange(w.size), counts)
+    t = s + 1 + np.arange(s.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    near = np.abs(ws[t] - ws[s]) <= tol
+    roots = _component_minima(w.size, order[s[near]], order[t[near]])
     groups: dict[int, list[int]] = {}
-    for i in range(w.size):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(roots.tolist()):
+        groups.setdefault(root, []).append(i)
     return list(groups.values())
+
+
+def _component_minima(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Smallest member of each node's connected component, edges ``i[e]--k[e]``.
+
+    Min-label propagation: every round lowers the two roots (labels) of
+    each edge's endpoints to the smaller of them, then pointer jumping
+    flattens the labels until each node points at a root. A round that
+    changes nothing leaves every edge inside one label, and that label is
+    the component's smallest member, the one node no label can go below.
+    """
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[i], labels[k])
+        hooked = labels.copy()
+        np.minimum.at(hooked, np.concatenate([labels[i], labels[k]]), np.tile(low, 2))
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
 
 
 def _basis_condition(v: np.ndarray, v_inv: np.ndarray) -> float:
@@ -274,12 +292,19 @@ def _jordan_chains(
     repeated multiplication. Returned longest chain first, heads first
     within each chain. Returns fewer than ``multiplicity`` vectors, or
     none, when the cluster was a numerical artifact; the caller backfills.
+
+    The arithmetic follows the arguments: a real ``a`` with a real ``lam``
+    keeps the powers, null spaces and chains real. At each chain level the
+    candidates are projected against the obstruction once; each pick
+    takes the largest residual (first on ties, refused at 1e-10), forms
+    its top against the full obstruction, and removes that top from the
+    residuals by a rank-1 update.
     """
     n = a.shape[0]
-    shifted = a - lam * np.eye(n, dtype=complex)
+    shifted = a - lam * np.eye(n)
     nullities = [0]
-    bases = [np.zeros((n, 0), dtype=complex)]
-    power = np.eye(n, dtype=complex)
+    bases = [np.zeros((n, 0), dtype=shifted.dtype)]
+    power = np.eye(n, dtype=shifted.dtype)
     while nullities[-1] < multiplicity and len(nullities) <= multiplicity:
         power = power @ shifted
         cutoff = rank_tol * max(scale, float(np.linalg.norm(power)))
@@ -310,9 +335,9 @@ def _jordan_chains(
             r_norm = float(np.linalg.norm(r))
             if r_norm > 1e-12:
                 obstruction = np.column_stack([obstruction, r / r_norm])
+        candidates = bases[s]
+        residuals = candidates - obstruction @ (obstruction.conj().T @ candidates)
         for _ in range(chain_counts[s]):
-            candidates = bases[s]
-            residuals = candidates - obstruction @ (obstruction.conj().T @ candidates)
             norms = np.linalg.norm(residuals, axis=0)
             best = int(np.argmax(norms))
             if norms[best] <= 1e-10:
@@ -320,6 +345,7 @@ def _jordan_chains(
             top = _orthogonal_residual(candidates[:, best], obstruction)
             top = top / float(np.linalg.norm(top))
             obstruction = np.column_stack([obstruction, top])
+            residuals -= np.outer(top, top.conj() @ residuals)
             vectors = [top]
             for _ in range(s - 1):
                 vectors.append(shifted @ vectors[-1])
@@ -418,7 +444,8 @@ def jordan_decompose(
     condition above 1e12 raises :class:`IllConditionedBasisWarning`.
     """
     a = _as_complex_square(a, copy=False)
-    w, eig_vectors = _converged(np.linalg.eig, a if a.imag.any() else a.real)
+    real = not a.imag.any()
+    w, eig_vectors = _converged(np.linalg.eig, a.real if real else a)
     scale = float(np.linalg.norm(a))
     ct = default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
 
@@ -434,7 +461,10 @@ def jordan_decompose(
         if len(cluster) == 1:
             assembled.append((lam, [np.asarray(eig_vectors[:, cluster[0]])]))
             continue
-        chains = _jordan_chains(a, lam, len(cluster), tol, scale)
+        if real and lam.imag == 0:
+            chains = _jordan_chains(a.real, lam.real, len(cluster), tol, scale)
+        else:
+            chains = _jordan_chains(a, lam, len(cluster), tol, scale)
         covered = sum(len(c) for c in chains)
         for chain in chains:
             assembled.append((lam, chain))
@@ -482,12 +512,18 @@ def symmetric_eigen_decompose(
 
 
 def invert(a) -> np.ndarray:
-    """Inverse via partial-pivoted LU, refusing pivots below threshold."""
+    """Inverse via partial-pivoted LU, refusing pivots below threshold.
+
+    A matrix with an all-zero imaginary part is factored in real
+    arithmetic; the inverse is returned complex either way.
+    """
     # Deferred: importing scipy.linalg dominates CLI start-up, and nothing
     # else in the package needs it.
     import scipy.linalg
 
     a = _as_complex_square(a, copy=False)
+    if not a.imag.any():
+        a = a.real  # partial pivoting picks the same pivots in real arithmetic
     n = a.shape[0]
     scale = float(np.linalg.norm(a))
     with warnings.catch_warnings():
@@ -500,7 +536,8 @@ def invert(a) -> np.ndarray:
             f"pivot {float(pivots.min()):.3e} below threshold "
             f"{SINGULAR_PIVOT_TOL * scale:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex))
+    inverse = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=a.dtype))
+    return inverse.astype(complex, copy=False)
 
 
 def _as_taps(taps) -> np.ndarray:

@@ -225,6 +225,17 @@ class TestIgft:
         assert out == ""
         assert "line 3" in err
 
+    def test_json_declared_n_mismatch_exits_2(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        run_cli(capsys, "gft", DEMO, "--signal", SIGNAL, "--format", "json", "-o", str(spec_path))
+        doc = json.loads(spec_path.read_text())
+        doc["n"] = 9  # the file holds the demo graph's 5 entries
+        spec_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path))
+        assert code == 2
+        assert out == ""
+        assert "declared n=9" in err
+
     def _json_spectrum(self, capsys, tmp_path, entry0) -> str:
         spec_path = tmp_path / "spec.json"
         run_cli(capsys, "gft", DEMO, "--signal", SIGNAL, "--format", "json", "-o", str(spec_path))

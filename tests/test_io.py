@@ -238,6 +238,15 @@ class TestSpectrumFiles:
         with pytest.raises(ParseError, match="spectral_index"):
             load_spectrum(stdio.StringIO("\n".join(lines) + "\n"))
 
+    def test_json_declared_n_must_match_entries(self):
+        entries = [
+            {"spectral_index": 0, "eigenvalue": 0.0, "coefficient": 1.0},
+            {"spectral_index": 1, "eigenvalue": 1.0, "coefficient": 2.0},
+        ]
+        with pytest.raises(ParseError, match="declared n=9 but 2 entries"):
+            load_spectrum(stdio.StringIO(json.dumps({"n": 9, "entries": entries})))
+        assert load_spectrum(stdio.StringIO(json.dumps({"n": 2, "entries": entries}))).n == 2
+
     def test_csv_output_is_deterministic(self):
         spec = self._demo_spectrum()
         a, b = stdio.StringIO(), stdio.StringIO()

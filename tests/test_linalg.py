@@ -22,6 +22,10 @@ from dgft import (
     order_frequencies,
 )
 from dgft.linalg import (
+    DEFAULT_RANK_TOL,
+    _jordan_chains,
+    _nullspace_basis,
+    _orthogonal_residual,
     cluster_eigenvalues,
     default_cluster_tol,
     invert,
@@ -33,6 +37,31 @@ from dgft.linalg import (
 )
 from conftest import defective_zoo, make_random_digraph, make_random_undirected
 from oracles import exact_block_sizes, exact_defective_triangular
+
+
+@st.composite
+def _grid_values(draw):
+    # Grid points make exact ties in real part and distances of exactly
+    # tol common; step 0.1 adds the rounding of non-dyadic coordinates.
+    step = draw(st.sampled_from([0.25, 0.1]))
+    grid = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=30))
+    values = [complex(re * step, im * step) for re, im in grid]
+    return values, draw(st.integers(0, 5)) * step
+
+
+@st.composite
+def _clique_values(draw):
+    # A chain union repeats one eigenvalue exactly, up to hundreds of
+    # times. The third point sits exactly tol = 1e-8 from the second, and
+    # the optional jitter puts copies on either side of that bound; at
+    # tol = 1e-12 it breaks the exact repeats into near-touching chains.
+    points = (0j, 1 + 0j, complex(1.0, 1e-8))
+    size = draw(st.integers(0, 200))
+    values = np.array(draw(st.lists(st.sampled_from(points), min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = values + rng.uniform(-1e-12, 1e-12, (size, 2)) @ np.array([1, 1j])
+    return [complex(v) for v in values], draw(st.sampled_from([1e-8, 1e-12]))
 
 
 class TestClustering:
@@ -53,16 +82,9 @@ class TestClustering:
         assert default_cluster_tol(np.zeros((3, 3))) == 1e-8
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from([0.25, 0.1]),
-        st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=30),
-        st.integers(0, 5),
-    )
-    def test_matches_brute_force_single_linkage(self, step, grid, tol_steps):
-        # Grid points make exact ties in real part and distances of exactly
-        # tol common; step 0.1 adds the rounding of non-dyadic coordinates.
-        values = [complex(re * step, im * step) for re, im in grid]
-        tol = tol_steps * step
+    @given(st.one_of(_grid_values(), _clique_values()))
+    def test_matches_brute_force_single_linkage(self, case):
+        values, tol = case
         assert cluster_eigenvalues(values, tol) == _brute_force_clusters(values, tol)
 
 
@@ -150,25 +172,47 @@ class TestEigenDecompose:
             assert (not dec.is_diagonalizable) == want, name
 
 
+def _chain_union(rng, lengths, delta=0.0):
+    """Disjoint directed paths of the given node counts on shuffled labels.
+
+    Every weight is 1 + delta N(0, 1) (exactly 1 at delta 0). A path on L
+    nodes has one Jordan block of size L - 1 at eigenvalue 1. Returns the
+    graph and the path lengths in drawn order.
+    """
+    lengths = [int(x) for x in rng.permutation(lengths)]
+    n = sum(lengths)
+    perm = rng.permutation(n)
+    edges, start = [], 0
+    for length in lengths:
+        for k in range(length - 1):
+            w = 1.0 + delta * float(rng.standard_normal())
+            edges.append((int(perm[start + k]), int(perm[start + k + 1]), w))
+        start += length
+    return build_graph(n, edges), lengths
+
+
+def _assert_blocks_match_exact_oracle(dec, matrix, name):
+    """Group the blocks by integer eigenvalue and compare each group's
+    sizes against the exact rational rank oracle."""
+    eigenvalues = {int(round(b.eigenvalue.real)) for b in dec.blocks}
+    for lam in eigenvalues:
+        got: dict[int, int] = {}
+        for b in dec.blocks:
+            if abs(b.eigenvalue - lam) < 1e-6:
+                got[b.size] = got.get(b.size, 0) + 1
+        expected = exact_block_sizes(
+            [[Fraction(int(x.real)) for x in row] for row in matrix], lam
+        )
+        assert got == expected, f"{name} at eigenvalue {lam}"
+
+
 class TestJordanDecompose:
     def test_zoo_block_structure_matches_exact_oracle(self):
         for name, g in defective_zoo():
             lap = directed_laplacian(g)
             dec = jordan_decompose(lap.matrix)
             assert not dec.is_diagonalizable, name
-            # group computed blocks by eigenvalue, compare against the
-            # exact rational rank oracle at each integer eigenvalue
-            eigenvalues = {int(round(b.eigenvalue.real)) for b in dec.blocks}
-            for lam in eigenvalues:
-                got: dict[int, int] = {}
-                for b in dec.blocks:
-                    if abs(b.eigenvalue - lam) < 1e-6:
-                        got[b.size] = got.get(b.size, 0) + 1
-                expected = exact_block_sizes(
-                    [[Fraction(int(x.real)) for x in row] for row in lap.matrix],
-                    lam,
-                )
-                assert got == expected, f"{name} at eigenvalue {lam}"
+            _assert_blocks_match_exact_oracle(dec, lap.matrix, name)
 
     def test_zoo_reconstruction(self):
         for name, g in defective_zoo():
@@ -269,16 +313,8 @@ class TestJordanDecompose:
         # cluster whose null spaces fit no Jordan structure. Such a cluster
         # is an artifact; it must never yield more columns than it holds.
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            lengths = [int(x) for x in rng.permutation([3, 3, 5, 5])]
-            perm = rng.permutation(16)
-            edges, start = [], 0
-            for length in lengths:
-                for k in range(length - 1):
-                    w = 1.0 + 1e-6 * float(rng.standard_normal())
-                    edges.append((int(perm[start + k]), int(perm[start + k + 1]), w))
-                start += length
-            lap = directed_laplacian(build_graph(16, edges)).matrix
+            g, _ = _chain_union(np.random.default_rng(seed), [3, 3, 5, 5], delta=1e-6)
+            lap = directed_laplacian(g).matrix
             try:
                 dec = jordan_decompose(lap)
             except DgftError:
@@ -331,6 +367,140 @@ def test_no_svd_outside_chain_extraction(monkeypatch, graph):
     dec = decompose(directed_laplacian(graph))
     assert dec.is_diagonalizable
     assert dec.is_unitary_basis == graph.is_undirected
+
+
+@pytest.fixture
+def svd_dtypes(monkeypatch):
+    """The dtypes of the matrices handed to ``np.linalg.svd``, in call order."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(m, *args, **kwargs):
+        seen.append(m.dtype)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+class TestRealArithmetic:
+    """Real clusters of real matrices keep their chains real; complex
+    clusters and complex weights take the same chain code in complex."""
+
+    def test_exact_chains_of_real_laplacians_are_real(self, svd_dtypes):
+        cases = [(name, directed_laplacian(g).matrix) for name, g in defective_zoo()]
+        for seed in range(5):
+            g, _ = _chain_union(np.random.default_rng(seed), [3, 3, 5, 5])
+            cases.append((f"chain union {seed}", directed_laplacian(g).matrix))
+        for name, lap in cases:
+            svd_dtypes.clear()
+            dec = jordan_decompose(lap)
+            assert svd_dtypes and set(svd_dtypes) == {np.dtype(float)}, name
+            assert np.all(dec.v.imag == 0), name
+            _assert_blocks_match_exact_oracle(dec, lap, name)
+
+    def test_complex_clusters_of_a_real_matrix(self, svd_dtypes):
+        # [[C, I], [0, C]] with C a quarter turn: one 2-block at +i, one at -i.
+        c = np.array([[0.0, -1.0], [1.0, 0.0]])
+        a = np.block([[c, np.eye(2)], [np.zeros((2, 2)), c]])
+        dec = jordan_decompose(a)
+        assert svd_dtypes and set(svd_dtypes) == {np.dtype(complex)}
+        assert [b.size for b in dec.blocks] == [2, 2]
+        assert sorted(round(b.eigenvalue.imag) for b in dec.blocks) == [-1, 1]
+        for b in dec.blocks:
+            assert abs(b.eigenvalue - 1j * round(b.eigenvalue.imag)) < 1e-6
+        assert np.linalg.norm(dec.reconstruct() - a) <= 1e-8 * np.linalg.norm(a)
+
+    def test_complex_weight_defective_cluster(self, svd_dtypes):
+        g, lengths = _chain_union(np.random.default_rng(3), [3, 3, 5, 5])
+        phase = np.exp(1j * np.pi / 3)
+        lap = directed_laplacian(Graph(n=g.n, weights=g.weights * phase)).matrix
+        dec = jordan_decompose(lap)
+        assert svd_dtypes and set(svd_dtypes) == {np.dtype(complex)}
+        sizes = sorted(b.size for b in dec.blocks if abs(b.eigenvalue - phase) < 1e-6)
+        assert sizes == sorted(length - 1 for length in lengths)
+        assert np.linalg.norm(dec.reconstruct() - lap) <= 1e-8 * np.linalg.norm(lap)
+
+
+def _reference_chains(a, lam, multiplicity, rank_tol, scale):
+    """Chain extraction that re-projects every candidate against the whole
+    obstruction before each pick, in complex arithmetic: the reference the
+    per-level projection of ``_jordan_chains`` must agree with."""
+    n = a.shape[0]
+    shifted = a - lam * np.eye(n, dtype=complex)
+    nullities = [0]
+    bases = [np.zeros((n, 0), dtype=complex)]
+    power = np.eye(n, dtype=complex)
+    while nullities[-1] < multiplicity and len(nullities) <= multiplicity:
+        power = power @ shifted
+        basis = _nullspace_basis(power, rank_tol * max(scale, float(np.linalg.norm(power))))
+        if basis.shape[1] <= nullities[-1]:
+            break
+        nullities.append(basis.shape[1])
+        bases.append(basis)
+    depth = len(nullities) - 1
+    padded = nullities + [nullities[-1]]
+    counts = {s: 2 * padded[s] - padded[s - 1] - padded[s + 1] for s in range(1, depth + 1)}
+    if depth == 0 or nullities[-1] > multiplicity or min(counts.values()) < 0:
+        return []
+    chains = []
+    for s in range(depth, 0, -1):
+        obstruction = bases[s - 1]
+        for chain in chains:
+            r = _orthogonal_residual(chain[s - 1], obstruction)
+            if np.linalg.norm(r) > 1e-12:
+                obstruction = np.column_stack([obstruction, r / np.linalg.norm(r)])
+        for _ in range(counts[s]):
+            residuals = bases[s] - obstruction @ (obstruction.conj().T @ bases[s])
+            norms = np.linalg.norm(residuals, axis=0)
+            best = int(np.argmax(norms))
+            if norms[best] <= 1e-10:
+                return chains
+            top = _orthogonal_residual(bases[s][:, best], obstruction)
+            top = top / np.linalg.norm(top)
+            obstruction = np.column_stack([obstruction, top])
+            vectors = [top]
+            for _ in range(s - 1):
+                vectors.append(shifted @ vectors[-1])
+            chains.append(vectors[::-1])
+    return chains
+
+
+class TestChainPicks:
+    @staticmethod
+    def _clusters():
+        """(name, real matrix, eigenvalue, multiplicity) for every repeated
+        eigenvalue of the zoo and of 10 exact chain unions (n = 16, 40).
+
+        All of them are DAG Laplacians, so the eigenvalues are exactly the
+        diagonal entries."""
+        cases = [(name, directed_laplacian(g).matrix.real) for name, g in defective_zoo()]
+        for seed in range(10):
+            lengths = [3, 3, 5, 5] if seed < 5 else [3] * 5 + [5] * 5
+            g, _ = _chain_union(np.random.default_rng(seed), lengths)
+            cases.append((f"chain union {seed}", directed_laplacian(g).matrix.real))
+        for name, a in cases:
+            values, counts = np.unique(np.diag(a), return_counts=True)
+            for lam, count in zip(values, counts):
+                if count > 1:
+                    yield f"{name} at {lam}", a, float(lam), int(count)
+
+    def test_per_level_projection_matches_full_reprojection(self):
+        for name, a, lam, multiplicity in self._clusters():
+            scale = float(np.linalg.norm(a))
+            want = _reference_chains(a, lam, multiplicity, DEFAULT_RANK_TOL, scale)
+            assert sum(len(c) for c in want) == multiplicity, name
+            for m, mu in ((a, lam), (a.astype(complex), complex(lam))):
+                got = _jordan_chains(m, mu, multiplicity, DEFAULT_RANK_TOL, scale)
+                assert [len(c) for c in got] == [len(c) for c in want], name
+                assert all(v.dtype == m.dtype for c in got for v in c), name
+                shifted = m - mu * np.eye(a.shape[0])
+                bound = 1e-10 * np.linalg.norm(shifted)
+                for chain in got:
+                    below = np.zeros(a.shape[0])
+                    for v in chain:  # (A - lam I) v_k = v_{k-1}, with v_{-1} = 0
+                        assert np.linalg.norm(shifted @ v - below) <= bound * np.linalg.norm(v), name
+                        below = v
 
 
 class TestBasisCondition:
@@ -489,6 +659,22 @@ class TestInvert:
     def test_rejects_nonsquare(self):
         with pytest.raises(NonSquareError):
             invert(np.zeros((2, 3)))
+
+    def test_real_matrix_is_factored_in_real_arithmetic(self, monkeypatch):
+        import scipy.linalg
+
+        seen = []
+        lu_factor = scipy.linalg.lu_factor
+        monkeypatch.setattr(
+            scipy.linalg, "lu_factor", lambda m: seen.append(m.dtype) or lu_factor(m)
+        )
+        a = np.random.default_rng(6).standard_normal((6, 6))
+        got = invert(a.astype(complex))
+        assert seen == [np.dtype(float)]
+        assert got.dtype == complex
+        assert np.allclose(got, np.linalg.inv(a), rtol=0, atol=1e-12)
+        invert(a + 1j * np.eye(6))
+        assert seen[-1] == np.dtype(complex)
 
 
 class TestMatrixPolynomial:
