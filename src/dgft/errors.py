@@ -42,7 +42,7 @@ class NoConvergenceError(DgftError):
 
 
 class SingularMatrixError(DgftError):
-    """Matrix inversion hit a pivot below the singularity threshold."""
+    """Matrix inversion met an exactly singular matrix (a zero pivot)."""
 
 
 class ReconstructionError(DgftError):

@@ -1,30 +1,32 @@
 """Dense linear algebra: eigen and Jordan decompositions, inversion.
 
-The eigenvalue, symmetric-eigenvalue, and LU kernels delegate to LAPACK
-(via numpy/scipy), which implements the classical pipelines: Hessenberg
-reduction plus implicitly shifted QR for the nonsymmetric case,
-tridiagonalization for the symmetric case, partial-pivoted LU for solves.
-Results are complex, but the arithmetic stays real wherever the input is:
-a matrix with an all-zero imaginary part goes through the real
-nonsymmetric kernel, so its conjugate eigenvalue pairs come out exactly
-conjugate; the Jordan chains of each real eigenvalue cluster of such a
-matrix are built in real arithmetic; and a basis with an all-zero
-imaginary part is factored by a real LU. What LAPACK does not provide,
-and what this module adds, is the numerical Jordan machinery: eigenvalue
-clustering, rank-revealing null-space chains of generalized
+The eigenvalue, symmetric-eigenvalue, and inversion kernels delegate to
+LAPACK through numpy, which implements the classical pipelines:
+Hessenberg reduction plus implicitly shifted QR for the nonsymmetric
+case, tridiagonalization for the symmetric case, partial-pivoted LU for
+the inverse. Results are complex, but the arithmetic stays real wherever
+the input is: a matrix with an all-zero imaginary part goes through the
+real nonsymmetric kernel, so its conjugate eigenvalue pairs come out
+exactly conjugate; the Jordan chains of each real eigenvalue cluster of
+such a matrix are built in real arithmetic; and a real basis is
+normalized, inverted and checked in real arithmetic. What LAPACK does not
+provide, and what this module adds, is the numerical Jordan machinery:
+eigenvalue clustering, rank-revealing null-space chains of generalized
 eigenvectors, block assembly, and a deterministic basis normalization so
 downstream transforms are reproducible run to run.
 
-``basis_condition`` is the 1-norm condition ``||V||_1 * ||V^-1||_1``,
-read off the inverse the decomposition builds anyway: at least 1, and n
-for a unitary basis such as the ring's DFT. scipy is imported only when a
-Jordan basis is inverted, so the symmetric path never loads it.
+Every decomposition certifies itself. ``basis_condition`` is the 1-norm
+condition ``||V||_1 * ||V^-1||_1``, read off the inverse the
+decomposition builds anyway: at least 1, and n for a unitary basis such
+as the ring's DFT. ``residual`` is ``||V J V^-1 - A||_F``, and a
+decomposition whose residual exceeds ``recon_tol * max(1, ||A||_F)`` is
+refused with :class:`ReconstructionError` rather than returned.
 
 Jordan structure is discontinuous in the matrix entries, so every
 multiplicity decision here is tolerance-driven. The defaults below are
-engineering choices. The rank tolerance and the clustering tolerance are
-parameters (CLI ``--tol`` and ``--tol-cluster``); the tie, pivot and
-ill-conditioning thresholds are fixed module constants.
+engineering choices. The rank, clustering and reconstruction tolerances
+are parameters (CLI ``--tol``, ``--tol-cluster`` and ``--tol-recon``);
+the tie and ill-conditioning thresholds are fixed module constants.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     NoConvergenceError,
     NonSquareError,
     NotSymmetricError,
+    ReconstructionError,
     SingularMatrixError,
 )
 from .graph import _as_complex_square, is_real_symmetric
@@ -48,11 +51,11 @@ from .graph import _as_complex_square, is_real_symmetric
 # Rank decisions treat singular values below rank_tol * scale as zero.
 DEFAULT_RANK_TOL = 1e-8
 
-# Relative pivot size under which LU-based inversion refuses to proceed.
-SINGULAR_PIVOT_TOL = 1e-14
-
 # Basis condition number above which results carry an ill-conditioned flag.
 ILL_CONDITIONED_LIMIT = 1e12
+
+# Relative reconstruction residual above which a decomposition is refused.
+RECON_LIMIT = 1e-6
 
 
 def default_cluster_tol(a: np.ndarray) -> float:
@@ -81,9 +84,11 @@ class SpectralDecomposition:
     ``v`` holds the basis columns (chain heads are proper eigenvectors,
     listed first within each block) and ``j`` is block diagonal with unit
     superdiagonals inside blocks. ``is_unitary_basis`` marks the symmetric
-    path, where ``v_inv`` is exactly the transpose of ``v``. The
-    eigenvalues and both verdicts are read off ``j``, ``blocks`` and
-    ``basis_condition`` rather than stored.
+    path, where ``v_inv`` is exactly the transpose of ``v``. ``residual``
+    is the absolute reconstruction residual ``||V J V^-1 - A||_F`` the
+    decomposition was certified with. The eigenvalues and both verdicts
+    are read off ``j``, ``blocks`` and ``basis_condition`` rather than
+    stored.
     """
 
     v: np.ndarray
@@ -93,6 +98,7 @@ class SpectralDecomposition:
     is_unitary_basis: bool
     basis_condition: float
     cluster_tol: float
+    residual: float
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -212,48 +218,40 @@ def _nullspace_basis(m: np.ndarray, cutoff: float) -> np.ndarray:
 DEFAULT_TIE_TOL = 1e-10
 
 
-def _chain_split(indices: list[int], key, slack) -> list[list[int]]:
-    """Split sorted indices where consecutive key values jump past slack(idx)."""
-    out: list[list[int]] = []
-    for idx in indices:
-        if out and abs(key(idx) - key(out[-1][-1])) <= slack(idx):
-            out[-1].append(idx)
-        else:
-            out.append([idx])
-    return out
-
-
 def order_with_ties(
     values, tie_tol: float = DEFAULT_TIE_TOL
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Permutation ordering complex values by magnitude, ties resolved.
 
     Indices whose magnitudes chain together within ``tie_tol * (1 + mag)``
-    form one tie group; inside it, ranking goes by real part (again with
-    the same slack, since a computed conjugate pair can disagree in its
-    last digit there too) and then by imaginary part, so the
-    negative-imaginary member of a pair always lists first. Exact repeats
-    keep their input order (every sort here is stable), which keeps
-    Jordan chains contiguous. Returns (order, tie groups of size >= 2).
+    (the larger magnitude of each consecutive pair) form one tie group;
+    inside it, ranking goes by real part (again chained, with the slack
+    of the group's largest magnitude, since a computed conjugate pair can
+    disagree in its last digit there too) and then by imaginary part, so
+    the negative-imaginary member of a pair always lists first. Exact
+    repeats keep their input order (every sort here is stable), which
+    keeps Jordan chains contiguous. Returns (order, tie groups of size
+    >= 2).
+
+    Each chaining compares a value only with its predecessor in sorted
+    order, so the groups are runs split at consecutive differences.
     """
     w = np.asarray(values, dtype=complex).ravel()
-
-    def mag(r: int) -> float:
-        return abs(w[r])
-
-    by_mag = sorted(range(w.size), key=mag)
-    order: list[int] = []
-    groups: list[tuple[int, ...]] = []
-    for group in _chain_split(by_mag, mag, lambda r: tie_tol * (1.0 + mag(r))):
-        resolved: list[int] = []
-        by_re = sorted(group, key=lambda r: w[r].real)
-        slack = tie_tol * (1.0 + max(mag(r) for r in group))
-        for sub in _chain_split(by_re, lambda r: w[r].real, lambda r: slack):
-            resolved.extend(sorted(sub, key=lambda r: w[r].imag))
-        order.extend(resolved)
-        if len(resolved) > 1:
-            groups.append(tuple(resolved))
-    return order, groups
+    if w.size == 0:
+        return [], []
+    mag = np.abs(w)
+    order = np.argsort(mag, kind="stable")
+    m = mag[order]
+    group = np.cumsum(np.r_[True, ~(np.abs(np.diff(m)) <= tie_tol * (1.0 + m[1:]))]) - 1
+    ends = np.flatnonzero(np.r_[group[1:] != group[:-1], True])
+    slack = tie_tol * (1.0 + m[ends])  # magnitudes ascend, so the last is the largest
+    # Within each group, by real part; runs of chained real parts, by imaginary part.
+    order = order[np.lexsort((w.real[order], group))]
+    split = (np.diff(group) != 0) | ~(np.abs(np.diff(w.real[order])) <= slack[group[1:]])
+    order = order[np.lexsort((w.imag[order], np.cumsum(np.r_[True, split])))]
+    starts = np.r_[0, ends[:-1] + 1]
+    groups = [tuple(order[s : e + 1].tolist()) for s, e in zip(starts, ends) if e > s]
+    return order.tolist(), groups
 
 
 def _normalize_chains(v: np.ndarray, blocks: list[JordanBlock]) -> None:
@@ -263,14 +261,18 @@ def _normalize_chains(v: np.ndarray, blocks: list[JordanBlock]) -> None:
     block survives: the head (the proper eigenvector) gets unit norm with
     its largest-magnitude entry rotated real positive (first such entry on
     ties), and the tail inherits the same factor.
+
+    A real ``v`` stays real. Its factors are still formed by complex
+    division, whose rounding differs from real division, so a real basis
+    gets the bits a complex one with the same values would.
     """
     heads = v[:, [b.start for b in blocks]]
     norms = np.linalg.norm(heads, axis=0)
     pivots = heads[np.argmax(np.abs(heads), axis=0), np.arange(len(blocks))]
     factors = np.ones(len(blocks), dtype=complex)
     live = norms > 0  # a zero head (a singular basis) leaves its chain as it is
-    factors[live] = np.conj(pivots[live]) / (np.abs(pivots[live]) * norms[live])
-    v *= np.repeat(factors, [b.size for b in blocks])
+    factors[live] = np.conj(pivots[live], dtype=complex) / (np.abs(pivots[live]) * norms[live])
+    v *= np.repeat(factors if np.iscomplexobj(v) else factors.real, [b.size for b in blocks])
 
 
 def _orthogonal_residual(x: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -354,6 +356,28 @@ def _jordan_chains(
     return chains
 
 
+def _reconstruction_residual(
+    a: np.ndarray, v: np.ndarray, diagonal: np.ndarray, inner: np.ndarray, v_inv: np.ndarray
+) -> float:
+    """``||V J V^-1 - A||_F``, with ``V J`` formed without a product.
+
+    ``J`` is bidiagonal: ``V J`` is ``V`` with each column scaled by its
+    eigenvalue (``diagonal``) plus, on each chain-tail column (``inner``),
+    the column before it. One n^3 product with ``V^-1`` remains. A real
+    ``v`` only comes with a real spectrum of a real ``a``, so then the
+    product runs in real arithmetic.
+    """
+    if not np.iscomplexobj(v):
+        diagonal, a = diagonal.real, a.real
+        if np.iscomplexobj(v_inv):
+            v_inv = np.ascontiguousarray(v_inv.real)
+    vj = v * diagonal
+    vj[:, inner] += v[:, inner - 1]
+    r = vj @ v_inv
+    r -= a
+    return float(np.linalg.norm(r))
+
+
 def _finish(
     a: np.ndarray,
     assembled: list[tuple[complex, list[np.ndarray]]],
@@ -362,8 +386,10 @@ def _finish(
     cluster_tol: float,
     normalize: bool,
     unitary: bool,
+    recon_tol: float,
 ) -> SpectralDecomposition:
-    """The tail both decomposition paths share: basis convention, J, inverse.
+    """The tail both decomposition paths share: basis convention, J,
+    inverse, and the certificate.
 
     ``assembled`` lists (eigenvalue, chain vectors) in final column order.
     ``normalize`` applies the deterministic basis convention: each chain
@@ -372,23 +398,29 @@ def _finish(
     ``||A||_F``) and ``A`` annihilates the constant vector (every
     connected graph Laplacian), that column is snapped to
     ``(1/sqrt(n)) * ones`` and its eigenvalue to exactly 0. A ``unitary``
-    basis is inverted by transposition, any other by :func:`invert`.
+    basis is inverted by transposition, any other by :func:`invert`. A
+    basis whose columns are all real stays real up to the result, which
+    holds it complex.
 
-    A basis condition (:func:`_basis_condition`) above 1e12 raises
+    The residual ``||V J V^-1 - A||_F`` (:func:`_reconstruction_residual`)
+    above ``recon_tol * max(1, ||A||_F)`` raises
+    :class:`ReconstructionError`: the basis does not reproduce ``A``. A
+    basis condition (:func:`_basis_condition`) above 1e12 raises
     :class:`IllConditionedBasisWarning` and sets the flag on the result;
     defective matrices legitimately live there, so it is not an error.
     """
     n = a.shape[0]
+    scale = max(1.0, float(np.linalg.norm(a)))
     blocks: list[JordanBlock] = []
     start = 0
     for lam, chain in assembled:
         blocks.append(JordanBlock(eigenvalue=lam, size=len(chain), start=start))
         start += len(chain)
-    v = np.column_stack([vec for _, chain in assembled for vec in chain]).astype(complex)
+    v = np.column_stack([vec for _, chain in assembled for vec in chain])
 
     if normalize:
         _normalize_chains(v, blocks)
-        zero_limit = tol * max(1.0, float(np.linalg.norm(a)))
+        zero_limit = tol * scale
         zero = [k for k, b in enumerate(blocks) if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
         constant = np.full(n, 1.0 / math.sqrt(n))
         if len(zero) == 1 and float(np.linalg.norm(a @ constant)) <= zero_limit:
@@ -397,13 +429,20 @@ def _finish(
             blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
 
     lams = np.array([b.eigenvalue for b in blocks], dtype=complex)
-    j = np.diag(np.repeat(lams, [b.size for b in blocks]))
+    diagonal = np.repeat(lams, [b.size for b in blocks])
+    j = np.diag(diagonal)
     tail = np.ones(n, dtype=bool)
     tail[[b.start for b in blocks]] = False  # columns that continue a chain
     inner = np.flatnonzero(tail)
     j[inner - 1, inner] = 1.0
 
-    v_inv = v.T.copy() if unitary else invert(v)
+    v_inv = v.T if unitary else invert(v)
+    residual = _reconstruction_residual(a, v, diagonal, inner, v_inv)
+    if not residual <= recon_tol * scale:  # a NaN residual is refused too
+        raise ReconstructionError(
+            f"decomposition residual {residual:.3e} exceeds "
+            f"{recon_tol * scale:.3e}; results would be unreliable"
+        )
     condition = _basis_condition(v, v_inv)
     if condition > ILL_CONDITIONED_LIMIT:
         warnings.warn(
@@ -413,13 +452,14 @@ def _finish(
             stacklevel=3,
         )
     return SpectralDecomposition(
-        v=v,
+        v=v.astype(complex, copy=False),
         j=j,
-        v_inv=v_inv,
+        v_inv=np.ascontiguousarray(v_inv, dtype=complex),
         blocks=tuple(blocks),
         is_unitary_basis=unitary,
         basis_condition=condition,
         cluster_tol=cluster_tol,
+        residual=residual,
     )
 
 
@@ -429,6 +469,7 @@ def jordan_decompose(
     *,
     cluster_tol: float | None = None,
     normalize: bool = True,
+    recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
     """Numerical Jordan decomposition A = V J V^{-1}.
 
@@ -440,8 +481,10 @@ def jordan_decompose(
     largest chain first within a cluster.
 
     ``normalize`` applies the basis convention of :func:`_finish`;
-    clearing it keeps the raw chain and ``eig`` columns. A basis
-    condition above 1e12 raises :class:`IllConditionedBasisWarning`.
+    clearing it keeps the raw chain and ``eig`` columns. A reconstruction
+    residual above ``recon_tol`` relative raises
+    :class:`ReconstructionError`; a basis condition above 1e12 raises
+    :class:`IllConditionedBasisWarning`.
     """
     a = _as_complex_square(a, copy=False)
     real = not a.imag.any()
@@ -450,14 +493,14 @@ def jordan_decompose(
     ct = default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
 
     clusters = cluster_eigenvalues(w, ct)
-    means = [complex(np.mean(w[c])) for c in clusters]
+    # The mean of one value is that value, so singletons skip np.mean.
+    means = [complex(w[c[0]] if len(c) == 1 else np.mean(w[c])) for c in clusters]
     perm, _ = order_with_ties(means)
-    clusters = [clusters[i] for i in perm]
 
     # (eigenvalue, chain vectors) in final column order.
     assembled: list[tuple[complex, list[np.ndarray]]] = []
-    for cluster in clusters:
-        lam = complex(np.mean(w[cluster]))
+    for k in perm:
+        cluster, lam = clusters[k], means[k]
         if len(cluster) == 1:
             assembled.append((lam, [np.asarray(eig_vectors[:, cluster[0]])]))
             continue
@@ -473,7 +516,15 @@ def jordan_decompose(
         for idx in cluster[covered:]:
             assembled.append((complex(w[idx]), [np.asarray(eig_vectors[:, idx])]))
 
-    return _finish(a, assembled, tol=tol, cluster_tol=ct, normalize=normalize, unitary=False)
+    return _finish(
+        a,
+        assembled,
+        tol=tol,
+        cluster_tol=ct,
+        normalize=normalize,
+        unitary=False,
+        recon_tol=recon_tol,
+    )
 
 
 def symmetric_eigen_decompose(
@@ -481,6 +532,7 @@ def symmetric_eigen_decompose(
     *,
     tol: float = DEFAULT_RANK_TOL,
     normalize: bool = True,
+    recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
     """Spectral decomposition of a real symmetric matrix.
 
@@ -492,10 +544,21 @@ def symmetric_eigen_decompose(
     (:func:`_finish`): unit norm with the largest-magnitude entry
     positive, and a unique constant null vector snapped to
     ``(1/sqrt(n)) * ones``. Clearing it keeps the raw ``eigh`` columns.
+    The residual is certified against ``recon_tol`` as on the Jordan path.
     """
     a = _as_complex_square(a, copy=False)
     if not is_real_symmetric(a):
         raise NotSymmetricError("matrix is not real symmetric within tolerance")
+    return _symmetric_eigen_decompose(a, tol=tol, normalize=normalize, recon_tol=recon_tol)
+
+
+def _symmetric_eigen_decompose(
+    a: np.ndarray, *, tol: float, normalize: bool, recon_tol: float
+) -> SpectralDecomposition:
+    """:func:`symmetric_eigen_decompose` of a matrix already checked symmetric.
+
+    Decomposes, and certifies against, the real symmetric part of ``a``.
+    """
     ar = np.ascontiguousarray((a.real + a.real.T) / 2.0)
     w, v = _converged(np.linalg.eigh, ar)
 
@@ -508,35 +571,27 @@ def symmetric_eigen_decompose(
         cluster_tol=default_cluster_tol(ar),
         normalize=normalize,
         unitary=True,
+        recon_tol=recon_tol,
     )
 
 
 def invert(a) -> np.ndarray:
-    """Inverse via partial-pivoted LU, refusing pivots below threshold.
+    """Inverse via LAPACK's partial-pivoted LU (``np.linalg.inv``).
 
     A matrix with an all-zero imaginary part is factored in real
-    arithmetic; the inverse is returned complex either way.
+    arithmetic; the inverse is returned complex either way. Only an
+    exactly singular matrix (a zero pivot) raises
+    :class:`SingularMatrixError`. A nearly singular one is inverted, and
+    the decomposition that holds it answers for it through its basis
+    condition and reconstruction residual.
     """
-    # Deferred: importing scipy.linalg dominates CLI start-up, and nothing
-    # else in the package needs it.
-    import scipy.linalg
-
     a = _as_complex_square(a, copy=False)
     if not a.imag.any():
         a = a.real  # partial pivoting picks the same pivots in real arithmetic
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; the threshold below handles it.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    pivots = np.abs(np.diag(lu))
-    if np.any(pivots <= SINGULAR_PIVOT_TOL * scale):
-        raise SingularMatrixError(
-            f"pivot {float(pivots.min()):.3e} below threshold "
-            f"{SINGULAR_PIVOT_TOL * scale:.3e}"
-        )
-    inverse = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=a.dtype))
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is exactly singular: {exc}") from exc
     return inverse.astype(complex, copy=False)
 
 

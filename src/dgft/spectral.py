@@ -27,11 +27,12 @@ from .graph import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TIE_TOL,
+    RECON_LIMIT,
     SpectralDecomposition,
+    _symmetric_eigen_decompose,
     jordan_decompose,
     matrix_polynomial_apply,
     order_with_ties,
-    symmetric_eigen_decompose,
 )
 
 # (identity tap, first-difference tap): S f = f - L f.
@@ -181,6 +182,7 @@ def decompose(
     *,
     cluster_tol: float | None = None,
     normalize: bool = True,
+    recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
     """Spectral decomposition of a graph's Laplacian, picking the right path.
 
@@ -190,9 +192,13 @@ def decompose(
     so callers never branch. ``normalize`` controls the deterministic
     basis convention (unit scale, pivot phase, constant eigenvector
     snapped to ones over root n); clearing it returns the backend's raw
-    columns.
+    columns. Either path refuses, with :class:`ReconstructionError`, a
+    basis whose residual ``||V J V^-1 - L||_F`` exceeds
+    ``recon_tol * max(1, ||L||_F)``.
     """
     m = as_laplacian(source).matrix
-    if is_real_symmetric(m):
-        return symmetric_eigen_decompose(m, tol=tol, normalize=normalize)
-    return jordan_decompose(m, tol, cluster_tol=cluster_tol, normalize=normalize)
+    if is_real_symmetric(m):  # the one symmetry check on this path
+        return _symmetric_eigen_decompose(m, tol=tol, normalize=normalize, recon_tol=recon_tol)
+    return jordan_decompose(
+        m, tol, cluster_tol=cluster_tol, normalize=normalize, recon_tol=recon_tol
+    )

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -362,6 +363,17 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["basis_condition"] == pytest.approx(4.0, rel=1e-12)
 
+    def test_reported_residual_is_the_library_residual(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", DEMO)
+        assert code == 0
+        assert json.loads(out)["reconstruction_residual"] == decompose(load_graph(DEMO)).residual
+
+    def test_tol_recon_refusal_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", DEMO, "--tol-recon", "1e-30")
+        assert code == 4
+        assert out == ""
+        assert "ReconstructionError" in err
+
     def test_variation_identity_reported(self, capsys):
         _, out, _ = run_cli(capsys, "analyze", DEMO)
         doc = json.loads(out)
@@ -432,22 +444,66 @@ def test_console_script_smoke():
     assert proc.stdout.splitlines()[0] == "1,0,-1"
 
 
-def test_undirected_commands_never_import_scipy(tmp_path):
-    # importing scipy.linalg dominates CLI start-up; only Jordan inversion needs it
-    graph = tmp_path / "path.txt"
-    graph.write_text("nodes 3\n1 2 1\n2 1 1\n2 3 2\n3 2 2\n")
-    signal = tmp_path / "f.json"
-    signal.write_text('{"n": 3, "values": [1.0, 0.5, -2.0]}')
+def test_commands_never_import_scipy(tmp_path):
+    # numpy alone serves every command; importing scipy.linalg would
+    # dominate CLI start-up. Undirected, random directed and defective
+    # directed inputs cover both decomposition paths and the Jordan chains.
+    rng = np.random.default_rng(0)
+    digraph = [
+        f"{s + 1} {d + 1} {rng.uniform(0.1, 1.0)!r}"
+        for s in range(8)
+        for d in range(8)
+        if s != d and rng.random() < 0.3
+    ]
+    graphs = {
+        "undirected": "nodes 3\n1 2 1\n2 1 1\n2 3 2\n3 2 2\n",
+        "digraph": "nodes 8\n" + "\n".join(digraph) + "\n",
+        "defective": "nodes 3\n1 2 1\n2 3 1\n",
+    }
+    runs = []
+    for name, text in graphs.items():
+        graph = tmp_path / f"{name}.txt"
+        graph.write_text(text)
+        n = int(text.split()[1])
+        signal = tmp_path / f"{name}.json"
+        signal.write_text(json.dumps({"n": n, "values": [float(k % 3) - 0.5 for k in range(n)]}))
+        spectrum = tmp_path / f"{name}.csv"
+        out = str(tmp_path / f"{name}.out")
+        g, f = str(graph), str(signal)
+        runs += [
+            ["laplacian", g, "-o", out],
+            ["gft", g, "--signal", f, "-o", str(spectrum)],
+            ["igft", g, "--spectrum", str(spectrum), "-o", out],
+            ["filter", g, "--signal", f, "--taps", "1,0.5", "-o", out],
+            ["filter", g, "--signal", f, "--taps", "1,0.5", "--domain", "spectral", "-o", out],
+            ["analyze", g, "-o", out],
+        ]
     script = f"""
 import sys
 import dgft
 assert "scipy" not in sys.modules, "import dgft"
 import dgft.cli
 assert "scipy" not in sys.modules, "import dgft.cli"
-assert dgft.cli.main(["gft", {str(graph)!r}, "--signal", {str(signal)!r}]) == 0
-assert "scipy" not in sys.modules, "dgft gft"
+for argv in {runs!r}:
+    assert dgft.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_env_importing_dgft()
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_source_module_imports_scipy():
+    # The subprocess test above sees only the branches it runs; a deferred
+    # import in a rarely taken branch would otherwise return unseen.
+    for path in sorted(Path(dgft.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "scipy", f"{path.name}:{node.lineno} imports {name}"

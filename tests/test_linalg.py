@@ -15,6 +15,7 @@ from dgft import (
     NoConvergenceError,
     NonSquareError,
     NotSymmetricError,
+    ReconstructionError,
     SingularMatrixError,
     build_graph,
     decompose,
@@ -23,6 +24,7 @@ from dgft import (
 )
 from dgft.linalg import (
     DEFAULT_RANK_TOL,
+    DEFAULT_TIE_TOL,
     _jordan_chains,
     _nullspace_basis,
     _orthogonal_residual,
@@ -106,7 +108,85 @@ def _brute_force_clusters(values: list[complex], tol: float) -> list[list[int]]:
     return sorted(groups)
 
 
+def _reference_order_with_ties(values, tie_tol=DEFAULT_TIE_TOL):
+    """Tie resolution as a loop over sorted indices, each compared with
+    the last member of the open run: the reference the vectorized
+    ``order_with_ties`` must reproduce exactly."""
+    w = np.asarray(values, dtype=complex).ravel()
+
+    def chain_split(indices, key, slack):
+        out = []
+        for idx in indices:
+            if out and abs(key(idx) - key(out[-1][-1])) <= slack(idx):
+                out[-1].append(idx)
+            else:
+                out.append([idx])
+        return out
+
+    def mag(r):
+        return abs(w[r])
+
+    order, groups = [], []
+    by_mag = sorted(range(w.size), key=mag)
+    for group in chain_split(by_mag, mag, lambda r: tie_tol * (1.0 + mag(r))):
+        resolved = []
+        slack = tie_tol * (1.0 + max(mag(r) for r in group))
+        by_re = sorted(group, key=lambda r: w[r].real)
+        for sub in chain_split(by_re, lambda r: w[r].real, lambda r: slack):
+            resolved.extend(sorted(sub, key=lambda r: w[r].imag))
+        order.extend(resolved)
+        if len(resolved) > 1:
+            groups.append(tuple(resolved))
+    return order, groups
+
+
+@st.composite
+def _tie_values(draw):
+    # Seeds on a few circles, then values derived from earlier ones: exact
+    # repeats, conjugates, mirror images (same magnitude, opposite real
+    # part), near ties 1e-11 apart, and offsets of 0.5 to 2 tie slacks.
+    # Coarse tie tolerances widen the runs until it matters which member's
+    # magnitude sets a slack.
+    tie_tol = draw(st.sampled_from([DEFAULT_TIE_TOL, 1e-3, 0.25]))
+    seeds = draw(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]), st.integers(-4, 4)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    values = [r * complex(np.cos(k * np.pi / 4), np.sin(k * np.pi / 4)) for r, k in seeds]
+    steps = st.tuples(
+        st.sampled_from(["repeat", "conjugate", "mirror", "near", "slack"]),
+        st.integers(0, 10**6),
+        st.sampled_from([0.5, 0.99, 1.01, 2.0]),
+        st.sampled_from([1, -1, 1j, -1j]),
+    )
+    for kind, pick, factor, direction in draw(st.lists(steps, max_size=30)):
+        v = values[pick % len(values)]
+        if kind == "repeat":
+            values.append(v)
+        elif kind == "conjugate":
+            values.append(v.conjugate())
+        elif kind == "mirror":
+            values.append(-v.conjugate())
+        elif kind == "near":
+            values.append(v + 1e-11 * direction)
+        else:
+            values.append(v + factor * tie_tol * (1.0 + abs(v)) * direction)
+    return draw(st.permutations(values)), tie_tol
+
+
 class TestOrderWithTies:
+    @settings(max_examples=300, deadline=None)
+    @given(_tie_values())
+    def test_matches_reference_loop(self, case):
+        values, tie_tol = case
+        assert order_with_ties(values, tie_tol) == _reference_order_with_ties(values, tie_tol)
+
+    def test_empty(self):
+        assert order_with_ties([]) == ([], [])
+
     def test_plain_magnitude_order(self):
         order, groups = order_with_ties([3.0, 1.0, 2.0])
         assert order == [1, 2, 0]
@@ -641,6 +721,58 @@ class TestSharedFinisher:
                 setattr(dec, name, None)
 
 
+def _perturbed_path() -> np.ndarray:
+    """Laplacian of the directed 5-node path with weights 1 + 1e-4 N(0, 1)."""
+    weights = 1.0 + 1e-4 * np.random.default_rng(0).standard_normal(4)
+    return directed_laplacian(build_graph(5, [(k, k + 1, float(weights[k])) for k in range(4)])).matrix
+
+
+class TestCertificate:
+    """Every decomposition carries its residual ||V J V^-1 - L||_F and is
+    refused above recon_tol * max(1, ||L||_F), through the library API."""
+
+    def test_library_refuses_basis_that_does_not_reproduce(self):
+        # The perturbed 5-block splits into five nearly parallel eigenvectors:
+        # relative residual 1.3e-2 at condition 1.7e15.
+        with pytest.raises(ReconstructionError):
+            decompose(_perturbed_path())
+
+    def test_residual_is_the_reconstruction_residual(self):
+        laps = [directed_laplacian(g).matrix for _, g in defective_zoo()]
+        for seed in range(10):
+            laps.append(directed_laplacian(make_random_digraph(np.random.default_rng(seed), 20)).matrix)
+        rng = np.random.default_rng(11)
+        g = make_random_digraph(rng, 20)
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=g.weights.shape))
+        laps.append(directed_laplacian(Graph(n=g.n, weights=g.weights * phases)).matrix)
+        for seed in range(5):
+            laps.append(directed_laplacian(make_random_undirected(np.random.default_rng(seed), 15)).matrix)
+        for k, lap in enumerate(laps):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedBasisWarning)
+                dec = decompose(lap)
+            want = np.linalg.norm(dec.reconstruct() - lap)
+            assert abs(dec.residual - want) <= 1e-13 * max(1.0, np.linalg.norm(lap)), k
+
+    def test_recon_tol_is_honoured(self):
+        digraph = directed_laplacian(make_random_digraph(np.random.default_rng(1), 20)).matrix
+        undirected = directed_laplacian(make_random_undirected(np.random.default_rng(1), 20)).matrix
+        for call in (
+            lambda: decompose(digraph, recon_tol=1e-30),
+            lambda: jordan_decompose(digraph, recon_tol=1e-30),
+            lambda: decompose(undirected, recon_tol=1e-30),
+            lambda: symmetric_eigen_decompose(undirected, recon_tol=1e-30),
+        ):
+            with pytest.raises(ReconstructionError):
+                call()
+        path = _perturbed_path()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedBasisWarning)
+            dec = decompose(path, recon_tol=1.0)
+        assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - path), rel=1e-10)
+        assert 1e-3 < dec.residual / max(1.0, np.linalg.norm(path)) <= 1.0
+
+
 class TestInvert:
     def test_round_trip(self):
         rng = np.random.default_rng(4)
@@ -661,18 +793,14 @@ class TestInvert:
             invert(np.zeros((2, 3)))
 
     def test_real_matrix_is_factored_in_real_arithmetic(self, monkeypatch):
-        import scipy.linalg
-
         seen = []
-        lu_factor = scipy.linalg.lu_factor
-        monkeypatch.setattr(
-            scipy.linalg, "lu_factor", lambda m: seen.append(m.dtype) or lu_factor(m)
-        )
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: seen.append(m.dtype) or inv(m))
         a = np.random.default_rng(6).standard_normal((6, 6))
         got = invert(a.astype(complex))
         assert seen == [np.dtype(float)]
         assert got.dtype == complex
-        assert np.allclose(got, np.linalg.inv(a), rtol=0, atol=1e-12)
+        assert np.allclose(got, inv(a), rtol=0, atol=1e-12)
         invert(a + 1j * np.eye(6))
         assert seen[-1] == np.dtype(complex)
 
