@@ -46,7 +46,9 @@ def is_real_symmetric(m: np.ndarray) -> bool:
     The one test for "symmetric": it picks the orthonormal path in
     :func:`dgft.spectral.decompose` and defines :attr:`Graph.is_undirected`.
     """
-    if float(np.max(np.abs(m.imag), initial=0.0)) > SYMMETRY_TOL:
+    if not m.imag.any():
+        m = m.real  # real input needs no complex magnitudes
+    elif float(np.max(np.abs(m.imag))) > SYMMETRY_TOL:
         return False
     return float(np.max(np.abs(m - m.T), initial=0.0)) <= SYMMETRY_TOL
 

@@ -364,13 +364,11 @@ def _reconstruction_residual(
     ``J`` is bidiagonal: ``V J`` is ``V`` with each column scaled by its
     eigenvalue (``diagonal``) plus, on each chain-tail column (``inner``),
     the column before it. One n^3 product with ``V^-1`` remains. A real
-    ``v`` only comes with a real spectrum of a real ``a``, so then the
-    product runs in real arithmetic.
+    ``v`` (and with it its inverse) only comes with a real spectrum of a
+    real ``a``, so then the product runs in real arithmetic.
     """
     if not np.iscomplexobj(v):
         diagonal, a = diagonal.real, a.real
-        if np.iscomplexobj(v_inv):
-            v_inv = np.ascontiguousarray(v_inv.real)
     vj = v * diagonal
     vj[:, inner] += v[:, inner - 1]
     r = vj @ v_inv
@@ -398,9 +396,10 @@ def _finish(
     ``||A||_F``) and ``A`` annihilates the constant vector (every
     connected graph Laplacian), that column is snapped to
     ``(1/sqrt(n)) * ones`` and its eigenvalue to exactly 0. A ``unitary``
-    basis is inverted by transposition, any other by :func:`invert`. A
-    basis whose columns are all real stays real up to the result, which
-    holds it complex.
+    basis is inverted by transposition, any other by ``np.linalg.inv``
+    in the basis dtype (:func:`_inverse`). A basis whose columns are all
+    real stays real, inverse included, up to the result, which holds
+    both complex.
 
     The residual ``||V J V^-1 - A||_F`` (:func:`_reconstruction_residual`)
     above ``recon_tol * max(1, ||A||_F)`` raises
@@ -436,7 +435,7 @@ def _finish(
     inner = np.flatnonzero(tail)
     j[inner - 1, inner] = 1.0
 
-    v_inv = v.T if unitary else invert(v)
+    v_inv = v.T if unitary else _inverse(v)
     residual = _reconstruction_residual(a, v, diagonal, inner, v_inv)
     if not residual <= recon_tol * scale:  # a NaN residual is refused too
         raise ReconstructionError(
@@ -538,29 +537,22 @@ def symmetric_eigen_decompose(
 
     Eigenvalues come out exactly real and the basis orthonormal, so the
     inverse is the transpose; this is the cheap path every undirected
-    graph takes. Columns are ordered by (magnitude, value) and pass
+    graph takes. ``eigh`` reads the symmetric part of ``a``, which is
+    ``a`` itself unless ``a`` is asymmetric within the symmetry
+    tolerance. Columns are ordered by (magnitude, value) and pass
     through the same finisher as :func:`jordan_decompose` as 1x1 blocks,
     so ``normalize`` applies the one shared basis convention
     (:func:`_finish`): unit norm with the largest-magnitude entry
     positive, and a unique constant null vector snapped to
     ``(1/sqrt(n)) * ones``. Clearing it keeps the raw ``eigh`` columns.
-    The residual is certified against ``recon_tol`` as on the Jordan path.
+    The residual is certified against ``a`` and ``recon_tol`` as on the
+    Jordan path.
     """
     a = _as_complex_square(a, copy=False)
     if not is_real_symmetric(a):
         raise NotSymmetricError("matrix is not real symmetric within tolerance")
-    return _symmetric_eigen_decompose(a, tol=tol, normalize=normalize, recon_tol=recon_tol)
-
-
-def _symmetric_eigen_decompose(
-    a: np.ndarray, *, tol: float, normalize: bool, recon_tol: float
-) -> SpectralDecomposition:
-    """:func:`symmetric_eigen_decompose` of a matrix already checked symmetric.
-
-    Decomposes, and certifies against, the real symmetric part of ``a``.
-    """
-    ar = np.ascontiguousarray((a.real + a.real.T) / 2.0)
-    w, v = _converged(np.linalg.eigh, ar)
+    ar = np.ascontiguousarray(a.real)
+    w, v = _converged(np.linalg.eigh, np.ascontiguousarray((ar + ar.T) / 2.0))
 
     order, _ = order_with_ties(w)
     assembled = [(complex(w[k]), [v[:, k]]) for k in order]
@@ -573,6 +565,15 @@ def _symmetric_eigen_decompose(
         unitary=True,
         recon_tol=recon_tol,
     )
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` in the dtype of ``a``; an exactly singular ``a``
+    (a zero pivot) raises :class:`SingularMatrixError`."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is exactly singular: {exc}") from exc
 
 
 def invert(a) -> np.ndarray:
@@ -588,11 +589,7 @@ def invert(a) -> np.ndarray:
     a = _as_complex_square(a, copy=False)
     if not a.imag.any():
         a = a.real  # partial pivoting picks the same pivots in real arithmetic
-    try:
-        inverse = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"matrix is exactly singular: {exc}") from exc
-    return inverse.astype(complex, copy=False)
+    return _inverse(a).astype(complex, copy=False)
 
 
 def _as_taps(taps) -> np.ndarray:

@@ -29,10 +29,10 @@ from .linalg import (
     DEFAULT_TIE_TOL,
     RECON_LIMIT,
     SpectralDecomposition,
-    _symmetric_eigen_decompose,
     jordan_decompose,
     matrix_polynomial_apply,
     order_with_ties,
+    symmetric_eigen_decompose,
 )
 
 # (identity tap, first-difference tap): S f = f - L f.
@@ -197,8 +197,8 @@ def decompose(
     ``recon_tol * max(1, ||L||_F)``.
     """
     m = as_laplacian(source).matrix
-    if is_real_symmetric(m):  # the one symmetry check on this path
-        return _symmetric_eigen_decompose(m, tol=tol, normalize=normalize, recon_tol=recon_tol)
+    if is_real_symmetric(m):
+        return symmetric_eigen_decompose(m, tol=tol, normalize=normalize, recon_tol=recon_tol)
     return jordan_decompose(
         m, tol, cluster_tol=cluster_tol, normalize=normalize, recon_tol=recon_tol
     )

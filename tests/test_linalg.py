@@ -754,6 +754,16 @@ class TestCertificate:
             want = np.linalg.norm(dec.reconstruct() - lap)
             assert abs(dec.residual - want) <= 1e-13 * max(1.0, np.linalg.norm(lap)), k
 
+    def test_symmetric_path_certifies_the_input(self):
+        # Asymmetry within the symmetry tolerance routes to eigh, which reads
+        # the symmetric part; the residual still measures the input itself.
+        lap = directed_laplacian(make_random_undirected(np.random.default_rng(3), 6)).matrix.copy()
+        lap[0, 1] += 9e-13
+        dec = decompose(lap)
+        assert dec.is_unitary_basis
+        want = np.linalg.norm(dec.reconstruct() - lap)
+        assert abs(dec.residual - want) <= 1e-14 * np.linalg.norm(lap)
+
     def test_recon_tol_is_honoured(self):
         digraph = directed_laplacian(make_random_digraph(np.random.default_rng(1), 20)).matrix
         undirected = directed_laplacian(make_random_undirected(np.random.default_rng(1), 20)).matrix
@@ -761,7 +771,6 @@ class TestCertificate:
             lambda: decompose(digraph, recon_tol=1e-30),
             lambda: jordan_decompose(digraph, recon_tol=1e-30),
             lambda: decompose(undirected, recon_tol=1e-30),
-            lambda: symmetric_eigen_decompose(undirected, recon_tol=1e-30),
         ):
             with pytest.raises(ReconstructionError):
                 call()
