@@ -32,7 +32,6 @@ from .filters import (
     apply_spectral_domain,
     apply_vertex_domain,
     check_lsi_preconditions,
-    commutator_residual,
     is_shift_invariant,
     materialize,
 )
@@ -51,10 +50,7 @@ from .linalg import (
     JordanBlock,
     SpectralDecomposition,
     cluster_eigenvalues,
-    default_cluster_tol,
-    invert,
     jordan_decompose,
-    matrix_polynomial,
     matrix_polynomial_apply,
     symmetric_eigen_decompose,
 )
@@ -97,7 +93,6 @@ __all__ = [
     "apply_spectral_domain",
     "apply_vertex_domain",
     "check_lsi_preconditions",
-    "commutator_residual",
     "is_shift_invariant",
     "materialize",
     "DirectedLaplacian",
@@ -112,10 +107,7 @@ __all__ = [
     "JordanBlock",
     "SpectralDecomposition",
     "cluster_eigenvalues",
-    "default_cluster_tol",
-    "invert",
     "jordan_decompose",
-    "matrix_polynomial",
     "matrix_polynomial_apply",
     "symmetric_eigen_decompose",
     "FrequencyOrdering",

@@ -7,18 +7,14 @@ Subcommands: ``laplacian`` (assemble and dump the matrix), ``gft``
 Exit codes: 0 success, 2 malformed input or usage, 3 dimension mismatch
 between inputs, 4 numeric failure (no convergence, singular basis, or a
 decomposition that fails to reproduce the Laplacian).
-
-``DGFT_TOL_CLUSTER`` in the environment overrides the default eigenvalue
-clustering tolerance; an explicit ``--tol-cluster`` beats both.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +32,7 @@ from .errors import (
 )
 from .filters import apply_spectral_domain, apply_vertex_domain, check_lsi_preconditions
 from .graph import Graph, GraphSignal, in_degree_matrix, ring_graph
-from .linalg import RECON_LIMIT
+from .linalg import DEFAULT_RANK_TOL, RECON_LIMIT
 from .spectral import (
     as_laplacian,
     decompose,
@@ -46,61 +42,31 @@ from .spectral import (
     total_variation,
 )
 
-ENV_CLUSTER_TOL = "DGFT_TOL_CLUSTER"
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by every spectral subcommand."""
-
-    tol: float
-    cluster_tol: float | None
-    recon_tol: float
-    raw_basis: bool
-    sum_duplicates: bool
-
-
-def _resolve_cluster_tol(value: float | None) -> float | None:
-    if value is not None:
-        return value
-    raw = os.environ.get(ENV_CLUSTER_TOL)
-    if raw is None or not raw.strip():
-        return None
+def _tolerance(text: str) -> float:
+    """The type of every tolerance flag: a finite number above zero."""
     try:
-        return float(raw)
+        value = float(text)
     except ValueError:
-        raise ParseError(f"{ENV_CLUSTER_TOL} is not a number: {raw!r}") from None
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+    return value
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    for name in ("tol", "tol_recon"):
-        if getattr(args, name) <= 0:
-            raise ParseError(f"--{name.replace('_', '-')} must be positive")
-    cluster = _resolve_cluster_tol(args.cluster_tol)
-    if cluster is not None and cluster <= 0:
-        raise ParseError("--tol-cluster must be positive")
-    return RunConfig(
-        tol=args.tol,
-        cluster_tol=cluster,
-        recon_tol=args.tol_recon,
-        raw_basis=args.raw_basis,
-        sum_duplicates=args.sum_duplicates,
-    )
-
-
-def _load_graph_argument(args: argparse.Namespace, cfg: RunConfig) -> Graph:
+def _load_graph_argument(args: argparse.Namespace) -> Graph:
     if args.ring is not None and args.graph is not None:
         raise ParseError("give a graph file or --ring, not both")
     if args.ring is not None:
         return ring_graph(args.ring)
     if args.graph is None:
         raise ParseError("a graph file or --ring N is required")
-    return fileio.load_graph(args.graph, sum_duplicates=cfg.sum_duplicates)
+    return fileio.load_graph(args.graph, sum_duplicates=args.sum_duplicates)
 
 
 def _write(args: argparse.Namespace, writer) -> None:
@@ -110,9 +76,9 @@ def _write(args: argparse.Namespace, writer) -> None:
         writer(args.output)
 
 
-def _checked_decompose(g: Graph, cfg: RunConfig):
+def _checked_decompose(g: Graph, args: argparse.Namespace):
     """Decompose under the run's tolerances; the library refuses a basis
-    that does not reproduce the Laplacian within ``cfg.recon_tol``."""
+    that does not reproduce the Laplacian within ``--tol-recon``."""
     lap = as_laplacian(g)
     with warnings.catch_warnings():
         # The flag on the result carries this information; a warning on
@@ -120,10 +86,10 @@ def _checked_decompose(g: Graph, cfg: RunConfig):
         warnings.simplefilter("ignore", IllConditionedBasisWarning)
         dec = decompose(
             lap,
-            cfg.tol,
-            cluster_tol=cfg.cluster_tol,
-            normalize=not cfg.raw_basis,
-            recon_tol=cfg.recon_tol,
+            args.tol,
+            cluster_tol=args.cluster_tol,
+            normalize=not args.raw_basis,
+            recon_tol=args.tol_recon,
         )
     return lap, dec
 
@@ -143,8 +109,7 @@ def _parse_taps(text: str) -> list[complex]:
 
 
 def _cmd_laplacian(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    g = _load_graph_argument(args, cfg)
+    g = _load_graph_argument(args)
     if args.matrix == "w":
         m = g.weights
     elif args.matrix == "din":
@@ -159,14 +124,13 @@ def _cmd_laplacian(args: argparse.Namespace) -> int:
 
 
 def _cmd_gft(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    g = _load_graph_argument(args, cfg)
+    g = _load_graph_argument(args)
     signal = fileio.load_signal(args.signal)
     if signal.n != g.n:
         raise DimensionMismatchError(
             f"signal has {signal.n} values but the graph has {g.n} nodes"
         )
-    _, dec = _checked_decompose(g, cfg)
+    _, dec = _checked_decompose(g, args)
     spec = spectrum(dec, signal)
     natural = args.order == "natural"
     if args.format == "csv":
@@ -183,22 +147,20 @@ def _cmd_gft(args: argparse.Namespace) -> int:
 
 
 def _cmd_igft(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    g = _load_graph_argument(args, cfg)
+    g = _load_graph_argument(args)
     spec = fileio.load_spectrum(args.spectrum)
     if spec.n != g.n:
         raise DimensionMismatchError(
             f"spectrum has {spec.n} entries but the graph has {g.n} nodes"
         )
-    _, dec = _checked_decompose(g, cfg)
+    _, dec = _checked_decompose(g, args)
     values = igft(dec, spec.coefficients)
     _write(args, lambda dst: fileio.dump_signal(GraphSignal(values), dst))
     return EXIT_OK
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    g = _load_graph_argument(args, cfg)
+    g = _load_graph_argument(args)
     signal = fileio.load_signal(args.signal)
     if signal.n != g.n:
         raise DimensionMismatchError(
@@ -208,16 +170,15 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     if args.domain == "vertex":
         values = apply_vertex_domain(g, taps, signal)
     else:
-        _, dec = _checked_decompose(g, cfg)
+        _, dec = _checked_decompose(g, args)
         values = apply_spectral_domain(dec, taps, signal)
     _write(args, lambda dst: fileio.dump_signal(GraphSignal(values), dst))
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    g = _load_graph_argument(args, cfg)
-    lap, dec = _checked_decompose(g, cfg)
+    g = _load_graph_argument(args)
+    lap, dec = _checked_decompose(g, args)
     report = check_lsi_preconditions(dec)
     ordering = order_frequencies(dec.eigenvalues)
 
@@ -236,7 +197,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     doc = {
         "n": g.n,
         "undirected": g.is_undirected,
-        "tol": cfg.tol,
+        "tol": args.tol,
         "cluster_tol": dec.cluster_tol,
         "diagonalizable": dec.is_diagonalizable,
         "unitary_basis": dec.is_unitary_basis,
@@ -287,21 +248,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
     p.add_argument(
         "--tol",
-        type=float,
-        default=1e-8,
-        help="rank / zero-detection tolerance (default 1e-8)",
+        type=_tolerance,
+        default=DEFAULT_RANK_TOL,
+        help=f"rank / zero-detection tolerance (default {DEFAULT_RANK_TOL:g})",
     )
     p.add_argument(
         "--tol-cluster",
         dest="cluster_tol",
-        type=float,
-        default=None,
-        help=f"eigenvalue clustering tolerance (default scales with the matrix; "
-        f"env {ENV_CLUSTER_TOL})",
+        type=_tolerance,
+        help="eigenvalue clustering tolerance (default scales with the matrix)",
     )
     p.add_argument(
         "--tol-recon",
-        type=float,
+        type=_tolerance,
         default=RECON_LIMIT,
         help="relative reconstruction residual above which results are "
         f"refused (default {RECON_LIMIT:g})",
@@ -382,9 +341,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"dgft: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (DimensionMismatchError, NonSquareError) as exc:
         print(f"dgft: error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

@@ -19,12 +19,7 @@ import numpy as np
 
 from .errors import EmptyTapsError
 from .graph import signal_values
-from .linalg import (
-    SpectralDecomposition,
-    cluster_eigenvalues,
-    matrix_polynomial,
-    matrix_polynomial_apply,
-)
+from .linalg import SpectralDecomposition, cluster_eigenvalues, matrix_polynomial_apply
 from .spectral import as_laplacian, gft, igft
 
 # Relative commutator size below which an operator counts as shift invariant.
@@ -49,14 +44,6 @@ class LsiFilter:
         """Degree of the polynomial as given (trailing zeros included)."""
         return int(self.taps.size - 1)
 
-    def trimmed(self) -> "LsiFilter":
-        """Drop trailing exactly-zero taps; the constant tap always stays."""
-        t = self.taps
-        last = t.size - 1
-        while last > 0 and t[last] == 0:
-            last -= 1
-        return LsiFilter(t[: last + 1])
-
 
 def _as_filter(h) -> LsiFilter:
     return h if isinstance(h, LsiFilter) else LsiFilter(np.asarray(h))
@@ -74,9 +61,9 @@ def apply_vertex_domain(lap, h, f) -> np.ndarray:
 
 
 def materialize(lap, h) -> np.ndarray:
-    """The filter as an explicit operator matrix h(L)."""
+    """The filter as an explicit operator matrix h(L): Horner applied to I."""
     lap = as_laplacian(lap)
-    return matrix_polynomial(lap.matrix, _as_filter(h).taps)
+    return matrix_polynomial_apply(lap.matrix, _as_filter(h).taps, np.eye(lap.n, dtype=complex))
 
 
 def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndarray:
@@ -89,13 +76,6 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
     f_hat = gft(decomposition, f)
     taps = _as_filter(h).taps
     return igft(decomposition, matrix_polynomial_apply(decomposition.j, taps, f_hat))
-
-
-def commutator_residual(lap, operator: np.ndarray) -> float:
-    """Frobenius norm of L H - H L for a candidate operator H."""
-    m = as_laplacian(lap).matrix
-    op = np.asarray(operator, dtype=complex)
-    return float(np.linalg.norm(m @ op - op @ m))
 
 
 @dataclass(frozen=True)
@@ -115,19 +95,17 @@ class ShiftInvariance:
         return self.invariant
 
 
-def is_shift_invariant(
-    lap, operator: np.ndarray, tol: float = COMMUTATOR_TOL
-) -> ShiftInvariance:
+def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
     """Whether an operator commutes with the graph shift.
 
     S = I - L commutes with H exactly when L does, so the test runs on
-    the Laplacian directly. The residual is compared against
-    ``tol * ||L||_F * ||H||_F``.
+    the Laplacian directly. The residual ``||L H - H L||_F`` is compared
+    against ``COMMUTATOR_TOL * ||L||_F * ||H||_F``.
     """
     m = as_laplacian(lap).matrix
     op = np.asarray(operator, dtype=complex)
-    bound = tol * float(np.linalg.norm(m)) * float(np.linalg.norm(op))
-    residual = commutator_residual(lap, op)
+    bound = COMMUTATOR_TOL * float(np.linalg.norm(m)) * float(np.linalg.norm(op))
+    residual = float(np.linalg.norm(m @ op - op @ m))
     return ShiftInvariance(invariant=residual <= bound, residual=residual, bound=bound)
 
 

@@ -64,7 +64,6 @@ class Graph:
 
     n: int
     weights: np.ndarray
-    is_real_nonnegative: bool = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -79,11 +78,6 @@ class Graph:
             raise SelfLoopError(f"nonzero diagonal entry at node {bad}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(
-            self,
-            "is_real_nonnegative",
-            bool(np.all(w.imag == 0) and np.all(w.real >= 0)),
-        )
 
     @property
     def is_undirected(self) -> bool:

@@ -58,7 +58,7 @@ ILL_CONDITIONED_LIMIT = 1e12
 RECON_LIMIT = 1e-6
 
 
-def default_cluster_tol(a: np.ndarray) -> float:
+def _default_cluster_tol(a: np.ndarray) -> float:
     """Absolute distance under which computed eigenvalues are merged.
 
     Scales with the matrix so that rounding-split multiple eigenvalues
@@ -404,9 +404,10 @@ def _finish(
     The residual ``||V J V^-1 - A||_F`` (:func:`_reconstruction_residual`)
     above ``recon_tol * max(1, ||A||_F)`` raises
     :class:`ReconstructionError`: the basis does not reproduce ``A``. A
-    basis condition (:func:`_basis_condition`) above 1e12 raises
-    :class:`IllConditionedBasisWarning` and sets the flag on the result;
-    defective matrices legitimately live there, so it is not an error.
+    basis condition (:func:`_basis_condition`) above
+    :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`
+    and sets the flag on the result; defective matrices legitimately live
+    there, so it is not an error.
     """
     n = a.shape[0]
     scale = max(1.0, float(np.linalg.norm(a)))
@@ -473,7 +474,7 @@ def jordan_decompose(
     """Numerical Jordan decomposition A = V J V^{-1}.
 
     Computed eigenvalues are clustered (single linkage at ``cluster_tol``,
-    default :func:`default_cluster_tol`), each cluster is represented by
+    default :func:`_default_cluster_tol`), each cluster is represented by
     its mean, and generalized-eigenvector chains are built from
     rank-revealing null spaces of powers of the shifted matrix. Blocks are
     ordered by (magnitude, real, imaginary) of their eigenvalue and
@@ -482,14 +483,14 @@ def jordan_decompose(
     ``normalize`` applies the basis convention of :func:`_finish`;
     clearing it keeps the raw chain and ``eig`` columns. A reconstruction
     residual above ``recon_tol`` relative raises
-    :class:`ReconstructionError`; a basis condition above 1e12 raises
-    :class:`IllConditionedBasisWarning`.
+    :class:`ReconstructionError`; a basis condition above
+    :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`.
     """
     a = _as_complex_square(a, copy=False)
     real = not a.imag.any()
     w, eig_vectors = _converged(np.linalg.eig, a.real if real else a)
     scale = float(np.linalg.norm(a))
-    ct = default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
+    ct = _default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
 
     clusters = cluster_eigenvalues(w, ct)
     # The mean of one value is that value, so singletons skip np.mean.
@@ -560,7 +561,7 @@ def symmetric_eigen_decompose(
         ar,
         assembled,
         tol=tol,
-        cluster_tol=default_cluster_tol(ar),
+        cluster_tol=_default_cluster_tol(ar),
         normalize=normalize,
         unitary=True,
         recon_tol=recon_tol,
@@ -576,42 +577,16 @@ def _inverse(a: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(f"matrix is exactly singular: {exc}") from exc
 
 
-def invert(a) -> np.ndarray:
-    """Inverse via LAPACK's partial-pivoted LU (``np.linalg.inv``).
-
-    A matrix with an all-zero imaginary part is factored in real
-    arithmetic; the inverse is returned complex either way. Only an
-    exactly singular matrix (a zero pivot) raises
-    :class:`SingularMatrixError`. A nearly singular one is inverted, and
-    the decomposition that holds it answers for it through its basis
-    condition and reconstruction residual.
-    """
-    a = _as_complex_square(a, copy=False)
-    if not a.imag.any():
-        a = a.real  # partial pivoting picks the same pivots in real arithmetic
-    return _inverse(a).astype(complex, copy=False)
-
-
-def _as_taps(taps) -> np.ndarray:
-    t = np.asarray(taps, dtype=complex).ravel()
-    if t.size == 0:
-        raise EmptyTapsError("at least one tap is required")
-    return t
-
-
-def matrix_polynomial(a, taps) -> np.ndarray:
-    """``taps[0]*I + taps[1]*A + ...`` as a matrix: Horner applied to I."""
-    a = _as_complex_square(a, copy=False)
-    return matrix_polynomial_apply(a, taps, np.eye(a.shape[0], dtype=complex))
-
-
 def matrix_polynomial_apply(a, taps, vec: np.ndarray) -> np.ndarray:
     """Apply the tap polynomial in ``a`` to a vector without forming it.
 
     Horner: exactly ``len(taps) - 1`` products with ``a``, which only
-    needs to support ``@``. ``vec`` may also be a block of columns.
+    needs to support ``@``. ``vec`` may also be a block of columns; the
+    identity gives the polynomial as a matrix.
     """
-    t = _as_taps(taps)
+    t = np.asarray(taps, dtype=complex).ravel()
+    if t.size == 0:
+        raise EmptyTapsError("at least one tap is required")
     acc = t[-1] * vec
     for coeff in t[-2::-1]:
         acc = a @ acc + coeff * vec

@@ -26,7 +26,6 @@ from .graph import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    DEFAULT_TIE_TOL,
     RECON_LIMIT,
     SpectralDecomposition,
     jordan_decompose,
@@ -89,11 +88,8 @@ class FrequencyOrdering:
     """Permutation of spectral indices from lowest to highest frequency.
 
     ``order[k]`` is the spectral index holding frequency rank ``k``;
-    ``ranks`` is the inverse permutation. ``magnitudes`` holds the
-    eigenvalue magnitudes sorted ascending, so it is non-decreasing by
-    construction and ``magnitudes[k]`` belongs to rank ``k`` up to
-    sub-tolerance noise inside a tie. ``tie_groups`` lists the groups of
-    two or more indices whose magnitudes coincide within tolerance
+    ``ranks`` is the inverse permutation. ``tie_groups`` lists the groups
+    of two or more indices whose magnitudes coincide within tolerance
     (conjugate pairs, for one), already in their deterministic resolved
     order: real part ascending, then imaginary part ascending, so the
     negative-imaginary half of a pair comes first.
@@ -101,28 +97,27 @@ class FrequencyOrdering:
 
     order: tuple[int, ...]
     ranks: tuple[int, ...]
-    magnitudes: tuple[float, ...]
     tie_groups: tuple[tuple[int, ...], ...]
 
 
-def order_frequencies(eigenvalues, tie_tol: float = DEFAULT_TIE_TOL) -> FrequencyOrdering:
+def order_frequencies(eigenvalues) -> FrequencyOrdering:
     """Rank eigenvalues by |lambda|, breaking ties by (real, imaginary).
 
-    Magnitudes agreeing within ``tie_tol`` relative form a tie and are
-    resolved by (real, imaginary) regardless of sub-tolerance magnitude
-    noise. The underlying sort is stable, so repeated eigenvalues (Jordan
-    chains share one value across their columns) keep their original
-    relative order and chains stay contiguous, head first.
+    Magnitudes agreeing within the fixed relative slack of
+    :func:`dgft.linalg.order_with_ties` form a tie and are resolved by
+    (real, imaginary) regardless of sub-tolerance magnitude noise. The
+    underlying sort is stable, so repeated eigenvalues (Jordan chains
+    share one value across their columns) keep their original relative
+    order and chains stay contiguous, head first.
     """
     w = np.asarray(eigenvalues, dtype=complex).ravel()
-    order, tie_groups = order_with_ties(w, tie_tol)
+    order, tie_groups = order_with_ties(w)
     ranks = [0] * w.size
     for rank, idx in enumerate(order):
         ranks[idx] = rank
     return FrequencyOrdering(
         order=tuple(order),
         ranks=tuple(ranks),
-        magnitudes=tuple(float(m) for m in np.sort(np.abs(w))),
         tie_groups=tuple(tie_groups),
     )
 

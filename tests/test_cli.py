@@ -400,23 +400,21 @@ class TestExitCodes:
         assert "synthetic failure" in err
         assert "ReconstructionError" in err
 
-    def test_env_cluster_tol_garbage_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("DGFT_TOL_CLUSTER", "not-a-number")
-        code, _, err = run_cli(capsys, "analyze", DEMO)
-        assert code == 2
-        assert "DGFT_TOL_CLUSTER" in err
-
-    def test_env_cluster_tol_number_is_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("DGFT_TOL_CLUSTER", "1e-7")
-        code, out, _ = run_cli(capsys, "analyze", DEMO)
-        assert code == 0
-        assert json.loads(out)["cluster_tol"] == 1e-7
-
     def test_explicit_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DGFT_TOL_CLUSTER", "1e-7")
+        # --tol-cluster is the one way to set the clustering tolerance; a
+        # DGFT_TOL_CLUSTER variable in the environment has no effect.
+        monkeypatch.setenv("DGFT_TOL_CLUSTER", "not-a-number")
         code, out, _ = run_cli(capsys, "analyze", DEMO, "--tol-cluster", "1e-5")
         assert code == 0
         assert json.loads(out)["cluster_tol"] == 1e-5
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "analyze", DEMO, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
     def test_ring_too_small_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "laplacian", "--ring", "1")

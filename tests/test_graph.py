@@ -62,7 +62,6 @@ class TestDemoGraph:
     def test_flags(self):
         g = demo_graph()
         assert not g.is_undirected
-        assert g.is_real_nonnegative
 
 
 class TestBuildGraph:
@@ -88,10 +87,6 @@ class TestBuildGraph:
     def test_rejects_empty_graph(self):
         with pytest.raises(GraphSizeError):
             build_graph(0, [])
-
-    def test_complex_weights_clear_the_nonnegative_flag(self):
-        g = build_graph(2, [(0, 1, 1 + 2j)])
-        assert not g.is_real_nonnegative
 
     def test_single_node_graph_is_legal(self):
         g = build_graph(1, [])

@@ -21,18 +21,20 @@ from dgft import (
     decompose,
     directed_laplacian,
     order_frequencies,
+    ring_graph,
 )
 from dgft.linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TIE_TOL,
+    JordanBlock,
+    SpectralDecomposition,
+    _default_cluster_tol,
+    _inverse,
     _jordan_chains,
     _nullspace_basis,
     _orthogonal_residual,
     cluster_eigenvalues,
-    default_cluster_tol,
-    invert,
     jordan_decompose,
-    matrix_polynomial,
     matrix_polynomial_apply,
     order_with_ties,
     symmetric_eigen_decompose,
@@ -81,7 +83,7 @@ class TestClustering:
         assert groups == [[0], [1]]
 
     def test_default_tol_floors_at_1e8(self):
-        assert default_cluster_tol(np.zeros((3, 3))) == 1e-8
+        assert _default_cluster_tol(np.zeros((3, 3))) == 1e-8
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_grid_values(), _clique_values()))
@@ -783,38 +785,53 @@ class TestCertificate:
 
 
 class TestInvert:
+    """The basis inverse: ``_inverse``, and the decomposition that holds it."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert np.linalg.norm(invert(a) @ a - np.eye(6)) < 1e-10
+        assert np.linalg.norm(_inverse(a) @ a - np.eye(6)) < 1e-10
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            _inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_diagonal_inverse_exact(self):
-        assert np.array_equal(
-            invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]).astype(complex)
-        )
+        assert np.array_equal(_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
 
     def test_rejects_nonsquare(self):
+        # An inverse of the wrong shape never makes it into a result.
+        blocks = (JordanBlock(1 + 0j, 1, 0), JordanBlock(2 + 0j, 1, 1))
         with pytest.raises(NonSquareError):
-            invert(np.zeros((2, 3)))
+            SpectralDecomposition(
+                v=np.eye(2, dtype=complex),
+                j=np.diag([1.0, 2.0]).astype(complex),
+                v_inv=np.zeros((2, 3), dtype=complex),
+                blocks=blocks,
+                is_unitary_basis=False,
+                basis_condition=1.0,
+                cluster_tol=1e-8,
+                residual=0.0,
+            )
 
     def test_real_matrix_is_factored_in_real_arithmetic(self, monkeypatch):
+        # A real spectrum of a real Laplacian gives a real basis, inverted
+        # in real arithmetic; a conjugate pair makes the basis complex.
         seen = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda m: seen.append(m.dtype) or inv(m))
-        a = np.random.default_rng(6).standard_normal((6, 6))
-        got = invert(a.astype(complex))
+        path = directed_laplacian(build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]))
+        dec = jordan_decompose(path.matrix)
         assert seen == [np.dtype(float)]
-        assert got.dtype == complex
-        assert np.allclose(got, inv(a), rtol=0, atol=1e-12)
-        invert(a + 1j * np.eye(6))
+        assert dec.v_inv.dtype == complex
+        assert np.allclose(dec.v_inv, inv(dec.v.real), rtol=0, atol=1e-12)
+        jordan_decompose(directed_laplacian(ring_graph(5)).matrix)
         assert seen[-1] == np.dtype(complex)
 
 
 class TestMatrixPolynomial:
+    """``matrix_polynomial_apply``; applied to the identity it forms h(A)."""
+
     def test_matches_explicit_powers(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((4, 4))
@@ -822,12 +839,13 @@ class TestMatrixPolynomial:
         direct = (
             0.5 * np.eye(4) - a + 2.0 * (a @ a) + 0.25 * (a @ a @ a)
         )
-        assert np.allclose(matrix_polynomial(a, taps), direct, atol=1e-12)
+        assert np.allclose(matrix_polynomial_apply(a, taps, np.eye(4)), direct, atol=1e-12)
 
     def test_identity_minus_matrix_is_bitwise(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert np.array_equal(matrix_polynomial(a, [1.0, -1.0]), np.eye(5) - a)
+        got = matrix_polynomial_apply(a, [1.0, -1.0], np.eye(5, dtype=complex))
+        assert np.array_equal(got, np.eye(5) - a)
 
     def test_apply_agrees_with_materialized(self):
         rng = np.random.default_rng(12)
@@ -836,17 +854,17 @@ class TestMatrixPolynomial:
         taps = [1.0, 0.5, -0.25]
         assert np.allclose(
             matrix_polynomial_apply(a, taps, vec),
-            matrix_polynomial(a, taps) @ vec,
+            matrix_polynomial_apply(a, taps, np.eye(5)) @ vec,
             atol=1e-12,
         )
 
     def test_constant_polynomial(self):
         a = np.ones((3, 3))
-        assert np.array_equal(matrix_polynomial(a, [2.0]), 2.0 * np.eye(3))
+        assert np.array_equal(matrix_polynomial_apply(a, [2.0], np.eye(3)), 2.0 * np.eye(3))
 
     def test_empty_taps_rejected(self):
         with pytest.raises(EmptyTapsError):
-            matrix_polynomial(np.eye(2), [])
+            matrix_polynomial_apply(np.eye(2), [], np.eye(2))
         with pytest.raises(EmptyTapsError):
             matrix_polynomial_apply(np.eye(2), [], np.ones(2))
 

@@ -223,9 +223,9 @@ class TestOrdering:
     def test_magnitudes_sorted_ascending(self):
         dec = decompose(demo_graph())
         ordering = order_frequencies(dec.eigenvalues)
-        mags = ordering.magnitudes
-        assert all(a <= b for a, b in zip(mags, mags[1:]))
-        # numpy's complex abs and Python's can disagree by one ulp
+        mags = [abs(complex(dec.eigenvalues[k])) for k in ordering.order]
+        # a tie may list its members in either magnitude order, by one ulp
+        assert all(a <= b * (1 + 1e-12) for a, b in zip(mags, mags[1:]))
         assert mags == pytest.approx(
             sorted(abs(complex(v)) for v in dec.eigenvalues), abs=1e-12
         )
@@ -272,7 +272,7 @@ class TestSpectrumLocation:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             g = make_random_digraph(rng, int(rng.integers(2, 20)))
-            assert g.is_real_nonnegative
+            assert not g.weights.imag.any() and np.all(g.weights.real >= 0)
             dec = decompose(g)
             radius = float(np.max(np.abs(dec.eigenvalues)))
             assert float(np.min(dec.eigenvalues.real)) >= -1e-8 * radius
