@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyTapsError
-from .graph import signal_values
+from .graph import real_or_complex, signal_values
 from .linalg import SpectralDecomposition, cluster_eigenvalues, matrix_polynomial_apply
 from .spectral import as_laplacian, gft, igft
 
@@ -28,21 +28,19 @@ COMMUTATOR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LsiFilter:
-    """Polynomial filter taps, lowest order first: taps[m] multiplies L^m."""
+    """Polynomial filter taps, lowest order first: taps[m] multiplies L^m.
+
+    Real or complex by the dtype rule (:func:`dgft.graph.real_or_complex`).
+    """
 
     taps: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.taps, dtype=complex).ravel().copy()
+        t = real_or_complex(self.taps, copy=True).ravel()
         if t.size == 0:
             raise EmptyTapsError("a filter needs at least one tap")
         t.flags.writeable = False
         object.__setattr__(self, "taps", t)
-
-    @property
-    def order(self) -> int:
-        """Degree of the polynomial as given (trailing zeros included)."""
-        return int(self.taps.size - 1)
 
 
 def _as_filter(h) -> LsiFilter:
@@ -52,8 +50,8 @@ def _as_filter(h) -> LsiFilter:
 def apply_vertex_domain(lap, h, f) -> np.ndarray:
     """Run the filter as repeated shifts: Horner in L against the signal.
 
-    Costs exactly ``order`` matrix-vector products and never forms the
-    operator matrix.
+    Costs one matrix-vector product per tap after the first and never
+    forms the operator matrix.
     """
     lap = as_laplacian(lap)
     filt = _as_filter(h)
@@ -63,7 +61,7 @@ def apply_vertex_domain(lap, h, f) -> np.ndarray:
 def materialize(lap, h) -> np.ndarray:
     """The filter as an explicit operator matrix h(L): Horner applied to I."""
     lap = as_laplacian(lap)
-    return matrix_polynomial_apply(lap.matrix, _as_filter(h).taps, np.eye(lap.n, dtype=complex))
+    return matrix_polynomial_apply(lap.matrix, _as_filter(h).taps, np.eye(lap.n))
 
 
 def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndarray:
@@ -103,7 +101,7 @@ def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
     against ``COMMUTATOR_TOL * ||L||_F * ||H||_F``.
     """
     m = as_laplacian(lap).matrix
-    op = np.asarray(operator, dtype=complex)
+    op = real_or_complex(operator)
     bound = COMMUTATOR_TOL * float(np.linalg.norm(m)) * float(np.linalg.norm(op))
     residual = float(np.linalg.norm(m @ op - op @ m))
     return ShiftInvariance(invariant=residual <= bound, residual=residual, bound=bound)

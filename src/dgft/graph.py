@@ -1,6 +1,7 @@
 """Weighted directed graphs, degree matrices, and the in-degree Laplacian.
 
-Edge weights may be complex. The weight matrix convention is
+Edge weights may be complex; arrays follow the dtype rule of
+:func:`real_or_complex`. The weight matrix convention is
 ``weights[i, j]`` = weight of the directed edge from node ``j`` to node
 ``i``, so the in-degree of node ``i`` is the ``i``-th row sum and the
 Laplacian is the in-degree diagonal minus the weight matrix. Node indices
@@ -31,10 +32,23 @@ SYMMETRY_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
 
 
-def _as_complex_square(matrix, *, copy: bool = True) -> np.ndarray:
-    # asarray still copies when a dtype change forces it; ``copy`` only
-    # demands one even when none would be needed.
-    a = np.array(matrix, dtype=complex) if copy else np.asarray(matrix, dtype=complex)
+def real_or_complex(values, *, copy: bool = False) -> np.ndarray:
+    """``values`` as a C-contiguous array under the package's one dtype rule
+    (:class:`dgft.linalg.SpectralDecomposition`): complex128 exactly when an
+    entry has a nonzero imaginary part, float64 otherwise. ``copy`` demands
+    a fresh array even when the input already has that dtype and layout.
+    """
+    a = np.asarray(values)
+    if np.iscomplexobj(a) and a.imag.any():
+        dtype = complex
+    else:
+        a, dtype = a.real, float
+    return np.array(a, dtype=dtype, order="C") if copy else np.asarray(a, dtype=dtype, order="C")
+
+
+def _as_square(matrix, *, copy: bool = False) -> np.ndarray:
+    """:func:`real_or_complex`, refusing anything but a square matrix."""
+    a = real_or_complex(matrix, copy=copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -45,12 +59,10 @@ def is_real_symmetric(m: np.ndarray) -> bool:
 
     The one test for "symmetric": it picks the orthonormal path in
     :func:`dgft.spectral.decompose` and defines :attr:`Graph.is_undirected`.
+    ``m`` follows the dtype rule, so a complex ``m`` has a nonzero
+    imaginary entry and is not real.
     """
-    if not m.imag.any():
-        m = m.real  # real input needs no complex magnitudes
-    elif float(np.max(np.abs(m.imag))) > SYMMETRY_TOL:
-        return False
-    return float(np.max(np.abs(m - m.T), initial=0.0)) <= SYMMETRY_TOL
+    return not np.iscomplexobj(m) and float(np.max(np.abs(m - m.T), initial=0.0)) <= SYMMETRY_TOL
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphSizeError(f"node count must be >= 1, got {self.n}")
-        w = _as_complex_square(self.weights)
+        w = _as_square(self.weights, copy=True)
         if w.shape[0] != self.n:
             raise DimensionMismatchError(
                 f"weight matrix is {w.shape[0]}x{w.shape[1]} but n={self.n}"
@@ -97,7 +109,7 @@ class GraphSignal:
     n: int = field(init=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex, copy=True).ravel()
+        v = real_or_complex(self.values, copy=True).ravel()
         if v.size == 0:
             raise DimensionMismatchError("a signal needs at least one value")
         v.flags.writeable = False
@@ -117,7 +129,7 @@ class DirectedLaplacian:
     n: int = field(init=False)
 
     def __post_init__(self):
-        m = _as_complex_square(self.matrix)
+        m = _as_square(self.matrix, copy=True)
         row_sums = np.abs(m.sum(axis=1))
         limit = ROW_SUM_TOL * max(float(np.max(np.abs(m).sum(axis=1), initial=0.0)), 0.0)
         if np.any(row_sums > limit):
@@ -132,11 +144,14 @@ class DirectedLaplacian:
 
 
 def signal_values(f, n: int) -> np.ndarray:
-    """Coerce ``f`` (GraphSignal or array-like) to a length-``n`` complex vector."""
+    """Coerce ``f`` (GraphSignal or array-like) to a length-``n`` vector.
+
+    Real or complex by :func:`real_or_complex`.
+    """
     if isinstance(f, GraphSignal):
         values = f.values
     else:
-        values = np.asarray(f, dtype=complex).ravel()
+        values = real_or_complex(f).ravel()
     if values.size != n:
         raise DimensionMismatchError(f"signal has {values.size} values, graph has {n} nodes")
     return values

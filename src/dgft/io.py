@@ -21,7 +21,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import ParseError
-from .graph import Graph, GraphSignal, build_graph
+from .graph import Graph, GraphSignal, build_graph, real_or_complex
 from .spectral import Spectrum, order_frequencies
 
 SPECTRUM_HEADER = (
@@ -57,11 +57,8 @@ def parse_complex(token: str) -> complex:
     text = token.strip()
     if not text:
         raise ValueError("empty number")
-    candidate = text.replace("i", "j").replace("I", "j")
-    if any(c.isspace() for c in candidate):
-        raise ValueError(f"whitespace inside number: {token!r}")
-    try:
-        value = complex(candidate)
+    try:  # complex() itself refuses inner whitespace such as "1 +2j"
+        value = complex(text.replace("i", "j").replace("I", "j"))
     except ValueError:
         raise ValueError(f"not a number: {token!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -216,7 +213,7 @@ def load_signal(src) -> GraphSignal:
     if not values:
         raise ParseError("signal has no values")
     _check_declared_n(doc, len(values), "values")
-    return GraphSignal(np.asarray(values, dtype=complex))
+    return GraphSignal(values)
 
 
 def _check_declared_n(doc: dict, count: int, noun: str) -> None:
@@ -236,17 +233,24 @@ def dump_signal(signal, dst) -> None:
 
 
 def dump_matrix_csv(m, dst) -> None:
-    """Comma-separated rows, complex entries in the a+bi text form."""
-    m = np.asarray(m, dtype=complex)
+    """Comma-separated rows, complex entries in the a+bi text form.
+
+    Each distinct entry is formatted once. Entries are told apart by their
+    bytes, so ``-0.0`` and ``0.0`` keep their own text.
+    """
+    m = real_or_complex(m)
+    keys = m.view(np.dtype((np.void, m.itemsize))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([format_complex(v) for v in m.ravel()[first].tolist()], dtype=object)
     with _opened(dst, "w") as fh:
-        for row in m:
-            fh.write(",".join(format_complex(v) for v in row))
+        for row in text[which].reshape(m.shape).tolist():
+            fh.write(",".join(row))
             fh.write("\n")
 
 
 def dump_matrix_json(m, dst) -> None:
     """{"n": N, "rows": [[...], ...]} with number-or-pair entries."""
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     rows = [[_value_to_json(v) for v in row] for row in m]
     _dump_json({"n": int(m.shape[0]), "rows": rows}, dst)
 
@@ -306,11 +310,10 @@ def dump_report(doc: dict, dst) -> None:
 
 
 def _spectrum_from_arrays(eigenvalues, coefficients) -> Spectrum:
-    w = np.asarray(eigenvalues, dtype=complex)
     return Spectrum(
-        eigenvalues=w,
-        coefficients=np.asarray(coefficients, dtype=complex),
-        ordering=order_frequencies(w),
+        eigenvalues=eigenvalues,
+        coefficients=coefficients,
+        ordering=order_frequencies(eigenvalues),
     )
 
 

@@ -4,13 +4,14 @@ The eigenvalue, symmetric-eigenvalue, and inversion kernels delegate to
 LAPACK through numpy, which implements the classical pipelines:
 Hessenberg reduction plus implicitly shifted QR for the nonsymmetric
 case, tridiagonalization for the symmetric case, partial-pivoted LU for
-the inverse. Results are complex, but the arithmetic stays real wherever
-the input is: a matrix with an all-zero imaginary part goes through the
-real nonsymmetric kernel, so its conjugate eigenvalue pairs come out
-exactly conjugate; the Jordan chains of each real eigenvalue cluster of
-such a matrix are built in real arithmetic; and a real basis is
-normalized, inverted and checked in real arithmetic. What LAPACK does not
-provide, and what this module adds, is the numerical Jordan machinery:
+the inverse. Arrays follow the dtype rule of
+:func:`dgft.graph.real_or_complex`, so the arithmetic stays real wherever
+the input is: a real matrix goes through the real nonsymmetric kernel, so
+its conjugate eigenvalue pairs come out exactly conjugate; the Jordan
+chains of each real eigenvalue cluster of such a matrix are built in real
+arithmetic; and a real basis is normalized, inverted and checked in real
+arithmetic. What LAPACK does not provide, and what this module adds, is
+the numerical Jordan machinery:
 eigenvalue clustering, rank-revealing null-space chains of generalized
 eigenvectors, block assembly, and a deterministic basis normalization so
 downstream transforms are reproducible run to run.
@@ -46,7 +47,7 @@ from .errors import (
     ReconstructionError,
     SingularMatrixError,
 )
-from .graph import _as_complex_square, is_real_symmetric
+from .graph import _as_square, is_real_symmetric, real_or_complex
 
 # Rank decisions treat singular values below rank_tol * scale as zero.
 DEFAULT_RANK_TOL = 1e-8
@@ -84,11 +85,22 @@ class SpectralDecomposition:
     ``v`` holds the basis columns (chain heads are proper eigenvectors,
     listed first within each block) and ``j`` is block diagonal with unit
     superdiagonals inside blocks. ``is_unitary_basis`` marks the symmetric
-    path, where ``v_inv`` is exactly the transpose of ``v``. ``residual``
-    is the absolute reconstruction residual ``||V J V^-1 - A||_F`` the
-    decomposition was certified with. The eigenvalues and both verdicts
-    are read off ``j``, ``blocks`` and ``basis_condition`` rather than
-    stored.
+    path, where ``v_inv`` is exactly the transpose of ``v``.
+
+    ``residual`` is the absolute reconstruction residual
+    ``||V J V^-1 - A||_F`` the decomposition was certified with. The
+    eigenvalues and both verdicts are read off ``j``, ``blocks`` and
+    ``basis_condition`` rather than stored.
+
+    The dtype rule (:func:`dgft.graph.real_or_complex`), which the
+    package applies to every array it takes in and to the basis it
+    builds: an array is complex128 exactly when an entry has a nonzero
+    imaginary part, and float64 otherwise. So ``j`` is real exactly when every eigenvalue is real, ``v`` is real
+    on the symmetric path and for a real matrix with a real spectrum,
+    conjugate pairs make both complex, and ``v_inv`` has the dtype of
+    ``v``. Transforms and filters on a real basis run real BLAS, and a
+    complex signal against a real basis runs as one real product over
+    its real and imaginary parts.
     """
 
     v: np.ndarray
@@ -363,12 +375,9 @@ def _reconstruction_residual(
 
     ``J`` is bidiagonal: ``V J`` is ``V`` with each column scaled by its
     eigenvalue (``diagonal``) plus, on each chain-tail column (``inner``),
-    the column before it. One n^3 product with ``V^-1`` remains. A real
-    ``v`` (and with it its inverse) only comes with a real spectrum of a
-    real ``a``, so then the product runs in real arithmetic.
+    the column before it. One n^3 product with ``V^-1`` remains, in real
+    arithmetic for a real basis.
     """
-    if not np.iscomplexobj(v):
-        diagonal, a = diagonal.real, a.real
     vj = v * diagonal
     vj[:, inner] += v[:, inner - 1]
     r = vj @ v_inv
@@ -397,9 +406,8 @@ def _finish(
     connected graph Laplacian), that column is snapped to
     ``(1/sqrt(n)) * ones`` and its eigenvalue to exactly 0. A ``unitary``
     basis is inverted by transposition, any other by ``np.linalg.inv``
-    in the basis dtype (:func:`_inverse`). A basis whose columns are all
-    real stays real, inverse included, up to the result, which holds
-    both complex.
+    in the basis dtype (:func:`_inverse`). ``v``, its inverse and ``j``
+    follow the dtype rule (:class:`SpectralDecomposition`).
 
     The residual ``||V J V^-1 - A||_F`` (:func:`_reconstruction_residual`)
     above ``recon_tol * max(1, ||A||_F)`` raises
@@ -427,8 +435,9 @@ def _finish(
             (k,) = zero
             v[:, blocks[k].start] = constant
             blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
+    v = real_or_complex(v)  # a complex matrix can still have a real basis
 
-    lams = np.array([b.eigenvalue for b in blocks], dtype=complex)
+    lams = real_or_complex([b.eigenvalue for b in blocks])
     diagonal = np.repeat(lams, [b.size for b in blocks])
     j = np.diag(diagonal)
     tail = np.ones(n, dtype=bool)
@@ -452,9 +461,9 @@ def _finish(
             stacklevel=3,
         )
     return SpectralDecomposition(
-        v=v.astype(complex, copy=False),
+        v=v,
         j=j,
-        v_inv=np.ascontiguousarray(v_inv, dtype=complex),
+        v_inv=v_inv,
         blocks=tuple(blocks),
         is_unitary_basis=unitary,
         basis_condition=condition,
@@ -486,9 +495,8 @@ def jordan_decompose(
     :class:`ReconstructionError`; a basis condition above
     :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`.
     """
-    a = _as_complex_square(a, copy=False)
-    real = not a.imag.any()
-    w, eig_vectors = _converged(np.linalg.eig, a.real if real else a)
+    a = _as_square(a)
+    w, eig_vectors = _converged(np.linalg.eig, a)
     scale = float(np.linalg.norm(a))
     ct = _default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
 
@@ -504,10 +512,8 @@ def jordan_decompose(
         if len(cluster) == 1:
             assembled.append((lam, [np.asarray(eig_vectors[:, cluster[0]])]))
             continue
-        if real and lam.imag == 0:
-            chains = _jordan_chains(a.real, lam.real, len(cluster), tol, scale)
-        else:
-            chains = _jordan_chains(a, lam, len(cluster), tol, scale)
+        mu = lam.real if lam.imag == 0 else lam  # a real matrix keeps real chains
+        chains = _jordan_chains(a, mu, len(cluster), tol, scale)
         covered = sum(len(c) for c in chains)
         for chain in chains:
             assembled.append((lam, chain))
@@ -549,19 +555,18 @@ def symmetric_eigen_decompose(
     The residual is certified against ``a`` and ``recon_tol`` as on the
     Jordan path.
     """
-    a = _as_complex_square(a, copy=False)
+    a = _as_square(a)
     if not is_real_symmetric(a):
         raise NotSymmetricError("matrix is not real symmetric within tolerance")
-    ar = np.ascontiguousarray(a.real)
-    w, v = _converged(np.linalg.eigh, np.ascontiguousarray((ar + ar.T) / 2.0))
+    w, v = _converged(np.linalg.eigh, (a + a.T) / 2.0)
 
     order, _ = order_with_ties(w)
     assembled = [(complex(w[k]), [v[:, k]]) for k in order]
     return _finish(
-        ar,
+        a,
         assembled,
         tol=tol,
-        cluster_tol=_default_cluster_tol(ar),
+        cluster_tol=_default_cluster_tol(a),
         normalize=normalize,
         unitary=True,
         recon_tol=recon_tol,
@@ -577,17 +582,32 @@ def _inverse(a: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(f"matrix is exactly singular: {exc}") from exc
 
 
+def _dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` without promoting a float64 ``a`` to complex.
+
+    A float64 ``a`` against a complex vector or block ``x`` runs as one
+    real product with ``x``'s real and imaginary parts side by side,
+    (n, 2k) for k columns, read and written in place as complex128 pairs.
+    Any other ``a`` only needs to support ``@``.
+    """
+    if getattr(a, "dtype", None) != float or not np.iscomplexobj(x):
+        return a @ x
+    x = np.ascontiguousarray(x, dtype=complex)
+    y = a @ x.view(float).reshape(x.shape[0], -1)
+    return y.view(complex).reshape(y.shape[0], *x.shape[1:])
+
+
 def matrix_polynomial_apply(a, taps, vec: np.ndarray) -> np.ndarray:
     """Apply the tap polynomial in ``a`` to a vector without forming it.
 
-    Horner: exactly ``len(taps) - 1`` products with ``a``, which only
-    needs to support ``@``. ``vec`` may also be a block of columns; the
-    identity gives the polynomial as a matrix.
+    Horner: exactly ``len(taps) - 1`` products with ``a`` (:func:`_dot`),
+    which only needs to support ``@``. ``vec`` may also be a block of
+    columns; the identity gives the polynomial as a matrix.
     """
-    t = np.asarray(taps, dtype=complex).ravel()
+    t = real_or_complex(taps).ravel()
     if t.size == 0:
         raise EmptyTapsError("at least one tap is required")
     acc = t[-1] * vec
     for coeff in t[-2::-1]:
-        acc = a @ acc + coeff * vec
+        acc = _dot(a, acc) + coeff * vec
     return acc

@@ -22,12 +22,14 @@ from .graph import (
     Graph,
     directed_laplacian,
     is_real_symmetric,
+    real_or_complex,
     signal_values,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
     RECON_LIMIT,
     SpectralDecomposition,
+    _dot,
     jordan_decompose,
     matrix_polynomial_apply,
     order_with_ties,
@@ -63,7 +65,7 @@ def shift(lap, f) -> np.ndarray:
 def shift_operator(lap) -> np.ndarray:
     """Materialize S = I - L as a dense matrix."""
     lap = as_laplacian(lap)
-    return np.eye(lap.n, dtype=complex) - lap.matrix
+    return np.eye(lap.n) - lap.matrix
 
 
 def total_variation(lap, f) -> float:
@@ -73,13 +75,13 @@ def total_variation(lap, f) -> float:
     equals |lambda| times the eigenvector's 1-norm.
     """
     lap = as_laplacian(lap)
-    return float(np.sum(np.abs(lap.matrix @ signal_values(f, lap.n))))
+    return float(np.sum(np.abs(_dot(lap.matrix, signal_values(f, lap.n)))))
 
 
 def quadratic_form(lap, f) -> float:
     """Quadratic (2-Dirichlet) smoothness: half the squared 2-norm of L f."""
     lap = as_laplacian(lap)
-    diff = lap.matrix @ signal_values(f, lap.n)
+    diff = _dot(lap.matrix, signal_values(f, lap.n))
     return 0.5 * float(np.real(np.vdot(diff, diff)))
 
 
@@ -128,7 +130,8 @@ class Spectrum:
 
     Entry r pairs ``eigenvalues[r]`` with coefficient ``coefficients[r]``;
     ``ordering`` ranks the entries by frequency. Rows are in spectral
-    (basis column) order, not rank order.
+    (basis column) order, not rank order. Both arrays follow the dtype
+    rule (:func:`dgft.graph.real_or_complex`).
     """
 
     eigenvalues: np.ndarray
@@ -137,8 +140,8 @@ class Spectrum:
     n: int = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=complex).ravel()
-        c = np.asarray(self.coefficients, dtype=complex).ravel()
+        w = real_or_complex(self.eigenvalues, copy=True).ravel()
+        c = real_or_complex(self.coefficients, copy=True).ravel()
         if w.shape != c.shape:
             raise ValueError("eigenvalues and coefficients must have equal length")
         object.__setattr__(self, "eigenvalues", w)
@@ -147,25 +150,21 @@ class Spectrum:
         c.flags.writeable = False
         object.__setattr__(self, "n", int(w.size))
 
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.coefficients)
-
 
 def gft(decomposition: SpectralDecomposition, f) -> np.ndarray:
     """Analysis: coefficients of ``f`` in the graph Fourier basis."""
-    return decomposition.v_inv @ signal_values(f, decomposition.n)
+    return _dot(decomposition.v_inv, signal_values(f, decomposition.n))
 
 
 def igft(decomposition: SpectralDecomposition, f_hat) -> np.ndarray:
     """Synthesis: rebuild the vertex-domain signal from its coefficients."""
-    return decomposition.v @ signal_values(f_hat, decomposition.n)
+    return _dot(decomposition.v, signal_values(f_hat, decomposition.n))
 
 
 def spectrum(decomposition: SpectralDecomposition, f) -> Spectrum:
     """GFT of ``f`` packaged with its eigenvalues and frequency ranking."""
     return Spectrum(
-        eigenvalues=decomposition.eigenvalues.copy(),
+        eigenvalues=decomposition.eigenvalues,
         coefficients=gft(decomposition, f),
         ordering=order_frequencies(decomposition.eigenvalues),
     )

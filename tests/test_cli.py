@@ -307,6 +307,15 @@ class TestFilter:
         assert code == 2
         assert "bad tap" in err
 
+    @pytest.mark.parametrize("tap", ["1 +2i", "1+ 2i", "1+2 i", "1\t+2i", "1 +2i"])
+    def test_inner_whitespace_exits_2(self, capsys, tmp_path, tap):
+        code, _, err = run_cli(capsys, "filter", DEMO, "--signal", SIGNAL, "--taps", f"1,{tap}")
+        assert (code, "bad tap" in err) == (2, True)
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"nodes 2\n1 2 {tap}\n")
+        code, _, err = run_cli(capsys, "laplacian", str(graph))
+        assert (code, "line 2" in err) == (2, True)
+
     def test_empty_taps_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "filter", DEMO, "--signal", SIGNAL, "--taps", ",")
         assert code == 2

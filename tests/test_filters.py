@@ -30,9 +30,6 @@ class TestLsiFilter:
         with pytest.raises(ValueError):
             filt.taps[0] = 5.0
 
-    def test_order(self):
-        assert LsiFilter([1.0, 0.5, 0.25]).order == 2
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyTapsError):
             LsiFilter([])

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from dgft import ParseError, Spectrum, demo_graph, decompose, order_frequencies, spectrum
+from dgft import (
+    ParseError,
+    Spectrum,
+    decompose,
+    demo_graph,
+    directed_laplacian,
+    order_frequencies,
+    spectrum,
+)
 from dgft.graph import GraphSignal
 from dgft.io import (
     SPECTRUM_HEADER,
@@ -171,6 +179,30 @@ class TestMatrixDumps:
         buf = stdio.StringIO()
         dump_matrix_csv(np.array([[1 + 1j]]), buf)
         assert buf.getvalue() == "1+1i\n"
+
+    def test_csv_matches_the_per_cell_loop(self):
+        # The per-cell loop formats all n^2 cells; dump_matrix_csv formats
+        # each distinct entry once and must write the same bytes.
+        def per_cell(m):
+            m = np.asarray(m, dtype=complex)
+            return "".join(",".join(format_complex(v) for v in row) + "\n" for row in m)
+
+        rng = np.random.default_rng(5)
+        sparse = np.where(rng.random((30, 30)) < 0.1, rng.uniform(0.5, 2.0, (30, 30)), 0.0)
+        cases = [
+            sparse,
+            np.diag(sparse.sum(axis=1)) - sparse,
+            sparse.T,  # not C-contiguous
+            sparse + 1j * np.where(rng.random((30, 30)) < 0.05, 1.0, 0.0),
+            np.array([[0.0, -0.0], [1.0, -1.0]]),  # signed zeros keep their text
+            np.array([[complex(-0.0, 1.0), complex(0.0, 1.0)], [complex(1.0, -0.0), 2j]]),
+            np.array([[1, 2], [3, 4]]),
+            directed_laplacian(demo_graph()).matrix,
+        ]
+        for m in cases:
+            buf = stdio.StringIO()
+            dump_matrix_csv(m, buf)
+            assert buf.getvalue() == per_cell(m)
 
     def test_json_shape(self):
         buf = stdio.StringIO()

@@ -11,18 +11,29 @@ from dgft import (
     DgftError,
     EmptyTapsError,
     Graph,
+    GraphSignal,
     IllConditionedBasisWarning,
+    LsiFilter,
     NoConvergenceError,
     NonSquareError,
     NotSymmetricError,
     ReconstructionError,
     SingularMatrixError,
+    apply_spectral_domain,
+    apply_vertex_domain,
     build_graph,
     decompose,
+    demo_graph,
     directed_laplacian,
+    gft,
+    igft,
+    materialize,
     order_frequencies,
     ring_graph,
+    shift,
+    shift_operator,
 )
+from dgft.graph import signal_values
 from dgft.linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TIE_TOL,
@@ -816,17 +827,104 @@ class TestInvert:
 
     def test_real_matrix_is_factored_in_real_arithmetic(self, monkeypatch):
         # A real spectrum of a real Laplacian gives a real basis, inverted
-        # in real arithmetic; a conjugate pair makes the basis complex.
+        # in real arithmetic and kept real; a conjugate pair makes the
+        # basis complex.
         seen = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda m: seen.append(m.dtype) or inv(m))
         path = directed_laplacian(build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]))
         dec = jordan_decompose(path.matrix)
         assert seen == [np.dtype(float)]
-        assert dec.v_inv.dtype == complex
-        assert np.allclose(dec.v_inv, inv(dec.v.real), rtol=0, atol=1e-12)
-        jordan_decompose(directed_laplacian(ring_graph(5)).matrix)
+        assert dec.v.dtype == dec.v_inv.dtype == dec.j.dtype == np.dtype(float)
+        assert np.array_equal(dec.v_inv, inv(dec.v))
+        ring = jordan_decompose(directed_laplacian(ring_graph(5)).matrix)
         assert seen[-1] == np.dtype(complex)
+        assert ring.v.dtype == ring.v_inv.dtype == ring.j.dtype == np.dtype(complex)
+
+
+class TestDtypeRule:
+    """An array is complex128 exactly when an input entry has a nonzero
+    imaginary part, float64 otherwise (``dgft.graph.real_or_complex``)."""
+
+    @staticmethod
+    def _real_graphs():
+        rng = np.random.default_rng(31)
+        yield "undirected", make_random_undirected(rng, 12)
+        yield "chain union", _chain_union(rng, [3, 3, 5])[0]
+
+    def test_real_input_stays_real(self):
+        for name, g in self._real_graphs():
+            lap = directed_laplacian(g)
+            dec = decompose(lap)
+            f = np.random.default_rng(32).standard_normal(g.n)
+            taps = [0.5, -1.0, 0.25]
+            arrays = {
+                "weights": g.weights,
+                "laplacian": lap.matrix,
+                "signal": GraphSignal(f).values,
+                "signal_values": signal_values(list(f), g.n),
+                "taps": LsiFilter(taps).taps,
+                "v": dec.v,
+                "v_inv": dec.v_inv,
+                "j": dec.j,
+                "gft": gft(dec, f),
+                "igft": igft(dec, f),
+                "vertex": apply_vertex_domain(lap, taps, f),
+                "spectral": apply_spectral_domain(dec, taps, f),
+                "materialize": materialize(lap, taps),
+                "shift": shift(lap, f),
+                "shift_operator": shift_operator(lap),
+            }
+            for key, a in arrays.items():
+                assert a.dtype == np.dtype(float), (name, key)
+
+    def test_zero_imaginary_parts_are_real(self):
+        g = build_graph(3, [(0, 1, 1 + 0j), (1, 2, 2 + 0j)])
+        assert g.weights.dtype == np.dtype(float)
+        assert GraphSignal(np.array([1, 2, 3], dtype=complex)).values.dtype == np.dtype(float)
+        assert LsiFilter([1 + 0j, 2 + 0j]).taps.dtype == np.dtype(float)
+
+    def test_conjugate_pairs_keep_a_complex_basis(self):
+        for g in (ring_graph(5), demo_graph()):
+            lap = directed_laplacian(g)
+            assert lap.matrix.dtype == np.dtype(float)
+            dec = decompose(lap)
+            assert np.any(dec.eigenvalues.imag != 0)
+            for a in (dec.v, dec.v_inv, dec.j):
+                assert a.dtype == np.dtype(complex)
+
+    def test_one_imaginary_entry_makes_complex(self):
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0 + 1e-3j)])
+        assert g.weights.dtype == directed_laplacian(g).matrix.dtype == np.dtype(complex)
+        lap = directed_laplacian(build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)]))
+        dec = decompose(lap)
+        f = np.array([1.0, 2.0, 3.0 + 1e-3j])
+        assert GraphSignal(f).values.dtype == np.dtype(complex)
+        assert gft(dec, f).dtype == igft(dec, f).dtype == np.dtype(complex)
+        taps = [1.0, 0.5j]
+        assert LsiFilter(taps).taps.dtype == np.dtype(complex)
+        out = apply_vertex_domain(lap, taps, [1.0, 2.0, 3.0])
+        assert out.dtype == np.dtype(complex)
+        assert np.array_equal(out, [1.0, 2.0, 3.0] + 0.5j * (lap.matrix @ [1.0, 2.0, 3.0]))
+
+    def test_complex_signal_on_real_basis_matches_promoted_product(self):
+        rng = np.random.default_rng(33)
+        lap = directed_laplacian(make_random_undirected(rng, 40))
+        dec = decompose(lap)
+        taps = rng.standard_normal(4)
+        f = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        block = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        pairs = [
+            (gft(dec, f), dec.v_inv.astype(complex) @ f),
+            (igft(dec, f), dec.v.astype(complex) @ f),
+            (
+                matrix_polynomial_apply(lap.matrix, taps, block),
+                matrix_polynomial_apply(lap.matrix.astype(complex), taps, block),
+            ),
+        ]
+        for got, want in pairs:
+            assert got.dtype == np.dtype(complex) and got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 class TestMatrixPolynomial:
