@@ -18,7 +18,6 @@ from .errors import (
     NoConvergenceError,
     NodeIndexError,
     NonSquareError,
-    NotSymmetricError,
     ParseError,
     ReconstructionError,
     SelfLoopError,
@@ -81,7 +80,6 @@ __all__ = [
     "NoConvergenceError",
     "NodeIndexError",
     "NonSquareError",
-    "NotSymmetricError",
     "ParseError",
     "ReconstructionError",
     "SelfLoopError",

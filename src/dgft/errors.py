@@ -33,10 +33,6 @@ class NonSquareError(DgftError):
     """A square matrix was required."""
 
 
-class NotSymmetricError(DgftError):
-    """The symmetric eigensolver was given a non-symmetric matrix."""
-
-
 class NoConvergenceError(DgftError):
     """The eigenvalue iteration did not converge; the input is pathological."""
 

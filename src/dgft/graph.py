@@ -27,6 +27,9 @@ from .errors import (
 # Entrywise tolerance for accepting a matrix as real symmetric.
 SYMMETRY_TOL = 1e-12
 
+# Relative commutator size, against ||m||_F^2, for accepting a matrix as normal.
+NORMALITY_TOL = 1e-12
+
 # Row sums of a Laplacian must vanish to this fraction of the largest
 # absolute row sum.
 ROW_SUM_TOL = 1e-10
@@ -57,12 +60,30 @@ def _as_square(matrix, *, copy: bool = False) -> np.ndarray:
 def is_real_symmetric(m: np.ndarray) -> bool:
     """Real and symmetric, entrywise within SYMMETRY_TOL.
 
-    The one test for "symmetric": it picks the orthonormal path in
-    :func:`dgft.spectral.decompose` and defines :attr:`Graph.is_undirected`.
+    The one test for "symmetric": it sends a matrix down the unitary path
+    of :func:`dgft.spectral.decompose`, before any normality test, and
+    defines :attr:`Graph.is_undirected`.
     ``m`` follows the dtype rule, so a complex ``m`` has a nonzero
     imaginary entry and is not real.
     """
     return not np.iscomplexobj(m) and float(np.max(np.abs(m - m.T), initial=0.0)) <= SYMMETRY_TOL
+
+
+def is_normal(m: np.ndarray) -> bool:
+    """``m mᴴ = mᴴ m``: the commutator within NORMALITY_TOL * ||m||_F^2 (Frobenius).
+
+    The one test for "normal": it sends a non-symmetric matrix down the
+    unitary path of :func:`dgft.spectral.decompose`. A fixed probe vector
+    ``x`` through ``m (mᴴ x) - mᴴ (m x)`` rejects most matrices in O(n^2),
+    since ``||C x|| <= ||C||_F ||x||``; only a matrix that passes the
+    probe pays the O(n^3) commutator.
+    """
+    ms = m.conj().T
+    bound = NORMALITY_TOL * float(np.linalg.norm(m)) ** 2
+    x = np.cos(np.arange(m.shape[0]))  # fixed and generic: no structure to align with
+    if float(np.linalg.norm(m @ (ms @ x) - ms @ (m @ x))) > bound * float(np.linalg.norm(x)):
+        return False
+    return float(np.linalg.norm(m @ ms - ms @ m)) <= bound
 
 
 @dataclass(frozen=True)
@@ -95,8 +116,10 @@ class Graph:
     def is_undirected(self) -> bool:
         """Whether the Laplacian is real symmetric (:func:`is_real_symmetric`).
 
-        Exactly the graphs that :func:`dgft.spectral.decompose` sends down
-        the orthonormal path; negative weights count, complex ones do not.
+        These graphs take the unitary path of :func:`dgft.spectral.decompose`
+        with a real basis and a real spectrum; negative weights count,
+        complex ones do not. Normal digraphs (:func:`is_normal`) take that
+        path too, with a complex basis.
         """
         return is_real_symmetric(directed_laplacian(self).matrix)
 

@@ -232,8 +232,8 @@ def dump_signal(signal, dst) -> None:
 # Matrices
 
 
-def dump_matrix_csv(m, dst) -> None:
-    """Comma-separated rows, complex entries in the a+bi text form.
+def _formatted_rows(m, fmt) -> list[list[str]]:
+    """``fmt`` of every entry of the matrix ``m``, as rows of text.
 
     Each distinct entry is formatted once. Entries are told apart by their
     bytes, so ``-0.0`` and ``0.0`` keep their own text.
@@ -241,18 +241,29 @@ def dump_matrix_csv(m, dst) -> None:
     m = real_or_complex(m)
     keys = m.view(np.dtype((np.void, m.itemsize))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([format_complex(v) for v in m.ravel()[first].tolist()], dtype=object)
+    text = np.array([fmt(v) for v in m.ravel()[first].tolist()], dtype=object)
+    return text[which].reshape(m.shape).tolist()
+
+
+def dump_matrix_csv(m, dst) -> None:
+    """Comma-separated rows, complex entries in the a+bi text form."""
     with _opened(dst, "w") as fh:
-        for row in text[which].reshape(m.shape).tolist():
+        for row in _formatted_rows(m, format_complex):
             fh.write(",".join(row))
             fh.write("\n")
 
 
 def dump_matrix_json(m, dst) -> None:
-    """{"n": N, "rows": [[...], ...]} with number-or-pair entries."""
-    m = np.asarray(m)
-    rows = [[_value_to_json(v) for v in row] for row in m]
-    _dump_json({"n": int(m.shape[0]), "rows": rows}, dst)
+    """{"n": N, "rows": [[...], ...]} with number-or-pair entries.
+
+    The text :func:`json.dump` writes, with each entry formatted by
+    :func:`json.dumps` and joined by its default separators.
+    """
+    rows = _formatted_rows(m, lambda z: json.dumps(_value_to_json(z)))
+    with _opened(dst, "w") as fh:
+        fh.write('{"n": %d, "rows": [' % len(rows))
+        fh.write(", ".join("[" + ", ".join(row) + "]" for row in rows))
+        fh.write("]}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ The eigenvalue, symmetric-eigenvalue, and inversion kernels delegate to
 LAPACK through numpy, which implements the classical pipelines:
 Hessenberg reduction plus implicitly shifted QR for the nonsymmetric
 case, tridiagonalization for the symmetric case, partial-pivoted LU for
-the inverse. Arrays follow the dtype rule of
+the inverse. The unitary path (:func:`symmetric_eigen_decompose`)
+takes every normal matrix, real symmetric or not, through ``eigh`` of its
+Hermitian part and needs neither the nonsymmetric ``eig`` nor an inverse
+of the full matrix. Arrays follow the dtype rule of
 :func:`dgft.graph.real_or_complex`, so the arithmetic stays real wherever
 the input is: a real matrix goes through the real nonsymmetric kernel, so
 its conjugate eigenvalue pairs come out exactly conjugate; the Jordan
@@ -43,11 +46,10 @@ from .errors import (
     IllConditionedBasisWarning,
     NoConvergenceError,
     NonSquareError,
-    NotSymmetricError,
     ReconstructionError,
     SingularMatrixError,
 )
-from .graph import _as_square, is_real_symmetric, real_or_complex
+from .graph import _as_square, real_or_complex
 
 # Rank decisions treat singular values below rank_tol * scale as zero.
 DEFAULT_RANK_TOL = 1e-8
@@ -84,8 +86,9 @@ class SpectralDecomposition:
 
     ``v`` holds the basis columns (chain heads are proper eigenvectors,
     listed first within each block) and ``j`` is block diagonal with unit
-    superdiagonals inside blocks. ``is_unitary_basis`` marks the symmetric
-    path, where ``v_inv`` is exactly the transpose of ``v``.
+    superdiagonals inside blocks. ``is_unitary_basis`` marks the unitary
+    path of :func:`symmetric_eigen_decompose` (real symmetric and other
+    normal matrices), where ``v_inv`` is exactly ``v.conj().T``.
 
     ``residual`` is the absolute reconstruction residual
     ``||V J V^-1 - A||_F`` the decomposition was certified with. The
@@ -95,12 +98,12 @@ class SpectralDecomposition:
     The dtype rule (:func:`dgft.graph.real_or_complex`), which the
     package applies to every array it takes in and to the basis it
     builds: an array is complex128 exactly when an entry has a nonzero
-    imaginary part, and float64 otherwise. So ``j`` is real exactly when every eigenvalue is real, ``v`` is real
-    on the symmetric path and for a real matrix with a real spectrum,
-    conjugate pairs make both complex, and ``v_inv`` has the dtype of
-    ``v``. Transforms and filters on a real basis run real BLAS, and a
-    complex signal against a real basis runs as one real product over
-    its real and imaginary parts.
+    imaginary part, and float64 otherwise. So ``j`` is real exactly when
+    every eigenvalue is real, ``v`` is real for a real symmetric matrix
+    and for a real matrix with a real spectrum, conjugate pairs make both
+    complex, and ``v_inv`` has the dtype of ``v``. Transforms and filters
+    on a real basis run real BLAS, and a complex signal against a real
+    basis runs as one real product over its real and imaginary parts.
     """
 
     v: np.ndarray
@@ -309,10 +312,12 @@ def _jordan_chains(
 
     The arithmetic follows the arguments: a real ``a`` with a real ``lam``
     keeps the powers, null spaces and chains real. At each chain level the
-    candidates are projected against the obstruction once; each pick
-    takes the largest residual (first on ties, refused at 1e-10), forms
-    its top against the full obstruction, and removes that top from the
-    residuals by a rank-1 update.
+    null-space basis is projected off the obstruction once, and one thin
+    SVD of what remains gives the level's tops all at once: its leading
+    ``chain_counts[s]`` left singular vectors, orthonormal and orthogonal
+    to the obstruction. A ``chain_counts[s]``-th singular value at or below
+    1e-10 is a shortfall. The tops walk down as one block product per
+    level.
     """
     n = a.shape[0]
     shifted = a - lam * np.eye(n)
@@ -339,6 +344,9 @@ def _jordan_chains(
 
     chains: list[list[np.ndarray]] = []
     for s in range(depth, 0, -1):
+        count = chain_counts[s]
+        if count == 0:
+            continue
         # Everything a new length-s chain top must stay independent of:
         # the null space one power down, plus the level-s vector of every
         # chain already constructed.
@@ -349,22 +357,14 @@ def _jordan_chains(
             r_norm = float(np.linalg.norm(r))
             if r_norm > 1e-12:
                 obstruction = np.column_stack([obstruction, r / r_norm])
-        candidates = bases[s]
-        residuals = candidates - obstruction @ (obstruction.conj().T @ candidates)
-        for _ in range(chain_counts[s]):
-            norms = np.linalg.norm(residuals, axis=0)
-            best = int(np.argmax(norms))
-            if norms[best] <= 1e-10:
-                return chains  # numerical shortfall; caller backfills
-            top = _orthogonal_residual(candidates[:, best], obstruction)
-            top = top / float(np.linalg.norm(top))
-            obstruction = np.column_stack([obstruction, top])
-            residuals -= np.outer(top, top.conj() @ residuals)
-            vectors = [top]
-            for _ in range(s - 1):
-                vectors.append(shifted @ vectors[-1])
-            vectors.reverse()  # head (proper eigenvector) first
-            chains.append(vectors)
+        residuals = _orthogonal_residual(bases[s], obstruction)
+        tops, sigma, _ = _converged(np.linalg.svd, residuals, full_matrices=False)
+        if sigma[count - 1] <= 1e-10:
+            return chains  # numerical shortfall; caller backfills
+        levels = [tops[:, :count]]  # levels[k] holds the level-(s-k) vectors
+        for _ in range(s - 1):
+            levels.append(shifted @ levels[-1])
+        chains += [[level[:, i] for level in reversed(levels)] for i in range(count)]
     return chains
 
 
@@ -405,7 +405,7 @@ def _finish(
     ``||A||_F``) and ``A`` annihilates the constant vector (every
     connected graph Laplacian), that column is snapped to
     ``(1/sqrt(n)) * ones`` and its eigenvalue to exactly 0. A ``unitary``
-    basis is inverted by transposition, any other by ``np.linalg.inv``
+    basis is inverted by its conjugate transpose, any other by ``np.linalg.inv``
     in the basis dtype (:func:`_inverse`). ``v``, its inverse and ``j``
     follow the dtype rule (:class:`SpectralDecomposition`).
 
@@ -445,7 +445,7 @@ def _finish(
     inner = np.flatnonzero(tail)
     j[inner - 1, inner] = 1.0
 
-    v_inv = v.T if unitary else _inverse(v)
+    v_inv = v.conj().T if unitary else _inverse(v)
     residual = _reconstruction_residual(a, v, diagonal, inner, v_inv)
     if not residual <= recon_tol * scale:  # a NaN residual is refused too
         raise ReconstructionError(
@@ -540,25 +540,50 @@ def symmetric_eigen_decompose(
     normalize: bool = True,
     recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
-    """Spectral decomposition of a real symmetric matrix.
+    """Unitary spectral decomposition of a normal matrix, real symmetric
+    the common case.
 
-    Eigenvalues come out exactly real and the basis orthonormal, so the
-    inverse is the transpose; this is the cheap path every undirected
-    graph takes. ``eigh`` reads the symmetric part of ``a``, which is
-    ``a`` itself unless ``a`` is asymmetric within the symmetry
-    tolerance. Columns are ordered by (magnitude, value) and pass
-    through the same finisher as :func:`jordan_decompose` as 1x1 blocks,
-    so ``normalize`` applies the one shared basis convention
-    (:func:`_finish`): unit norm with the largest-magnitude entry
+    ``eigh`` decomposes the Hermitian part ``H = (A + Aᴴ)/2``. For a
+    Hermitian ``A``, a real symmetric one (every undirected graph) in
+    particular, that is ``A`` itself and the eigenvalues come out exactly
+    real. Otherwise the skew-Hermitian part ``A - H`` commutes with ``H``
+    when ``A`` is normal (:func:`dgft.graph.is_normal`; the directed ring,
+    for one), so it acts inside each eigenspace of ``H``: each cluster of
+    ``H``'s eigenvalues (single linkage at :func:`_default_cluster_tol`)
+    is split by a small ``eig`` of ``A`` restricted to the cluster's
+    columns, orthonormalized by QR. A matrix asymmetric only within the
+    symmetry tolerance is split the same way, so a repeated eigenvalue of
+    it may part into values with imaginary parts of the asymmetry's size.
+    The basis is unitary either way and ``v_inv`` is ``v.conj().T``; no
+    ``eig`` and no inverse of the full matrix run.
+
+    Columns are ordered by (magnitude, real, imaginary) and pass through
+    the same finisher as :func:`jordan_decompose` as 1x1 blocks, so
+    ``normalize`` applies the one shared basis convention
+    (:func:`_finish`): unit norm with the largest-magnitude entry real
     positive, and a unique constant null vector snapped to
-    ``(1/sqrt(n)) * ones``. Clearing it keeps the raw ``eigh`` columns.
-    The residual is certified against ``a`` and ``recon_tol`` as on the
-    Jordan path.
+    ``(1/sqrt(n)) * ones``. Clearing it keeps the raw columns. The
+    residual is certified against ``a`` and ``recon_tol`` as on the
+    Jordan path, which also refuses a matrix that is not normal: its
+    unitary basis cannot reproduce it.
     """
     a = _as_square(a)
-    if not is_real_symmetric(a):
-        raise NotSymmetricError("matrix is not real symmetric within tolerance")
-    w, v = _converged(np.linalg.eigh, (a + a.T) / 2.0)
+    h = (a + a.conj().T) / 2.0
+    w, v = _converged(np.linalg.eigh, h)
+    ct = _default_cluster_tol(a)
+    skew = a - h
+    if skew.any():  # split each cluster of H by A restricted to its columns
+        sv = skew @ v
+        clusters = cluster_eigenvalues(w, ct)
+        values, split = w.astype(complex), v.astype(complex)
+        for k in {len(c) for c in clusters}:
+            idx = np.array([c for c in clusters if len(c) == k])  # one row per cluster
+            q = v[:, idx]  # (n, clusters, k): each cluster's columns
+            restricted = np.einsum("nci,ncj->cij", q.conj(), sv[:, idx])
+            restricted[:, range(k), range(k)] += w[idx]  # Qᴴ H Q, diagonal by eigh
+            values[idx], vectors = _converged(np.linalg.eig, restricted)
+            split[:, idx] = np.einsum("nci,cij->ncj", q, np.linalg.qr(vectors)[0])
+        w, v = values, split
 
     order, _ = order_with_ties(w)
     assembled = [(complex(w[k]), [v[:, k]]) for k in order]
@@ -566,7 +591,7 @@ def symmetric_eigen_decompose(
         a,
         assembled,
         tol=tol,
-        cluster_tol=_default_cluster_tol(a),
+        cluster_tol=ct,
         normalize=normalize,
         unitary=True,
         recon_tol=recon_tol,

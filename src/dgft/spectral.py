@@ -3,8 +3,10 @@
 The basis comes from the directed Laplacian: decompose L = V J V^{-1}
 (diagonal J when a full eigenvector basis exists, Jordan blocks when not)
 and expand signals in the columns of V. The analysis map is f_hat =
-V^{-1} f, synthesis is f = V f_hat. For undirected graphs the basis is
-orthonormal and real, and the symmetric fast path keeps it that way.
+V^{-1} f, synthesis is f = V f_hat. When L is normal the basis is
+unitary, so V^{-1} is V's conjugate transpose: real and orthonormal for
+undirected graphs, DFT-like for the directed cycle and other normal
+digraphs.
 
 Frequency is |lambda|: total variation of a proper eigenvector under the
 shift S = I - L equals |lambda| times its 1-norm, so magnitude ordering
@@ -21,6 +23,7 @@ from .graph import (
     DirectedLaplacian,
     Graph,
     directed_laplacian,
+    is_normal,
     is_real_symmetric,
     real_or_complex,
     signal_values,
@@ -180,9 +183,13 @@ def decompose(
 ) -> SpectralDecomposition:
     """Spectral decomposition of a graph's Laplacian, picking the right path.
 
-    Real symmetric Laplacians (undirected graphs, :func:`is_real_symmetric`)
-    go through the orthonormal symmetric solver; everything else gets the
-    Jordan treatment. Both return the same SpectralDecomposition shape,
+    The routing, each test run at most once: a real symmetric Laplacian
+    (undirected graphs, :func:`is_real_symmetric`), then a normal one
+    (:func:`is_normal`; the directed cycle, circulants), goes through the
+    unitary solver :func:`symmetric_eigen_decompose`; everything else
+    gets the Jordan treatment. A symmetric Laplacian pays no normality
+    test, and a non-normal one is usually rejected by its O(n^2) probe.
+    Both paths return the same SpectralDecomposition shape,
     so callers never branch. ``normalize`` controls the deterministic
     basis convention (unit scale, pivot phase, constant eigenvector
     snapped to ones over root n); clearing it returns the backend's raw
@@ -191,7 +198,7 @@ def decompose(
     ``recon_tol * max(1, ||L||_F)``.
     """
     m = as_laplacian(source).matrix
-    if is_real_symmetric(m):
+    if is_real_symmetric(m) or is_normal(m):
         return symmetric_eigen_decompose(m, tol=tol, normalize=normalize, recon_tol=recon_tol)
     return jordan_decompose(
         m, tol, cluster_tol=cluster_tol, normalize=normalize, recon_tol=recon_tol

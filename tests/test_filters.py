@@ -21,6 +21,7 @@ from dgft import (
     shift,
     shift_operator,
 )
+from dgft.filters import _Bidiagonal
 from conftest import defective_zoo, make_random_digraph
 
 
@@ -108,6 +109,20 @@ class TestSpectralDomain:
             direct = dec.v @ h_of_j @ dec.v_inv @ f
             got = apply_spectral_domain(dec, taps, f)
             assert np.allclose(got, direct, rtol=0, atol=1e-10), name
+
+    def test_bidiagonal_j_matches_dense_horner(self):
+        # h(J) through J's two diagonals against Horner on the dense J, for
+        # vectors and (n, k) blocks, real and complex taps; the zoo's
+        # chains put ones on the superdiagonal.
+        rng = np.random.default_rng(12)
+        for name, g in defective_zoo():
+            dec = decompose(g)
+            block = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
+            for taps in ([0.5, -2.0, 1.5, 0.25], [1 + 2j, -0.5j, 0.75, 2 - 1j]):
+                for x in (rng.standard_normal(g.n), block):
+                    want = matrix_polynomial_apply(dec.j, taps, x)
+                    got = matrix_polynomial_apply(_Bidiagonal(dec.j), taps, x)
+                    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), name
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -16,6 +16,7 @@ from dgft import (
 from dgft.graph import GraphSignal
 from dgft.io import (
     SPECTRUM_HEADER,
+    _value_to_json,
     dump_graph,
     dump_matrix_csv,
     dump_matrix_json,
@@ -202,6 +203,35 @@ class TestMatrixDumps:
         for m in cases:
             buf = stdio.StringIO()
             dump_matrix_csv(m, buf)
+            assert buf.getvalue() == per_cell(m)
+
+    def test_json_matches_the_per_cell_loop(self):
+        # The per-cell loop converts all n^2 cells and lets json.dump write
+        # them; dump_matrix_json formats each distinct entry once and must
+        # write the same bytes.
+        def per_cell(m):
+            m = np.asarray(m)
+            out = stdio.StringIO()
+            rows = [[_value_to_json(v) for v in row] for row in m]
+            json.dump({"n": int(m.shape[0]), "rows": rows}, out)
+            return out.getvalue() + "\n"
+
+        rng = np.random.default_rng(6)
+        sparse = np.where(rng.random((30, 30)) < 0.1, rng.uniform(0.5, 2.0, (30, 30)), 0.0)
+        cases = [
+            sparse,
+            np.diag(sparse.sum(axis=1)) - sparse,
+            sparse.T,  # not C-contiguous
+            sparse + 1j * np.where(rng.random((30, 30)) < 0.05, rng.uniform(-1, 1, (30, 30)), 0.0),
+            np.array([[0.0, -0.0], [1.0, -1.0]]),  # signed zeros keep their text
+            np.array([[complex(-0.0, 1.0), complex(0.0, 1.0)], [complex(1.0, -0.0), 2j]]),
+            np.array([[1, 2], [3, 4]]),
+            np.array([[1e300, 1e-300], [0.1, 1 / 3]]),
+            directed_laplacian(demo_graph()).matrix,
+        ]
+        for m in cases:
+            buf = stdio.StringIO()
+            dump_matrix_json(m, buf)
             assert buf.getvalue() == per_cell(m)
 
     def test_json_shape(self):

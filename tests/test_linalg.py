@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from dgft import (
     LsiFilter,
     NoConvergenceError,
     NonSquareError,
-    NotSymmetricError,
     ReconstructionError,
     SingularMatrixError,
     apply_spectral_domain,
@@ -33,10 +33,11 @@ from dgft import (
     shift,
     shift_operator,
 )
-from dgft.graph import signal_values
+from dgft.graph import is_normal, signal_values
 from dgft.linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TIE_TOL,
+    RECON_LIMIT,
     JordanBlock,
     SpectralDecomposition,
     _default_cluster_tol,
@@ -442,16 +443,18 @@ def test_svd_failure_is_typed(monkeypatch, kernel, decomposer, a):
 
 
 @pytest.mark.parametrize(
-    "graph",
+    "graph, unitary",
     [
-        make_random_digraph(np.random.default_rng(3), 12, p=0.5),
-        make_random_undirected(np.random.default_rng(3), 12),
+        (make_random_digraph(np.random.default_rng(3), 12, p=0.5), False),
+        (make_random_undirected(np.random.default_rng(3), 12), True),
+        (ring_graph(12), True),
     ],
-    ids=["digraph", "undirected"],
+    ids=["digraph", "undirected", "ring"],
 )
-def test_no_svd_outside_chain_extraction(monkeypatch, graph):
+def test_no_svd_outside_chain_extraction(monkeypatch, graph, unitary):
     # Only Jordan chains need a rank decision; the basis condition comes
-    # from norms of V and its inverse.
+    # from norms of V and its inverse. Undirected graphs and the normal
+    # ring take the unitary path.
     def fail(*args, **kwargs):
         raise AssertionError("SVD-based kernel called")
 
@@ -459,7 +462,7 @@ def test_no_svd_outside_chain_extraction(monkeypatch, graph):
     monkeypatch.setattr(np.linalg, "cond", fail)
     dec = decompose(directed_laplacian(graph))
     assert dec.is_diagonalizable
-    assert dec.is_unitary_basis == graph.is_undirected
+    assert dec.is_unitary_basis is unitary
 
 
 @pytest.fixture
@@ -596,6 +599,45 @@ class TestChainPicks:
                         below = v
 
 
+class TestBlockChainPick:
+    def test_equal_chains_at_one_level_match_the_sympy_jordan_form(self):
+        # Two 5-node paths and one 3-node path: the two length-4 chains at
+        # eigenvalue 1 come out of one SVD of the deepest level.
+        g, _ = _chain_union(np.random.default_rng(7), [5, 5, 3])
+        lap = directed_laplacian(g).matrix
+        scale = float(np.linalg.norm(lap))
+        chains = _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL, scale)
+        assert [len(c) for c in chains] == [4, 4, 2]
+        dec = jordan_decompose(lap)
+        _assert_blocks_match_exact_oracle(dec, lap, "paths 5, 5, 3")
+        _, jf = sympy.Matrix(lap.astype(int).tolist()).jordan_form()
+        starts = [0] + [k + 1 for k in range(g.n - 1) if jf[k, k + 1] == 0] + [g.n]
+        want = sorted((int(jf[a, a]), b - a) for a, b in zip(starts, starts[1:]))
+        assert sorted((round(b.eigenvalue.real), b.size) for b in dec.blocks) == want
+        for b in dec.blocks:
+            shifted = lap - b.eigenvalue * np.eye(g.n)
+            below = np.zeros(g.n)
+            for v in dec.v[:, b.start : b.start + b.size].T:
+                assert np.linalg.norm(shifted @ v - below) <= 1e-10 * scale
+                below = v
+
+    def test_shortfall_returns_the_chains_built_so_far(self, monkeypatch):
+        # A thin SVD whose last needed singular value is at 1e-10 refuses the level.
+        g, _ = _chain_union(np.random.default_rng(7), [5, 5, 3])
+        lap = directed_laplacian(g).matrix
+        svd = np.linalg.svd
+
+        def short(m, *args, **kwargs):
+            u, sigma, vh = svd(m, *args, **kwargs)
+            if kwargs.get("full_matrices", True) is False:
+                sigma = sigma.copy()
+                sigma[1:] = 1e-10
+            return u, sigma, vh
+
+        monkeypatch.setattr(np.linalg, "svd", short)
+        assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL, float(np.linalg.norm(lap))) == []
+
+
 class TestBasisCondition:
     def test_is_one_norm_condition_on_jordan_path(self):
         graphs = [g for _, g in defective_zoo()]
@@ -618,11 +660,18 @@ class TestBasisCondition:
 
 
 class TestSymmetricEigenDecompose:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
+    def test_refuses_a_matrix_that_is_not_normal(self):
+        # Its unitary basis cannot reproduce it: the certificate refuses it.
+        with pytest.raises(ReconstructionError):
             symmetric_eigen_decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(NotSymmetricError):
-            symmetric_eigen_decompose(np.array([[0.0, 1j], [-1j, 0.0]]))
+
+    def test_hermitian_matrix_gets_real_eigenvalues_and_unitary_basis(self):
+        a = np.array([[0.0, 1j], [-1j, 0.0]])
+        dec = symmetric_eigen_decompose(a)
+        assert dec.eigenvalues.dtype == float
+        assert list(dec.eigenvalues) == pytest.approx([-1.0, 1.0], abs=1e-15)
+        assert np.array_equal(dec.v_inv, dec.v.conj().T)
+        assert np.linalg.norm(dec.reconstruct() - a) <= 1e-15
 
     def test_eigenvalues_exactly_real(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -662,6 +711,90 @@ class TestSymmetricEigenDecompose:
         dec = symmetric_eigen_decompose(np.zeros((3, 3)))
         assert np.all(dec.eigenvalues == 0)
         assert np.linalg.norm(dec.v.T @ dec.v - np.eye(3)) < 1e-12
+
+
+def _ring_edges(nodes, weight=1.0):
+    """A directed cycle through ``nodes`` in order, every edge of ``weight``."""
+    nodes = [int(k) for k in nodes]
+    return [(nodes[k - 1], nodes[k], weight) for k in range(len(nodes))]
+
+
+def _normal_laplacians():
+    """(name, Laplacian) of normal digraphs whose Laplacian is not symmetric."""
+    graphs = [(f"ring {n}", ring_graph(n)) for n in (5, 8, 200)]
+    n = 12
+    offsets = [(k, (k + 1) % n, 1.0) for k in range(n)] + [(k, (k + 3) % n, 0.5) for k in range(n)]
+    graphs.append(("two-offset circulant", build_graph(n, offsets)))
+    perm = np.random.default_rng(4).permutation(21)
+    rings = [e for r in range(3) for e in _ring_edges(perm[7 * r : 7 * r + 7])]
+    graphs.append(("three equal rings", build_graph(21, rings)))
+    graphs.append(("complex unit weight ring", build_graph(9, _ring_edges(range(9), np.exp(0.7j)))))
+    return [(name, directed_laplacian(g).matrix) for name, g in graphs]
+
+
+class TestNormalPath:
+    """Normal Laplacians take the unitary path: eigh of the Hermitian part,
+    each of its eigenvalue clusters split by a small eig of L."""
+
+    @pytest.mark.parametrize("lap", [pytest.param(lap, id=name) for name, lap in _normal_laplacians()])
+    def test_unitary_basis_reproduces_the_jordan_spectrum(self, lap):
+        assert is_normal(lap)
+        dec = decompose(lap)
+        norm = float(np.linalg.norm(lap))
+        assert dec.is_unitary_basis
+        assert np.array_equal(dec.v_inv, dec.v.conj().T)
+        assert dec.residual <= RECON_LIMIT * max(1.0, norm)
+        assert np.linalg.norm(dec.v_inv @ dec.v - np.eye(dec.n)) <= 1e-10 * np.sqrt(dec.n)
+        want = jordan_decompose(lap).eigenvalues
+        assert np.max(np.abs(dec.eigenvalues - want)) <= 1e-12 * norm
+
+    def test_perturbed_ring_routes_to_jordan(self):
+        for n in (5, 200):
+            edges = _ring_edges(range(n))
+            edges[0] = (edges[0][0], edges[0][1], 1.0 + 1e-8)
+            lap = directed_laplacian(build_graph(n, edges)).matrix
+            assert not is_normal(lap), n
+            assert not decompose(lap).is_unitary_basis, n
+
+    def test_ring_calls_no_full_eig_and_no_inverse(self, monkeypatch):
+        shapes = []
+        eig = np.linalg.eig
+
+        def recording(m):
+            shapes.append(m.shape)
+            return eig(m)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("inverse computed")
+
+        monkeypatch.setattr(np.linalg, "eig", recording)
+        monkeypatch.setattr(np.linalg, "inv", fail)
+        for n in (5, 8, 200):
+            shapes.clear()
+            assert decompose(ring_graph(n)).is_unitary_basis
+            # only the 1x1 and 2x2 clusters of the Hermitian part
+            assert shapes and all(shape[-1] <= 2 for shape in shapes), n
+
+    def test_symmetric_input_pays_no_normality_test(self, monkeypatch):
+        import dgft.spectral
+
+        def fail(m):
+            raise AssertionError("normality tested")
+
+        monkeypatch.setattr(dgft.spectral, "is_normal", fail)
+        assert decompose(make_random_undirected(np.random.default_rng(2), 12)).is_unitary_basis
+
+    def test_probe_rejects_a_digraph_without_an_n_by_n_product(self):
+        operands = []
+
+        class Recording(np.ndarray):
+            def __matmul__(self, other):
+                operands.append(np.ndim(other))
+                return super().__matmul__(other)
+
+        lap = directed_laplacian(make_random_digraph(np.random.default_rng(5), 30)).matrix
+        assert not is_normal(lap.view(Recording))
+        assert operands and max(operands) == 1
 
 
 def _simple_undirected_laplacians(count: int = 8, n: int = 12):
