@@ -748,6 +748,29 @@ class TestNormalPath:
         want = jordan_decompose(lap).eigenvalues
         assert np.max(np.abs(dec.eigenvalues - want)) <= 1e-12 * norm
 
+    def test_random_circulants_and_ring_unions(self):
+        # Every circulant and every disjoint union of rings is normal. Random
+        # offsets, sizes, weights and labels, some complex, some repeated.
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            if trial % 2:
+                n = int(rng.integers(3, 60))
+                offsets = rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False)
+                weights = np.round(rng.uniform(0.5, 2.0, offsets.size) * 2) / 2
+                edges = [(k, (k + int(o)) % n, w) for o, w in zip(offsets, weights) for k in range(n)]
+            else:
+                sizes = [int(x) for x in rng.choice([3, 4, 5, 8], size=int(rng.integers(1, 5)))]
+                n, nodes = sum(sizes), np.cumsum([0] + sizes)
+                edges = [e for a, b in zip(nodes, nodes[1:]) for e in _ring_edges(range(a, b))]
+            phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) if trial % 3 == 0 else 1.0
+            perm = rng.permutation(n)
+            g = build_graph(n, [(int(perm[s]), int(perm[d]), w * phase) for s, d, w in edges])
+            lap = directed_laplacian(g).matrix
+            dec = decompose(lap)
+            assert dec.is_unitary_basis, trial
+            assert dec.residual <= 1e-10 * max(1.0, np.linalg.norm(lap)), trial
+            assert np.linalg.norm(dec.v_inv @ dec.v - np.eye(n)) <= 1e-10 * np.sqrt(n), trial
+
     def test_perturbed_ring_routes_to_jordan(self):
         for n in (5, 200):
             edges = _ring_edges(range(n))
