@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .filters import apply_spectral_domain, apply_vertex_domain, check_lsi_preconditions
-from .graph import Graph, GraphSignal, in_degree_matrix, ring_graph
+from .graph import Graph, in_degree_matrix, ring_graph
 from .linalg import DEFAULT_RANK_TOL, RECON_LIMIT
 from .spectral import (
     as_laplacian,
@@ -69,11 +69,9 @@ def _load_graph_argument(args: argparse.Namespace) -> Graph:
     return fileio.load_graph(args.graph, sum_duplicates=args.sum_duplicates)
 
 
-def _write(args: argparse.Namespace, writer) -> None:
-    if args.output == "-":
-        writer(sys.stdout)
-    else:
-        writer(args.output)
+def _destination(path: str):
+    """The type of ``-o``: ``-`` is stdout, anything else a path to write."""
+    return sys.stdout if path == "-" else path
 
 
 def _checked_decompose(g: Graph, args: argparse.Namespace):
@@ -88,7 +86,6 @@ def _checked_decompose(g: Graph, args: argparse.Namespace):
             lap,
             args.tol,
             cluster_tol=args.cluster_tol,
-            normalize=not args.raw_basis,
             recon_tol=args.tol_recon,
         )
     return lap, dec
@@ -116,10 +113,8 @@ def _cmd_laplacian(args: argparse.Namespace) -> int:
         m = in_degree_matrix(g)
     else:
         m = as_laplacian(g).matrix
-    if args.format == "csv":
-        _write(args, lambda dst: fileio.dump_matrix_csv(m, dst))
-    else:
-        _write(args, lambda dst: fileio.dump_matrix_json(m, dst))
+    dump = fileio.dump_matrix_csv if args.format == "csv" else fileio.dump_matrix_json
+    dump(m, args.output)
     return EXIT_OK
 
 
@@ -132,17 +127,8 @@ def _cmd_gft(args: argparse.Namespace) -> int:
         )
     _, dec = _checked_decompose(g, args)
     spec = spectrum(dec, signal)
-    natural = args.order == "natural"
-    if args.format == "csv":
-        _write(
-            args,
-            lambda dst: fileio.dump_spectrum_csv(spec, dst, natural_order=natural),
-        )
-    else:
-        _write(
-            args,
-            lambda dst: fileio.dump_spectrum_json(spec, dst, natural_order=natural),
-        )
+    dump = fileio.dump_spectrum_csv if args.format == "csv" else fileio.dump_spectrum_json
+    dump(spec, args.output, natural_order=args.order == "natural")
     return EXIT_OK
 
 
@@ -154,8 +140,7 @@ def _cmd_igft(args: argparse.Namespace) -> int:
             f"spectrum has {spec.n} entries but the graph has {g.n} nodes"
         )
     _, dec = _checked_decompose(g, args)
-    values = igft(dec, spec.coefficients)
-    _write(args, lambda dst: fileio.dump_signal(GraphSignal(values), dst))
+    fileio.dump_signal(igft(dec, spec.coefficients), args.output)
     return EXIT_OK
 
 
@@ -172,7 +157,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     else:
         _, dec = _checked_decompose(g, args)
         values = apply_spectral_domain(dec, taps, signal)
-    _write(args, lambda dst: fileio.dump_signal(GraphSignal(values), dst))
+    fileio.dump_signal(values, args.output)
     return EXIT_OK
 
 
@@ -229,7 +214,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         },
         "proper_vector_variation": variation,
     }
-    _write(args, lambda dst: fileio.dump_report(doc, dst))
+    fileio.dump_report(doc, args.output)
     return EXIT_OK
 
 
@@ -245,7 +230,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="accumulate repeated edges instead of rejecting them",
     )
-    p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
+    p.add_argument(
+        "-o", "--output", type=_destination, default="-", help="output path (default stdout)"
+    )
     p.add_argument(
         "--tol",
         type=_tolerance,
@@ -265,15 +252,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="relative reconstruction residual above which results are "
         f"refused (default {RECON_LIMIT:g})",
     )
-    p.add_argument(
-        "--raw-basis",
-        action="store_true",
-        help="skip the deterministic eigenvector convention "
-        "(unit scale, positive pivot, snapped constant vector)",
-    )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgft",
         description="Graph Fourier transform on directed graphs "
@@ -316,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--taps",
         required=True,
-        help="comma-separated taps, lowest order first (complex as a+bi)",
+        help="comma-separated taps, lowest order first (complex as a+bi); "
+        "write a negative first tap as --taps=-1,1",
     )
     p.add_argument(
         "--domain",
@@ -334,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already

@@ -19,7 +19,12 @@ import numpy as np
 
 from .errors import EmptyTapsError
 from .graph import real_or_complex, signal_values
-from .linalg import SpectralDecomposition, cluster_eigenvalues, matrix_polynomial_apply
+from .linalg import (
+    SpectralDecomposition,
+    _Bidiagonal,
+    cluster_eigenvalues,
+    matrix_polynomial_apply,
+)
 from .spectral import as_laplacian, gft, igft
 
 # Relative commutator size below which an operator counts as shift invariant.
@@ -64,31 +69,13 @@ def materialize(lap, h) -> np.ndarray:
     return matrix_polynomial_apply(lap.matrix, _as_filter(h).taps, np.eye(lap.n))
 
 
-class _Bidiagonal:
-    """``J @ x`` from ``J``'s diagonal and superdiagonal, O(n) per column.
-
-    ``J`` is bidiagonal (:class:`SpectralDecomposition`), so this is the
-    product with the dense ``J`` without its zeros; ``x`` is a vector or
-    an (n, k) block.
-    """
-
-    def __init__(self, j: np.ndarray):
-        self.diagonal, self.upper = j.diagonal(), j.diagonal(1)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        y = self.diagonal.reshape(shape) * x
-        y[:-1] += self.upper.reshape(shape) * x[1:]
-        return y
-
-
 def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndarray:
     """Filter through the spectral domain: analyze, apply h(J), synthesize.
 
     ``L = V J V^{-1}`` gives ``h(L) = V h(J) V^{-1}``, so the middle step
     is the same Horner routine the vertex domain runs, only on ``J``,
-    applied through its two nonzero diagonals (:class:`_Bidiagonal`). It
-    agrees with :func:`apply_vertex_domain` up to roundoff.
+    applied through its bidiagonal layout (:class:`dgft.linalg._Bidiagonal`).
+    It agrees with :func:`apply_vertex_domain` up to roundoff.
     """
     f_hat = gft(decomposition, f)
     taps = _as_filter(h).taps

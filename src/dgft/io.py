@@ -35,18 +35,18 @@ SPECTRUM_HEADER = (
 )
 
 
-def fmt_float(x: float) -> str:
+def _fmt_float(x: float) -> str:
     """Shortest fixed formatting that still round-trips a double exactly."""
     return "%.17g" % float(x)
 
 
-def format_complex(z: complex) -> str:
+def _format_complex(z: complex) -> str:
     """Render as ``a`` for reals, else ``a+bi`` / ``a-bi``."""
     z = complex(z)
     if z.imag == 0.0:
-        return fmt_float(z.real)
+        return _fmt_float(z.real)
     sign = "+" if z.imag >= 0 else "-"
-    return f"{fmt_float(z.real)}{sign}{fmt_float(abs(z.imag))}i"
+    return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}i"
 
 
 def parse_complex(token: str) -> complex:
@@ -143,21 +143,6 @@ def load_graph(src, *, sum_duplicates: bool = False) -> Graph:
         return build_graph(n, edges)
 
 
-def dump_graph(g: Graph, dst) -> None:
-    """Write a Graph back out as an edge list, edges sorted by (src, dst)."""
-    with _opened(dst, "w") as fh:
-        fh.write(f"nodes {g.n}\n")
-        entries = []
-        for dst_idx in range(g.n):
-            for src_idx in range(g.n):
-                w = g.weights[dst_idx, src_idx]
-                if w != 0:
-                    entries.append((src_idx + 1, dst_idx + 1, w))
-        entries.sort(key=lambda e: (e[0], e[1]))
-        for src_id, dst_id, w in entries:
-            fh.write(f"{src_id} {dst_id} {format_complex(w)}\n")
-
-
 # ---------------------------------------------------------------------------
 # Signals
 
@@ -248,7 +233,7 @@ def _formatted_rows(m, fmt) -> list[list[str]]:
 def dump_matrix_csv(m, dst) -> None:
     """Comma-separated rows, complex entries in the a+bi text form."""
     with _opened(dst, "w") as fh:
-        for row in _formatted_rows(m, format_complex):
+        for row in _formatted_rows(m, _format_complex):
             fh.write(",".join(row))
             fh.write("\n")
 
@@ -288,11 +273,11 @@ def dump_spectrum_csv(spec: Spectrum, dst, *, natural_order: bool = False) -> No
             c = complex(spec.coefficients[r])
             fields = (
                 str(r),
-                fmt_float(lam.real),
-                fmt_float(lam.imag),
-                fmt_float(c.real),
-                fmt_float(c.imag),
-                fmt_float(abs(c)),
+                _fmt_float(lam.real),
+                _fmt_float(lam.imag),
+                _fmt_float(c.real),
+                _fmt_float(c.imag),
+                _fmt_float(abs(c)),
                 str(spec.ordering.ranks[r]),
             )
             fh.write(",".join(fields) + "\n")

@@ -16,8 +16,10 @@ arithmetic; and a real basis is normalized, inverted and checked in real
 arithmetic. What LAPACK does not provide, and what this module adds, is
 the numerical Jordan machinery:
 eigenvalue clustering, rank-revealing null-space chains of generalized
-eigenvectors, block assembly, and a deterministic basis normalization so
-downstream transforms are reproducible run to run.
+eigenvectors, block assembly, the bidiagonal layout of ``J`` with its
+products (:class:`_Bidiagonal`), and one deterministic basis convention,
+applied to every basis, so downstream transforms are reproducible run to
+run.
 
 Every decomposition certifies itself. ``basis_condition`` is the 1-norm
 condition ``||V||_1 * ||V^-1||_1``, read off the inverse the
@@ -29,7 +31,8 @@ refused with :class:`ReconstructionError` rather than returned.
 Jordan structure is discontinuous in the matrix entries, so every
 multiplicity decision here is tolerance-driven. The defaults below are
 engineering choices. The rank, clustering and reconstruction tolerances
-are parameters (CLI ``--tol``, ``--tol-cluster`` and ``--tol-recon``);
+are parameters of both decomposition paths (CLI ``--tol``,
+``--tol-cluster`` and ``--tol-recon``);
 the tie and ill-conditioning thresholds are fixed module constants.
 """
 
@@ -368,21 +371,45 @@ def _jordan_chains(
     return chains
 
 
-def _reconstruction_residual(
-    a: np.ndarray, v: np.ndarray, diagonal: np.ndarray, inner: np.ndarray, v_inv: np.ndarray
-) -> float:
-    """``||V J V^-1 - A||_F``, with ``V J`` formed without a product.
+class _Bidiagonal:
+    """The layout of ``J`` and its products, O(n) per row or column.
 
-    ``J`` is bidiagonal: ``V J`` is ``V`` with each column scaled by its
-    eigenvalue (``diagonal``) plus, on each chain-tail column (``inner``),
-    the column before it. One n^3 product with ``V^-1`` remains, in real
-    arithmetic for a real basis.
+    ``J`` (:class:`SpectralDecomposition`) holds the eigenvalues on its
+    diagonal and a one above each chain-tail column, that is each column
+    that continues a Jordan chain, and zeros elsewhere. ``J @ x`` scales
+    each row of ``x`` by its eigenvalue and adds each chain-tail row to
+    the row above it; ``x @ J`` scales each column and adds, to each
+    chain-tail column, the column before it. ``x`` is a vector or a block
+    (n rows for ``J @ x``, n columns for ``x @ J``), and 1x1 blocks cost
+    no superdiagonal work.
     """
-    vj = v * diagonal
-    vj[:, inner] += v[:, inner - 1]
-    r = vj @ v_inv
-    r -= a
-    return float(np.linalg.norm(r))
+
+    __array_ufunc__ = None  # ``ndarray @ self`` defers to __rmatmul__
+
+    @staticmethod
+    def dense(blocks: list[JordanBlock]) -> np.ndarray:
+        """The n x n ``J`` of ``blocks``, real exactly when every eigenvalue is."""
+        lams = real_or_complex([b.eigenvalue for b in blocks])
+        j = np.diag(np.repeat(lams, [b.size for b in blocks]))
+        tail = np.ones(len(j), dtype=bool)
+        tail[[b.start for b in blocks]] = False  # columns that continue a chain
+        inner = np.flatnonzero(tail)
+        j[inner - 1, inner] = 1.0
+        return j
+
+    def __init__(self, j: np.ndarray):
+        self.diagonal = j.diagonal()
+        self.inner = np.flatnonzero(j.diagonal(1)) + 1  # the chain-tail columns
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diagonal.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        y[self.inner - 1] += x[self.inner]
+        return y
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        y = x * self.diagonal
+        y[..., self.inner] += x[..., self.inner - 1]
+        return y
 
 
 def _finish(
@@ -391,7 +418,6 @@ def _finish(
     *,
     tol: float,
     cluster_tol: float,
-    normalize: bool,
     unitary: bool,
     recon_tol: float,
 ) -> SpectralDecomposition:
@@ -399,8 +425,8 @@ def _finish(
     inverse, and the certificate.
 
     ``assembled`` lists (eigenvalue, chain vectors) in final column order.
-    ``normalize`` applies the deterministic basis convention: each chain
-    is scaled and phased through its head (:func:`_normalize_chains`), and
+    The deterministic basis convention always applies: each chain is
+    scaled and phased through its head (:func:`_normalize_chains`), and
     when exactly one 1x1 block sits at zero (within ``tol`` relative to
     ``||A||_F``) and ``A`` annihilates the constant vector (every
     connected graph Laplacian), that column is snapped to
@@ -409,7 +435,8 @@ def _finish(
     in the basis dtype (:func:`_inverse`). ``v``, its inverse and ``j``
     follow the dtype rule (:class:`SpectralDecomposition`).
 
-    The residual ``||V J V^-1 - A||_F`` (:func:`_reconstruction_residual`)
+    The residual ``||(V J) V^-1 - A||_F``, with ``V J`` formed by
+    :class:`_Bidiagonal` and one n^3 product left (real for a real basis),
     above ``recon_tol * max(1, ||A||_F)`` raises
     :class:`ReconstructionError`: the basis does not reproduce ``A``. A
     basis condition (:func:`_basis_condition`) above
@@ -426,27 +453,21 @@ def _finish(
         start += len(chain)
     v = np.column_stack([vec for _, chain in assembled for vec in chain])
 
-    if normalize:
-        _normalize_chains(v, blocks)
-        zero_limit = tol * scale
-        zero = [k for k, b in enumerate(blocks) if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
-        constant = np.full(n, 1.0 / math.sqrt(n))
-        if len(zero) == 1 and float(np.linalg.norm(a @ constant)) <= zero_limit:
-            (k,) = zero
-            v[:, blocks[k].start] = constant
-            blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
+    _normalize_chains(v, blocks)
+    zero_limit = tol * scale
+    zero = [k for k, b in enumerate(blocks) if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
+    constant = np.full(n, 1.0 / math.sqrt(n))
+    if len(zero) == 1 and float(np.linalg.norm(a @ constant)) <= zero_limit:
+        (k,) = zero
+        v[:, blocks[k].start] = constant
+        blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
     v = real_or_complex(v)  # a complex matrix can still have a real basis
-
-    lams = real_or_complex([b.eigenvalue for b in blocks])
-    diagonal = np.repeat(lams, [b.size for b in blocks])
-    j = np.diag(diagonal)
-    tail = np.ones(n, dtype=bool)
-    tail[[b.start for b in blocks]] = False  # columns that continue a chain
-    inner = np.flatnonzero(tail)
-    j[inner - 1, inner] = 1.0
+    j = _Bidiagonal.dense(blocks)
 
     v_inv = v.conj().T if unitary else _inverse(v)
-    residual = _reconstruction_residual(a, v, diagonal, inner, v_inv)
+    r = (v @ _Bidiagonal(j)) @ v_inv
+    r -= a
+    residual = float(np.linalg.norm(r))
     if not residual <= recon_tol * scale:  # a NaN residual is refused too
         raise ReconstructionError(
             f"decomposition residual {residual:.3e} exceeds "
@@ -477,7 +498,6 @@ def jordan_decompose(
     tol: float = DEFAULT_RANK_TOL,
     *,
     cluster_tol: float | None = None,
-    normalize: bool = True,
     recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
     """Numerical Jordan decomposition A = V J V^{-1}.
@@ -489,9 +509,8 @@ def jordan_decompose(
     ordered by (magnitude, real, imaginary) of their eigenvalue and
     largest chain first within a cluster.
 
-    ``normalize`` applies the basis convention of :func:`_finish`;
-    clearing it keeps the raw chain and ``eig`` columns. A reconstruction
-    residual above ``recon_tol`` relative raises
+    The basis follows the one convention of :func:`_finish`. A
+    reconstruction residual above ``recon_tol`` relative raises
     :class:`ReconstructionError`; a basis condition above
     :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`.
     """
@@ -527,7 +546,6 @@ def jordan_decompose(
         assembled,
         tol=tol,
         cluster_tol=ct,
-        normalize=normalize,
         unitary=False,
         recon_tol=recon_tol,
     )
@@ -537,7 +555,7 @@ def symmetric_eigen_decompose(
     a,
     *,
     tol: float = DEFAULT_RANK_TOL,
-    normalize: bool = True,
+    cluster_tol: float | None = None,
     recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
     """Unitary spectral decomposition of a normal matrix, real symmetric
@@ -549,28 +567,28 @@ def symmetric_eigen_decompose(
     real. Otherwise the skew-Hermitian part ``A - H`` commutes with ``H``
     when ``A`` is normal (:func:`dgft.graph.is_normal`; the directed ring,
     for one), so it acts inside each eigenspace of ``H``: each cluster of
-    ``H``'s eigenvalues (single linkage at :func:`_default_cluster_tol`)
-    is split by a small ``eig`` of ``A`` restricted to the cluster's
-    columns, orthonormalized by QR. A matrix asymmetric only within the
+    ``H``'s eigenvalues (single linkage at ``cluster_tol``, default
+    :func:`_default_cluster_tol`, as on the Jordan path) is split by a
+    small ``eig`` of ``A`` restricted to the cluster's columns,
+    orthonormalized by QR. A matrix asymmetric only within the
     symmetry tolerance is split the same way, so a repeated eigenvalue of
     it may part into values with imaginary parts of the asymmetry's size.
     The basis is unitary either way and ``v_inv`` is ``v.conj().T``; no
     ``eig`` and no inverse of the full matrix run.
 
     Columns are ordered by (magnitude, real, imaginary) and pass through
-    the same finisher as :func:`jordan_decompose` as 1x1 blocks, so
-    ``normalize`` applies the one shared basis convention
-    (:func:`_finish`): unit norm with the largest-magnitude entry real
-    positive, and a unique constant null vector snapped to
-    ``(1/sqrt(n)) * ones``. Clearing it keeps the raw columns. The
-    residual is certified against ``a`` and ``recon_tol`` as on the
-    Jordan path, which also refuses a matrix that is not normal: its
-    unitary basis cannot reproduce it.
+    the same finisher as :func:`jordan_decompose` as 1x1 blocks, so they
+    follow the one shared basis convention (:func:`_finish`): unit norm
+    with the largest-magnitude entry real positive, and a unique constant
+    null vector snapped to ``(1/sqrt(n)) * ones``. The residual is
+    certified against ``a`` and ``recon_tol`` as on the Jordan path, which
+    also refuses a matrix that is not normal: its unitary basis cannot
+    reproduce it.
     """
     a = _as_square(a)
     h = (a + a.conj().T) / 2.0
     w, v = _converged(np.linalg.eigh, h)
-    ct = _default_cluster_tol(a)
+    ct = _default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
     skew = a - h
     if skew.any():  # split each cluster of H by A restricted to its columns
         sv = skew @ v
@@ -592,7 +610,6 @@ def symmetric_eigen_decompose(
         assembled,
         tol=tol,
         cluster_tol=ct,
-        normalize=normalize,
         unitary=True,
         recon_tol=recon_tol,
     )

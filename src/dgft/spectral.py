@@ -178,7 +178,6 @@ def decompose(
     tol: float = DEFAULT_RANK_TOL,
     *,
     cluster_tol: float | None = None,
-    normalize: bool = True,
     recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
     """Spectral decomposition of a graph's Laplacian, picking the right path.
@@ -189,17 +188,14 @@ def decompose(
     unitary solver :func:`symmetric_eigen_decompose`; everything else
     gets the Jordan treatment. A symmetric Laplacian pays no normality
     test, and a non-normal one is usually rejected by its O(n^2) probe.
-    Both paths return the same SpectralDecomposition shape,
-    so callers never branch. ``normalize`` controls the deterministic
+    Both paths take the same tolerances, apply the same deterministic
     basis convention (unit scale, pivot phase, constant eigenvector
-    snapped to ones over root n); clearing it returns the backend's raw
-    columns. Either path refuses, with :class:`ReconstructionError`, a
+    snapped to ones over root n) and return the same SpectralDecomposition
+    shape, so callers never branch. ``cluster_tol`` merges eigenvalues on
+    either path. Either path refuses, with :class:`ReconstructionError`, a
     basis whose residual ``||V J V^-1 - L||_F`` exceeds
     ``recon_tol * max(1, ||L||_F)``.
     """
     m = as_laplacian(source).matrix
-    if is_real_symmetric(m) or is_normal(m):
-        return symmetric_eigen_decompose(m, tol=tol, normalize=normalize, recon_tol=recon_tol)
-    return jordan_decompose(
-        m, tol, cluster_tol=cluster_tol, normalize=normalize, recon_tol=recon_tol
-    )
+    solve = symmetric_eigen_decompose if is_real_symmetric(m) or is_normal(m) else jordan_decompose
+    return solve(m, tol=tol, cluster_tol=cluster_tol, recon_tol=recon_tol)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import dgft
-from dgft import apply_vertex_domain, decompose, demo_graph, gft
+from dgft import apply_vertex_domain, decompose, demo_graph, gft, ring_graph
 from dgft.cli import main
 from dgft.io import load_graph, load_signal, load_spectrum
 from conftest import DATA
 
 DEMO = str(DATA / "demo_graph.txt")
 SIGNAL = str(DATA / "demo_signal.json")
+UNDIRECTED = "nodes 3\n1 2 1\n2 1 1\n2 3 2\n3 2 2\n"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -142,22 +143,6 @@ class TestGft:
         )
         code, _, _ = run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path))
         assert code == 0
-
-    def test_raw_basis_round_trips(self, capsys, tmp_path):
-        spec_path = tmp_path / "raw.csv"
-        code, _, _ = run_cli(
-            capsys, "gft", DEMO, "--signal", SIGNAL, "--raw-basis", "-o", str(spec_path)
-        )
-        assert code == 0
-        code, out, _ = run_cli(
-            capsys, "igft", DEMO, "--spectrum", str(spec_path), "--raw-basis"
-        )
-        assert code == 0
-        values = [
-            complex(v, 0) if isinstance(v, (int, float)) else complex(v[0], v[1])
-            for v in json.loads(out)["values"]
-        ]
-        assert np.allclose(values, [0.12, 0.38, 0.81, 0.24, 0.88], atol=1e-8)
 
     def test_dimension_mismatch_exits_3(self, capsys, tmp_path):
         short = tmp_path / "short.json"
@@ -316,6 +301,14 @@ class TestFilter:
         code, _, err = run_cli(capsys, "laplacian", str(graph))
         assert (code, "line 2" in err) == (2, True)
 
+    def test_negative_first_tap_in_the_equals_form(self, capsys):
+        # After a space argparse reads "-1,1" as an option, so a negative
+        # first tap is written --taps=-1,1.
+        code, out, _ = run_cli(capsys, "filter", "--ring", "5", "--signal", SIGNAL, "--taps=-1,1")
+        assert code == 0
+        expected = apply_vertex_domain(ring_graph(5), [-1.0, 1.0], load_signal(SIGNAL))
+        assert json.loads(out)["values"] == expected.tolist()
+
     def test_empty_taps_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "filter", DEMO, "--signal", SIGNAL, "--taps", ",")
         assert code == 2
@@ -409,13 +402,18 @@ class TestExitCodes:
         assert "synthetic failure" in err
         assert "ReconstructionError" in err
 
-    def test_explicit_flag_beats_env(self, capsys, monkeypatch):
-        # --tol-cluster is the one way to set the clustering tolerance; a
-        # DGFT_TOL_CLUSTER variable in the environment has no effect.
+    def test_explicit_flag_beats_env(self, capsys, monkeypatch, tmp_path):
+        # --tol-cluster is the one way to set the clustering tolerance, on
+        # the Jordan path (the demo digraph) and the unitary path (a ring,
+        # an undirected graph) alike; a DGFT_TOL_CLUSTER variable in the
+        # environment has no effect.
+        undirected = tmp_path / "undirected.txt"
+        undirected.write_text(UNDIRECTED)
         monkeypatch.setenv("DGFT_TOL_CLUSTER", "not-a-number")
-        code, out, _ = run_cli(capsys, "analyze", DEMO, "--tol-cluster", "1e-5")
-        assert code == 0
-        assert json.loads(out)["cluster_tol"] == 1e-5
+        for source in ([DEMO], ["--ring", "6"], [str(undirected)]):
+            code, out, _ = run_cli(capsys, "analyze", *source, "--tol-cluster", "1e-5")
+            assert code == 0
+            assert json.loads(out)["cluster_tol"] == 1e-5, source
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])
@@ -463,7 +461,7 @@ def test_commands_never_import_scipy(tmp_path):
         if s != d and rng.random() < 0.3
     ]
     graphs = {
-        "undirected": "nodes 3\n1 2 1\n2 1 1\n2 3 2\n3 2 2\n",
+        "undirected": UNDIRECTED,
         "digraph": "nodes 8\n" + "\n".join(digraph) + "\n",
         "defective": "nodes 3\n1 2 1\n2 3 1\n",
     }

@@ -21,7 +21,7 @@ from dgft import (
     shift,
     shift_operator,
 )
-from dgft.filters import _Bidiagonal
+from dgft.linalg import _Bidiagonal
 from conftest import defective_zoo, make_random_digraph
 
 
@@ -111,18 +111,24 @@ class TestSpectralDomain:
             assert np.allclose(got, direct, rtol=0, atol=1e-10), name
 
     def test_bidiagonal_j_matches_dense_horner(self):
-        # h(J) through J's two diagonals against Horner on the dense J, for
-        # vectors and (n, k) blocks, real and complex taps; the zoo's
-        # chains put ones on the superdiagonal.
+        # h(J) through J's bidiagonal layout against Horner on the dense J,
+        # for vectors and (n, k) blocks, real and complex taps; the zoo's
+        # chains put ones on the superdiagonal. The right product x @ J,
+        # which certifies every decomposition, against the dense product
+        # for rows and (k, n) blocks.
         rng = np.random.default_rng(12)
         for name, g in defective_zoo():
             dec = decompose(g)
+            j = _Bidiagonal(dec.j)
             block = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
             for taps in ([0.5, -2.0, 1.5, 0.25], [1 + 2j, -0.5j, 0.75, 2 - 1j]):
                 for x in (rng.standard_normal(g.n), block):
                     want = matrix_polynomial_apply(dec.j, taps, x)
-                    got = matrix_polynomial_apply(_Bidiagonal(dec.j), taps, x)
+                    got = matrix_polynomial_apply(j, taps, x)
                     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), name
+            for x in (rng.standard_normal(g.n), block.T, dec.v):
+                want = x @ dec.j
+                assert np.linalg.norm(x @ j - want) <= 1e-14 * np.linalg.norm(want), name
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -849,27 +849,39 @@ class TestSharedFinisher:
             assert np.max(np.abs(jd.v - sd.v)) <= 1e-12
 
     def test_raw_basis_keeps_kernel_columns(self):
+        # The basis is the kernel's own columns, each times its convention
+        # factor: the one that gives it unit norm and its largest-magnitude
+        # entry real positive (the snapped constant column is that too).
+        def convention(columns):
+            pivots = columns[np.argmax(np.abs(columns), axis=0), range(columns.shape[1])]
+            return columns * np.conj(pivots) / (np.abs(pivots) * np.linalg.norm(columns, axis=0))
+
         for lap in _simple_undirected_laplacians(count=3):
             w, vectors = np.linalg.eigh(lap.real)
             order, _ = order_with_ties(w)
-            dec = symmetric_eigen_decompose(lap, normalize=False)
-            assert np.array_equal(dec.v, vectors[:, order].astype(complex))
+            dec = symmetric_eigen_decompose(lap)
+            assert np.allclose(dec.v, convention(vectors[:, order]), rtol=0, atol=1e-14)
             assert np.array_equal(dec.v_inv, dec.v.T)
 
             w, vectors = np.linalg.eig(lap.real)
             order, _ = order_with_ties(w)
-            dec = jordan_decompose(lap, normalize=False)
-            assert np.array_equal(dec.v, vectors[:, order].astype(complex))
-            assert np.array_equal(dec.eigenvalues, w[order].astype(complex))
+            dec = jordan_decompose(lap)
+            assert np.allclose(dec.v, convention(vectors[:, order]), rtol=0, atol=1e-14)
+            snapped = dec.eigenvalues == 0
+            assert np.count_nonzero(snapped) == 1
+            assert np.array_equal(dec.eigenvalues[~snapped], w[order][~snapped])
 
-    def test_normalization_matches_per_chain_reference(self):
-        # One factor per chain, taken from its head; the loop is the reference.
+    def test_normalization_matches_per_chain_reference(self, monkeypatch):
+        # One factor per chain, taken from its head; the loop is the
+        # reference. The raw chains are the basis with the convention's
+        # scaling switched off.
         graphs = [g for _, g in defective_zoo()]
         graphs += [make_random_digraph(np.random.default_rng(s), 9) for s in range(5)]
-        for g in graphs:
-            lap = directed_laplacian(g).matrix
-            raw = jordan_decompose(lap, normalize=False)
-            dec = jordan_decompose(lap)
+        laps = [directed_laplacian(g).matrix for g in graphs]
+        decs = [jordan_decompose(lap) for lap in laps]
+        monkeypatch.setattr("dgft.linalg._normalize_chains", lambda v, blocks: None)
+        for lap, dec in zip(laps, decs):
+            raw = jordan_decompose(lap)
             for b, done in zip(raw.blocks, dec.blocks):
                 if done.eigenvalue == 0 and b.size == 1:
                     continue  # the snapped constant column

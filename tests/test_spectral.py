@@ -7,6 +7,7 @@ from dgft import (
     DimensionMismatchError,
     apply_vertex_domain,
     build_graph,
+    check_lsi_preconditions,
     decompose,
     demo_graph,
     directed_laplacian,
@@ -258,6 +259,20 @@ class TestDecomposeRouting:
         got = sorted(float(v.real) for v in dec.eigenvalues)
         expected = sorted(symmetrized_ring_eigenvalues(n))
         assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_cluster_tol_reaches_the_unitary_path(self):
+        # One cluster holds all of H's eigenvalues, so the split is one eig
+        # of the whole restricted matrix; the ring's spectrum comes out and
+        # the multiplicity report merges at the given tolerance too.
+        n = 6
+        dec = decompose(ring_graph(n), cluster_tol=10.0)
+        assert dec.is_unitary_basis and dec.cluster_tol == 10.0
+        key = lambda z: (round(z.real, 9), round(z.imag, 9))
+        got = sorted((complex(v) for v in dec.eigenvalues), key=key)
+        for a, b in zip(got, sorted(ring_eigenvalues(n), key=key)):
+            assert a == pytest.approx(b, abs=1e-10)
+        (entry,) = check_lsi_preconditions(dec).entries
+        assert (entry.algebraic, entry.geometric) == (n, n)
 
     def test_parseval_on_undirected(self):
         rng = np.random.default_rng(31)
