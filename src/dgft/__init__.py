@@ -15,6 +15,7 @@ from .errors import (
     EmptyTapsError,
     GraphSizeError,
     IllConditionedBasisWarning,
+    InvalidValueError,
     NoConvergenceError,
     NodeIndexError,
     NonSquareError,
@@ -77,6 +78,7 @@ __all__ = [
     "EmptyTapsError",
     "GraphSizeError",
     "IllConditionedBasisWarning",
+    "InvalidValueError",
     "NoConvergenceError",
     "NodeIndexError",
     "NonSquareError",

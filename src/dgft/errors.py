@@ -9,6 +9,11 @@ class DgftError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidValueError(DgftError, ValueError):
+    """A value breaks a precondition (a non-finite weight, a nonzero row
+    sum, unequal lengths); a ``ValueError`` too, for callers catching that."""
+
+
 class NodeIndexError(DgftError):
     """An edge endpoint lies outside the valid node range."""
 

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateEdgeError,
     GraphSizeError,
+    InvalidValueError,
     NodeIndexError,
     NonSquareError,
     SelfLoopError,
@@ -91,8 +92,8 @@ class Graph:
     """Weighted directed graph over ``n`` nodes.
 
     ``weights[i, j]`` holds the weight of the edge from node ``j`` to node
-    ``i``; the diagonal must be zero. Instances are immutable: the weight
-    matrix is copied and marked read-only at construction.
+    ``i``; the diagonal must be zero and the weights finite. Instances are
+    immutable: the weight matrix is copied and made read-only on creation.
     """
 
     n: int
@@ -109,6 +110,9 @@ class Graph:
         if np.any(np.diag(w) != 0):
             bad = int(np.flatnonzero(np.diag(w))[0])
             raise SelfLoopError(f"nonzero diagonal entry at node {bad}")
+        if not np.isfinite(w).all():
+            dst, src = np.argwhere(~np.isfinite(w))[0]
+            raise InvalidValueError(f"edge ({src}, {dst}) has non-finite weight {w[dst, src]}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -157,7 +161,7 @@ class DirectedLaplacian:
         limit = ROW_SUM_TOL * max(float(np.max(np.abs(m).sum(axis=1), initial=0.0)), 0.0)
         if np.any(row_sums > limit):
             worst = int(np.argmax(row_sums))
-            raise ValueError(
+            raise InvalidValueError(
                 f"row {worst} sums to {m.sum(axis=1)[worst]:.3e}; "
                 "not a valid in-degree Laplacian"
             )

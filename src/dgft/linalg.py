@@ -160,12 +160,13 @@ class SpectralDecomposition:
         return self.v @ self.j @ self.v_inv
 
 
-def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
+def cluster_eigenvalues(values, tol: float, labels=None) -> list[list[int]]:
     """Group indices of eigenvalues whose pairwise distance chains below tol.
 
     Single-linkage: two values land in one cluster when connected through
     intermediate values each within ``tol`` of the next. Members are listed
-    in ascending index order and clusters by their smallest member.
+    in ascending index order and clusters by their smallest member. Given
+    ``labels``, one per value, only values with equal labels link.
 
     Sort and sweep: after a sort by real part, each value is compared only
     with the values after it whose real part lies within ``2 * tol``, so
@@ -184,6 +185,8 @@ def cluster_eigenvalues(values, tol: float) -> list[list[int]]:
     s = np.repeat(np.arange(w.size), counts)
     t = s + 1 + np.arange(s.size) - np.repeat(np.cumsum(counts) - counts, counts)
     near = np.abs(ws[t] - ws[s]) <= tol
+    if labels is not None:
+        near &= np.take(labels, order[s]) == np.take(labels, order[t])
     roots = _component_minima(w.size, order[s[near]], order[t[near]])
     groups: dict[int, list[int]] = {}
     for i, root in enumerate(roots.tolist()):
@@ -420,24 +423,31 @@ def _finish(
     cluster_tol: float,
     unitary: bool,
     recon_tol: float,
+    parts: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> SpectralDecomposition:
     """The tail both decomposition paths share: basis convention, J,
     inverse, and the certificate.
 
     ``assembled`` lists (eigenvalue, chain vectors) in final column order.
-    The deterministic basis convention always applies: each chain is
-    scaled and phased through its head (:func:`_normalize_chains`), and
-    when exactly one 1x1 block sits at zero (within ``tol`` relative to
-    ``||A||_F``) and ``A`` annihilates the constant vector (every
-    connected graph Laplacian), that column is snapped to
-    ``(1/sqrt(n)) * ones`` and its eigenvalue to exactly 0. A ``unitary``
-    basis is inverted by its conjugate transpose, any other by ``np.linalg.inv``
-    in the basis dtype (:func:`_inverse`). ``v``, its inverse and ``j``
-    follow the dtype rule (:class:`SpectralDecomposition`).
+    For an ``A`` with several weakly connected components, ``parts`` holds
+    the rows and the columns of each stack of equal-size components as two
+    (m, k) arrays, and chain vectors live in their component's rows. The
+    deterministic basis convention always applies: each chain is scaled
+    and phased through its head (:func:`_normalize_chains`), and when a
+    component has exactly one 1x1 block at zero (within ``tol`` relative
+    to ``||A||_F``) and ``A`` annihilates its constant vector (every graph
+    Laplacian), that column is snapped to the unit constant vector on the
+    component and its eigenvalue to exactly 0. A ``unitary`` basis is
+    inverted by its conjugate transpose, any other by ``np.linalg.inv`` in
+    the basis dtype (:func:`_inverse`), per component with ``parts``.
+    ``v``, its inverse and ``j`` follow the dtype rule
+    (:class:`SpectralDecomposition`).
 
     The residual ``||(V J) V^-1 - A||_F``, with ``V J`` formed by
     :class:`_Bidiagonal` and one n^3 product left (real for a real basis),
-    above ``recon_tol * max(1, ||A||_F)`` raises
+    is the root of the blocks' squared residuals with ``parts``, the same
+    norm without the n^3 inverse and product. Above ``recon_tol * max(1,
+    ||A||_F)``, or with that bound overflowed, it raises
     :class:`ReconstructionError`: the basis does not reproduce ``A``. A
     basis condition (:func:`_basis_condition`) above
     :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`
@@ -446,28 +456,46 @@ def _finish(
     """
     n = a.shape[0]
     scale = max(1.0, float(np.linalg.norm(a)))
+    if not math.isfinite(recon_tol * scale):
+        raise ReconstructionError("recon_tol * max(1, ||A||_F) overflows; nothing can be certified")
     blocks: list[JordanBlock] = []
     start = 0
     for lam, chain in assembled:
         blocks.append(JordanBlock(eigenvalue=lam, size=len(chain), start=start))
         start += len(chain)
-    v = np.column_stack([vec for _, chain in assembled for vec in chain])
+    vectors = [vec for _, chain in assembled for vec in chain]
+    dtype = complex if any(np.iscomplexobj(x) for x in vectors) else float
+    v = np.column_stack(vectors) if parts is None else np.zeros((n, n), dtype=dtype)
+    home = np.zeros((2, n), dtype=int)  # each row's and column's component: its smallest row
+    for rows, cols in parts or []:
+        stack = np.array([vectors[k] for k in cols.ravel()]).reshape(cols.shape + (-1,))
+        v[_blocks(rows, cols)] = stack.transpose(0, 2, 1)
+        home[0, rows] = home[1, cols] = rows[:, :1]
 
     _normalize_chains(v, blocks)
     zero_limit = tol * scale
     zero = [k for k, b in enumerate(blocks) if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
-    constant = np.full(n, 1.0 / math.sqrt(n))
-    if len(zero) == 1 and float(np.linalg.norm(a @ constant)) <= zero_limit:
-        (k,) = zero
-        v[:, blocks[k].start] = constant
-        blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
+    owners = home[1, [blocks[k].start for k in zero]]
+    for k, owner in zip(zero, owners):
+        constant = (home[0] == owner) / math.sqrt(np.count_nonzero(home[0] == owner))
+        if np.count_nonzero(owners == owner) == 1 and np.linalg.norm(a @ constant) <= zero_limit:
+            v[:, blocks[k].start] = constant
+            blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
     v = real_or_complex(v)  # a complex matrix can still have a real basis
     j = _Bidiagonal.dense(blocks)
 
-    v_inv = v.conj().T if unitary else _inverse(v)
-    r = (v @ _Bidiagonal(j)) @ v_inv
-    r -= a
-    residual = float(np.linalg.norm(r))
+    if parts is None:
+        v_inv = v.conj().T if unitary else _inverse(v)
+        r = (v @ _Bidiagonal(j)) @ v_inv
+        r -= a
+        norms = [float(np.linalg.norm(r))]
+    else:
+        v_inv, norms = np.zeros_like(v), []
+    for rows, cols in parts or []:  # each stack of components, inverted alone
+        v_inv[_blocks(cols, rows)] = inv = _inverse(vc := v[_blocks(rows, cols)])
+        r = vc @ j[_blocks(cols, cols)] @ inv - a[_blocks(rows, rows)]
+        norms.append(float(np.linalg.norm(r)))
+    residual = math.hypot(*norms)
     if not residual <= recon_tol * scale:  # a NaN residual is refused too
         raise ReconstructionError(
             f"decomposition residual {residual:.3e} exceeds "
@@ -500,55 +528,74 @@ def jordan_decompose(
     cluster_tol: float | None = None,
     recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
-    """Numerical Jordan decomposition A = V J V^{-1}.
+    """Numerical Jordan decomposition A = V J V^{-1}, component by component.
 
-    Computed eigenvalues are clustered (single linkage at ``cluster_tol``,
-    default :func:`_default_cluster_tol`), each cluster is represented by
-    its mean, and generalized-eigenvector chains are built from
-    rank-revealing null spaces of powers of the shifted matrix. Blocks are
-    ordered by (magnitude, real, imaginary) of their eigenvalue and
-    largest chain first within a cluster.
+    Up to a permutation ``A`` is block diagonal over its weakly connected
+    components (its nonzeros as edges), so its Jordan form is the direct
+    sum of theirs; components of one size share one stacked ``eig``. A
+    component's computed eigenvalues are clustered (single linkage at
+    ``cluster_tol``, default :func:`_default_cluster_tol` of the whole
+    ``A``, as are the rank and certificate scales), each cluster is
+    represented by its mean, and generalized-eigenvector chains are built
+    from rank-revealing null spaces of powers of the shifted submatrix.
+    Blocks are ordered by (magnitude, real, imaginary) of their computed
+    eigenvalue; at one value the longest chain comes first, then the
+    component with the smallest node.
 
-    The basis follows the one convention of :func:`_finish`. A
-    reconstruction residual above ``recon_tol`` relative raises
-    :class:`ReconstructionError`; a basis condition above
+    The basis follows the one convention of :func:`_finish`, certified
+    block by block. A reconstruction residual above ``recon_tol`` relative
+    raises :class:`ReconstructionError`; a basis condition above
     :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`.
     """
     a = _as_square(a)
-    w, eig_vectors = _converged(np.linalg.eig, a)
+    _, labels = np.unique(_component_minima(len(a), *np.nonzero(a)), return_inverse=True)
+    sizes = np.bincount(labels)
     scale = float(np.linalg.norm(a))
     ct = _default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
 
-    clusters = cluster_eigenvalues(w, ct)
-    # The mean of one value is that value, so singletons skip np.mean.
-    means = [complex(w[c[0]] if len(c) == 1 else np.mean(w[c])) for c in clusters]
-    perm, _ = order_with_ties(means)
+    # Components of each size k as an (m, k) stack of rows; w and the lists follow.
+    by_size = np.lexsort((labels, sizes[labels]))
+    stacks = [by_size[sizes[labels[by_size]] == k].reshape(-1, k) for k in sorted(set(sizes))]
+    values, subs, columns = [], [], []
+    for rows in stacks:
+        stack = a[None] if len(sizes) == 1 else a[_blocks(rows, rows)]
+        for sub, w, eig_vectors in zip(stack, *_converged(np.linalg.eig, stack)):
+            values.append(w)
+            subs += [sub] * len(sub)
+            columns += list(eig_vectors.T)
+    w, component = np.concatenate(values), labels[by_size]
 
-    # (eigenvalue, chain vectors) in final column order.
-    assembled: list[tuple[complex, list[np.ndarray]]] = []
-    for k in perm:
-        cluster, lam = clusters[k], means[k]
+    pieces = []  # (frequency key, eigenvalue, chain vectors, component), one per chain
+    for cluster in cluster_eigenvalues(w, ct, component):
+        c, sub = component[cluster[0]], subs[cluster[0]]
+        # The mean of one value is that value, so singletons skip np.mean.
+        lam = complex(w[cluster[0]] if len(cluster) == 1 else np.mean(w[cluster]))
         if len(cluster) == 1:
-            assembled.append((lam, [np.asarray(eig_vectors[:, cluster[0]])]))
+            pieces.append((lam, lam, [columns[cluster[0]]], c))
             continue
-        mu = lam.real if lam.imag == 0 else lam  # a real matrix keeps real chains
-        chains = _jordan_chains(a, mu, len(cluster), tol, scale)
-        covered = sum(len(c) for c in chains)
-        for chain in chains:
-            assembled.append((lam, chain))
+        mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
+        chains = _jordan_chains(sub, mu, len(cluster), tol, scale)
+        pieces += [(lam, lam, chain, c) for chain in chains]
         # Clustering artifact: not enough null directions found. Fall back
         # to plain eigenvectors, each as its own block at its own value.
-        for idx in cluster[covered:]:
-            assembled.append((complex(w[idx]), [np.asarray(eig_vectors[:, idx])]))
+        covered = sum(len(chain) for chain in chains)
+        pieces += [(lam, complex(w[i]), [columns[i]], c) for i in cluster[covered:]]
+    pieces.sort(key=lambda p: (-len(p[2]), p[3]))  # stable, as is order_with_ties
+    pieces = [pieces[k] for k in order_with_ties([p[0] for p in pieces])[0]]
 
+    # Each stack's columns: component c owns cols[firsts[c]:][:sizes[c]].
+    owner = np.repeat([p[3] for p in pieces], [len(p[2]) for p in pieces])
+    cols, firsts = np.argsort(owner, kind="stable"), np.cumsum(sizes) - sizes
+    parts = [(r, cols[firsts[labels[r[:, :1]]] + np.arange(r.shape[1])]) for r in stacks]
     return _finish(
-        a,
-        assembled,
-        tol=tol,
-        cluster_tol=ct,
-        unitary=False,
-        recon_tol=recon_tol,
+        a, [(lam, chain) for _, lam, chain, _ in pieces], tol=tol, cluster_tol=ct, unitary=False,
+        recon_tol=recon_tol, parts=parts if len(sizes) > 1 else None,
     )
+
+
+def _blocks(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the (m, k, k) stack of submatrices ``M[rows[i]][:, cols[i]]``."""
+    return rows[:, :, None], cols[:, None, :]
 
 
 def symmetric_eigen_decompose(

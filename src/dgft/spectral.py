@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidValueError
 from .graph import (
     DirectedLaplacian,
     Graph,
@@ -146,7 +147,7 @@ class Spectrum:
         w = real_or_complex(self.eigenvalues, copy=True).ravel()
         c = real_or_complex(self.coefficients, copy=True).ravel()
         if w.shape != c.shape:
-            raise ValueError("eigenvalues and coefficients must have equal length")
+            raise InvalidValueError("eigenvalues and coefficients must have equal length")
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "coefficients", c)
         w.flags.writeable = False

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,21 @@ class TestExitCodes:
             code, out, _ = run_cli(capsys, "analyze", *source, "--tol-cluster", "1e-5")
             assert code == 0
             assert json.loads(out)["cluster_tol"] == 1e-5, source
+
+    @pytest.mark.parametrize("weight", ["1e300", "1e154"])
+    def test_overflowing_weight_exits_4(self, capsys, tmp_path, weight):
+        # ||L||_F overflows, so no residual can be certified: the parent
+        # printed a spectrum of 3.3e299s (1e300) and exited 0.
+        graph = tmp_path / "big.txt"
+        graph.write_text(f"nodes 3\n1 2 {weight}\n2 3 1\n3 1 1\n")
+        signal = tmp_path / "signal.json"
+        signal.write_text('{"n": 3, "values": [1, 2, 3]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+            code, out, err = run_cli(capsys, "gft", str(graph), "--signal", str(signal))
+        assert code == 4
+        assert out == ""
+        assert "ReconstructionError" in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])

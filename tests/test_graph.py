@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from dgft import (
+    DgftError,
     DimensionMismatchError,
     DirectedLaplacian,
     DuplicateEdgeError,
     GraphSizeError,
+    InvalidValueError,
     NodeIndexError,
     NonSquareError,
     SelfLoopError,
     build_graph,
+    decompose,
     demo_graph,
     directed_laplacian,
     in_degree_matrix,
@@ -120,6 +123,11 @@ class TestGraphDataclass:
         with pytest.raises(SelfLoopError):
             Graph(n=2, weights=np.eye(2))
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_weights(self, weight):
+        with pytest.raises(InvalidValueError, match=r"edge \(0, 1\) has non-finite weight"):
+            build_graph(3, [(0, 1, weight), (1, 2, 1.0)])
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Graph(n=3, weights=np.zeros((2, 2)))
@@ -137,6 +145,12 @@ class TestDirectedLaplacian:
     def test_rejects_nonzero_row_sums(self):
         with pytest.raises(ValueError):
             DirectedLaplacian(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_raw_matrix_refusal_is_typed(self):
+        # A DgftError and still a ValueError, for callers that catch that.
+        with pytest.raises(InvalidValueError) as info:
+            decompose(np.ones((3, 3)))
+        assert isinstance(info.value, DgftError) and isinstance(info.value, ValueError)
 
     def test_accepts_tiny_residual_row_sums(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-14]])

@@ -52,7 +52,7 @@ from dgft.linalg import (
     symmetric_eigen_decompose,
 )
 from conftest import defective_zoo, make_random_digraph, make_random_undirected
-from oracles import exact_block_sizes, exact_defective_triangular
+from oracles import exact_block_sizes, exact_defective_triangular, ring_eigenvalues
 
 
 @st.composite
@@ -93,6 +93,11 @@ class TestClustering:
     def test_complex_distance(self):
         groups = cluster_eigenvalues([1 + 1j, 1 - 1j], tol=0.5)
         assert groups == [[0], [1]]
+
+    def test_labels_keep_groups_apart(self):
+        # 0.1 would link 0.0 and 0.2, but it carries another label
+        groups = cluster_eigenvalues([0.0, 0.1, 0.2, 0.0], tol=0.11, labels=np.array([0, 1, 0, 0]))
+        assert groups == [[0, 3], [1], [2]]
 
     def test_default_tol_floors_at_1e8(self):
         assert _default_cluster_tol(np.zeros((3, 3))) == 1e-8
@@ -494,6 +499,16 @@ class TestRealArithmetic:
             assert svd_dtypes and set(svd_dtypes) == {np.dtype(float)}, name
             assert np.all(dec.v.imag == 0), name
             _assert_blocks_match_exact_oracle(dec, lap, name)
+
+    def test_real_cluster_in_a_complex_eig_stack(self, svd_dtypes):
+        # A 4-ring and a 4-node path share one stacked eig, complex for the
+        # ring's sake; the path's chain at 1 is still built in real arithmetic.
+        lap, _ = _union([_piece("ring", 4, None)[0], _piece("path", 4, None)[0]], np.random.default_rng(0))
+        dec = jordan_decompose(lap)
+        assert svd_dtypes and set(svd_dtypes) == {np.dtype(float)}
+        (b,) = [b for b in dec.blocks if b.size > 1]
+        assert (b.size, b.eigenvalue) == (3, 1)
+        assert not dec.v[:, b.start : b.start + b.size].imag.any()
 
     def test_complex_clusters_of_a_real_matrix(self, svd_dtypes):
         # [[C, I], [0, C]] with C a quarter turn: one 2-block at +i, one at -i.
@@ -961,6 +976,159 @@ class TestCertificate:
             dec = decompose(path, recon_tol=1.0)
         assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - path), rel=1e-10)
         assert 1e-3 < dec.residual / max(1.0, np.linalg.norm(path)) <= 1.0
+
+
+    @pytest.mark.parametrize("weight", [1e300, 1e154])
+    def test_overflowing_bound_is_refused(self, weight):
+        # ||L||_F overflows to inf, so recon_tol * max(1, ||L||_F) would
+        # accept any residual, the infinite one included.
+        g = build_graph(3, [(0, 1, weight), (1, 2, 1.0), (2, 0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+            with pytest.raises(ReconstructionError, match="overflows"):
+                decompose(g)
+
+
+def _union(pieces, rng):
+    """Block-diagonal union of square ``pieces`` on shuffled node labels.
+
+    Returns the matrix and, per piece, its node indices in the union."""
+    n = sum(len(p) for p in pieces)
+    big = np.zeros((n, n))
+    start = 0
+    for p in pieces:
+        big[start : start + len(p), start : start + len(p)] = p
+        start += len(p)
+    perm = rng.permutation(n)  # union node i is node perm[i] of ``big``
+    inverse = np.argsort(perm)
+    offsets = np.cumsum([0] + [len(p) for p in pieces])
+    return big[np.ix_(perm, perm)], [inverse[s:e] for s, e in zip(offsets, offsets[1:])]
+
+
+def _piece(kind, k, rng):
+    """Laplacian of one piece on k nodes and, for integer pieces, its
+    exact eigenvalues (the in-degrees: each is triangular up to order)."""
+    if kind == "digraph":
+        return directed_laplacian(make_random_digraph(rng, k, p=0.5)).matrix.real, None
+    if kind == "ring":
+        return directed_laplacian(ring_graph(k)).matrix.real, None
+    feeds = {"path": lambda i: i - 1, "tree": lambda i: int(rng.integers(i))}.get(kind)
+    edges = [(feeds(i), i, 1.0) for i in range(1, k)] if feeds else []
+    lap = directed_laplacian(build_graph(k, edges)).matrix.real
+    return lap, sorted(set(np.diag(lap).tolist()))
+
+
+@st.composite
+def _piece_unions(draw):
+    kinds = st.sampled_from(["digraph", "path", "tree", "ring", "isolated"])
+    specs = draw(st.lists(st.tuples(kinds, st.integers(2, 6)), min_size=1, max_size=6))
+    specs = [(kind, 1 if kind == "isolated" else k) for kind, k in specs]
+    while sum(k for _, k in specs) > 24:
+        specs.pop()
+    return specs, draw(st.integers(0, 2**32 - 1))
+
+
+def _support(column):
+    return frozenset(np.flatnonzero(column).tolist())
+
+
+class TestComponents:
+    """Each weakly connected component is decomposed alone, with the
+    tolerances of the whole matrix, and the union certified block by block."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_piece_unions())
+    def test_disjoint_unions_decompose_piece_by_piece(self, case):
+        specs, seed = case
+        rng = np.random.default_rng(seed)
+        pieces = [_piece(kind, k, rng) for kind, k in specs]
+        lap, nodes = _union([p for p, _ in pieces], rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedBasisWarning)
+            dec = jordan_decompose(lap)
+        scale = max(1.0, np.linalg.norm(lap))
+        assert np.linalg.norm(dec.reconstruct() - lap) <= RECON_LIMIT * scale
+        want = np.linalg.norm(dec.reconstruct() - lap)
+        assert dec.residual == pytest.approx(want, abs=1e-13 * scale)
+        assert dec.cluster_tol == _default_cluster_tol(lap)
+
+        expected = []
+        for (p, exact), (kind, k) in zip(pieces, specs):
+            expected += ring_eigenvalues(k) if kind == "ring" else list(np.linalg.eigvals(p))
+        got = list(dec.eigenvalues)
+        for value in sorted(expected, key=lambda z: (z.real, z.imag)):
+            k = int(np.argmin([abs(g - value) for g in got]))
+            assert abs(got.pop(k) - value) <= 1e-8, value
+
+        heads = {b.start: _support(dec.v[:, b.start]) for b in dec.blocks}
+        for (p, exact), rows in zip(pieces, nodes):
+            if exact is None:
+                continue
+            own = [b for b in dec.blocks if heads[b.start] <= frozenset(rows.tolist())]
+            for lam in exact:
+                sizes: dict[int, int] = {}
+                for b in own:
+                    if b.eigenvalue == lam:
+                        sizes[b.size] = sizes.get(b.size, 0) + 1
+                assert sizes == exact_block_sizes(p.tolist(), lam), (specs, lam)
+
+        # At the value 1 of the paths and trees: longest chain first, then
+        # the component with the smallest node.
+        first = {i: min(rows) for rows in nodes for i in rows}
+        at_one = [(-b.size, first[min(heads[b.start])]) for b in dec.blocks if b.eigenvalue == 1]
+        assert at_one == sorted(at_one)
+
+    def test_chain_union_runs_component_sized_kernels(self, monkeypatch):
+        # 25 paths of 3 nodes and 25 of 5: one stacked eig per size, and no
+        # rank decision or inverse larger than one component.
+        g, lengths = _chain_union(np.random.default_rng(0), [3] * 25 + [5] * 25)
+        shapes: dict[str, list] = {"svd": [], "inv": [], "eig": []}
+        for name in shapes:
+            kernel = getattr(np.linalg, name)
+
+            def recording(m, *args, _kernel=kernel, _name=name, **kwargs):
+                shapes[_name].append(np.shape(m))
+                return _kernel(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        dec = jordan_decompose(directed_laplacian(g).matrix)
+        assert max(shape[-2] for shape in shapes["svd"] + shapes["inv"]) <= 5
+        assert sorted(shape[-1] for shape in shapes["eig"]) == [3, 5]
+        assert sorted(b.size for b in dec.blocks if b.eigenvalue == 1) == sorted(
+            length - 1 for length in lengths
+        )
+
+    def test_connected_input_takes_one_eig_of_the_whole_matrix(self, monkeypatch):
+        shapes = []
+        eig = np.linalg.eig
+
+        def recording(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return eig(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", recording)
+        jordan_decompose(directed_laplacian(demo_graph()).matrix)
+        assert [s[-2:] for s in shapes] == [(5, 5)]
+
+    def test_each_component_snaps_its_constant_vector(self):
+        rng = np.random.default_rng(2)
+        pieces = [_piece("digraph", 5, rng)[0] for _ in range(2)] + [np.zeros((1, 1))]
+        lap, nodes = _union(pieces, rng)
+        dec = jordan_decompose(lap)
+        for rows in nodes:
+            own = frozenset(rows.tolist())
+            (b,) = [b for b in dec.blocks if _support(dec.v[:, b.start]) <= own and b.eigenvalue == 0]
+            want = np.zeros(len(lap))
+            want[rows] = 1 / np.sqrt(len(rows))
+            assert np.array_equal(dec.v[:, b.start], want)
+
+    def test_block_residuals_add_in_squares(self):
+        g, _ = _chain_union(np.random.default_rng(3), [3, 5, 4], delta=1e-8)
+        lap = directed_laplacian(g).matrix
+        dec = jordan_decompose(lap)
+        assert dec.residual > 0
+        assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - lap), rel=1e-6)
+        assert np.allclose(dec.v_inv @ dec.v, np.eye(len(lap)), atol=1e-8)
 
 
 class TestInvert:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from dgft import (
     DimensionMismatchError,
+    InvalidValueError,
+    Spectrum,
     apply_vertex_domain,
     build_graph,
     check_lsi_preconditions,
@@ -280,6 +282,11 @@ class TestDecomposeRouting:
         dec = decompose(g)
         f = rng.standard_normal(10)
         assert abs(np.linalg.norm(gft(dec, f)) - np.linalg.norm(f)) < 1e-10
+
+
+def test_spectrum_of_unequal_lengths_is_refused_typed():
+    with pytest.raises(InvalidValueError):
+        Spectrum(eigenvalues=[0.0, 1.0], coefficients=[1.0], ordering=order_frequencies([0.0, 1.0]))
 
 
 class TestSpectrumLocation:
