@@ -26,7 +26,6 @@ from .errors import (
 )
 from .filters import (
     EigenvalueMultiplicity,
-    LsiFilter,
     MultiplicityReport,
     ShiftInvariance,
     apply_spectral_domain,
@@ -87,7 +86,6 @@ __all__ = [
     "SelfLoopError",
     "SingularMatrixError",
     "EigenvalueMultiplicity",
-    "LsiFilter",
     "MultiplicityReport",
     "ShiftInvariance",
     "apply_spectral_domain",

@@ -1,7 +1,10 @@
 """Linear shift-invariant graph filters as polynomials in the Laplacian.
 
-A filter is a tap vector h = (h_0, ..., h_M): the operator is
-H = h_0 I + h_1 L + ... + h_M L^M. Every such polynomial commutes with
+A filter is a tap vector h = (h_0, ..., h_M), lowest order first: the
+operator is H = h_0 I + h_1 L + ... + h_M L^M. Taps follow the dtype rule
+(:func:`dgft.graph.real_or_complex`), and an empty tap vector raises
+:class:`EmptyTapsError` (:func:`dgft.linalg.matrix_polynomial_apply`
+does both). Every such polynomial commutes with
 the shift S = I - L, and conversely (when each distinct eigenvalue of L
 has a one-dimensional eigenspace) every operator commuting with the
 shift is such a polynomial. Application is offered in the vertex domain
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTapsError
 from .graph import real_or_complex, signal_values
 from .linalg import (
     SpectralDecomposition,
@@ -31,27 +33,6 @@ from .spectral import as_laplacian, gft, igft
 COMMUTATOR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LsiFilter:
-    """Polynomial filter taps, lowest order first: taps[m] multiplies L^m.
-
-    Real or complex by the dtype rule (:func:`dgft.graph.real_or_complex`).
-    """
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        t = real_or_complex(self.taps, copy=True).ravel()
-        if t.size == 0:
-            raise EmptyTapsError("a filter needs at least one tap")
-        t.flags.writeable = False
-        object.__setattr__(self, "taps", t)
-
-
-def _as_filter(h) -> LsiFilter:
-    return h if isinstance(h, LsiFilter) else LsiFilter(np.asarray(h))
-
-
 def apply_vertex_domain(lap, h, f) -> np.ndarray:
     """Run the filter as repeated shifts: Horner in L against the signal.
 
@@ -59,14 +40,13 @@ def apply_vertex_domain(lap, h, f) -> np.ndarray:
     forms the operator matrix.
     """
     lap = as_laplacian(lap)
-    filt = _as_filter(h)
-    return matrix_polynomial_apply(lap.matrix, filt.taps, signal_values(f, lap.n))
+    return matrix_polynomial_apply(lap.matrix, h, signal_values(f, lap.n))
 
 
 def materialize(lap, h) -> np.ndarray:
     """The filter as an explicit operator matrix h(L): Horner applied to I."""
     lap = as_laplacian(lap)
-    return matrix_polynomial_apply(lap.matrix, _as_filter(h).taps, np.eye(lap.n))
+    return matrix_polynomial_apply(lap.matrix, h, np.eye(lap.n))
 
 
 def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndarray:
@@ -77,9 +57,7 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
     applied through its bidiagonal layout (:class:`dgft.linalg._Bidiagonal`).
     It agrees with :func:`apply_vertex_domain` up to roundoff.
     """
-    f_hat = gft(decomposition, f)
-    taps = _as_filter(h).taps
-    filtered = matrix_polynomial_apply(_Bidiagonal(decomposition.j), taps, f_hat)
+    filtered = matrix_polynomial_apply(_Bidiagonal(decomposition.j), h, gft(decomposition, f))
     return igft(decomposition, filtered)
 
 

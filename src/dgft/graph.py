@@ -78,7 +78,13 @@ def is_normal(m: np.ndarray) -> bool:
     ``x`` through ``m (mᴴ x) - mᴴ (m x)`` rejects most matrices in O(n^2),
     since ``||C x|| <= ||C||_F ||x||``; only a matrix that passes the
     probe pays the O(n^3) commutator.
+
+    Both sides scale with ``|m|^2``, so an ``m`` with an entry of 1 or
+    more is first scaled down by the power of two that brings its largest
+    entry below 1. That is exact in binary (short of subnormal entries),
+    so verdicts keep their bits, and large weights cannot overflow.
     """
+    m = m * 2.0 ** -max(0, int(np.frexp(np.max(np.abs(m), initial=0.0))[1]))
     ms = m.conj().T
     bound = NORMALITY_TOL * float(np.linalg.norm(m)) ** 2
     x = np.cos(np.arange(m.shape[0]))  # fixed and generic: no structure to align with

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graph import Graph, GraphSignal, build_graph, real_or_complex
-from .spectral import Spectrum, order_frequencies
+from .spectral import Spectrum
 
 SPECTRUM_HEADER = (
     "spectral_index",
@@ -305,14 +305,6 @@ def dump_report(doc: dict, dst) -> None:
     _dump_json(doc, dst, indent=2)
 
 
-def _spectrum_from_arrays(eigenvalues, coefficients) -> Spectrum:
-    return Spectrum(
-        eigenvalues=eigenvalues,
-        coefficients=coefficients,
-        ordering=order_frequencies(eigenvalues),
-    )
-
-
 def _load_spectrum_rows(rows: Iterable[tuple[int, complex, complex]]) -> Spectrum:
     collected = sorted(rows, key=lambda r: r[0])
     indices = [r[0] for r in collected]
@@ -320,9 +312,7 @@ def _load_spectrum_rows(rows: Iterable[tuple[int, complex, complex]]) -> Spectru
         raise ParseError("spectral_index values must cover 0..n-1 exactly once")
     if not collected:
         raise ParseError("spectrum holds no entries")
-    return _spectrum_from_arrays(
-        [r[1] for r in collected], [r[2] for r in collected]
-    )
+    return Spectrum(eigenvalues=[r[1] for r in collected], coefficients=[r[2] for r in collected])
 
 
 def load_spectrum(src) -> Spectrum:

@@ -64,14 +64,28 @@ ILL_CONDITIONED_LIMIT = 1e12
 RECON_LIMIT = 1e-6
 
 
-def _default_cluster_tol(a: np.ndarray) -> float:
-    """Absolute distance under which computed eigenvalues are merged.
+def _default_cluster_tol(n: int, norm: float) -> float:
+    """Absolute distance under which computed eigenvalues are merged, for an
+    n x n matrix with ``||A||_F`` equal to ``norm``.
 
     Scales with the matrix so that rounding-split multiple eigenvalues
     cluster back together without merging genuinely distinct ones.
     """
-    n = a.shape[0]
-    return max(1e-8, 1e-6 * float(np.linalg.norm(a)) / n)
+    return max(1e-8, 1e-6 * norm / n)
+
+
+def _frobenius(a: np.ndarray, recon_tol: float) -> float:
+    """``||A||_F``, the one scale of a decomposition: of the default
+    cluster tolerance, the rank cutoffs and the certificate bound
+    ``recon_tol * max(1, ||A||_F)``. A bound that overflows certifies
+    nothing, so it raises :class:`ReconstructionError` before any kernel
+    runs.
+    """
+    with np.errstate(over="ignore"):  # an overflowed norm is refused just below
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(recon_tol * max(1.0, norm)):
+        raise ReconstructionError("recon_tol * max(1, ||A||_F) overflows; nothing can be certified")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -156,8 +170,10 @@ class SpectralDecomposition:
         return tuple(b.start for b in self.blocks)
 
     def reconstruct(self) -> np.ndarray:
-        """Recompute V J V^{-1}; compare against the input to bound error."""
-        return self.v @ self.j @ self.v_inv
+        """Recompute ``(V J) V^{-1}``, the product the decomposition was
+        certified with (``V J`` by :class:`_Bidiagonal`); compare it against
+        the input to bound the error."""
+        return (self.v @ _Bidiagonal(self.j)) @ self.v_inv
 
 
 def cluster_eigenvalues(values, tol: float, labels=None) -> list[list[int]]:
@@ -417,85 +433,95 @@ class _Bidiagonal:
 
 def _finish(
     a: np.ndarray,
-    assembled: list[tuple[complex, list[np.ndarray]]],
+    pieces: list[tuple[complex, complex, list[np.ndarray], int]],
+    stacks: list[np.ndarray],
     *,
+    norm: float,
     tol: float,
     cluster_tol: float,
     unitary: bool,
     recon_tol: float,
-    parts: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> SpectralDecomposition:
-    """The tail both decomposition paths share: basis convention, J,
-    inverse, and the certificate.
+    """The one tail of both decomposition paths: column order, basis
+    convention, J, inverse and the certificate.
 
-    ``assembled`` lists (eigenvalue, chain vectors) in final column order.
-    For an ``A`` with several weakly connected components, ``parts`` holds
-    the rows and the columns of each stack of equal-size components as two
-    (m, k) arrays, and chain vectors live in their component's rows. The
-    deterministic basis convention always applies: each chain is scaled
-    and phased through its head (:func:`_normalize_chains`), and when a
-    component has exactly one 1x1 block at zero (within ``tol`` relative
-    to ``||A||_F``) and ``A`` annihilates its constant vector (every graph
-    Laplacian), that column is snapped to the unit constant vector on the
-    component and its eigenvalue to exactly 0. A ``unitary`` basis is
-    inverted by its conjugate transpose, any other by ``np.linalg.inv`` in
-    the basis dtype (:func:`_inverse`), per component with ``parts``.
+    ``pieces`` lists (frequency key, eigenvalue, chain vectors, component),
+    one per Jordan chain, in any order; a component is named by its
+    smallest row, and its chain vectors live in its rows. ``stacks`` holds
+    the rows of each stack of equal-size components as an (m, k) array,
+    ascending within a component; a connected ``A``, and the unitary path,
+    give one stack of all n rows. ``norm`` is ``||A||_F``. In order:
+
+    1. When a component has exactly one 1x1 block at zero (within
+       ``tol * max(1, norm)``) and ``A`` annihilates its constant vector
+       (every graph Laplacian), that block's key and eigenvalue become
+       exactly 0 and its vector the component's all-ones vector.
+    2. One :func:`order_with_ties` of the keys orders the chains; at one
+       key the longest chain comes first, then the component with the
+       smallest row (both sorts are stable).
+    3. Each component's columns, in that order, fill its rows of ``V``.
+       Each chain is scaled and phased through its head
+       (:func:`_normalize_chains`), which gives a snapped vector its exact
+       unit form ``1/sqrt(k)``, and ``J`` is laid out.
+    4. Each stack is inverted alone by ``np.linalg.inv`` in the basis
+       dtype (:func:`_inverse`); a ``unitary`` basis is inverted by its
+       conjugate transpose.
+    5. Each stack's residual ``||(V J) V^-1 - A||_F`` is taken, with ``V J``
+       formed once by :class:`_Bidiagonal`. Their root sum of squares, above
+       ``recon_tol * max(1, norm)``, raises :class:`ReconstructionError`:
+       the basis does not reproduce ``A``.
+
     ``v``, its inverse and ``j`` follow the dtype rule
-    (:class:`SpectralDecomposition`).
-
-    The residual ``||(V J) V^-1 - A||_F``, with ``V J`` formed by
-    :class:`_Bidiagonal` and one n^3 product left (real for a real basis),
-    is the root of the blocks' squared residuals with ``parts``, the same
-    norm without the n^3 inverse and product. Above ``recon_tol * max(1,
-    ||A||_F)``, or with that bound overflowed, it raises
-    :class:`ReconstructionError`: the basis does not reproduce ``A``. A
-    basis condition (:func:`_basis_condition`) above
-    :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`
-    and sets the flag on the result; defective matrices legitimately live
-    there, so it is not an error.
+    (:class:`SpectralDecomposition`). A basis condition
+    (:func:`_basis_condition`) above :data:`ILL_CONDITIONED_LIMIT` raises
+    :class:`IllConditionedBasisWarning` and sets the flag on the result;
+    defective matrices legitimately live there, so it is not an error.
     """
     n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if not math.isfinite(recon_tol * scale):
-        raise ReconstructionError("recon_tol * max(1, ||A||_F) overflows; nothing can be certified")
-    blocks: list[JordanBlock] = []
-    start = 0
-    for lam, chain in assembled:
-        blocks.append(JordanBlock(eigenvalue=lam, size=len(chain), start=start))
-        start += len(chain)
-    vectors = [vec for _, chain in assembled for vec in chain]
-    dtype = complex if any(np.iscomplexobj(x) for x in vectors) else float
-    v = np.column_stack(vectors) if parts is None else np.zeros((n, n), dtype=dtype)
-    home = np.zeros((2, n), dtype=int)  # each row's and column's component: its smallest row
-    for rows, cols in parts or []:
-        stack = np.array([vectors[k] for k in cols.ravel()]).reshape(cols.shape + (-1,))
-        v[_blocks(rows, cols)] = stack.transpose(0, 2, 1)
-        home[0, rows] = home[1, cols] = rows[:, :1]
+    scale = max(1.0, norm)
+    home = np.empty(n, dtype=int)  # each row's component: its smallest row
+    for rows in stacks:
+        home[rows] = rows[:, :1]
 
-    _normalize_chains(v, blocks)
     zero_limit = tol * scale
-    zero = [k for k, b in enumerate(blocks) if b.size == 1 and abs(b.eigenvalue) <= zero_limit]
-    owners = home[1, [blocks[k].start for k in zero]]
+    zero = [k for k, p in enumerate(pieces) if len(p[2]) == 1 and abs(p[1]) <= zero_limit]
+    owners = [pieces[k][3] for k in zero]
+    row_sums = a.sum(axis=1)  # on a component's rows: A times its ones vector
     for k, owner in zip(zero, owners):
-        constant = (home[0] == owner) / math.sqrt(np.count_nonzero(home[0] == owner))
-        if np.count_nonzero(owners == owner) == 1 and np.linalg.norm(a @ constant) <= zero_limit:
-            v[:, blocks[k].start] = constant
-            blocks[k] = JordanBlock(eigenvalue=0j, size=1, start=blocks[k].start)
+        size = np.count_nonzero(member := home == owner)
+        annihilated = np.linalg.norm(row_sums[member]) <= zero_limit * math.sqrt(size)
+        if owners.count(owner) == 1 and annihilated:
+            pieces[k] = (0.0, 0j, [np.ones(size)], owner)
+    pieces.sort(key=lambda p: (-len(p[2]), p[3]))  # stable, as is order_with_ties
+    pieces = [pieces[k] for k in order_with_ties([p[0] for p in pieces])[0]]
+
+    blocks: list[JordanBlock] = []
+    vectors: list[np.ndarray] = []
+    for _, lam, chain, _ in pieces:
+        blocks.append(JordanBlock(eigenvalue=lam, size=len(chain), start=len(vectors)))
+        vectors += chain
+    owner = np.repeat([p[3] for p in pieces], [len(p[2]) for p in pieces])
+    # A component's i-th smallest row and its i-th column share a slot.
+    slot = np.empty(n, dtype=int)
+    slot[np.argsort(home, kind="stable")] = np.argsort(owner, kind="stable")
+    parts, basis = [(rows, slot[rows]) for rows in stacks], []
+    for rows, cols in parts:  # each stack's columns as (m, k, k): block i is component i's
+        columns = np.stack([vectors[c] for c in cols.ravel()], axis=1)  # (k, m * k)
+        basis.append((rows, cols, columns.reshape(cols.shape[1], *cols.shape).transpose(1, 0, 2)))
+    v = _block_diagonal(n, basis)
+    _normalize_chains(v, blocks)
     v = real_or_complex(v)  # a complex matrix can still have a real basis
     j = _Bidiagonal.dense(blocks)
 
-    if parts is None:
-        v_inv = v.conj().T if unitary else _inverse(v)
-        r = (v @ _Bidiagonal(j)) @ v_inv
-        r -= a
-        norms = [float(np.linalg.norm(r))]
-    else:
-        v_inv, norms = np.zeros_like(v), []
-    for rows, cols in parts or []:  # each stack of components, inverted alone
-        v_inv[_blocks(cols, rows)] = inv = _inverse(vc := v[_blocks(rows, cols)])
-        r = vc @ j[_blocks(cols, cols)] @ inv - a[_blocks(rows, rows)]
-        norms.append(float(np.linalg.norm(r)))
-    residual = math.hypot(*norms)
+    v_inv = v.conj().T if unitary else _block_diagonal(
+        n, [(cols, rows, _inverse(v[_blocks(rows, cols, n)])) for rows, cols in parts]
+    )
+    vj = v @ _Bidiagonal(j)
+    residuals = [vj[_blocks(*part, n)] @ v_inv[_blocks(*part[::-1], n)] for part in parts]
+    del vj  # not held through the norms, which copy each residual's parts
+    for r, (rows, _) in zip(residuals, parts):
+        r -= a[_blocks(rows, rows, n)]
+    residual = math.hypot(*[float(np.linalg.norm(r)) for r in residuals])
     if not residual <= recon_tol * scale:  # a NaN residual is refused too
         raise ReconstructionError(
             f"decomposition residual {residual:.3e} exceeds "
@@ -548,22 +574,22 @@ def jordan_decompose(
     :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`.
     """
     a = _as_square(a)
-    _, labels = np.unique(_component_minima(len(a), *np.nonzero(a)), return_inverse=True)
-    sizes = np.bincount(labels)
-    scale = float(np.linalg.norm(a))
-    ct = _default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
+    n, norm = len(a), _frobenius(a, recon_tol)
+    ct = _default_cluster_tol(n, norm) if cluster_tol is None else float(cluster_tol)
+    home = _component_minima(n, *np.nonzero(a))  # each row's component: its smallest row
+    size = np.bincount(home)[home]
 
     # Components of each size k as an (m, k) stack of rows; w and the lists follow.
-    by_size = np.lexsort((labels, sizes[labels]))
-    stacks = [by_size[sizes[labels[by_size]] == k].reshape(-1, k) for k in sorted(set(sizes))]
+    by_size = np.lexsort((home, size))
+    stacks = [by_size[size[by_size] == k].reshape(-1, k) for k in sorted(set(size.tolist()))]
     values, subs, columns = [], [], []
     for rows in stacks:
-        stack = a[None] if len(sizes) == 1 else a[_blocks(rows, rows)]
+        stack = a[_blocks(rows, rows, n)]
         for sub, w, eig_vectors in zip(stack, *_converged(np.linalg.eig, stack)):
             values.append(w)
             subs += [sub] * len(sub)
             columns += list(eig_vectors.T)
-    w, component = np.concatenate(values), labels[by_size]
+    w, component = np.concatenate(values), home[by_size]
 
     pieces = []  # (frequency key, eigenvalue, chain vectors, component), one per chain
     for cluster in cluster_eigenvalues(w, ct, component):
@@ -574,28 +600,35 @@ def jordan_decompose(
             pieces.append((lam, lam, [columns[cluster[0]]], c))
             continue
         mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
-        chains = _jordan_chains(sub, mu, len(cluster), tol, scale)
+        chains = _jordan_chains(sub, mu, len(cluster), tol, norm)
         pieces += [(lam, lam, chain, c) for chain in chains]
         # Clustering artifact: not enough null directions found. Fall back
         # to plain eigenvectors, each as its own block at its own value.
         covered = sum(len(chain) for chain in chains)
         pieces += [(lam, complex(w[i]), [columns[i]], c) for i in cluster[covered:]]
-    pieces.sort(key=lambda p: (-len(p[2]), p[3]))  # stable, as is order_with_ties
-    pieces = [pieces[k] for k in order_with_ties([p[0] for p in pieces])[0]]
-
-    # Each stack's columns: component c owns cols[firsts[c]:][:sizes[c]].
-    owner = np.repeat([p[3] for p in pieces], [len(p[2]) for p in pieces])
-    cols, firsts = np.argsort(owner, kind="stable"), np.cumsum(sizes) - sizes
-    parts = [(r, cols[firsts[labels[r[:, :1]]] + np.arange(r.shape[1])]) for r in stacks]
     return _finish(
-        a, [(lam, chain) for _, lam, chain, _ in pieces], tol=tol, cluster_tol=ct, unitary=False,
-        recon_tol=recon_tol, parts=parts if len(sizes) > 1 else None,
+        a, pieces, stacks, norm=norm, tol=tol, cluster_tol=ct, unitary=False, recon_tol=recon_tol
     )
 
 
-def _blocks(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the (m, k, k) stack of submatrices ``M[rows[i]][:, cols[i]]``."""
-    return rows[:, :, None], cols[:, None, :]
+def _blocks(rows: np.ndarray, cols: np.ndarray, n: int):
+    """Index of the (m, k, k) stack of submatrices ``M[rows[i]][:, cols[i]]``
+    of an n x n ``M``. A component of n rows is all of ``M``, its rows and
+    columns in order, so its index is basic: ``M[...]`` is a (1, n, n)
+    view, not a gather."""
+    return None if rows.shape[1] == n else (rows[:, :, None], cols[:, None, :])
+
+
+def _block_diagonal(n: int, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The n x n matrix holding each (rows, cols, stack) of ``parts`` at its
+    blocks (:func:`_blocks`), zeros elsewhere. A stack of all n rows is the
+    matrix, so it comes back as it is, not copied."""
+    if _blocks(*parts[0][:2], n) is None:
+        return parts[0][2][0]
+    out = np.zeros((n, n), dtype=np.result_type(*[stack for *_, stack in parts]))
+    for rows, cols, stack in parts:
+        out[_blocks(rows, cols, n)] = stack
+    return out
 
 
 def symmetric_eigen_decompose(
@@ -623,9 +656,9 @@ def symmetric_eigen_decompose(
     The basis is unitary either way and ``v_inv`` is ``v.conj().T``; no
     ``eig`` and no inverse of the full matrix run.
 
-    Columns are ordered by (magnitude, real, imaginary) and pass through
-    the same finisher as :func:`jordan_decompose` as 1x1 blocks, so they
-    follow the one shared basis convention (:func:`_finish`): unit norm
+    Every column is a 1x1 block of one component, the whole matrix, and
+    passes through the same finisher as :func:`jordan_decompose`
+    (:func:`_finish`): ordered by (magnitude, real, imaginary), unit norm
     with the largest-magnitude entry real positive, and a unique constant
     null vector snapped to ``(1/sqrt(n)) * ones``. The residual is
     certified against ``a`` and ``recon_tol`` as on the Jordan path, which
@@ -633,9 +666,10 @@ def symmetric_eigen_decompose(
     reproduce it.
     """
     a = _as_square(a)
+    n, norm = len(a), _frobenius(a, recon_tol)
     h = (a + a.conj().T) / 2.0
     w, v = _converged(np.linalg.eigh, h)
-    ct = _default_cluster_tol(a) if cluster_tol is None else float(cluster_tol)
+    ct = _default_cluster_tol(n, norm) if cluster_tol is None else float(cluster_tol)
     skew = a - h
     if skew.any():  # split each cluster of H by A restricted to its columns
         sv = skew @ v
@@ -650,14 +684,9 @@ def symmetric_eigen_decompose(
             split[:, idx] = np.einsum("nci,cij->ncj", q, np.linalg.qr(vectors)[0])
         w, v = values, split
 
-    order, _ = order_with_ties(w)
-    assembled = [(complex(w[k]), [v[:, k]]) for k in order]
+    pieces = [(x, complex(x), [col], 0) for x, col in zip(w, v.T)]
     return _finish(
-        a,
-        assembled,
-        tol=tol,
-        cluster_tol=ct,
-        unitary=True,
+        a, pieces, [np.arange(n)[None]], norm=norm, tol=tol, cluster_tol=ct, unitary=True,
         recon_tol=recon_tol,
     )
 

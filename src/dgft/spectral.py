@@ -133,14 +133,15 @@ class Spectrum:
     """A signal's expansion in the graph Fourier basis.
 
     Entry r pairs ``eigenvalues[r]`` with coefficient ``coefficients[r]``;
-    ``ordering`` ranks the entries by frequency. Rows are in spectral
-    (basis column) order, not rank order. Both arrays follow the dtype
-    rule (:func:`dgft.graph.real_or_complex`).
+    ``ordering`` ranks the entries by frequency, derived from the
+    eigenvalues (:func:`order_frequencies`). Rows are in spectral (basis
+    column) order, not rank order. Both arrays follow the dtype rule
+    (:func:`dgft.graph.real_or_complex`).
     """
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
-    ordering: FrequencyOrdering
+    ordering: FrequencyOrdering = field(init=False)
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -152,6 +153,7 @@ class Spectrum:
         object.__setattr__(self, "coefficients", c)
         w.flags.writeable = False
         c.flags.writeable = False
+        object.__setattr__(self, "ordering", order_frequencies(w))
         object.__setattr__(self, "n", int(w.size))
 
 
@@ -167,11 +169,7 @@ def igft(decomposition: SpectralDecomposition, f_hat) -> np.ndarray:
 
 def spectrum(decomposition: SpectralDecomposition, f) -> Spectrum:
     """GFT of ``f`` packaged with its eigenvalues and frequency ranking."""
-    return Spectrum(
-        eigenvalues=decomposition.eigenvalues,
-        coefficients=gft(decomposition, f),
-        ordering=order_frequencies(decomposition.eigenvalues),
-    )
+    return Spectrum(eigenvalues=decomposition.eigenvalues, coefficients=gft(decomposition, f))
 
 
 def decompose(

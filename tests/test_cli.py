@@ -425,11 +425,19 @@ class TestExitCodes:
         signal = tmp_path / "signal.json"
         signal.write_text('{"n": 3, "values": [1, 2, 3]}')
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+            warnings.simplefilter("error")  # no numpy overflow note comes first
             code, out, err = run_cli(capsys, "gft", str(graph), "--signal", str(signal))
         assert code == 4
         assert out == ""
-        assert "ReconstructionError" in err
+        assert err.startswith("dgft: error: ReconstructionError")
+        assert len(err.splitlines()) == 1
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dgft.cli", "gft", str(graph), "--signal", str(signal)],
+            capture_output=True, text=True, env=_env_importing_dgft(),
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [err.rstrip("\n")]
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])

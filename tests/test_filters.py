@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dgft import (
     EmptyTapsError,
-    LsiFilter,
     apply_spectral_domain,
     apply_vertex_domain,
     check_lsi_preconditions,
@@ -25,15 +24,30 @@ from dgft.linalg import _Bidiagonal
 from conftest import defective_zoo, make_random_digraph
 
 
-class TestLsiFilter:
-    def test_taps_are_read_only(self):
-        filt = LsiFilter(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            filt.taps[0] = 5.0
+def _filter_calls(taps):
+    """Every public way to apply taps, each on the demo graph."""
+    g = demo_graph()
+    dec = decompose(g)
+    f = np.arange(5, dtype=float)
+    return {
+        "vertex": lambda: apply_vertex_domain(g, taps, f),
+        "spectral": lambda: apply_spectral_domain(dec, taps, f),
+        "materialize": lambda: materialize(g, taps),
+    }
+
+
+class TestTaps:
+    def test_caller_taps_are_left_unchanged(self):
+        taps = np.array([1.0, 2.0, -0.5])
+        for name, call in _filter_calls(taps).items():
+            call()
+            assert np.array_equal(taps, [1.0, 2.0, -0.5]), name
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyTapsError):
-            LsiFilter([])
+        for empty in ([], (), np.zeros(0), np.zeros((0, 3))):
+            for name, call in _filter_calls(empty).items():
+                with pytest.raises(EmptyTapsError):
+                    call()
 
 
 class TestVertexDomain:
@@ -56,13 +70,12 @@ class TestVertexDomain:
         direct = materialize(g, taps) @ f.astype(complex)
         assert np.allclose(apply_vertex_domain(g, taps, f), direct, atol=1e-12)
 
-    def test_accepts_lsi_filter_instances(self):
+    def test_accepts_any_tap_sequence(self):
         g = demo_graph()
         f = np.ones(5)
-        filt = LsiFilter([0.5, 0.5])
-        assert np.array_equal(
-            apply_vertex_domain(g, filt, f), apply_vertex_domain(g, [0.5, 0.5], f)
-        )
+        want = apply_vertex_domain(g, [0.5, 0.5], f)
+        for taps in ((0.5, 0.5), np.array([0.5, 0.5]), np.array([[0.5], [0.5]]), [0.5 + 0j, 0.5]):
+            assert np.array_equal(apply_vertex_domain(g, taps, f), want)
 
 
 class TestSpectralDomain:

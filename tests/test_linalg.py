@@ -14,7 +14,6 @@ from dgft import (
     Graph,
     GraphSignal,
     IllConditionedBasisWarning,
-    LsiFilter,
     NoConvergenceError,
     NonSquareError,
     ReconstructionError,
@@ -40,6 +39,7 @@ from dgft.linalg import (
     RECON_LIMIT,
     JordanBlock,
     SpectralDecomposition,
+    _component_minima,
     _default_cluster_tol,
     _inverse,
     _jordan_chains,
@@ -100,7 +100,7 @@ class TestClustering:
         assert groups == [[0, 3], [1], [2]]
 
     def test_default_tol_floors_at_1e8(self):
-        assert _default_cluster_tol(np.zeros((3, 3))) == 1e-8
+        assert _default_cluster_tol(3, 0.0) == 1e-8
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_grid_values(), _clique_values()))
@@ -981,12 +981,26 @@ class TestCertificate:
     @pytest.mark.parametrize("weight", [1e300, 1e154])
     def test_overflowing_bound_is_refused(self, weight):
         # ||L||_F overflows to inf, so recon_tol * max(1, ||L||_F) would
-        # accept any residual, the infinite one included.
+        # accept any residual, the infinite one included. The refusal is
+        # the only signal: no numpy overflow warning comes before it.
         g = build_graph(3, [(0, 1, weight), (1, 2, 1.0), (2, 0, 1.0)])
+        lap = directed_laplacian(g).matrix
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
-            with pytest.raises(ReconstructionError, match="overflows"):
-                decompose(g)
+            warnings.simplefilter("error")
+            assert not is_normal(lap)
+            for call in (decompose, jordan_decompose, symmetric_eigen_decompose):
+                with pytest.raises(ReconstructionError, match="overflows"):
+                    call(lap)
+
+    def test_normality_verdicts_survive_power_of_two_scaling(self):
+        # is_normal scales by a power of two before its products, so the
+        # verdict at 2^k times a matrix is the verdict at the matrix.
+        laps = [directed_laplacian(ring_graph(6)).matrix, _perturbed_path()]
+        laps += [directed_laplacian(make_random_digraph(np.random.default_rng(s), 8)).matrix for s in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lap in laps:
+                assert {is_normal(lap * 2.0**k) for k in (-40, 0, 1, 500, 1000)} == {is_normal(lap)}
 
 
 def _union(pieces, rng):
@@ -1050,7 +1064,7 @@ class TestComponents:
         assert np.linalg.norm(dec.reconstruct() - lap) <= RECON_LIMIT * scale
         want = np.linalg.norm(dec.reconstruct() - lap)
         assert dec.residual == pytest.approx(want, abs=1e-13 * scale)
-        assert dec.cluster_tol == _default_cluster_tol(lap)
+        assert dec.cluster_tol == _default_cluster_tol(len(lap), np.linalg.norm(lap))
 
         expected = []
         for (p, exact), (kind, k) in zip(pieces, specs):
@@ -1121,6 +1135,24 @@ class TestComponents:
             want = np.zeros(len(lap))
             want[rows] = 1 / np.sqrt(len(rows))
             assert np.array_equal(dec.v[:, b.start], want)
+
+    def test_zero_columns_come_in_component_order(self):
+        # Each component's lone zero is snapped to exactly 0 before the
+        # columns are ordered, so at 0, as at every value, the component
+        # with the smallest node comes first; the computed zeros (±4e-16)
+        # no longer decide it.
+        for seed in range(200):
+            g = make_random_digraph(np.random.default_rng(seed), 6, p=0.5)
+            lap = np.zeros((7, 7))
+            lap[:6, :6] = directed_laplacian(g).matrix  # node 6 is isolated
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedBasisWarning)
+                dec = jordan_decompose(lap)
+            home = _component_minima(7, *np.nonzero(lap))  # each node's component
+            zeros = [b.start for b in dec.blocks if b.eigenvalue == 0]
+            owners = [home[min(_support(dec.v[:, k]))] for k in zeros]
+            assert owners[-1] == 6, seed
+            assert owners == sorted(owners), seed
 
     def test_block_residuals_add_in_squares(self):
         g, _ = _chain_union(np.random.default_rng(3), [3, 5, 4], delta=1e-8)
@@ -1199,7 +1231,7 @@ class TestDtypeRule:
                 "laplacian": lap.matrix,
                 "signal": GraphSignal(f).values,
                 "signal_values": signal_values(list(f), g.n),
-                "taps": LsiFilter(taps).taps,
+                "complex-typed taps": apply_vertex_domain(lap, np.array(taps, dtype=complex), f),
                 "v": dec.v,
                 "v_inv": dec.v_inv,
                 "j": dec.j,
@@ -1218,7 +1250,7 @@ class TestDtypeRule:
         g = build_graph(3, [(0, 1, 1 + 0j), (1, 2, 2 + 0j)])
         assert g.weights.dtype == np.dtype(float)
         assert GraphSignal(np.array([1, 2, 3], dtype=complex)).values.dtype == np.dtype(float)
-        assert LsiFilter([1 + 0j, 2 + 0j]).taps.dtype == np.dtype(float)
+        assert materialize(directed_laplacian(g), [1 + 0j, 2 + 0j]).dtype == np.dtype(float)
 
     def test_conjugate_pairs_keep_a_complex_basis(self):
         for g in (ring_graph(5), demo_graph()):
@@ -1238,7 +1270,7 @@ class TestDtypeRule:
         assert GraphSignal(f).values.dtype == np.dtype(complex)
         assert gft(dec, f).dtype == igft(dec, f).dtype == np.dtype(complex)
         taps = [1.0, 0.5j]
-        assert LsiFilter(taps).taps.dtype == np.dtype(complex)
+        assert materialize(lap, taps).dtype == np.dtype(complex)
         out = apply_vertex_domain(lap, taps, [1.0, 2.0, 3.0])
         assert out.dtype == np.dtype(complex)
         assert np.array_equal(out, [1.0, 2.0, 3.0] + 0.5j * (lap.matrix @ [1.0, 2.0, 3.0]))

@@ -1,0 +1,108 @@
+"""The certificate against an oracle that shares no code with the library.
+
+Every input gets one of two outcomes: ``decompose`` raises a typed
+``DgftError``, or it returns a basis whose residual ``||V J V^-1 - L||_F``,
+recomputed from the returned ``v``, ``j`` and ``v_inv`` in ``mpmath`` at 50
+digits, is within ``recon_tol * max(1, ||L||_F)``. The families are the
+ones where a basis is hardest to get right: defective and near-defective
+graphs, disjoint unions, isolated nodes and complex weights, all at n <= 12.
+"""
+
+import warnings
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dgft import (
+    DgftError,
+    Graph,
+    IllConditionedBasisWarning,
+    build_graph,
+    decompose,
+    directed_laplacian,
+    ring_graph,
+)
+from dgft.linalg import RECON_LIMIT
+from conftest import make_random_digraph
+
+DELTAS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+
+
+def _weights(rng, count, delta):
+    """``count`` weights ``1 + delta * N(0, 1)``: exact ones at delta = 0."""
+    return 1.0 + delta * rng.standard_normal(count)
+
+
+def _path(rng, k, delta):
+    w = _weights(rng, k - 1, delta)
+    edges = [(i, i + 1, float(w[i])) for i in range(k - 1)]
+    return directed_laplacian(build_graph(k, edges)).matrix
+
+
+def _union(blocks, rng):
+    """Block-diagonal union of square ``blocks`` on shuffled node labels."""
+    n = sum(len(b) for b in blocks)
+    big = np.zeros((n, n), dtype=complex if any(np.iscomplexobj(b) for b in blocks) else float)
+    start = 0
+    for b in blocks:
+        big[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    perm = rng.permutation(n)
+    return big[np.ix_(perm, perm)]
+
+
+@st.composite
+def _laplacians(draw):
+    family = draw(
+        st.sampled_from(
+            ["digraph", "complex", "out-tree", "path", "path-union", "ring-path", "isolated"]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = draw(st.sampled_from(DELTAS))
+    n = draw(st.integers(1, 12))
+    if family in ("digraph", "complex"):
+        g = make_random_digraph(rng, n, p=draw(st.sampled_from([0.15, 0.3, 0.6])))
+        if family == "complex":
+            phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=g.weights.shape))
+            g = Graph(n=n, weights=g.weights * phases)
+        return family, directed_laplacian(g).matrix
+    if family == "out-tree":  # each node fed by one earlier node
+        w = _weights(rng, n, delta)
+        edges = [(int(rng.integers(i)), i, float(w[i])) for i in range(1, n)]
+        return family, directed_laplacian(build_graph(n, edges)).matrix
+    if family == "path":
+        return family, _path(rng, n, delta)
+    if family == "path-union":
+        lengths = draw(st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=3))
+        return family, _union([_path(rng, k, delta) for k in lengths], rng)
+    if family == "ring-path":
+        ring, path = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+        cycle = directed_laplacian(ring_graph(ring)).matrix
+        return family, _union([cycle, _path(rng, path, delta)], rng)
+    isolated = draw(st.integers(1, 4))
+    rest = make_random_digraph(rng, max(1, n - isolated), p=0.4)
+    return family, _union([directed_laplacian(rest).matrix] + [np.zeros((1, 1))] * isolated, rng)
+
+
+def _mp(a: np.ndarray) -> mpmath.matrix:
+    return mpmath.matrix([[mpmath.mpmathify(complex(z)) for z in row] for row in a])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laplacians())
+def test_decompose_certifies_at_50_digits_or_refuses_typed(case):
+    family, lap = case
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedBasisWarning)
+            dec = decompose(lap)
+    except DgftError:
+        return
+    with mpmath.workdps(50):
+        r = _mp(dec.v) * _mp(dec.j) * _mp(dec.v_inv) - _mp(lap)
+        residual = mpmath.mnorm(r, "f")
+    bound = RECON_LIMIT * max(1.0, float(np.linalg.norm(lap)))
+    assert residual <= bound, (family, float(residual), bound)

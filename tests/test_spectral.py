@@ -286,7 +286,15 @@ class TestDecomposeRouting:
 
 def test_spectrum_of_unequal_lengths_is_refused_typed():
     with pytest.raises(InvalidValueError):
-        Spectrum(eigenvalues=[0.0, 1.0], coefficients=[1.0], ordering=order_frequencies([0.0, 1.0]))
+        Spectrum(eigenvalues=[0.0, 1.0], coefficients=[1.0])
+
+
+def test_spectrum_ordering_is_derived_from_its_eigenvalues():
+    w = [2.0, -1.0 + 1j, -1.0 - 1j, 0.0]
+    spec = Spectrum(eigenvalues=w, coefficients=[1.0, 2.0, 3.0, 4.0])
+    assert spec.ordering == order_frequencies(w)
+    with pytest.raises(TypeError):
+        Spectrum(eigenvalues=w, coefficients=[1.0] * 4, ordering=order_frequencies(w[::-1]))
 
 
 class TestSpectrumLocation:
