@@ -163,6 +163,8 @@ class DirectedLaplacian:
 
     def __post_init__(self):
         m = _as_square(self.matrix, copy=True)
+        if not np.isfinite(m).all():
+            raise InvalidValueError("a non-finite entry; not a valid in-degree Laplacian matrix")
         row_sums = np.abs(m.sum(axis=1))
         limit = ROW_SUM_TOL * max(float(np.max(np.abs(m).sum(axis=1), initial=0.0)), 0.0)
         if np.any(row_sums > limit):

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,8 +110,8 @@ class SpectralDecomposition:
 
     ``residual`` is the absolute reconstruction residual
     ``||V J V^-1 - A||_F`` the decomposition was certified with. The
-    eigenvalues and both verdicts are read off ``j``, ``blocks`` and
-    ``basis_condition`` rather than stored.
+    eigenvalues, the blocks and both verdicts are read off ``j`` and
+    ``basis_condition`` rather than stored, ``blocks`` once, on first access.
 
     The dtype rule (:func:`dgft.graph.real_or_complex`), which the
     package applies to every array it takes in and to the basis it
@@ -126,7 +127,6 @@ class SpectralDecomposition:
     v: np.ndarray
     j: np.ndarray
     v_inv: np.ndarray
-    blocks: tuple[JordanBlock, ...]
     is_unitary_basis: bool
     basis_condition: float
     cluster_tol: float
@@ -140,9 +140,14 @@ class SpectralDecomposition:
             if m.shape != (n, n):
                 raise NonSquareError(f"{name} has shape {m.shape}, expected ({n}, {n})")
             m.flags.writeable = False
-        if sum(b.size for b in self.blocks) != n:
-            raise NonSquareError("block sizes do not sum to the matrix dimension")
         object.__setattr__(self, "n", n)
+
+    @cached_property
+    def blocks(self) -> tuple[JordanBlock, ...]:
+        """The Jordan blocks in column order, each from a proper column up to the next."""
+        starts = self.proper_indices
+        ends = starts[1:] + (self.n,)
+        return tuple(JordanBlock(complex(self.j[s, s]), e - s, s) for s, e in zip(starts, ends))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -156,8 +161,8 @@ class SpectralDecomposition:
 
     @property
     def is_diagonalizable(self) -> bool:
-        """Every Jordan block is 1x1."""
-        return all(b.size == 1 for b in self.blocks)
+        """Every Jordan block is 1x1: no column of ``j`` continues a chain."""
+        return _Bidiagonal(self.j).inner.size == 0
 
     @property
     def ill_conditioned(self) -> bool:
@@ -166,8 +171,8 @@ class SpectralDecomposition:
 
     @property
     def proper_indices(self) -> tuple[int, ...]:
-        """Columns of ``v`` that are proper eigenvectors (chain heads)."""
-        return tuple(b.start for b in self.blocks)
+        """Columns of ``v`` that are proper eigenvectors: each continues no chain."""
+        return tuple(np.delete(np.arange(self.n), _Bidiagonal(self.j).inner).tolist())
 
     def reconstruct(self) -> np.ndarray:
         """Recompute ``(V J) V^{-1}``, the product the decomposition was
@@ -231,11 +236,6 @@ def _component_minima(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
         labels = hooked
 
 
-def _basis_condition(v: np.ndarray, v_inv: np.ndarray) -> float:
-    """The 1-norm condition ``||V||_1 * ||V^-1||_1`` of a basis and its inverse."""
-    return float(np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1))
-
-
 def _converged(kernel, *args, **kwargs):
     """Call an iterative LAPACK kernel; its convergence failure is typed."""
     try:
@@ -286,30 +286,31 @@ def order_with_ties(
     order = order[np.lexsort((w.real[order], group))]
     split = (np.diff(group) != 0) | ~(np.abs(np.diff(w.real[order])) <= slack[group[1:]])
     order = order[np.lexsort((w.imag[order], np.cumsum(np.r_[True, split])))]
-    starts = np.r_[0, ends[:-1] + 1]
-    groups = [tuple(order[s : e + 1].tolist()) for s, e in zip(starts, ends) if e > s]
+    starts = np.r_[0, ends[:-1] + 1].tolist()
+    groups = [tuple(order[s : e + 1].tolist()) for s, e in zip(starts, ends.tolist()) if e > s]
     return order.tolist(), groups
 
 
-def _normalize_chains(v: np.ndarray, blocks: list[JordanBlock]) -> None:
+def _normalize_chains(v: np.ndarray, heads: np.ndarray) -> None:
     """Scale and phase every Jordan chain of ``v`` in place via its head.
 
-    One scalar applies to a whole chain so the unit superdiagonal of its
-    block survives: the head (the proper eigenvector) gets unit norm with
-    its largest-magnitude entry rotated real positive (first such entry on
-    ties), and the tail inherits the same factor.
+    ``heads`` marks each chain's first column. One scalar applies to a
+    whole chain so the unit superdiagonal of its block survives: the head
+    (the proper eigenvector) gets unit norm with its largest-magnitude
+    entry rotated real positive (first such entry on ties), and the tail
+    inherits the same factor.
 
     A real ``v`` stays real. Its factors are still formed by complex
     division, whose rounding differs from real division, so a real basis
     gets the bits a complex one with the same values would.
     """
-    heads = v[:, [b.start for b in blocks]]
-    norms = np.linalg.norm(heads, axis=0)
-    pivots = heads[np.argmax(np.abs(heads), axis=0), np.arange(len(blocks))]
-    factors = np.ones(len(blocks), dtype=complex)
+    head = v[:, heads]
+    norms = np.linalg.norm(head, axis=0)
+    pivots = head[np.argmax(np.abs(head), axis=0), np.arange(head.shape[1])]
+    factors = np.ones(head.shape[1], dtype=complex)
     live = norms > 0  # a zero head (a singular basis) leaves its chain as it is
     factors[live] = np.conj(pivots[live], dtype=complex) / (np.abs(pivots[live]) * norms[live])
-    v *= np.repeat(factors if np.iscomplexobj(v) else factors.real, [b.size for b in blocks])
+    v *= (factors if np.iscomplexobj(v) else factors.real)[np.cumsum(heads) - 1]
 
 
 def _orthogonal_residual(x: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -406,13 +407,11 @@ class _Bidiagonal:
     __array_ufunc__ = None  # ``ndarray @ self`` defers to __rmatmul__
 
     @staticmethod
-    def dense(blocks: list[JordanBlock]) -> np.ndarray:
-        """The n x n ``J`` of ``blocks``, real exactly when every eigenvalue is."""
-        lams = real_or_complex([b.eigenvalue for b in blocks])
-        j = np.diag(np.repeat(lams, [b.size for b in blocks]))
-        tail = np.ones(len(j), dtype=bool)
-        tail[[b.start for b in blocks]] = False  # columns that continue a chain
-        inner = np.flatnonzero(tail)
+    def dense(eigenvalues: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """The n x n ``J`` of ``eigenvalues`` with a chain tail at each column
+        ``heads`` leaves unmarked, real exactly when every eigenvalue is."""
+        j = np.diag(real_or_complex(eigenvalues))
+        inner = np.flatnonzero(~heads)
         j[inner - 1, inner] = 1.0
         return j
 
@@ -433,8 +432,11 @@ class _Bidiagonal:
 
 def _finish(
     a: np.ndarray,
-    pieces: list[tuple[complex, complex, list[np.ndarray], int]],
     stacks: list[np.ndarray],
+    columns: list[np.ndarray],
+    eigenvalues: np.ndarray,
+    keys: np.ndarray,
+    chains: np.ndarray,
     *,
     norm: float,
     tol: float,
@@ -443,14 +445,18 @@ def _finish(
     recon_tol: float,
 ) -> SpectralDecomposition:
     """The one tail of both decomposition paths: column order, basis
-    convention, J, inverse and the certificate.
+    convention, J, inverse and the certificate, on whole arrays.
 
-    ``pieces`` lists (frequency key, eigenvalue, chain vectors, component),
-    one per Jordan chain, in any order; a component is named by its
-    smallest row, and its chain vectors live in its rows. ``stacks`` holds
-    the rows of each stack of equal-size components as an (m, k) array,
-    ascending within a component; a connected ``A``, and the unitary path,
-    give one stack of all n rows. ``norm`` is ``||A||_F``. In order:
+    ``stacks`` holds the rows of each stack of equal-size components as an
+    (m, k) array, ascending within a component; a connected ``A``, and the
+    unitary path, give one stack of all n rows. A component is named by
+    its smallest row. ``columns`` holds each stack's (m, k, k) vectors,
+    ``columns[s][i][:, t]`` the t-th column of component i in its rows.
+    Numbered stack by stack, component by component, each column has an
+    entry in the complex ``eigenvalues`` and frequency ``keys``, and in
+    ``chains``, which numbers the chains 0, 1, ... in the order ties keep;
+    a chain's columns come head first and share key and eigenvalue.
+    ``norm`` is ``||A||_F``. In order:
 
     1. When a component has exactly one 1x1 block at zero (within
        ``tol * max(1, norm)``) and ``A`` annihilates its constant vector
@@ -459,21 +465,20 @@ def _finish(
     2. One :func:`order_with_ties` of the keys orders the chains; at one
        key the longest chain comes first, then the component with the
        smallest row (both sorts are stable).
-    3. Each component's columns, in that order, fill its rows of ``V``.
-       Each chain is scaled and phased through its head
-       (:func:`_normalize_chains`), which gives a snapped vector its exact
-       unit form ``1/sqrt(k)``, and ``J`` is laid out.
+    3. Each component's columns, in that order, fill its rows of ``V``,
+       which is C-contiguous. Each chain is scaled and phased through its
+       head (:func:`_normalize_chains`), which gives a snapped vector its
+       exact unit form ``1/sqrt(k)``, and ``J`` is laid out.
     4. Each stack is inverted alone by ``np.linalg.inv`` in the basis
-       dtype (:func:`_inverse`); a ``unitary`` basis is inverted by its
-       conjugate transpose.
-    5. Each stack's residual ``||(V J) V^-1 - A||_F`` is taken, with ``V J``
-       formed once by :class:`_Bidiagonal`. Their root sum of squares, above
-       ``recon_tol * max(1, norm)``, raises :class:`ReconstructionError`:
-       the basis does not reproduce ``A``.
+       dtype (:func:`_inverse`), a ``unitary`` basis by its conjugate
+       transpose, and its residual ``||(V J) V^-1 - A||_F`` taken, with
+       ``V J`` formed once by :class:`_Bidiagonal`. Their root sum of
+       squares, above ``recon_tol * max(1, norm)``, raises
+       :class:`ReconstructionError`: the basis does not reproduce ``A``.
 
     ``v``, its inverse and ``j`` follow the dtype rule
     (:class:`SpectralDecomposition`). A basis condition
-    (:func:`_basis_condition`) above :data:`ILL_CONDITIONED_LIMIT` raises
+    ``||V||_1 * ||V^-1||_1`` above :data:`ILL_CONDITIONED_LIMIT` raises
     :class:`IllConditionedBasisWarning` and sets the flag on the result;
     defective matrices legitimately live there, so it is not an error.
     """
@@ -482,36 +487,34 @@ def _finish(
     home = np.empty(n, dtype=int)  # each row's component: its smallest row
     for rows in stacks:
         home[rows] = rows[:, :1]
+    component = home[np.concatenate([rows.ravel() for rows in stacks])]  # each column's
+    length = np.bincount(chains)[chains]  # each column's chain's
 
-    zero_limit = tol * scale
-    zero = [k for k, p in enumerate(pieces) if len(p[2]) == 1 and abs(p[1]) <= zero_limit]
-    owners = [pieces[k][3] for k in zero]
-    row_sums = a.sum(axis=1)  # on a component's rows: A times its ones vector
-    for k, owner in zip(zero, owners):
-        size = np.count_nonzero(member := home == owner)
-        annihilated = np.linalg.norm(row_sums[member]) <= zero_limit * math.sqrt(size)
-        if owners.count(owner) == 1 and annihilated:
-            pieces[k] = (0.0, 0j, [np.ones(size)], owner)
-    pieces.sort(key=lambda p: (-len(p[2]), p[3]))  # stable, as is order_with_ties
-    pieces = [pieces[k] for k in order_with_ties([p[0] for p in pieces])[0]]
+    zero = (length == 1) & (np.abs(eigenvalues) <= tol * scale)
+    # ||A 1|| on each component's rows, scaled so that no square overflows
+    residue = np.sqrt(np.bincount(home, np.abs(a.sum(axis=1) / scale) ** 2, n))
+    lone = np.bincount(component[zero], minlength=n) == 1
+    snap = zero & (lone & (residue <= tol * np.sqrt(np.bincount(home, minlength=n))))[component]
+    keys, eigenvalues = np.where(snap, 0, keys), np.where(snap, 0, eigenvalues)
 
-    blocks: list[JordanBlock] = []
-    vectors: list[np.ndarray] = []
-    for _, lam, chain, _ in pieces:
-        blocks.append(JordanBlock(eigenvalue=lam, size=len(chain), start=len(vectors)))
-        vectors += chain
-    owner = np.repeat([p[3] for p in pieces], [len(p[2]) for p in pieces])
+    # Every sort is stable and a chain's columns share every key, so they stay together.
+    order = np.lexsort((chains, component, -length))
+    order = order[order_with_ties(keys[order])[0]]  # V's columns, in order
+    heads = np.diff(chains[order], prepend=-1) != 0
+
     # A component's i-th smallest row and its i-th column share a slot.
-    slot = np.empty(n, dtype=int)
+    slot, owner = np.empty(n, dtype=int), component[order]
     slot[np.argsort(home, kind="stable")] = np.argsort(owner, kind="stable")
-    parts, basis = [(rows, slot[rows]) for rows in stacks], []
-    for rows, cols in parts:  # each stack's columns as (m, k, k): block i is component i's
-        columns = np.stack([vectors[c] for c in cols.ravel()], axis=1)  # (k, m * k)
-        basis.append((rows, cols, columns.reshape(cols.shape[1], *cols.shape).transpose(1, 0, 2)))
+    parts, basis, first = [(rows, slot[rows]) for rows in stacks], [], 0
+    for (rows, cols), stack in zip(parts, columns):  # block i of each stack is component i's
+        flat = stack.transpose(1, 0, 2).reshape(rows.shape[1], -1)  # column i * k + t
+        basis.append((rows, cols, np.take(flat, order[cols] - first, axis=1).transpose(1, 0, 2)))
+        first += rows.size
     v = _block_diagonal(n, basis)
-    _normalize_chains(v, blocks)
+    v[:, snap[order]] = home[:, None] == owner[snap[order]]  # each its component's ones vector
+    _normalize_chains(v, heads)
     v = real_or_complex(v)  # a complex matrix can still have a real basis
-    j = _Bidiagonal.dense(blocks)
+    j = _Bidiagonal.dense(eigenvalues[order], heads)
 
     v_inv = v.conj().T if unitary else _block_diagonal(
         n, [(cols, rows, _inverse(v[_blocks(rows, cols, n)])) for rows, cols in parts]
@@ -527,7 +530,7 @@ def _finish(
             f"decomposition residual {residual:.3e} exceeds "
             f"{recon_tol * scale:.3e}; results would be unreliable"
         )
-    condition = _basis_condition(v, v_inv)
+    condition = float(np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1))
     if condition > ILL_CONDITIONED_LIMIT:
         warnings.warn(
             f"Jordan basis condition {condition:.3e} exceeds "
@@ -539,7 +542,6 @@ def _finish(
         v=v,
         j=j,
         v_inv=v_inv,
-        blocks=tuple(blocks),
         is_unitary_basis=unitary,
         basis_condition=condition,
         cluster_tol=cluster_tol,
@@ -579,35 +581,35 @@ def jordan_decompose(
     home = _component_minima(n, *np.nonzero(a))  # each row's component: its smallest row
     size = np.bincount(home)[home]
 
-    # Components of each size k as an (m, k) stack of rows; w and the lists follow.
+    # Components of each size k as an (m, k) stack of rows; the columns follow.
     by_size = np.lexsort((home, size))
     stacks = [by_size[size[by_size] == k].reshape(-1, k) for k in sorted(set(size.tolist()))]
-    values, subs, columns = [], [], []
-    for rows in stacks:
-        stack = a[_blocks(rows, rows, n)]
-        for sub, w, eig_vectors in zip(stack, *_converged(np.linalg.eig, stack)):
-            values.append(w)
-            subs += [sub] * len(sub)
-            columns += list(eig_vectors.T)
-    w, component = np.concatenate(values), home[by_size]
+    subs = [a[_blocks(rows, rows, n)] for rows in stacks]
+    values, columns = zip(*[_converged(np.linalg.eig, sub) for sub in subs])
+    w = np.concatenate([x.ravel() for x in values])
+    first = np.cumsum([0] + [x.size for x in values])  # each stack's first column
 
-    pieces = []  # (frequency key, eigenvalue, chain vectors, component), one per chain
-    for cluster in cluster_eigenvalues(w, ct, component):
-        c, sub = component[cluster[0]], subs[cluster[0]]
-        # The mean of one value is that value, so singletons skip np.mean.
-        lam = complex(w[cluster[0]] if len(cluster) == 1 else np.mean(w[cluster]))
-        if len(cluster) == 1:
-            pieces.append((lam, lam, [columns[cluster[0]]], c))
-            continue
+    # Every column its own chain until its cluster says otherwise; chains
+    # number by their cluster's first column, then by their head's place.
+    lams = w.astype(complex)
+    keys, chains = lams.copy(), np.arange(n) * n
+    for cluster in [c for c in cluster_eigenvalues(w, ct, home[by_size]) if len(c) > 1]:
+        s = int(np.searchsorted(first, cluster[0], side="right")) - 1
+        i, t = np.divmod(np.subtract(cluster, first[s]), stacks[s].shape[1])  # one component
+        lam = complex(np.mean(w[cluster]))
         mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
-        chains = _jordan_chains(sub, mu, len(cluster), tol, norm)
-        pieces += [(lam, lam, chain, c) for chain in chains]
-        # Clustering artifact: not enough null directions found. Fall back
-        # to plain eigenvectors, each as its own block at its own value.
-        covered = sum(len(chain) for chain in chains)
-        pieces += [(lam, complex(w[i]), [columns[i]], c) for i in cluster[covered:]]
+        found = _jordan_chains(subs[s][i[0]], mu, len(cluster), tol, norm)
+        # The chains take the cluster's first columns, longest first. A shortfall is a
+        # clustering artifact: the rest keep their eigenvectors, each its own block.
+        covered = sum(lengths := [len(chain) for chain in found])
+        columns[s][i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
+        lengths += [1] * (len(cluster) - covered)
+        keys[cluster], lams[cluster[:covered]] = lam, lam
+        chains[cluster] = cluster[0] * n + np.repeat(np.cumsum(lengths) - lengths, lengths)
+    chains = np.unique(chains, return_inverse=True)[1]
     return _finish(
-        a, pieces, stacks, norm=norm, tol=tol, cluster_tol=ct, unitary=False, recon_tol=recon_tol
+        a, stacks, columns, lams, keys, chains,
+        norm=norm, tol=tol, cluster_tol=ct, unitary=False, recon_tol=recon_tol,
     )
 
 
@@ -684,10 +686,10 @@ def symmetric_eigen_decompose(
             split[:, idx] = np.einsum("nci,cij->ncj", q, np.linalg.qr(vectors)[0])
         w, v = values, split
 
-    pieces = [(x, complex(x), [col], 0) for x, col in zip(w, v.T)]
+    lams = w.astype(complex)  # every column its own chain, of the one component
     return _finish(
-        a, pieces, [np.arange(n)[None]], norm=norm, tol=tol, cluster_tol=ct, unitary=True,
-        recon_tol=recon_tol,
+        a, [np.arange(n)[None]], [v[None]], lams, lams, np.arange(n),
+        norm=norm, tol=tol, cluster_tol=ct, unitary=True, recon_tol=recon_tol,
     )
 
 

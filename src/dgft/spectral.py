@@ -116,14 +116,10 @@ def order_frequencies(eigenvalues) -> FrequencyOrdering:
     share one value across their columns) keep their original relative
     order and chains stay contiguous, head first.
     """
-    w = np.asarray(eigenvalues, dtype=complex).ravel()
-    order, tie_groups = order_with_ties(w)
-    ranks = [0] * w.size
-    for rank, idx in enumerate(order):
-        ranks[idx] = rank
+    order, tie_groups = order_with_ties(eigenvalues)
     return FrequencyOrdering(
         order=tuple(order),
-        ranks=tuple(ranks),
+        ranks=tuple(np.argsort(order).tolist()),  # the inverse permutation
         tie_groups=tuple(tie_groups),
     )
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,22 @@ class TestDirectedLaplacian:
         with pytest.raises(InvalidValueError) as info:
             decompose(np.ones((3, 3)))
         assert isinstance(info.value, DgftError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[np.inf, -np.inf], [0.0, 0.0]],
+            [[1.0, -1.0], [np.nan, 0.0]],
+            [[0.0, 0.0], [0.0, complex(0, np.inf)]],
+        ],
+    )
+    def test_non_finite_raw_matrix_is_refused_before_any_arithmetic(self, matrix):
+        # Refused by entry, as Graph refuses non-finite weights: no numpy
+        # warning from the row-sum check comes first, and eig never runs.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValueError, match="non-finite"):
+                decompose(matrix)
 
     def test_accepts_tiny_residual_row_sums(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-14]])

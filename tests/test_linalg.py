@@ -39,6 +39,7 @@ from dgft.linalg import (
     RECON_LIMIT,
     JordanBlock,
     SpectralDecomposition,
+    _Bidiagonal,
     _component_minima,
     _default_cluster_tol,
     _inverse,
@@ -917,6 +918,60 @@ class TestSharedFinisher:
                 setattr(dec, name, None)
 
 
+class TestDerivedBlocks:
+    """``blocks`` is read off ``j`` on first access, not built by the finisher."""
+
+    @staticmethod
+    def _decompositions():
+        rng = np.random.default_rng(11)
+        graphs = [g for _, g in defective_zoo()]
+        graphs += [_chain_union(rng, lengths)[0] for lengths in ([3, 3, 5, 5], [2, 4, 1], [6])]
+        graphs += [make_random_digraph(rng, 12) for _ in range(4)]
+        graphs += [make_random_undirected(rng, 12) for _ in range(2)]
+        graphs += [ring_graph(8), build_graph(5, [(0, 1, 1.0)])]  # unitary; isolated nodes
+        return [decompose(directed_laplacian(g)) for g in graphs]
+
+    def test_decompose_builds_no_block_until_read(self, monkeypatch):
+        built = []
+        init = JordanBlock.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JordanBlock, "__init__", counting_init)
+        rng = np.random.default_rng(401)
+        for g in (make_random_undirected(rng, 200, p=0.05), make_random_digraph(rng, 200, p=0.05)):
+            dec = decompose(directed_laplacian(g))
+            tails = _Bidiagonal(dec.j).inner.size
+            assert len(dec.proper_indices) + tails == dec.eigenvalues.size == 200
+            assert dec.is_diagonalizable == (tails == 0)
+            assert built == []
+            blocks = dec.blocks
+            assert len(built) == len(blocks) and dec.blocks is blocks  # built once, then kept
+            built.clear()
+
+    def test_blocks_tile_columns_from_the_chain_heads(self):
+        for dec in self._decompositions():
+            heads = np.delete(np.arange(dec.n), _Bidiagonal(dec.j).inner)
+            assert [b.start for b in dec.blocks] == heads.tolist() == list(dec.proper_indices)
+            assert [b.start + b.size for b in dec.blocks] == heads[1:].tolist() + [dec.n]
+            for b in dec.blocks:
+                assert type(b.eigenvalue) is complex and b.eigenvalue == dec.j[b.start, b.start]
+                block = dec.j[b.start : b.start + b.size, b.start : b.start + b.size]
+                assert np.array_equal(block, b.eigenvalue * np.eye(b.size) + np.eye(b.size, k=1))
+            assert dec.is_diagonalizable == all(b.size == 1 for b in dec.blocks)
+
+    def test_block_sizes_match_exact_oracle(self):
+        graphs = [(name, g) for name, g in defective_zoo()]
+        rng = np.random.default_rng(5)
+        for lengths in ([3, 3, 5, 5], [5, 5, 3], [2, 2, 4], [1, 3, 6]):
+            graphs.append((f"paths {lengths}", _chain_union(rng, lengths)[0]))
+        for name, g in graphs:
+            lap = directed_laplacian(g).matrix
+            _assert_blocks_match_exact_oracle(decompose(lap), lap, name)
+
+
 def _perturbed_path() -> np.ndarray:
     """Laplacian of the directed 5-node path with weights 1 + 1e-4 N(0, 1)."""
     weights = 1.0 + 1e-4 * np.random.default_rng(0).standard_normal(4)
@@ -1180,13 +1235,11 @@ class TestInvert:
 
     def test_rejects_nonsquare(self):
         # An inverse of the wrong shape never makes it into a result.
-        blocks = (JordanBlock(1 + 0j, 1, 0), JordanBlock(2 + 0j, 1, 1))
         with pytest.raises(NonSquareError):
             SpectralDecomposition(
                 v=np.eye(2, dtype=complex),
                 j=np.diag([1.0, 2.0]).astype(complex),
                 v_inv=np.zeros((2, 3), dtype=complex),
-                blocks=blocks,
                 is_unitary_basis=False,
                 basis_condition=1.0,
                 cluster_tol=1e-8,
