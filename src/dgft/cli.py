@@ -128,7 +128,7 @@ def _cmd_gft(args: argparse.Namespace) -> int:
     _, dec = _checked_decompose(g, args)
     spec = spectrum(dec, signal)
     dump = fileio.dump_spectrum_csv if args.format == "csv" else fileio.dump_spectrum_json
-    dump(spec, args.output, natural_order=args.order == "natural")
+    dump(spec, args.output)
     return EXIT_OK
 
 
@@ -278,12 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--signal", required=True, help="signal JSON file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--order",
-        choices=("spectral-index", "natural"),
-        default="spectral-index",
-        help="row order: by basis column, or by frequency rank (natural)",
-    )
     p.set_defaults(func=_cmd_gft)
 
     p = sub.add_parser("igft", help="synthesize a signal from a spectrum file")

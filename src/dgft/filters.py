@@ -127,6 +127,7 @@ def check_lsi_preconditions(decomposition: SpectralDecomposition) -> Multiplicit
     Geometric multiplicity of a distinct eigenvalue is the number of
     blocks carrying it; algebraic is the total of their sizes. Distinct
     means separated by more than the decomposition's clustering tolerance.
+    Entries follow their first block, so they come in frequency order.
     """
     block_values = [complex(b.eigenvalue) for b in decomposition.blocks]
     entries = []
@@ -139,5 +140,4 @@ def check_lsi_preconditions(decomposition: SpectralDecomposition) -> Multiplicit
                 geometric=len(members),
             )
         )
-    entries.sort(key=lambda e: (abs(e.eigenvalue), e.eigenvalue.real, e.eigenvalue.imag))
     return MultiplicityReport(entries=tuple(entries))

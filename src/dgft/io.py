@@ -255,20 +255,16 @@ def dump_matrix_json(m, dst) -> None:
 # Spectra
 
 
-def _spectrum_row_order(spec: Spectrum, natural_order: bool) -> Iterable[int]:
-    return spec.ordering.order if natural_order else range(spec.n)
+def dump_spectrum_csv(spec: Spectrum, dst) -> None:
+    """One row per spectral index, in spectral (basis column) order.
 
-
-def dump_spectrum_csv(spec: Spectrum, dst, *, natural_order: bool = False) -> None:
-    """One row per spectral index.
-
-    Rows come out in spectral (basis column) order by default; with
-    ``natural_order`` they are sorted by frequency rank instead. The
-    spectral_index column keeps each row unambiguous either way.
+    A decomposition lists its columns in frequency order, so for a
+    spectrum of one (:func:`dgft.spectral.spectrum`) the
+    ``frequency_rank`` column reads 0, 1, ..., n-1 down the file.
     """
     with _opened(dst, "w") as fh:
         fh.write(",".join(SPECTRUM_HEADER) + "\n")
-        for r in _spectrum_row_order(spec, natural_order):
+        for r in range(spec.n):
             lam = complex(spec.eigenvalues[r])
             c = complex(spec.coefficients[r])
             fields = (
@@ -283,9 +279,9 @@ def dump_spectrum_csv(spec: Spectrum, dst, *, natural_order: bool = False) -> No
             fh.write(",".join(fields) + "\n")
 
 
-def dump_spectrum_json(spec: Spectrum, dst, *, natural_order: bool = False) -> None:
+def dump_spectrum_json(spec: Spectrum, dst) -> None:
     entries = []
-    for r in _spectrum_row_order(spec, natural_order):
+    for r in range(spec.n):
         lam = complex(spec.eigenvalues[r])
         c = complex(spec.coefficients[r])
         entries.append(

@@ -104,7 +104,10 @@ class SpectralDecomposition:
 
     ``v`` holds the basis columns (chain heads are proper eigenvectors,
     listed first within each block) and ``j`` is block diagonal with unit
-    superdiagonals inside blocks. ``is_unitary_basis`` marks the unitary
+    superdiagonals inside blocks. The columns come in frequency order:
+    ``order_frequencies(eigenvalues).order`` is ``range(n)``
+    (:func:`dgft.spectral.order_frequencies`), so a column's spectral
+    index is its frequency rank. ``is_unitary_basis`` marks the unitary
     path of :func:`symmetric_eigen_decompose` (real symmetric and other
     normal matrices), where ``v_inv`` is exactly ``v.conj().T``.
 
@@ -435,7 +438,6 @@ def _finish(
     stacks: list[np.ndarray],
     columns: list[np.ndarray],
     eigenvalues: np.ndarray,
-    keys: np.ndarray,
     chains: np.ndarray,
     *,
     norm: float,
@@ -453,18 +455,19 @@ def _finish(
     its smallest row. ``columns`` holds each stack's (m, k, k) vectors,
     ``columns[s][i][:, t]`` the t-th column of component i in its rows.
     Numbered stack by stack, component by component, each column has an
-    entry in the complex ``eigenvalues`` and frequency ``keys``, and in
-    ``chains``, which numbers the chains 0, 1, ... in the order ties keep;
-    a chain's columns come head first and share key and eigenvalue.
-    ``norm`` is ``||A||_F``. In order:
+    entry in the complex ``eigenvalues`` and in ``chains``, which numbers
+    the chains 0, 1, ... in the order ties keep; a chain's columns come
+    head first and share one eigenvalue. ``norm`` is ``||A||_F``. In order:
 
     1. When a component has exactly one 1x1 block at zero (within
        ``tol * max(1, norm)``) and ``A`` annihilates its constant vector
-       (every graph Laplacian), that block's key and eigenvalue become
-       exactly 0 and its vector the component's all-ones vector.
-    2. One :func:`order_with_ties` of the keys orders the chains; at one
-       key the longest chain comes first, then the component with the
-       smallest row (both sorts are stable).
+       (every graph Laplacian), that block's eigenvalue becomes exactly 0
+       and its vector the component's all-ones vector.
+    2. One :func:`order_with_ties` of the eigenvalues, the ones ``J``'s
+       diagonal gets, orders the chains; at one value the longest chain
+       comes first, then the component with the smallest row (both sorts
+       are stable). The ordering is idempotent, so the columns come out
+       in frequency order: each column's index is its frequency rank.
     3. Each component's columns, in that order, fill its rows of ``V``,
        which is C-contiguous. Each chain is scaled and phased through its
        head (:func:`_normalize_chains`), which gives a snapped vector its
@@ -495,11 +498,11 @@ def _finish(
     residue = np.sqrt(np.bincount(home, np.abs(a.sum(axis=1) / scale) ** 2, n))
     lone = np.bincount(component[zero], minlength=n) == 1
     snap = zero & (lone & (residue <= tol * np.sqrt(np.bincount(home, minlength=n))))[component]
-    keys, eigenvalues = np.where(snap, 0, keys), np.where(snap, 0, eigenvalues)
+    eigenvalues = np.where(snap, 0, eigenvalues)
 
-    # Every sort is stable and a chain's columns share every key, so they stay together.
+    # Every sort is stable and a chain's columns share one eigenvalue, so they stay together.
     order = np.lexsort((chains, component, -length))
-    order = order[order_with_ties(keys[order])[0]]  # V's columns, in order
+    order = order[order_with_ties(eigenvalues[order])[0]]  # V's columns, in order
     heads = np.diff(chains[order], prepend=-1) != 0
 
     # A component's i-th smallest row and its i-th column share a slot.
@@ -566,9 +569,11 @@ def jordan_decompose(
     ``A``, as are the rank and certificate scales), each cluster is
     represented by its mean, and generalized-eigenvector chains are built
     from rank-revealing null spaces of powers of the shifted submatrix.
-    Blocks are ordered by (magnitude, real, imaginary) of their computed
-    eigenvalue; at one value the longest chain comes first, then the
-    component with the smallest node.
+    Blocks are ordered by their eigenvalue in ``J``, by (magnitude, real,
+    imaginary) with ties (:func:`order_with_ties`); at one value the
+    longest chain comes first, then the component with the smallest node.
+    A cluster that yields too few chains leaves its other columns with
+    their own eigenvectors, each ranked by its own eigenvalue.
 
     The basis follows the one convention of :func:`_finish`, certified
     block by block. A reconstruction residual above ``recon_tol`` relative
@@ -591,8 +596,7 @@ def jordan_decompose(
 
     # Every column its own chain until its cluster says otherwise; chains
     # number by their cluster's first column, then by their head's place.
-    lams = w.astype(complex)
-    keys, chains = lams.copy(), np.arange(n) * n
+    lams, chains = w.astype(complex), np.arange(n) * n
     for cluster in [c for c in cluster_eigenvalues(w, ct, home[by_size]) if len(c) > 1]:
         s = int(np.searchsorted(first, cluster[0], side="right")) - 1
         i, t = np.divmod(np.subtract(cluster, first[s]), stacks[s].shape[1])  # one component
@@ -604,11 +608,11 @@ def jordan_decompose(
         covered = sum(lengths := [len(chain) for chain in found])
         columns[s][i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
         lengths += [1] * (len(cluster) - covered)
-        keys[cluster], lams[cluster[:covered]] = lam, lam
+        lams[cluster[:covered]] = lam
         chains[cluster] = cluster[0] * n + np.repeat(np.cumsum(lengths) - lengths, lengths)
     chains = np.unique(chains, return_inverse=True)[1]
     return _finish(
-        a, stacks, columns, lams, keys, chains,
+        a, stacks, columns, lams, chains,
         norm=norm, tol=tol, cluster_tol=ct, unitary=False, recon_tol=recon_tol,
     )
 
@@ -669,12 +673,11 @@ def symmetric_eigen_decompose(
     """
     a = _as_square(a)
     n, norm = len(a), _frobenius(a, recon_tol)
-    h = (a + a.conj().T) / 2.0
+    h = a if np.array_equal(a, a.conj().T) else (a + a.conj().T) / 2.0
     w, v = _converged(np.linalg.eigh, h)
     ct = _default_cluster_tol(n, norm) if cluster_tol is None else float(cluster_tol)
-    skew = a - h
-    if skew.any():  # split each cluster of H by A restricted to its columns
-        sv = skew @ v
+    if h is not a:  # split each cluster of H by A restricted to its columns
+        sv = (a - h) @ v
         clusters = cluster_eigenvalues(w, ct)
         values, split = w.astype(complex), v.astype(complex)
         for k in {len(c) for c in clusters}:
@@ -686,9 +689,8 @@ def symmetric_eigen_decompose(
             split[:, idx] = np.einsum("nci,cij->ncj", q, np.linalg.qr(vectors)[0])
         w, v = values, split
 
-    lams = w.astype(complex)  # every column its own chain, of the one component
-    return _finish(
-        a, [np.arange(n)[None]], [v[None]], lams, lams, np.arange(n),
+    return _finish(  # every column its own chain, of the one component
+        a, [np.arange(n)[None]], [v[None]], w.astype(complex), np.arange(n),
         norm=norm, tol=tol, cluster_tol=ct, unitary=True, recon_tol=recon_tol,
     )
 

@@ -130,8 +130,10 @@ class Spectrum:
 
     Entry r pairs ``eigenvalues[r]`` with coefficient ``coefficients[r]``;
     ``ordering`` ranks the entries by frequency, derived from the
-    eigenvalues (:func:`order_frequencies`). Rows are in spectral (basis
-    column) order, not rank order. Both arrays follow the dtype rule
+    eigenvalues (:func:`order_frequencies`). Entries are in spectral
+    (basis column) order, which for a spectrum of a decomposition
+    (:func:`spectrum`) is frequency order: its ``ordering.order`` is
+    ``range(n)``. Both arrays follow the dtype rule
     (:func:`dgft.graph.real_or_complex`).
     """
 

@@ -14,7 +14,7 @@ import dgft
 from dgft import apply_vertex_domain, decompose, demo_graph, gft, ring_graph
 from dgft.cli import main
 from dgft.io import load_graph, load_signal, load_spectrum
-from conftest import DATA
+from conftest import DATA, make_random_digraph
 
 DEMO = str(DATA / "demo_graph.txt")
 SIGNAL = str(DATA / "demo_signal.json")
@@ -113,37 +113,25 @@ class TestGft:
         _, out2, _ = run_cli(capsys, "gft", DEMO, "--signal", SIGNAL)
         assert out1 == out2
 
-    def test_natural_order_sorts_rows_by_rank(self, capsys, tmp_path):
+    def test_loose_cluster_tol_keeps_rows_in_frequency_order(self, capsys, tmp_path):
+        # At --tol-cluster 0.01 distinct eigenvalues of this digraph share a
+        # cluster whose chains fall short; the columns that keep their own
+        # eigenvectors rank by their own eigenvalues, so every row's
+        # frequency rank is still its spectral index.
+        rng = np.random.default_rng(9)
+        g = make_random_digraph(rng, int(rng.integers(2, 15)))
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"nodes {g.n}\n" + "".join(
+            f"{s + 1} {d + 1} {float(g.weights[d, s])!r}\n" for d, s in zip(*np.nonzero(g.weights))
+        ))
+        signal = tmp_path / "f.json"
+        signal.write_text(json.dumps({"n": g.n, "values": list(range(g.n))}))
         code, out, _ = run_cli(
-            capsys, "gft", DEMO, "--signal", SIGNAL, "--order", "natural"
+            capsys, "gft", str(graph), "--signal", str(signal), "--tol-cluster", "0.01"
         )
         assert code == 0
-        ranks = [int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
-        assert ranks == sorted(ranks)
-        # a rank-sorted file must still round-trip through igft
-        spec_path = tmp_path / "natural.csv"
-        spec_path.write_text(out)
-        code, back, _ = run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path))
-        assert code == 0
-        values = [
-            complex(v, 0) if isinstance(v, (int, float)) else complex(v[0], v[1])
-            for v in json.loads(back)["values"]
-        ]
-        assert np.allclose(values, [0.12, 0.38, 0.81, 0.24, 0.88], atol=1e-8)
-
-    def test_natural_order_json_round_trips(self, capsys, tmp_path):
-        spec_path = tmp_path / "natural.json"
-        code, _, _ = run_cli(
-            capsys, "gft", DEMO, "--signal", SIGNAL,
-            "--order", "natural", "--format", "json", "-o", str(spec_path),
-        )
-        assert code == 0
-        rows = json.loads(spec_path.read_text())["entries"]
-        assert [r["frequency_rank"] for r in rows] == sorted(
-            r["frequency_rank"] for r in rows
-        )
-        code, _, _ = run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path))
-        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[-1] for r in rows] == [r[0] for r in rows] == [str(k) for k in range(g.n)]
 
     def test_dimension_mismatch_exits_3(self, capsys, tmp_path):
         short = tmp_path / "short.json"
@@ -173,6 +161,10 @@ class TestIgft:
         spec_path = tmp_path / "spec.csv"
         out_path = tmp_path / "back.json"
         assert run_cli(capsys, "gft", DEMO, "--signal", SIGNAL, "-o", str(spec_path))[0] == 0
+        # rows out of index order, and a blank line, load all the same
+        header, *rows = spec_path.read_text().splitlines()
+        shuffled = [rows[3], rows[0], "", rows[4], rows[2], rows[1]]
+        spec_path.write_text("\n".join([header, *shuffled]) + "\n")
         assert (
             run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path), "-o", str(out_path))[0]
             == 0
@@ -185,6 +177,9 @@ class TestIgft:
     def test_json_spectrum_accepted(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         run_cli(capsys, "gft", DEMO, "--signal", SIGNAL, "--format", "json", "-o", str(spec_path))
+        doc = json.loads(spec_path.read_text())
+        doc["entries"] = [doc["entries"][k] for k in (2, 4, 0, 1, 3)]  # out of index order
+        spec_path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "igft", DEMO, "--spectrum", str(spec_path))
         assert code == 0
         values = [
@@ -314,6 +309,13 @@ class TestFilter:
         code, _, _ = run_cli(capsys, "filter", DEMO, "--signal", SIGNAL, "--taps", ",")
         assert code == 2
 
+    def test_short_signal_exits_3(self, capsys, tmp_path):
+        short = tmp_path / "short.json"
+        short.write_text('{"n": 2, "values": [1, 2]}')
+        code, out, err = run_cli(capsys, "filter", DEMO, "--signal", str(short), "--taps", "1,0.5")
+        assert (code, out) == (3, "")
+        assert "5 nodes" in err
+
 
 class TestAnalyze:
     def test_report_structure(self, capsys):
@@ -394,7 +396,7 @@ class TestExitCodes:
         import dgft.cli as cli_mod
         from dgft.errors import ReconstructionError
 
-        def boom(g, cfg):
+        def boom(g, args):
             raise ReconstructionError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "_checked_decompose", boom)
@@ -403,7 +405,7 @@ class TestExitCodes:
         assert "synthetic failure" in err
         assert "ReconstructionError" in err
 
-    def test_explicit_flag_beats_env(self, capsys, monkeypatch, tmp_path):
+    def test_tol_cluster_reaches_both_paths_and_env_is_ignored(self, capsys, monkeypatch, tmp_path):
         # --tol-cluster is the one way to set the clustering tolerance, on
         # the Jordan path (the demo digraph) and the unitary path (a ring,
         # an undirected graph) alike; a DGFT_TOL_CLUSTER variable in the
@@ -439,7 +441,7 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [err.rstrip("\n")]
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "analyze", DEMO, f"{flag}={value}")

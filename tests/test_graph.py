@@ -92,6 +92,8 @@ class TestBuildGraph:
     def test_rejects_empty_graph(self):
         with pytest.raises(GraphSizeError):
             build_graph(0, [])
+        with pytest.raises(GraphSizeError):
+            Graph(n=0, weights=np.zeros((0, 0)))
 
     def test_single_node_graph_is_legal(self):
         g = build_graph(1, [])

@@ -6,11 +6,9 @@ import pytest
 
 from dgft import (
     ParseError,
-    Spectrum,
     decompose,
     demo_graph,
     directed_laplacian,
-    order_frequencies,
     spectrum,
 )
 from dgft.graph import GraphSignal
@@ -111,6 +109,19 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="missing"):
             load_graph(stdio.StringIO(""))
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("nodes x\n", "bad node count 'x'"),
+            ("nodes 0\n", "node count must be positive"),
+            ("nodes 2\n1.5 2 1\n", "endpoints must be integers"),
+        ],
+    )
+    def test_bad_header_or_endpoint_rejected_with_line(self, text, match):
+        with pytest.raises(ParseError, match=match) as exc:
+            load_graph(stdio.StringIO(text))
+        assert exc.value.line == text.count("\n")
+
     def test_bad_weight(self):
         with pytest.raises(ParseError) as exc:
             load_graph(stdio.StringIO("nodes 2\n1 2 xyz\n"))
@@ -137,6 +148,14 @@ class TestSignalJson:
     def test_rejects_bad_pair(self):
         with pytest.raises(ParseError):
             load_signal(stdio.StringIO('{"n": 1, "values": [[1, 2, 3]]}'))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("[1, 2]", "must hold a JSON object"), ('{"n": 0, "values": []}', "no values")],
+    )
+    def test_rejects_wrong_shape(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            load_signal(stdio.StringIO(text))
 
     def test_rejects_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
@@ -302,34 +321,23 @@ class TestSpectrumFiles:
         dump_spectrum_csv(spec, b)
         assert a.getvalue() == b.getvalue()
 
-    def test_natural_order_rows_sorted_by_rank(self):
-        # eigenvalues deliberately out of frequency order so the two row
-        # orders differ
-        w = np.array([3.0, 1.0, 2.0], dtype=complex)
-        spec = Spectrum(
-            eigenvalues=w,
-            coefficients=np.array([0.5, -1.5, 2.5], dtype=complex),
-        )
-        buf = stdio.StringIO()
-        dump_spectrum_csv(spec, buf, natural_order=True)
-        lines = buf.getvalue().splitlines()
-        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "0"]
-        again = load_spectrum(stdio.StringIO(buf.getvalue()))
-        assert np.array_equal(again.coefficients, spec.coefficients)
-        assert np.array_equal(again.eigenvalues, spec.eigenvalues)
-
-    def test_natural_order_json_entries_sorted_by_rank(self):
-        w = np.array([3.0, 1.0, 2.0], dtype=complex)
-        spec = Spectrum(
-            eigenvalues=w,
-            coefficients=np.array([0.5, -1.5, 2.5], dtype=complex),
-        )
-        buf = stdio.StringIO()
-        dump_spectrum_json(spec, buf, natural_order=True)
-        assert spec.ordering == order_frequencies(w)
-        entries = json.loads(buf.getvalue())["entries"]
-        assert [e["spectral_index"] for e in entries] == [1, 2, 0]
-        assert [e["frequency_rank"] for e in entries] == [0, 1, 2]
+    @pytest.mark.parametrize(
+        "text, match, line",
+        [
+            ("", "empty spectrum file", None),
+            (",".join(SPECTRUM_HEADER) + "\n", "holds no entries", None),
+            (",".join(SPECTRUM_HEADER) + "\n0,0,0,1,0\n", "expected 7 fields, got 5", 2),
+            (",".join(SPECTRUM_HEADER) + "\n0,0,0,1,0,1,0\nx,1,0,1,0,1,1\n", "invalid literal", 3),
+            ("{", "invalid JSON", None),
+            ('{"entries": 3}', "'entries' list", None),
+            ('{"entries": [1]}', r"entries\[0\]: expected an object", None),
+            ('{"entries": [{"spectral_index": 0, "eigenvalue": 0}]}', "missing field 'coefficient'", None),
+        ],
+    )
+    def test_malformed_spectrum_rejected(self, text, match, line):
+        with pytest.raises(ParseError, match=match) as exc:
+            load_spectrum(stdio.StringIO(text))
+        assert exc.value.line == line
 
     def test_path_based_io(self, tmp_path):
         spec = self._demo_spectrum()

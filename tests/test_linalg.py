@@ -1120,6 +1120,7 @@ class TestComponents:
         want = np.linalg.norm(dec.reconstruct() - lap)
         assert dec.residual == pytest.approx(want, abs=1e-13 * scale)
         assert dec.cluster_tol == _default_cluster_tol(len(lap), np.linalg.norm(lap))
+        assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n))
 
         expected = []
         for (p, exact), (kind, k) in zip(pieces, specs):

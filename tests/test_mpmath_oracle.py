@@ -22,6 +22,7 @@ from dgft import (
     build_graph,
     decompose,
     directed_laplacian,
+    order_frequencies,
     ring_graph,
 )
 from dgft.linalg import RECON_LIMIT
@@ -101,6 +102,7 @@ def test_decompose_certifies_at_50_digits_or_refuses_typed(case):
             dec = decompose(lap)
     except DgftError:
         return
+    assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n)), family
     with mpmath.workdps(50):
         r = _mp(dec.v) * _mp(dec.j) * _mp(dec.v_inv) - _mp(lap)
         residual = mpmath.mnorm(r, "f")

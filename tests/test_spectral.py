@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from dgft import (
     DimensionMismatchError,
+    IllConditionedBasisWarning,
     InvalidValueError,
     Spectrum,
     apply_vertex_domain,
@@ -222,6 +225,19 @@ class TestOrdering:
             ordering = order_frequencies(dec.eigenvalues)
             lam0 = dec.eigenvalues[ordering.order[0]]
             assert abs(lam0) == min(abs(v) for v in dec.eigenvalues)
+
+    @pytest.mark.parametrize("cluster_tol", [1e-2, 5e-2, 0.2])
+    def test_spectral_index_is_the_frequency_rank(self, cluster_tol):
+        # A loose tolerance merges distinct eigenvalues into clusters whose
+        # chains can fall short; a column that keeps its own eigenvector
+        # ranks by its own eigenvalue, so the basis stays in frequency order.
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            g = make_random_digraph(rng, int(rng.integers(2, 15)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedBasisWarning)
+                dec = decompose(g, cluster_tol=cluster_tol)
+            assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n)), seed
 
     def test_magnitudes_sorted_ascending(self):
         dec = decompose(demo_graph())
