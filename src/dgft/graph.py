@@ -25,9 +25,6 @@ from .errors import (
     SelfLoopError,
 )
 
-# Entrywise tolerance for accepting a matrix as real symmetric.
-SYMMETRY_TOL = 1e-12
-
 # Relative commutator size, against ||m||_F^2, for accepting a matrix as normal.
 NORMALITY_TOL = 1e-12
 
@@ -59,15 +56,14 @@ def _as_square(matrix, *, copy: bool = False) -> np.ndarray:
 
 
 def is_real_symmetric(m: np.ndarray) -> bool:
-    """Real and symmetric, entrywise within SYMMETRY_TOL.
+    """Real and exactly symmetric, in any unit of weight.
 
     The one test for "symmetric": it sends a matrix down the unitary path
     of :func:`dgft.spectral.decompose`, before any normality test, and
-    defines :attr:`Graph.is_undirected`.
-    ``m`` follows the dtype rule, so a complex ``m`` has a nonzero
-    imaginary entry and is not real.
+    defines :attr:`Graph.is_undirected`; one symmetric to rounding takes
+    that path by :func:`is_normal`. A complex ``m`` (dtype rule) is not real.
     """
-    return not np.iscomplexobj(m) and float(np.max(np.abs(m - m.T), initial=0.0)) <= SYMMETRY_TOL
+    return not np.iscomplexobj(m) and np.array_equal(m, m.T)
 
 
 def is_normal(m: np.ndarray) -> bool:
@@ -79,12 +75,13 @@ def is_normal(m: np.ndarray) -> bool:
     since ``||C x|| <= ||C||_F ||x||``; only a matrix that passes the
     probe pays the O(n^3) commutator.
 
-    Both sides scale with ``|m|^2``, so an ``m`` with an entry of 1 or
-    more is first scaled down by the power of two that brings its largest
-    entry below 1. That is exact in binary (short of subnormal entries),
-    so verdicts keep their bits, and large weights cannot overflow.
+    Both sides scale with ``|m|^2``, so ``m`` is first scaled by the power
+    of two that brings its largest entry into [1/2, 1) (as near as float64
+    reaches). That is exact, so verdicts on ``2^k m`` and ``m`` agree: no
+    large weight overflows, no small commutator underflows into "normal".
     """
-    m = m * 2.0 ** -max(0, int(np.frexp(np.max(np.abs(m), initial=0.0))[1]))
+    e = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+    m = m * 2.0 ** -max(e, np.finfo(float).minexp)
     ms = m.conj().T
     bound = NORMALITY_TOL * float(np.linalg.norm(m)) ** 2
     x = np.cos(np.arange(m.shape[0]))  # fixed and generic: no structure to align with
@@ -166,7 +163,7 @@ class DirectedLaplacian:
         if not np.isfinite(m).all():
             raise InvalidValueError("a non-finite entry; not a valid in-degree Laplacian matrix")
         row_sums = np.abs(m.sum(axis=1))
-        limit = ROW_SUM_TOL * max(float(np.max(np.abs(m).sum(axis=1), initial=0.0)), 0.0)
+        limit = ROW_SUM_TOL * float(np.max(np.abs(m).sum(axis=1), initial=0.0))
         if np.any(row_sums > limit):
             worst = int(np.argmax(row_sums))
             raise InvalidValueError(

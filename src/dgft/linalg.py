@@ -25,15 +25,16 @@ Every decomposition certifies itself. ``basis_condition`` is the 1-norm
 condition ``||V||_1 * ||V^-1||_1``, read off the inverse the
 decomposition builds anyway: at least 1, and n for a unitary basis such
 as the ring's DFT. ``residual`` is ``||V J V^-1 - A||_F``, and a
-decomposition whose residual exceeds ``recon_tol * max(1, ||A||_F)`` is
-refused with :class:`ReconstructionError` rather than returned.
+decomposition whose residual exceeds ``recon_tol * ||A||_F`` is refused
+with :class:`ReconstructionError` rather than returned.
 
 Jordan structure is discontinuous in the matrix entries, so every
 multiplicity decision here is tolerance-driven. The defaults below are
-engineering choices. The rank, clustering and reconstruction tolerances
-are parameters of both decomposition paths (CLI ``--tol``,
-``--tol-cluster`` and ``--tol-recon``);
-the tie and ill-conditioning thresholds are fixed module constants.
+engineering choices, each a fraction of the input's own size, never an
+absolute constant, so ``2^k A`` decomposes as ``A`` does. The rank,
+clustering and reconstruction tolerances are parameters of both paths
+(CLI ``--tol``, ``--tol-cluster`` and ``--tol-recon``); the tie and
+ill-conditioning thresholds are fixed module constants.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .graph import _as_square, real_or_complex
 
-# Rank decisions treat singular values below rank_tol * scale as zero.
+# Rank decisions treat singular values below rank_tol * ||matrix||_F as zero.
 DEFAULT_RANK_TOL = 1e-8
 
 # Basis condition number above which results carry an ill-conditioned flag.
@@ -69,23 +70,21 @@ def _default_cluster_tol(n: int, norm: float) -> float:
     """Absolute distance under which computed eigenvalues are merged, for an
     n x n matrix with ``||A||_F`` equal to ``norm``.
 
-    Scales with the matrix so that rounding-split multiple eigenvalues
-    cluster back together without merging genuinely distinct ones.
+    A fraction of the matrix with no floor, so that rounding-split multiple
+    eigenvalues cluster back together without merging distinct ones.
     """
-    return max(1e-8, 1e-6 * norm / n)
+    return 1e-6 * norm / n
 
 
 def _frobenius(a: np.ndarray, recon_tol: float) -> float:
-    """``||A||_F``, the one scale of a decomposition: of the default
-    cluster tolerance, the rank cutoffs and the certificate bound
-    ``recon_tol * max(1, ||A||_F)``. A bound that overflows certifies
-    nothing, so it raises :class:`ReconstructionError` before any kernel
-    runs.
+    """``||A||_F``, the scale of the default cluster tolerance, the zero
+    snap and the certificate bound ``recon_tol * ||A||_F``. A bound that
+    overflows certifies nothing: :class:`ReconstructionError` before any kernel.
     """
     with np.errstate(over="ignore"):  # an overflowed norm is refused just below
         norm = float(np.linalg.norm(a))
-    if not math.isfinite(recon_tol * max(1.0, norm)):
-        raise ReconstructionError("recon_tol * max(1, ||A||_F) overflows; nothing can be certified")
+    if not math.isfinite(recon_tol * norm):
+        raise ReconstructionError("recon_tol * ||A||_F overflows; nothing can be certified")
     return norm
 
 
@@ -263,7 +262,7 @@ def order_with_ties(
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Permutation ordering complex values by magnitude, ties resolved.
 
-    Indices whose magnitudes chain together within ``tie_tol * (1 + mag)``
+    Indices whose magnitudes chain together within ``tie_tol * mag``
     (the larger magnitude of each consecutive pair) form one tie group;
     inside it, ranking goes by real part (again chained, with the slack
     of the group's largest magnitude, since a computed conjugate pair can
@@ -282,9 +281,9 @@ def order_with_ties(
     mag = np.abs(w)
     order = np.argsort(mag, kind="stable")
     m = mag[order]
-    group = np.cumsum(np.r_[True, ~(np.abs(np.diff(m)) <= tie_tol * (1.0 + m[1:]))]) - 1
+    group = np.cumsum(np.r_[True, ~(np.abs(np.diff(m)) <= tie_tol * m[1:])]) - 1
     ends = np.flatnonzero(np.r_[group[1:] != group[:-1], True])
-    slack = tie_tol * (1.0 + m[ends])  # magnitudes ascend, so the last is the largest
+    slack = tie_tol * m[ends]  # magnitudes ascend, so the last is the largest
     # Within each group, by real part; runs of chained real parts, by imaginary part.
     order = order[np.lexsort((w.real[order], group))]
     split = (np.diff(group) != 0) | ~(np.abs(np.diff(w.real[order])) <= slack[group[1:]])
@@ -323,7 +322,7 @@ def _orthogonal_residual(x: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _jordan_chains(
-    a: np.ndarray, lam: complex, multiplicity: int, rank_tol: float, scale: float
+    a: np.ndarray, lam: complex, multiplicity: int, rank_tol: float
 ) -> list[list[np.ndarray]]:
     """Generalized-eigenvector chains for one clustered eigenvalue.
 
@@ -332,9 +331,10 @@ def _jordan_chains(
     (chains of length >= s each occupy one dimension of the step from
     power s-1 to power s). Chain tops are picked from the deepest null
     space, orthogonal to everything already claimed, then walked down by
-    repeated multiplication. Returned longest chain first, heads first
-    within each chain. Returns fewer than ``multiplicity`` vectors, or
-    none, when the cluster was a numerical artifact; the caller backfills.
+    repeated multiplication, ranks cut at ``rank_tol`` times each power's
+    own Frobenius norm. Returned longest chain first, heads first within
+    each chain. Returns fewer than ``multiplicity`` vectors, or none, when
+    the cluster was a numerical artifact; the caller backfills.
 
     The arithmetic follows the arguments: a real ``a`` with a real ``lam``
     keeps the powers, null spaces and chains real. At each chain level the
@@ -342,8 +342,9 @@ def _jordan_chains(
     SVD of what remains gives the level's tops all at once: its leading
     ``chain_counts[s]`` left singular vectors, orthonormal and orthogonal
     to the obstruction. A ``chain_counts[s]``-th singular value at or below
-    1e-10 is a shortfall. The tops walk down as one block product per
-    level.
+    1e-10 is a shortfall. A chain's level vector joins the obstruction when
+    its residual exceeds 1e-12 of its norm. The tops walk down as one block
+    product per level.
     """
     n = a.shape[0]
     shifted = a - lam * np.eye(n)
@@ -352,8 +353,7 @@ def _jordan_chains(
     power = np.eye(n, dtype=shifted.dtype)
     while nullities[-1] < multiplicity and len(nullities) <= multiplicity:
         power = power @ shifted
-        cutoff = rank_tol * max(scale, float(np.linalg.norm(power)))
-        basis = _nullspace_basis(power, cutoff)
+        basis = _nullspace_basis(power, rank_tol * float(np.linalg.norm(power)))
         if basis.shape[1] <= nullities[-1]:
             break
         nullities.append(basis.shape[1])
@@ -381,7 +381,7 @@ def _jordan_chains(
             level_vec = chain[s - 1]  # chain[k] is the level-(k+1) vector
             r = _orthogonal_residual(level_vec, obstruction)
             r_norm = float(np.linalg.norm(r))
-            if r_norm > 1e-12:
+            if r_norm > 1e-12 * float(np.linalg.norm(level_vec)):
                 obstruction = np.column_stack([obstruction, r / r_norm])
         residuals = _orthogonal_residual(bases[s], obstruction)
         tops, sigma, _ = _converged(np.linalg.svd, residuals, full_matrices=False)
@@ -459,10 +459,10 @@ def _finish(
     the chains 0, 1, ... in the order ties keep; a chain's columns come
     head first and share one eigenvalue. ``norm`` is ``||A||_F``. In order:
 
-    1. When a component has exactly one 1x1 block at zero (within
-       ``tol * max(1, norm)``) and ``A`` annihilates its constant vector
-       (every graph Laplacian), that block's eigenvalue becomes exactly 0
-       and its vector the component's all-ones vector.
+    1. When a component has exactly one 1x1 block at zero and each of its
+       rows of ``A`` sums to zero, both within ``tol * norm`` (every graph
+       Laplacian), that block's eigenvalue becomes exactly 0 and its
+       vector the component's all-ones vector.
     2. One :func:`order_with_ties` of the eigenvalues, the ones ``J``'s
        diagonal gets, orders the chains; at one value the longest chain
        comes first, then the component with the smallest row (both sorts
@@ -476,7 +476,7 @@ def _finish(
        dtype (:func:`_inverse`), a ``unitary`` basis by its conjugate
        transpose, and its residual ``||(V J) V^-1 - A||_F`` taken, with
        ``V J`` formed once by :class:`_Bidiagonal`. Their root sum of
-       squares, above ``recon_tol * max(1, norm)``, raises
+       squares, above ``recon_tol * norm``, raises
        :class:`ReconstructionError`: the basis does not reproduce ``A``.
 
     ``v``, its inverse and ``j`` follow the dtype rule
@@ -486,18 +486,16 @@ def _finish(
     defective matrices legitimately live there, so it is not an error.
     """
     n = a.shape[0]
-    scale = max(1.0, norm)
     home = np.empty(n, dtype=int)  # each row's component: its smallest row
     for rows in stacks:
         home[rows] = rows[:, :1]
     component = home[np.concatenate([rows.ravel() for rows in stacks])]  # each column's
     length = np.bincount(chains)[chains]  # each column's chain's
 
-    zero = (length == 1) & (np.abs(eigenvalues) <= tol * scale)
-    # ||A 1|| on each component's rows, scaled so that no square overflows
-    residue = np.sqrt(np.bincount(home, np.abs(a.sum(axis=1) / scale) ** 2, n))
+    zero = (length == 1) & (np.abs(eigenvalues) <= tol * norm)
     lone = np.bincount(component[zero], minlength=n) == 1
-    snap = zero & (lone & (residue <= tol * np.sqrt(np.bincount(home, minlength=n))))[component]
+    loose = np.bincount(home, np.abs(a.sum(axis=1)) > tol * norm, n)  # rows not summing to 0
+    snap = zero & (lone & (loose == 0))[component]
     eigenvalues = np.where(snap, 0, eigenvalues)
 
     # Every sort is stable and a chain's columns share one eigenvalue, so they stay together.
@@ -528,10 +526,10 @@ def _finish(
     for r, (rows, _) in zip(residuals, parts):
         r -= a[_blocks(rows, rows, n)]
     residual = math.hypot(*[float(np.linalg.norm(r)) for r in residuals])
-    if not residual <= recon_tol * scale:  # a NaN residual is refused too
+    if not residual <= recon_tol * norm:  # a NaN residual is refused too
         raise ReconstructionError(
             f"decomposition residual {residual:.3e} exceeds "
-            f"{recon_tol * scale:.3e}; results would be unreliable"
+            f"{recon_tol * norm:.3e}; results would be unreliable"
         )
     condition = float(np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1))
     if condition > ILL_CONDITIONED_LIMIT:
@@ -552,6 +550,9 @@ def _finish(
     )
 
 
+# Matrix powers and chains span ||A||^k in scale, so at extreme weights they can
+# overflow; the chain then falls short or fails the certificate, with no numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def jordan_decompose(
     a,
     tol: float = DEFAULT_RANK_TOL,
@@ -566,7 +567,7 @@ def jordan_decompose(
     sum of theirs; components of one size share one stacked ``eig``. A
     component's computed eigenvalues are clustered (single linkage at
     ``cluster_tol``, default :func:`_default_cluster_tol` of the whole
-    ``A``, as are the rank and certificate scales), each cluster is
+    ``A``, as is the certificate bound), each cluster is
     represented by its mean, and generalized-eigenvector chains are built
     from rank-revealing null spaces of powers of the shifted submatrix.
     Blocks are ordered by their eigenvalue in ``J``, by (magnitude, real,
@@ -602,7 +603,7 @@ def jordan_decompose(
         i, t = np.divmod(np.subtract(cluster, first[s]), stacks[s].shape[1])  # one component
         lam = complex(np.mean(w[cluster]))
         mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
-        found = _jordan_chains(subs[s][i[0]], mu, len(cluster), tol, norm)
+        found = _jordan_chains(subs[s][i[0]], mu, len(cluster), tol)
         # The chains take the cluster's first columns, longest first. A shortfall is a
         # clustering artifact: the rest keep their eigenvectors, each its own block.
         covered = sum(lengths := [len(chain) for chain in found])
@@ -656,9 +657,9 @@ def symmetric_eigen_decompose(
     ``H``'s eigenvalues (single linkage at ``cluster_tol``, default
     :func:`_default_cluster_tol`, as on the Jordan path) is split by a
     small ``eig`` of ``A`` restricted to the cluster's columns,
-    orthonormalized by QR. A matrix asymmetric only within the
-    symmetry tolerance is split the same way, so a repeated eigenvalue of
-    it may part into values with imaginary parts of the asymmetry's size.
+    orthonormalized by QR. A matrix symmetric only to rounding is split the
+    same way, so a repeated eigenvalue of it may part into values with
+    imaginary parts of the asymmetry's size.
     The basis is unitary either way and ``v_inv`` is ``v.conj().T``; no
     ``eig`` and no inverse of the full matrix run.
 

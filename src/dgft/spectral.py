@@ -189,9 +189,9 @@ def decompose(
     basis convention (unit scale, pivot phase, constant eigenvector
     snapped to ones over root n) and return the same SpectralDecomposition
     shape, so callers never branch. ``cluster_tol`` merges eigenvalues on
-    either path. Either path refuses, with :class:`ReconstructionError`, a
-    basis whose residual ``||V J V^-1 - L||_F`` exceeds
-    ``recon_tol * max(1, ||L||_F)``.
+    either path, and every threshold is relative to ``L``. Either path
+    refuses, with :class:`ReconstructionError`, a basis whose residual
+    ``||V J V^-1 - L||_F`` exceeds ``recon_tol * ||L||_F``.
     """
     m = as_laplacian(source).matrix
     solve = symmetric_eigen_decompose if is_real_symmetric(m) or is_normal(m) else jordan_decompose

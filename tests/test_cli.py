@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dgft
-from dgft import apply_vertex_domain, decompose, demo_graph, gft, ring_graph
+from dgft import Graph, apply_vertex_domain, decompose, demo_graph, gft, ring_graph
 from dgft.cli import main
 from dgft.io import load_graph, load_signal, load_spectrum
 from conftest import DATA, make_random_digraph
@@ -25,6 +25,13 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def edge_list(g) -> str:
+    """The edge-list file of ``g``, its weights written exactly."""
+    return f"nodes {g.n}\n" + "".join(
+        f"{s + 1} {d + 1} {float(g.weights[d, s])!r}\n" for d, s in zip(*np.nonzero(g.weights))
+    )
 
 
 class TestLaplacian:
@@ -121,9 +128,7 @@ class TestGft:
         rng = np.random.default_rng(9)
         g = make_random_digraph(rng, int(rng.integers(2, 15)))
         graph = tmp_path / "g.txt"
-        graph.write_text(f"nodes {g.n}\n" + "".join(
-            f"{s + 1} {d + 1} {float(g.weights[d, s])!r}\n" for d, s in zip(*np.nonzero(g.weights))
-        ))
+        graph.write_text(edge_list(g))
         signal = tmp_path / "f.json"
         signal.write_text(json.dumps({"n": g.n, "values": list(range(g.n))}))
         code, out, _ = run_cli(
@@ -355,6 +360,30 @@ class TestAnalyze:
         p = tmp_path / "complex.txt"
         p.write_text("nodes 3\n1 2 1+1i\n2 1 1+1i\n2 3 2\n3 2 2\n")
         assert load_graph(p).is_undirected is False
+        code, out, _ = run_cli(capsys, "analyze", str(p))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["undirected"] is False
+        assert doc["unitary_basis"] is False
+
+    def test_tiny_weights_keep_the_jordan_structure(self, capsys, tmp_path):
+        # Every threshold is relative to L, so a path weighted 2^-30 has the
+        # unit path's blocks; the parent read five 1x1 blocks off a basis
+        # whose residual was about 70% of ||L||_F, and exited 0.
+        p = tmp_path / "path.txt"
+        p.write_text("nodes 5\n" + "".join(f"{k} {k + 1} {2.0**-30!r}\n" for k in range(1, 5)))
+        code, out, _ = run_cli(capsys, "analyze", str(p))
+        assert code == 0
+        doc = json.loads(out)
+        assert [b["size"] for b in doc["blocks"]] == [1, 4]
+        assert doc["diagonalizable"] is False
+
+    def test_tiny_weights_keep_a_digraph_directed(self, capsys, tmp_path):
+        # Symmetry is exact, not within an absolute 1e-12: the parent called
+        # this digraph undirected and certified a unitary basis 23% off.
+        g = make_random_digraph(np.random.default_rng(0), 50)
+        p = tmp_path / "tiny.txt"
+        p.write_text(edge_list(Graph(n=g.n, weights=g.weights * 1e-12)))
         code, out, _ = run_cli(capsys, "analyze", str(p))
         assert code == 0
         doc = json.loads(out)

@@ -21,6 +21,7 @@ from dgft import (
     apply_spectral_domain,
     apply_vertex_domain,
     build_graph,
+    check_lsi_preconditions,
     decompose,
     demo_graph,
     directed_laplacian,
@@ -100,8 +101,10 @@ class TestClustering:
         groups = cluster_eigenvalues([0.0, 0.1, 0.2, 0.0], tol=0.11, labels=np.array([0, 1, 0, 0]))
         assert groups == [[0, 3], [1], [2]]
 
-    def test_default_tol_floors_at_1e8(self):
-        assert _default_cluster_tol(3, 0.0) == 1e-8
+    def test_default_tol_is_linear_in_the_norm(self):
+        assert _default_cluster_tol(3, 0.0) == 0.0
+        for norm in (2.0**-600, 1e-12, 1.0, 3.0, 1e200):
+            assert _default_cluster_tol(3, norm) == 1e-6 * norm / 3
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_grid_values(), _clique_values()))
@@ -148,9 +151,9 @@ def _reference_order_with_ties(values, tie_tol=DEFAULT_TIE_TOL):
 
     order, groups = [], []
     by_mag = sorted(range(w.size), key=mag)
-    for group in chain_split(by_mag, mag, lambda r: tie_tol * (1.0 + mag(r))):
+    for group in chain_split(by_mag, mag, lambda r: tie_tol * mag(r)):
         resolved = []
-        slack = tie_tol * (1.0 + max(mag(r) for r in group))
+        slack = tie_tol * max(mag(r) for r in group)
         by_re = sorted(group, key=lambda r: w[r].real)
         for sub in chain_split(by_re, lambda r: w[r].real, lambda r: slack):
             resolved.extend(sorted(sub, key=lambda r: w[r].imag))
@@ -193,7 +196,7 @@ def _tie_values(draw):
         elif kind == "near":
             values.append(v + 1e-11 * direction)
         else:
-            values.append(v + factor * tie_tol * (1.0 + abs(v)) * direction)
+            values.append(v + factor * tie_tol * abs(v) * direction)
     return draw(st.permutations(values)), tie_tol
 
 
@@ -534,7 +537,7 @@ class TestRealArithmetic:
         assert np.linalg.norm(dec.reconstruct() - lap) <= 1e-8 * np.linalg.norm(lap)
 
 
-def _reference_chains(a, lam, multiplicity, rank_tol, scale):
+def _reference_chains(a, lam, multiplicity, rank_tol):
     """Chain extraction that re-projects every candidate against the whole
     obstruction before each pick, in complex arithmetic: the reference the
     per-level projection of ``_jordan_chains`` must agree with."""
@@ -545,7 +548,7 @@ def _reference_chains(a, lam, multiplicity, rank_tol, scale):
     power = np.eye(n, dtype=complex)
     while nullities[-1] < multiplicity and len(nullities) <= multiplicity:
         power = power @ shifted
-        basis = _nullspace_basis(power, rank_tol * max(scale, float(np.linalg.norm(power))))
+        basis = _nullspace_basis(power, rank_tol * float(np.linalg.norm(power)))
         if basis.shape[1] <= nullities[-1]:
             break
         nullities.append(basis.shape[1])
@@ -560,7 +563,7 @@ def _reference_chains(a, lam, multiplicity, rank_tol, scale):
         obstruction = bases[s - 1]
         for chain in chains:
             r = _orthogonal_residual(chain[s - 1], obstruction)
-            if np.linalg.norm(r) > 1e-12:
+            if np.linalg.norm(r) > 1e-12 * np.linalg.norm(chain[s - 1]):
                 obstruction = np.column_stack([obstruction, r / np.linalg.norm(r)])
         for _ in range(counts[s]):
             residuals = bases[s] - obstruction @ (obstruction.conj().T @ bases[s])
@@ -599,11 +602,10 @@ class TestChainPicks:
 
     def test_per_level_projection_matches_full_reprojection(self):
         for name, a, lam, multiplicity in self._clusters():
-            scale = float(np.linalg.norm(a))
-            want = _reference_chains(a, lam, multiplicity, DEFAULT_RANK_TOL, scale)
+            want = _reference_chains(a, lam, multiplicity, DEFAULT_RANK_TOL)
             assert sum(len(c) for c in want) == multiplicity, name
             for m, mu in ((a, lam), (a.astype(complex), complex(lam))):
-                got = _jordan_chains(m, mu, multiplicity, DEFAULT_RANK_TOL, scale)
+                got = _jordan_chains(m, mu, multiplicity, DEFAULT_RANK_TOL)
                 assert [len(c) for c in got] == [len(c) for c in want], name
                 assert all(v.dtype == m.dtype for c in got for v in c), name
                 shifted = m - mu * np.eye(a.shape[0])
@@ -622,7 +624,7 @@ class TestBlockChainPick:
         g, _ = _chain_union(np.random.default_rng(7), [5, 5, 3])
         lap = directed_laplacian(g).matrix
         scale = float(np.linalg.norm(lap))
-        chains = _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL, scale)
+        chains = _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL)
         assert [len(c) for c in chains] == [4, 4, 2]
         dec = jordan_decompose(lap)
         _assert_blocks_match_exact_oracle(dec, lap, "paths 5, 5, 3")
@@ -651,7 +653,7 @@ class TestBlockChainPick:
             return u, sigma, vh
 
         monkeypatch.setattr(np.linalg, "svd", short)
-        assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL, float(np.linalg.norm(lap))) == []
+        assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL) == []
 
 
 class TestBasisCondition:
@@ -980,7 +982,7 @@ def _perturbed_path() -> np.ndarray:
 
 class TestCertificate:
     """Every decomposition carries its residual ||V J V^-1 - L||_F and is
-    refused above recon_tol * max(1, ||L||_F), through the library API."""
+    refused above recon_tol * ||L||_F, through the library API."""
 
     def test_library_refuses_basis_that_does_not_reproduce(self):
         # The perturbed 5-block splits into five nearly parallel eigenvectors:
@@ -1006,8 +1008,9 @@ class TestCertificate:
             assert abs(dec.residual - want) <= 1e-13 * max(1.0, np.linalg.norm(lap)), k
 
     def test_symmetric_path_certifies_the_input(self):
-        # Asymmetry within the symmetry tolerance routes to eigh, which reads
-        # the symmetric part; the residual still measures the input itself.
+        # Asymmetry at rounding level leaves the matrix normal to rounding, so it
+        # routes to eigh, which reads the symmetric part; the residual still
+        # measures the input itself.
         lap = directed_laplacian(make_random_undirected(np.random.default_rng(3), 6)).matrix.copy()
         lap[0, 1] += 9e-13
         dec = decompose(lap)
@@ -1035,7 +1038,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("weight", [1e300, 1e154])
     def test_overflowing_bound_is_refused(self, weight):
-        # ||L||_F overflows to inf, so recon_tol * max(1, ||L||_F) would
+        # ||L||_F overflows to inf, so recon_tol * ||L||_F would
         # accept any residual, the infinite one included. The refusal is
         # the only signal: no numpy overflow warning comes before it.
         g = build_graph(3, [(0, 1, weight), (1, 2, 1.0), (2, 0, 1.0)])
@@ -1217,6 +1220,64 @@ class TestComponents:
         assert dec.residual > 0
         assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - lap), rel=1e-6)
         assert np.allclose(dec.v_inv @ dec.v, np.eye(len(lap)), atol=1e-8)
+
+
+def _scale_corpus():
+    """(name, Laplacian) over every family whose decomposition must not
+    depend on the unit of the weights: random digraphs, undirected graphs,
+    rings, exact chain unions, the defective zoo and random out-trees."""
+    rng = np.random.default_rng(15)
+    laps = [(name, directed_laplacian(g).matrix) for name, g in defective_zoo()]
+    for i in range(4):
+        laps.append((f"digraph {i}", directed_laplacian(make_random_digraph(rng, 12)).matrix))
+        laps.append((f"undirected {i}", directed_laplacian(make_random_undirected(rng, 10)).matrix))
+        laps.append((f"ring {i + 3}", directed_laplacian(ring_graph(i + 3)).matrix))
+        g, _ = _chain_union(rng, [3, 4, 5][: i % 3 + 1] * 2)
+        laps.append((f"chain union {i}", directed_laplacian(g).matrix))
+        edges = [(int(rng.integers(node)), node, 1.0) for node in range(1, 8)]
+        laps.append((f"out-tree {i}", directed_laplacian(build_graph(8, edges)).matrix))
+    return laps
+
+
+def _decompose_quietly(lap):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedBasisWarning)
+        return decompose(lap)
+
+
+class TestScaleInvariance:
+    """Every threshold is a fraction of the input's own size, so 2^k L
+    decomposes as L does under the Jordan scaling rule: eigenvalues times
+    2^k, column p of each chain (the head is p = 0) of V times 2^(-kp), the
+    matching row of V^-1 times 2^(kp), and J's superdiagonal unchanged.
+    Scaling by a power of two is exact, so the rule holds bit for bit."""
+
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    def test_power_of_two_scaling_follows_the_jordan_rule(self, k):
+        for name, lap in _scale_corpus():
+            dec, scaled = _decompose_quietly(lap), _decompose_quietly(2.0**k * lap)
+            p = np.concatenate([np.arange(b.size) for b in dec.blocks])
+            j = dec.j.copy()
+            np.fill_diagonal(j, dec.j.diagonal() * 2.0**k)
+            for got, want in (
+                (scaled.v, dec.v * 2.0 ** (-k * p)),
+                (scaled.j, j),
+                (scaled.v_inv, dec.v_inv * 2.0 ** (k * p)[:, None]),
+            ):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (name, k)
+            assert scaled.residual == 2.0**k * dec.residual, (name, k)
+
+    @pytest.mark.parametrize("k", [-60, 60])
+    def test_structure_survives_far_scaling(self, k):
+        for name, lap in _scale_corpus():
+            dec, scaled = _decompose_quietly(lap), _decompose_quietly(2.0**k * lap)
+            assert [b.size for b in scaled.blocks] == [b.size for b in dec.blocks], (name, k)
+            assert order_frequencies(scaled.eigenvalues).order == tuple(range(dec.n)), (name, k)
+            counts = [
+                [(e.algebraic, e.geometric) for e in check_lsi_preconditions(d).entries]
+                for d in (dec, scaled)
+            ]
+            assert counts[0] == counts[1], (name, k)
 
 
 class TestInvert:

@@ -3,9 +3,11 @@
 Every input gets one of two outcomes: ``decompose`` raises a typed
 ``DgftError``, or it returns a basis whose residual ``||V J V^-1 - L||_F``,
 recomputed from the returned ``v``, ``j`` and ``v_inv`` in ``mpmath`` at 50
-digits, is within ``recon_tol * max(1, ||L||_F)``. The families are the
-ones where a basis is hardest to get right: defective and near-defective
-graphs, disjoint unions, isolated nodes and complex weights, all at n <= 12.
+digits, is within ``recon_tol * ||L||_F``, that norm also taken at 50
+digits (in floats its squares underflow at small scales). The families are
+the ones where a basis is hardest to get right: defective and
+near-defective graphs, disjoint unions, isolated nodes and complex weights,
+all at n <= 12, each with its weights scaled by 2^k for k in ``SCALES``.
 """
 
 import warnings
@@ -15,6 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgft.linalg
 from dgft import (
     DgftError,
     Graph,
@@ -29,6 +32,7 @@ from dgft.linalg import RECON_LIMIT
 from conftest import make_random_digraph
 
 DELTAS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+SCALES = (-500, -60, -30, 0, 30, 60, 500)
 
 
 def _weights(rng, count, delta):
@@ -92,19 +96,44 @@ def _mp(a: np.ndarray) -> mpmath.matrix:
     return mpmath.matrix([[mpmath.mpmathify(complex(z)) for z in row] for row in a])
 
 
-@settings(max_examples=200, deadline=None)
-@given(_laplacians())
-def test_decompose_certifies_at_50_digits_or_refuses_typed(case):
-    family, lap = case
+def _certified_or_refused(name, lap):
+    """``decompose(lap)`` raises a ``DgftError``, or its columns come in
+    frequency order and its residual at 50 digits is within the bound."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IllConditionedBasisWarning)
             dec = decompose(lap)
     except DgftError:
         return
-    assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n)), family
+    assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n)), name
     with mpmath.workdps(50):
-        r = _mp(dec.v) * _mp(dec.j) * _mp(dec.v_inv) - _mp(lap)
-        residual = mpmath.mnorm(r, "f")
-    bound = RECON_LIMIT * max(1.0, float(np.linalg.norm(lap)))
-    assert residual <= bound, (family, float(residual), bound)
+        a = _mp(lap)
+        residual = mpmath.mnorm(_mp(dec.v) * _mp(dec.j) * _mp(dec.v_inv) - a, "f")
+        bound = RECON_LIMIT * mpmath.mnorm(a, "f")
+    assert residual <= bound, (name, float(residual), float(bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laplacians(), st.sampled_from(SCALES))
+def test_decompose_certifies_at_50_digits_or_refuses_typed(case, k):
+    family, lap = case
+    _certified_or_refused((family, k), 2.0**k * lap)
+
+
+def test_backfilled_cluster_certifies_in_frequency_order(monkeypatch):
+    # An out-tree draw at delta = 1e-4: nodes 1 and 2, both fed by node 0,
+    # have eigenvalues 4.9e-7 apart, inside the default cluster tolerance.
+    # The cluster yields no Jordan chain, so both columns keep their own
+    # eig vectors (the backfill), and each ranks by its own eigenvalue.
+    shortfalls = []
+    chains = dgft.linalg._jordan_chains
+
+    def recording(a, lam, multiplicity, rank_tol):
+        found = chains(a, lam, multiplicity, rank_tol)
+        shortfalls.append(multiplicity - sum(len(chain) for chain in found))
+        return found
+
+    monkeypatch.setattr(dgft.linalg, "_jordan_chains", recording)
+    edges = [(0, 1, 1.0000450421568265), (0, 2, 1.0000445546129306)]
+    _certified_or_refused("backfilled out-tree", directed_laplacian(build_graph(3, edges)).matrix)
+    assert shortfalls == [2]

@@ -1,7 +1,10 @@
 """README.md against the code: every ```python block runs cleanly in a fresh
-interpreter, every ``$ dgft`` example parses, and every option is named."""
+interpreter, every ``$ dgft`` example parses, the output an example shows
+is the output it prints, every option is named, and the options table
+gives the parser's defaults."""
 
 import argparse
+import json
 import os
 import re
 import shlex
@@ -11,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dgft.cli import _build_parser
+from dgft.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -22,6 +25,20 @@ COMMANDS = [
     for line in block.splitlines()
     if line.startswith("$ dgft ")
 ]
+
+
+def _shown_outputs():
+    """(command, lines shown under it) of every ``$ dgft`` example that
+    shows output: the lines up to the next blank line or prompt."""
+    for block in re.findall(r"^```sh\n(.*?)^```", README, re.M | re.S):
+        for example in re.split(r"\n(?=\$ )|\n\n", block.strip()):
+            command, *shown = example.splitlines()
+            if command.startswith("$ dgft ") and shown:
+                yield command.removeprefix("$ dgft "), shown
+
+
+# An example runs when it shows a line without "..." to check.
+SHOWN = [(c, lines) for c, lines in _shown_outputs() if any("..." not in x for x in lines)]
 
 
 def test_readme_has_python_examples():
@@ -50,6 +67,52 @@ def test_readme_has_cli_examples():
 def test_cli_example_parses(command):
     # parsed only: argparse exits on an unknown option or a bad value
     _build_parser().parse_args(shlex.split(command, comments=True))
+
+
+def test_readme_shows_cli_output():
+    assert SHOWN
+
+
+@pytest.mark.parametrize("command, shown", SHOWN, ids=[f"out{k}" for k in range(len(SHOWN))])
+def test_shown_output_is_the_real_output(command, shown, capsys, monkeypatch):
+    # Shown lines match the printed ones by position, or by key in a JSON
+    # report; a line with "..." is abridged and checks nothing. An
+    # example without "..." is shown in full.
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(command, comments=True)) == 0
+    out = capsys.readouterr().out
+    if shown[0] == "{":
+        doc = json.loads(out)
+        for line in shown[1:-1]:
+            key, value = re.fullmatch(r'\s*"(\w+)": (.*?),?', line).groups()
+            assert key in doc, line
+            if "..." not in value:
+                assert json.loads(value) == doc[key], line
+        return
+    printed = out.splitlines()
+    for want, got in zip(shown, printed):
+        if "..." not in want:
+            assert got == want
+    if not any("..." in line for line in shown):
+        assert len(printed) == len(shown)
+
+
+def test_options_table_gives_the_parser_defaults():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defaults = {
+        option: action.default
+        for p in sub.choices.values()
+        for action in p._actions
+        for option in action.option_strings
+    }
+    rows = re.findall(r"^\| `(--[\w-]+)[^`]*` \|.* \| ([^|]+) \|$", README, re.M)
+    assert rows
+    for option, cell in rows:
+        default = defaults[option]
+        if cell.startswith("`"):  # a value, as the parser holds it
+            assert type(default)(cell.strip("`")) == default, option
+        else:  # prose: no value until the run computes or sets one
+            assert default in (None, False), option
 
 
 def test_every_cli_option_is_named():
