@@ -13,18 +13,20 @@ the input is: a real matrix goes through the real nonsymmetric kernel, so
 its conjugate eigenvalue pairs come out exactly conjugate; the Jordan
 chains of each real eigenvalue cluster of such a matrix are built in real
 arithmetic; and a real basis is normalized, inverted and checked in real
-arithmetic. What LAPACK does not provide, and what this module adds, is
-the numerical Jordan machinery:
-eigenvalue clustering, rank-revealing null-space chains of generalized
-eigenvectors, block assembly, the bidiagonal layout of ``J`` with its
-products (:class:`_Bidiagonal`), and one deterministic basis convention,
-applied to every basis, so downstream transforms are reproducible run to
-run.
+arithmetic. So is the complex basis of a real matrix, through its real
+pair form: each pair of exactly conjugate columns stands in as its real
+and imaginary parts (:func:`_finish`). What LAPACK does not provide, and
+what this module adds, is the numerical Jordan machinery: eigenvalue
+clustering, rank-revealing null-space chains of generalized eigenvectors,
+block assembly, the bidiagonal layout of ``J`` with its products
+(:class:`_Bidiagonal`), and one deterministic basis convention, applied
+to every basis, so downstream transforms are reproducible run to run.
 
 Every decomposition certifies itself. ``basis_condition`` is the 1-norm
 condition ``||V||_1 * ||V^-1||_1``, read off the inverse the
 decomposition builds anyway: at least 1, and n for a unitary basis such
-as the ring's DFT. ``residual`` is ``||V J V^-1 - A||_F``, and a
+as the ring's DFT. ``residual`` is ``||V J V^-1 - A||_F``, evaluated
+through the real pair form where there is one, and a
 decomposition whose residual exceeds ``recon_tol * ||A||_F`` is refused
 with :class:`ReconstructionError` rather than returned.
 
@@ -79,12 +81,15 @@ def _default_cluster_tol(n: int, norm: float) -> float:
 def _frobenius(a: np.ndarray, recon_tol: float) -> float:
     """``||A||_F``, the scale of the default cluster tolerance, the zero
     snap and the certificate bound ``recon_tol * ||A||_F``. A bound that
-    overflows certifies nothing: :class:`ReconstructionError` before any kernel.
+    overflows certifies nothing, and neither does a norm that underflows to
+    0 on a nonzero ``A``: :class:`ReconstructionError` before any kernel.
     """
     with np.errstate(over="ignore"):  # an overflowed norm is refused just below
         norm = float(np.linalg.norm(a))
     if not math.isfinite(recon_tol * norm):
         raise ReconstructionError("recon_tol * ||A||_F overflows; nothing can be certified")
+    if norm == 0 and a.any():
+        raise ReconstructionError("||A||_F underflows; nothing can be certified")
     return norm
 
 
@@ -124,6 +129,12 @@ class SpectralDecomposition:
     complex, and ``v_inv`` has the dtype of ``v``. Transforms and filters
     on a real basis run real BLAS, and a complex signal against a real
     basis runs as one real product over its real and imaginary parts.
+
+    A real ``A``'s complex basis is inverted and certified in its real
+    pair form (:func:`_finish`): ``V = W T`` with a real ``W`` and an
+    exact ``T``, ``residual`` is evaluated as ``(W B) Z - A`` with
+    ``B = T J T^-1`` and ``Z = W^-1``, and ``v_inv = T^-1 Z`` is
+    assembled exactly, so each pair's two rows are exact conjugates.
     """
 
     v: np.ndarray
@@ -472,12 +483,26 @@ def _finish(
        which is C-contiguous. Each chain is scaled and phased through its
        head (:func:`_normalize_chains`), which gives a snapped vector its
        exact unit form ``1/sqrt(k)``, and ``J`` is laid out.
-    4. Each stack is inverted alone by ``np.linalg.inv`` in the basis
-       dtype (:func:`_inverse`), a ``unitary`` basis by its conjugate
-       transpose, and its residual ``||(V J) V^-1 - A||_F`` taken, with
-       ``V J`` formed once by :class:`_Bidiagonal`. Their root sum of
-       squares, above ``recon_tol * norm``, raises
-       :class:`ReconstructionError`: the basis does not reproduce ``A``.
+    4. Columns ``c`` and ``c + 1`` form a pair when ``A`` is real, the
+       basis is not ``unitary``, both are 1x1 blocks, their eigenvalues
+       are exact conjugates and ``v[:, c + 1] == conj(v[:, c])`` holds
+       exactly. ``W`` is ``V`` with each pair's columns replaced by
+       ``Re v_c`` and ``Im v_c`` (:func:`_pair_form`), so ``V = W T``
+       exactly, ``T`` holding one block ``[[1, 1], [i, -i]]`` per pair.
+       ``W`` follows the dtype rule: it is real once every complex column
+       has its partner, and it is ``V`` itself when there are no pairs.
+       Each stack of ``W`` is inverted alone by ``np.linalg.inv`` in its
+       dtype (:func:`_inverse`) into ``Z``, a ``unitary`` basis by its
+       conjugate transpose, and ``V^-1 = T^-1 Z`` is assembled exactly:
+       each pair's rows are ``(Z[c] -/+ i Z[c + 1]) / 2``. Each stack's
+       residual is ``||(W B) Z - A||_F`` with ``B = T J T^-1``, which is
+       ``J`` with each pair's diagonal replaced by ``[[a, b], [-b, a]]``
+       for ``lambda_c = a + ib``; ``W B`` is the pair form of ``V J``,
+       formed once by :class:`_Bidiagonal`. As ``T`` is exact, this is the
+       residual of the returned ``v``, ``j`` and ``v_inv`` in another
+       summation order. Their root sum of squares, above ``recon_tol *
+       norm``, raises :class:`ReconstructionError`: the basis does not
+       reproduce ``A``.
 
     ``v``, its inverse and ``j`` follow the dtype rule
     (:class:`SpectralDecomposition`). A basis condition
@@ -517,12 +542,24 @@ def _finish(
     v = real_or_complex(v)  # a complex matrix can still have a real basis
     j = _Bidiagonal.dense(eigenvalues[order], heads)
 
-    v_inv = v.conj().T if unitary else _block_diagonal(
-        n, [(cols, rows, _inverse(v[_blocks(rows, cols, n)])) for rows, cols in parts]
+    # The pairs: 1x1 blocks c, c + 1 of a real A with exactly conjugate values and columns.
+    c = np.empty(0, dtype=int)
+    if np.isrealobj(a) and np.iscomplexobj(v) and not unitary:
+        lam, single = j.diagonal(), heads & np.append(heads[1:], True)
+        c = np.flatnonzero(
+            single[:-1] & single[1:] & (lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj())
+        )
+        c = c[(v[:, c + 1] == v[:, c].conj()).all(axis=0)]
+    w, wb = _pair_form(v, c), _pair_form(v @ _Bidiagonal(j), c)  # W and W B
+    z = w.conj().T if unitary else _block_diagonal(
+        n, [(cols, rows, _inverse(w[_blocks(rows, cols, n)])) for rows, cols in parts]
     )
-    vj = v @ _Bidiagonal(j)
-    residuals = [vj[_blocks(*part, n)] @ v_inv[_blocks(*part[::-1], n)] for part in parts]
-    del vj  # not held through the norms, which copy each residual's parts
+    v_inv = z
+    if c.size:  # V^-1 = T^-1 Z
+        v_inv, re, im = z.astype(complex), z[c] / 2, 1j * (z[c + 1] / 2)
+        v_inv[c], v_inv[c + 1] = re - im, re + im
+    residuals = [wb[_blocks(*part, n)] @ z[_blocks(*part[::-1], n)] for part in parts]
+    del w, wb, z  # not held through the norms, which copy each residual's parts
     for r, (rows, _) in zip(residuals, parts):
         r -= a[_blocks(rows, rows, n)]
     residual = math.hypot(*[float(np.linalg.norm(r)) for r in residuals])
@@ -636,6 +673,19 @@ def _block_diagonal(n: int, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray
     for rows, cols, stack in parts:
         out[_blocks(rows, cols, n)] = stack
     return out
+
+
+def _pair_form(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``m T^-1`` for the pairs ``c``, ``c + 1`` of :func:`_finish`: each
+    pair's columns become the real and imaginary parts of column ``c``,
+    which is exact when column ``c + 1`` is its conjugate. The result
+    follows the dtype rule; with no pairs it is ``m`` itself."""
+    if not c.size:
+        return m
+    out = m.copy()
+    out[:, c + 1] = m[:, c].imag
+    out[:, c] = m[:, c].real
+    return real_or_complex(out)
 
 
 def symmetric_eigen_decompose(

@@ -470,6 +470,20 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [err.rstrip("\n")]
 
+    @pytest.mark.parametrize("weight", ["5e-324", "1e-310", "1e-305", "1e-200", "1e-162"])
+    def test_underflowing_weight_exits_4(self, capsys, tmp_path, weight):
+        # ||L||_F underflows to 0, so no residual can be certified: the
+        # parent reported three 1x1 blocks with residual 0.0 and exited 0.
+        graph = tmp_path / "tiny.txt"
+        graph.write_text(f"nodes 3\n1 2 {weight}\n2 3 {weight}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", str(graph))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("dgft: error: ReconstructionError")
+        assert "underflows" in err
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, flag, value):

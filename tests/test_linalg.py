@@ -1050,6 +1050,20 @@ class TestCertificate:
                 with pytest.raises(ReconstructionError, match="overflows"):
                     call(lap)
 
+    @pytest.mark.parametrize("weight", [5e-324, 1e-310, 1e-305, 1e-200, 1e-162])
+    def test_underflowing_norm_is_refused(self, weight):
+        # ||L||_F underflows to 0 on a nonzero L, so the bound
+        # recon_tol * ||L||_F is 0 and the float residual of any basis
+        # could meet it: the parent certified three 1x1 blocks here.
+        lap = directed_laplacian(build_graph(3, [(0, 1, weight), (1, 2, weight)])).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (decompose, jordan_decompose, symmetric_eigen_decompose):
+                with pytest.raises(ReconstructionError, match="underflows"):
+                    call(lap)
+            edgeless = decompose(np.zeros((3, 3)))  # L = 0 is no underflow
+        assert edgeless.residual == 0.0
+
     def test_normality_verdicts_survive_power_of_two_scaling(self):
         # is_normal scales by a power of two before its products, so the
         # verdict at 2^k times a matrix is the verdict at the matrix.
@@ -1310,8 +1324,9 @@ class TestInvert:
 
     def test_real_matrix_is_factored_in_real_arithmetic(self, monkeypatch):
         # A real spectrum of a real Laplacian gives a real basis, inverted
-        # in real arithmetic and kept real; a conjugate pair makes the
-        # basis complex.
+        # in real arithmetic and kept real. A conjugate pair makes the
+        # basis complex, but its real pair form W is still inverted in
+        # real arithmetic.
         seen = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda m: seen.append(m.dtype) or inv(m))
@@ -1321,8 +1336,59 @@ class TestInvert:
         assert dec.v.dtype == dec.v_inv.dtype == dec.j.dtype == np.dtype(float)
         assert np.array_equal(dec.v_inv, inv(dec.v))
         ring = jordan_decompose(directed_laplacian(ring_graph(5)).matrix)
-        assert seen[-1] == np.dtype(complex)
+        assert seen[-1] == np.dtype(float)
         assert ring.v.dtype == ring.v_inv.dtype == ring.j.dtype == np.dtype(complex)
+        del seen[:]
+        digraph = directed_laplacian(make_random_digraph(np.random.default_rng(40), 40)).matrix
+        dec = jordan_decompose(digraph)
+        assert seen and set(seen) == {np.dtype(float)}
+        assert dec.v.dtype == dec.v_inv.dtype == np.dtype(complex)
+
+
+class TestPairForm:
+    """A real digraph's conjugate pairs: ``_finish`` inverts the real pair
+    form ``W = V T^-1`` and assembles ``V^-1 = T^-1 Z`` exactly."""
+
+    @pytest.mark.parametrize("name", ["demo", "digraph"])
+    def test_conjugate_pairs_are_exact(self, name):
+        rng = np.random.default_rng(16)
+        g = demo_graph() if name == "demo" else make_random_digraph(rng, 200)
+        lap = directed_laplacian(g).matrix
+        dec = decompose(lap)
+        lam = dec.eigenvalues
+        pairs = np.flatnonzero((lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj()))
+        assert pairs.size and 2 * pairs.size == np.count_nonzero(lam.imag)
+        assert np.array_equal(dec.v_inv[pairs + 1], dec.v_inv[pairs].conj())
+        coeff = gft(dec, rng.standard_normal(g.n))
+        assert np.all(coeff.imag[lam.imag == 0] == 0)
+        assert np.array_equal(coeff[pairs + 1], coeff[pairs].conj())
+        assert np.array_equal(np.abs(coeff[pairs + 1]), np.abs(coeff[pairs]))
+        # The certificate (W B) Z - L is the residual of the returned v, j, v_inv.
+        want = np.linalg.norm(dec.reconstruct() - lap)
+        assert abs(dec.residual - want) <= 1e-13 * np.linalg.norm(lap)
+
+    def test_unpaired_complex_columns_keep_w_complex(self, monkeypatch):
+        # Two equal 3-node components list their values as (conj(l), conj(l),
+        # l, l): the middle two are conjugates, but their columns are not,
+        # so W stays complex, and the 4-node cycle's pair rides along in it.
+        seen = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: seen.append(m.dtype) or inv(m))
+        tri = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 2, 0.5)]
+        cycle = [(6, 7, 1.0), (7, 8, 2.0), (8, 9, 1.0), (9, 6, 1.0)]
+        edges = tri + [(s + 3, d + 3, w) for s, d, w in tri] + cycle
+        lap = directed_laplacian(build_graph(10, edges)).matrix
+        dec = jordan_decompose(lap)
+        assert set(seen) == {np.dtype(complex)}
+        lam = dec.eigenvalues
+        near = np.flatnonzero((lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj()))
+        paired = [c for c in near if np.array_equal(dec.v[:, c + 1], dec.v[:, c].conj())]
+        assert len(near) == 2 and len(paired) == 1  # the cycle's pair only
+        c = paired[0]
+        assert np.array_equal(dec.v_inv[c + 1], dec.v_inv[c].conj())
+        assert np.linalg.norm(dec.v_inv @ dec.v - np.eye(10)) <= 1e-13
+        want = np.linalg.norm(dec.reconstruct() - lap)
+        assert abs(dec.residual - want) <= 1e-13 * np.linalg.norm(lap)
 
 
 class TestDtypeRule:
