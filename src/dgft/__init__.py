@@ -51,7 +51,6 @@ from .linalg import (
     cluster_eigenvalues,
     jordan_decompose,
     matrix_polynomial_apply,
-    symmetric_eigen_decompose,
 )
 from .spectral import (
     FrequencyOrdering,
@@ -107,7 +106,6 @@ __all__ = [
     "cluster_eigenvalues",
     "jordan_decompose",
     "matrix_polynomial_apply",
-    "symmetric_eigen_decompose",
     "FrequencyOrdering",
     "Spectrum",
     "as_laplacian",

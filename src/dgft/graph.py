@@ -48,46 +48,42 @@ def real_or_complex(values, *, copy: bool = False) -> np.ndarray:
 
 
 def _as_square(matrix, *, copy: bool = False) -> np.ndarray:
-    """:func:`real_or_complex`, refusing anything but a square matrix."""
+    """:func:`real_or_complex`, refusing anything but a square matrix with
+    at least one row."""
     a = real_or_complex(matrix, copy=copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        raise GraphSizeError("a matrix needs at least one row, got shape (0, 0)")
     return a
 
 
-def is_real_symmetric(m: np.ndarray) -> bool:
-    """Real and exactly symmetric, in any unit of weight.
+def is_normal(m: np.ndarray) -> np.ndarray:
+    """``m mᴴ = mᴴ m`` for each matrix of a stack ``m`` (shape (..., k, k)):
+    the commutator within NORMALITY_TOL * ||m||_F^2 (Frobenius), one
+    verdict per matrix.
 
-    The one test for "symmetric": it sends a matrix down the unitary path
-    of :func:`dgft.spectral.decompose`, before any normality test, and
-    defines :attr:`Graph.is_undirected`; one symmetric to rounding takes
-    that path by :func:`is_normal`. A complex ``m`` (dtype rule) is not real.
+    The one test for "normal": it sends a component that is not exactly
+    Hermitian down the unitary route of :func:`dgft.linalg.jordan_decompose`.
+    A fixed probe vector ``x`` through ``m (mᴴ x) - mᴴ (m x)`` rejects most
+    matrices in O(k^2), since ``||C x|| <= ||C||_F ||x||``; only a stack
+    with a matrix that passes the probe pays the O(k^3) commutator.
+
+    Both sides scale with ``|m|^2``, so each matrix is first scaled by the
+    power of two that brings its largest entry into [1/2, 1) (as near as
+    float64 reaches). That is exact, so verdicts on ``2^k m`` and ``m``
+    agree: no large weight overflows, no small commutator underflows into
+    "normal".
     """
-    return not np.iscomplexobj(m) and np.array_equal(m, m.T)
-
-
-def is_normal(m: np.ndarray) -> bool:
-    """``m mᴴ = mᴴ m``: the commutator within NORMALITY_TOL * ||m||_F^2 (Frobenius).
-
-    The one test for "normal": it sends a non-symmetric matrix down the
-    unitary path of :func:`dgft.spectral.decompose`. A fixed probe vector
-    ``x`` through ``m (mᴴ x) - mᴴ (m x)`` rejects most matrices in O(n^2),
-    since ``||C x|| <= ||C||_F ||x||``; only a matrix that passes the
-    probe pays the O(n^3) commutator.
-
-    Both sides scale with ``|m|^2``, so ``m`` is first scaled by the power
-    of two that brings its largest entry into [1/2, 1) (as near as float64
-    reaches). That is exact, so verdicts on ``2^k m`` and ``m`` agree: no
-    large weight overflows, no small commutator underflows into "normal".
-    """
-    e = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
-    m = m * 2.0 ** -max(e, np.finfo(float).minexp)
-    ms = m.conj().T
-    bound = NORMALITY_TOL * float(np.linalg.norm(m)) ** 2
-    x = np.cos(np.arange(m.shape[0]))  # fixed and generic: no structure to align with
-    if float(np.linalg.norm(m @ (ms @ x) - ms @ (m @ x))) > bound * float(np.linalg.norm(x)):
-        return False
-    return float(np.linalg.norm(m @ ms - ms @ m)) <= bound
+    e = np.frexp(np.max(np.abs(m), axis=(-2, -1), initial=0.0))[1]
+    m = m * np.ldexp(1.0, -np.maximum(e, np.finfo(float).minexp))[..., None, None]
+    ms = m.conj().swapaxes(-1, -2)
+    bound = NORMALITY_TOL * np.linalg.norm(m, axis=(-2, -1)) ** 2
+    x = np.cos(np.arange(m.shape[-1]))[:, None]  # fixed and generic: no structure to align with
+    probe = np.linalg.norm(m @ (ms @ x) - ms @ (m @ x), axis=(-2, -1)) <= bound * np.linalg.norm(x)
+    if not probe.any():
+        return probe
+    return probe & (np.linalg.norm(m @ ms - ms @ m, axis=(-2, -1)) <= bound)
 
 
 @dataclass(frozen=True)
@@ -121,14 +117,17 @@ class Graph:
 
     @property
     def is_undirected(self) -> bool:
-        """Whether the Laplacian is real symmetric (:func:`is_real_symmetric`).
+        """Whether the Laplacian is real and exactly symmetric, in any unit
+        of weight.
 
-        These graphs take the unitary path of :func:`dgft.spectral.decompose`
-        with a real basis and a real spectrum; negative weights count,
-        complex ones do not. Normal digraphs (:func:`is_normal`) take that
-        path too, with a complex basis.
+        Each component of these graphs takes the Hermitian route of
+        :func:`dgft.linalg.jordan_decompose`, with a real basis and a real
+        spectrum; negative weights count, complex ones do not. Components
+        of normal digraphs (:func:`is_normal`) take the unitary route too,
+        with a complex basis.
         """
-        return is_real_symmetric(directed_laplacian(self).matrix)
+        m = directed_laplacian(self).matrix
+        return not np.iscomplexobj(m) and np.array_equal(m, m.T)
 
 
 @dataclass(frozen=True)

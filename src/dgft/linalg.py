@@ -4,10 +4,11 @@ The eigenvalue, symmetric-eigenvalue, and inversion kernels delegate to
 LAPACK through numpy, which implements the classical pipelines:
 Hessenberg reduction plus implicitly shifted QR for the nonsymmetric
 case, tridiagonalization for the symmetric case, partial-pivoted LU for
-the inverse. The unitary path (:func:`symmetric_eigen_decompose`)
-takes every normal matrix, real symmetric or not, through ``eigh`` of its
-Hermitian part and needs neither the nonsymmetric ``eig`` nor an inverse
-of the full matrix. Arrays follow the dtype rule of
+the inverse. :func:`jordan_decompose` is the one pipeline: it routes each
+weakly connected component on its own, and the unitary routes take every
+normal component, real symmetric or not, through ``eigh`` of its
+Hermitian part, with neither the nonsymmetric ``eig`` of the component
+nor an inverse. Arrays follow the dtype rule of
 :func:`dgft.graph.real_or_complex`, so the arithmetic stays real wherever
 the input is: a real matrix goes through the real nonsymmetric kernel, so
 its conjugate eigenvalue pairs come out exactly conjugate; the Jordan
@@ -34,7 +35,7 @@ Jordan structure is discontinuous in the matrix entries, so every
 multiplicity decision here is tolerance-driven. The defaults below are
 engineering choices, each a fraction of the input's own size, never an
 absolute constant, so ``2^k A`` decomposes as ``A`` does. The rank,
-clustering and reconstruction tolerances are parameters of both paths
+clustering and reconstruction tolerances are parameters of every route
 (CLI ``--tol``, ``--tol-cluster`` and ``--tol-recon``); the tie and
 ill-conditioning thresholds are fixed module constants.
 """
@@ -56,7 +57,7 @@ from .errors import (
     ReconstructionError,
     SingularMatrixError,
 )
-from .graph import _as_square, real_or_complex
+from .graph import _as_square, is_normal, real_or_complex
 
 # Rank decisions treat singular values below rank_tol * ||matrix||_F as zero.
 DEFAULT_RANK_TOL = 1e-8
@@ -111,9 +112,11 @@ class SpectralDecomposition:
     superdiagonals inside blocks. The columns come in frequency order:
     ``order_frequencies(eigenvalues).order`` is ``range(n)``
     (:func:`dgft.spectral.order_frequencies`), so a column's spectral
-    index is its frequency rank. ``is_unitary_basis`` marks the unitary
-    path of :func:`symmetric_eigen_decompose` (real symmetric and other
-    normal matrices), where ``v_inv`` is exactly ``v.conj().T``.
+    index is its frequency rank. ``is_unitary_basis`` marks a basis whose
+    every component took a unitary route of :func:`jordan_decompose` (real
+    symmetric and other normal components), where ``v_inv`` is exactly
+    ``v.conj().T``; a component on a unitary route has that property in
+    its own block either way.
 
     ``residual`` is the absolute reconstruction residual
     ``||V J V^-1 - A||_F`` the decomposition was certified with. The
@@ -454,16 +457,17 @@ def _finish(
     norm: float,
     tol: float,
     cluster_tol: float,
-    unitary: bool,
+    unitary: list[bool],
     recon_tol: float,
 ) -> SpectralDecomposition:
-    """The one tail of both decomposition paths: column order, basis
-    convention, J, inverse and the certificate, on whole arrays.
+    """The one tail of every route of :func:`jordan_decompose`: column
+    order, basis convention, J, inverse and the certificate, on whole arrays.
 
     ``stacks`` holds the rows of each stack of equal-size components as an
-    (m, k) array, ascending within a component; a connected ``A``, and the
-    unitary path, give one stack of all n rows. A component is named by
-    its smallest row. ``columns`` holds each stack's (m, k, k) vectors,
+    (m, k) array, ascending within a component; a connected ``A`` gives one
+    stack of all n rows. A component is named by its smallest row.
+    ``unitary`` marks each stack whose basis is unitary. ``columns`` holds
+    each stack's (m, k, k) vectors,
     ``columns[s][i][:, t]`` the t-th column of component i in its rows.
     Numbered stack by stack, component by component, each column has an
     entry in the complex ``eigenvalues`` and in ``chains``, which numbers
@@ -483,17 +487,17 @@ def _finish(
        which is C-contiguous. Each chain is scaled and phased through its
        head (:func:`_normalize_chains`), which gives a snapped vector its
        exact unit form ``1/sqrt(k)``, and ``J`` is laid out.
-    4. Columns ``c`` and ``c + 1`` form a pair when ``A`` is real, the
-       basis is not ``unitary``, both are 1x1 blocks, their eigenvalues
+    4. Columns ``c`` and ``c + 1`` form a pair when ``A`` is real, neither
+       is in a ``unitary`` stack, both are 1x1 blocks, their eigenvalues
        are exact conjugates and ``v[:, c + 1] == conj(v[:, c])`` holds
        exactly. ``W`` is ``V`` with each pair's columns replaced by
        ``Re v_c`` and ``Im v_c`` (:func:`_pair_form`), so ``V = W T``
        exactly, ``T`` holding one block ``[[1, 1], [i, -i]]`` per pair.
        ``W`` follows the dtype rule: it is real once every complex column
        has its partner, and it is ``V`` itself when there are no pairs.
-       Each stack of ``W`` is inverted alone by ``np.linalg.inv`` in its
-       dtype (:func:`_inverse`) into ``Z``, a ``unitary`` basis by its
-       conjugate transpose, and ``V^-1 = T^-1 Z`` is assembled exactly:
+       Each stack of ``W`` is inverted alone into ``Z``: a ``unitary`` one
+       by its conjugate transpose, any other by ``np.linalg.inv`` in its
+       dtype (:func:`_inverse`). ``V^-1 = T^-1 Z`` is assembled exactly:
        each pair's rows are ``(Z[c] -/+ i Z[c + 1]) / 2``. Each stack's
        residual is ``||(W B) Z - A||_F`` with ``B = T J T^-1``, which is
        ``J`` with each pair's diagonal replaced by ``[[a, b], [-b, a]]``
@@ -542,18 +546,22 @@ def _finish(
     v = real_or_complex(v)  # a complex matrix can still have a real basis
     j = _Bidiagonal.dense(eigenvalues[order], heads)
 
-    # The pairs: 1x1 blocks c, c + 1 of a real A with exactly conjugate values and columns.
+    # The pairs: 1x1 blocks c, c + 1 of a real A with exactly conjugate values and
+    # columns, outside the unitary stacks.
     c = np.empty(0, dtype=int)
-    if np.isrealobj(a) and np.iscomplexobj(v) and not unitary:
-        lam, single = j.diagonal(), heads & np.append(heads[1:], True)
+    if np.isrealobj(a) and np.iscomplexobj(v):
+        inverted = np.repeat(np.logical_not(unitary), [rows.size for rows in stacks])[order]
+        lam, single = j.diagonal(), heads & np.append(heads[1:], True) & inverted
         c = np.flatnonzero(
             single[:-1] & single[1:] & (lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj())
         )
         c = c[(v[:, c + 1] == v[:, c].conj()).all(axis=0)]
     w, wb = _pair_form(v, c), _pair_form(v @ _Bidiagonal(j), c)  # W and W B
-    z = w.conj().T if unitary else _block_diagonal(
-        n, [(cols, rows, _inverse(w[_blocks(rows, cols, n)])) for rows, cols in parts]
-    )
+    z = _block_diagonal(n, [
+        (cols, rows, b.conj().transpose(0, 2, 1) if u else _inverse(b))
+        for (rows, cols), u in zip(parts, unitary)
+        for b in [w[_blocks(rows, cols, n)]]
+    ])
     v_inv = z
     if c.size:  # V^-1 = T^-1 Z
         v_inv, re, im = z.astype(complex), z[c] / 2, 1j * (z[c + 1] / 2)
@@ -580,7 +588,7 @@ def _finish(
         v=v,
         j=j,
         v_inv=v_inv,
-        is_unitary_basis=unitary,
+        is_unitary_basis=all(unitary),
         basis_condition=condition,
         cluster_tol=cluster_tol,
         residual=residual,
@@ -601,58 +609,118 @@ def jordan_decompose(
 
     Up to a permutation ``A`` is block diagonal over its weakly connected
     components (its nonzeros as edges), so its Jordan form is the direct
-    sum of theirs; components of one size share one stacked ``eig``. A
-    component's computed eigenvalues are clustered (single linkage at
-    ``cluster_tol``, default :func:`_default_cluster_tol` of the whole
-    ``A``, as is the certificate bound), each cluster is
-    represented by its mean, and generalized-eigenvector chains are built
-    from rank-revealing null spaces of powers of the shifted submatrix.
-    Blocks are ordered by their eigenvalue in ``J``, by (magnitude, real,
-    imaginary) with ties (:func:`order_with_ties`); at one value the
-    longest chain comes first, then the component with the smallest node.
-    A cluster that yields too few chains leaves its other columns with
-    their own eigenvectors, each ranked by its own eigenvalue.
+    sum of theirs. Each component takes one of three routes, each test run
+    at most once, and components of one route and one size share one
+    stacked kernel:
 
-    The basis follows the one convention of :func:`_finish`, certified
-    block by block. A reconstruction residual above ``recon_tol`` relative
-    raises :class:`ReconstructionError`; a basis condition above
-    :data:`ILL_CONDITIONED_LIMIT` raises :class:`IllConditionedBasisWarning`.
+    - exactly Hermitian (every undirected graph): ``eigh`` alone, with
+      exactly real eigenvalues and no normality test;
+    - otherwise normal (:func:`dgft.graph.is_normal`; the directed ring,
+      circulants): ``eigh`` of the Hermitian part, each of its eigenvalue
+      clusters split by a small ``eig`` (:func:`_split_clusters`). A
+      component symmetric only to rounding is split the same way, so a
+      repeated eigenvalue of it may part into values with imaginary parts
+      of the asymmetry's size;
+    - everything else: ``eig``; its computed eigenvalues are clustered,
+      each cluster is represented by its mean, and generalized-eigenvector
+      chains are built from rank-revealing null spaces of powers of the
+      shifted component (:func:`_jordan_chains`). A cluster that yields
+      too few chains leaves its other columns with their own eigenvectors,
+      each ranked by its own eigenvalue.
+
+    The first two routes give a unitary block of the basis, the third an
+    inverted one. Clusters form within a component only, by single linkage
+    at ``cluster_tol`` (default :func:`_default_cluster_tol` of the whole
+    ``A``, as is the certificate bound). Every route ends in the one
+    finisher (:func:`_finish`): columns in frequency order, by (magnitude,
+    real, imaginary) with ties (:func:`order_with_ties`), at one value the
+    longest chain first, then the component with the smallest node; one
+    basis convention, certified block by block. A reconstruction residual
+    above ``recon_tol`` relative raises :class:`ReconstructionError`, which
+    also refuses a component a route cannot reproduce; a basis condition
+    above :data:`ILL_CONDITIONED_LIMIT` raises
+    :class:`IllConditionedBasisWarning`.
     """
     a = _as_square(a)
     n, norm = len(a), _frobenius(a, recon_tol)
     ct = _default_cluster_tol(n, norm) if cluster_tol is None else float(cluster_tol)
-    home = _component_minima(n, *np.nonzero(a))  # each row's component: its smallest row
+    home = _component_minima(n, *np.nonzero(a != 0))  # each row's component: its smallest row
     size = np.bincount(home)[home]
-
-    # Components of each size k as an (m, k) stack of rows; the columns follow.
     by_size = np.lexsort((home, size))
-    stacks = [by_size[size[by_size] == k].reshape(-1, k) for k in sorted(set(size.tolist()))]
-    subs = [a[_blocks(rows, rows, n)] for rows in stacks]
-    values, columns = zip(*[_converged(np.linalg.eig, sub) for sub in subs])
-    w = np.concatenate([x.ravel() for x in values])
-    first = np.cumsum([0] + [x.size for x in values])  # each stack's first column
 
-    # Every column its own chain until its cluster says otherwise; chains
-    # number by their cluster's first column, then by their head's place.
-    lams, chains = w.astype(complex), np.arange(n) * n
-    for cluster in [c for c in cluster_eigenvalues(w, ct, home[by_size]) if len(c) > 1]:
-        s = int(np.searchsorted(first, cluster[0], side="right")) - 1
-        i, t = np.divmod(np.subtract(cluster, first[s]), stacks[s].shape[1])  # one component
-        lam = complex(np.mean(w[cluster]))
-        mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
-        found = _jordan_chains(subs[s][i[0]], mu, len(cluster), tol)
-        # The chains take the cluster's first columns, longest first. A shortfall is a
-        # clustering artifact: the rest keep their eigenvectors, each its own block.
-        covered = sum(lengths := [len(chain) for chain in found])
-        columns[s][i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
-        lengths += [1] * (len(cluster) - covered)
-        lams[cluster[:covered]] = lam
-        chains[cluster] = cluster[0] * n + np.repeat(np.cumsum(lengths) - lengths, lengths)
-    chains = np.unique(chains, return_inverse=True)[1]
+    # Components of each size k as an (m, k) stack of rows with their
+    # submatrices, split by route: 0 Hermitian, 1 normal, 2 Jordan.
+    stacks = []
+    for k in sorted(set(size.tolist())):
+        rows = by_size[size[by_size] == k].reshape(-1, k)
+        sub = a[_blocks(rows, rows, n)]
+        route = np.where((sub == sub.conj().transpose(0, 2, 1)).all(axis=(1, 2)), 0, 2)
+        if (rest := route > 0).any():
+            route[rest] = np.where(is_normal(sub[rest]), 1, 2)
+        for r in sorted(set(route.tolist())):
+            pick = route == r
+            stacks.append((r, rows[pick], sub if pick.all() else sub[pick]))
+
+    values, columns, chains, first = [], [], [], 0
+    for route, rows, sub in stacks:
+        m, k = rows.shape
+        h = (sub + sub.conj().transpose(0, 2, 1)) / 2.0 if route == 1 else sub
+        w, v = _converged(np.linalg.eig if route == 2 else np.linalg.eigh, h)
+        w = w.ravel()  # column i * k + t of component i
+        clusters = cluster_eigenvalues(w, ct, np.arange(m * k) // k) if route else []
+        if route == 1:
+            w, v = _split_clusters(sub - h, w, v, clusters)
+        # Every column its own chain until its cluster says otherwise; chains
+        # number by their cluster's first column, then by their head's place.
+        lams, keys = w.astype(complex), (first + np.arange(m * k)) * n
+        for cluster in [c for c in clusters if len(c) > 1 and route == 2]:
+            i, t = np.divmod(cluster, k)  # one component
+            lam = complex(np.mean(w[cluster]))
+            mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
+            found = _jordan_chains(sub[i[0]], mu, len(cluster), tol)
+            # The chains take the cluster's first columns, longest first. A shortfall is a
+            # clustering artifact: the rest keep their eigenvectors, each its own block.
+            covered = sum(lengths := [len(chain) for chain in found])
+            v[i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
+            lengths += [1] * (len(cluster) - covered)
+            lams[cluster[:covered]] = lam
+            keys[cluster] = keys[cluster[0]] + np.repeat(np.cumsum(lengths) - lengths, lengths)
+        values.append(lams)
+        columns.append(v)
+        chains.append(keys)
+        first += m * k
     return _finish(
-        a, stacks, columns, lams, chains,
-        norm=norm, tol=tol, cluster_tol=ct, unitary=False, recon_tol=recon_tol,
+        a, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
+        np.unique(np.concatenate(chains), return_inverse=True)[1],
+        norm=norm, tol=tol, cluster_tol=ct, unitary=[route < 2 for route, *_ in stacks],
+        recon_tol=recon_tol,
     )
+
+
+def _split_clusters(skew, w, v, clusters):
+    """Eigenpairs of a stack of normal matrices ``H + skew``, from ``eigh``'s
+    ``w`` (flat, column ``i * k + t`` of component ``i``) and ``v`` (m, k,
+    k) of the Hermitian parts ``H``.
+
+    ``skew`` commutes with ``H`` when the matrix is normal, so it acts
+    inside each eigenspace of ``H``: each of ``clusters`` (flat column
+    indices, within one component each) is split by a small ``eig`` of
+    the matrix restricted to the cluster's columns, orthonormalized by QR.
+    Clusters of one size share one stacked ``eig``. Returns the complex
+    eigenvalues (flat) and the (m, k, k) unitary basis.
+    """
+    k = v.shape[1]
+    flat = v.transpose(1, 0, 2).reshape(k, -1)  # column i * k + t
+    sv = (skew @ v).transpose(1, 0, 2).reshape(k, -1)
+    values, split = w.astype(complex), flat.astype(complex)
+    for size in {len(c) for c in clusters}:
+        idx = np.array([c for c in clusters if len(c) == size])  # one row per cluster
+        q = flat[:, idx]  # (k, clusters, size): each cluster's columns
+        restricted = np.einsum("nci,ncj->cij", q.conj(), sv[:, idx])
+        restricted[:, range(size), range(size)] += w[idx]  # Qᴴ H Q, diagonal by eigh
+        values[idx], vectors = _converged(np.linalg.eig, restricted)
+        split[:, idx] = np.einsum("nci,cij->ncj", q, np.linalg.qr(vectors)[0])
+    return values, split.reshape(k, -1, k).transpose(1, 0, 2)
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray, n: int):
@@ -686,64 +754,6 @@ def _pair_form(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     out[:, c + 1] = m[:, c].imag
     out[:, c] = m[:, c].real
     return real_or_complex(out)
-
-
-def symmetric_eigen_decompose(
-    a,
-    *,
-    tol: float = DEFAULT_RANK_TOL,
-    cluster_tol: float | None = None,
-    recon_tol: float = RECON_LIMIT,
-) -> SpectralDecomposition:
-    """Unitary spectral decomposition of a normal matrix, real symmetric
-    the common case.
-
-    ``eigh`` decomposes the Hermitian part ``H = (A + Aᴴ)/2``. For a
-    Hermitian ``A``, a real symmetric one (every undirected graph) in
-    particular, that is ``A`` itself and the eigenvalues come out exactly
-    real. Otherwise the skew-Hermitian part ``A - H`` commutes with ``H``
-    when ``A`` is normal (:func:`dgft.graph.is_normal`; the directed ring,
-    for one), so it acts inside each eigenspace of ``H``: each cluster of
-    ``H``'s eigenvalues (single linkage at ``cluster_tol``, default
-    :func:`_default_cluster_tol`, as on the Jordan path) is split by a
-    small ``eig`` of ``A`` restricted to the cluster's columns,
-    orthonormalized by QR. A matrix symmetric only to rounding is split the
-    same way, so a repeated eigenvalue of it may part into values with
-    imaginary parts of the asymmetry's size.
-    The basis is unitary either way and ``v_inv`` is ``v.conj().T``; no
-    ``eig`` and no inverse of the full matrix run.
-
-    Every column is a 1x1 block of one component, the whole matrix, and
-    passes through the same finisher as :func:`jordan_decompose`
-    (:func:`_finish`): ordered by (magnitude, real, imaginary), unit norm
-    with the largest-magnitude entry real positive, and a unique constant
-    null vector snapped to ``(1/sqrt(n)) * ones``. The residual is
-    certified against ``a`` and ``recon_tol`` as on the Jordan path, which
-    also refuses a matrix that is not normal: its unitary basis cannot
-    reproduce it.
-    """
-    a = _as_square(a)
-    n, norm = len(a), _frobenius(a, recon_tol)
-    h = a if np.array_equal(a, a.conj().T) else (a + a.conj().T) / 2.0
-    w, v = _converged(np.linalg.eigh, h)
-    ct = _default_cluster_tol(n, norm) if cluster_tol is None else float(cluster_tol)
-    if h is not a:  # split each cluster of H by A restricted to its columns
-        sv = (a - h) @ v
-        clusters = cluster_eigenvalues(w, ct)
-        values, split = w.astype(complex), v.astype(complex)
-        for k in {len(c) for c in clusters}:
-            idx = np.array([c for c in clusters if len(c) == k])  # one row per cluster
-            q = v[:, idx]  # (n, clusters, k): each cluster's columns
-            restricted = np.einsum("nci,ncj->cij", q.conj(), sv[:, idx])
-            restricted[:, range(k), range(k)] += w[idx]  # Qᴴ H Q, diagonal by eigh
-            values[idx], vectors = _converged(np.linalg.eig, restricted)
-            split[:, idx] = np.einsum("nci,cij->ncj", q, np.linalg.qr(vectors)[0])
-        w, v = values, split
-
-    return _finish(  # every column its own chain, of the one component
-        a, [np.arange(n)[None]], [v[None]], w.astype(complex), np.arange(n),
-        norm=norm, tol=tol, cluster_tol=ct, unitary=True, recon_tol=recon_tol,
-    )
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:

@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidValueError
-from .graph import (
-    DirectedLaplacian,
-    Graph,
-    directed_laplacian,
-    is_normal,
-    is_real_symmetric,
-    real_or_complex,
-    signal_values,
-)
+from .graph import DirectedLaplacian, Graph, directed_laplacian, real_or_complex, signal_values
 from .linalg import (
     DEFAULT_RANK_TOL,
     RECON_LIMIT,
@@ -37,7 +29,6 @@ from .linalg import (
     jordan_decompose,
     matrix_polynomial_apply,
     order_with_ties,
-    symmetric_eigen_decompose,
 )
 
 # (identity tap, first-difference tap): S f = f - L f.
@@ -177,22 +168,20 @@ def decompose(
     cluster_tol: float | None = None,
     recon_tol: float = RECON_LIMIT,
 ) -> SpectralDecomposition:
-    """Spectral decomposition of a graph's Laplacian, picking the right path.
+    """Spectral decomposition of a graph's Laplacian: :func:`jordan_decompose`
+    of its matrix.
 
-    The routing, each test run at most once: a real symmetric Laplacian
-    (undirected graphs, :func:`is_real_symmetric`), then a normal one
-    (:func:`is_normal`; the directed cycle, circulants), goes through the
-    unitary solver :func:`symmetric_eigen_decompose`; everything else
-    gets the Jordan treatment. A symmetric Laplacian pays no normality
-    test, and a non-normal one is usually rejected by its O(n^2) probe.
-    Both paths take the same tolerances, apply the same deterministic
-    basis convention (unit scale, pivot phase, constant eigenvector
-    snapped to ones over root n) and return the same SpectralDecomposition
-    shape, so callers never branch. ``cluster_tol`` merges eigenvalues on
-    either path, and every threshold is relative to ``L``. Either path
-    refuses, with :class:`ReconstructionError`, a basis whose residual
-    ``||V J V^-1 - L||_F`` exceeds ``recon_tol * ||L||_F``.
+    Each weakly connected component takes its own route there: ``eigh`` for
+    an undirected one, ``eigh`` of the Hermitian part for another normal one
+    (the directed cycle, circulants), and the Jordan treatment for the
+    rest. Every route applies the same deterministic basis convention (unit
+    scale, pivot phase, each component's constant null vector snapped to
+    its exact unit form) and returns one SpectralDecomposition, so callers
+    never branch. ``cluster_tol`` merges eigenvalues on every route, and
+    every threshold is relative to ``L``. A basis whose residual
+    ``||V J V^-1 - L||_F`` exceeds ``recon_tol * ||L||_F`` is refused with
+    :class:`ReconstructionError`.
     """
-    m = as_laplacian(source).matrix
-    solve = symmetric_eigen_decompose if is_real_symmetric(m) or is_normal(m) else jordan_decompose
-    return solve(m, tol=tol, cluster_tol=cluster_tol, recon_tol=recon_tol)
+    return jordan_decompose(
+        as_laplacian(source).matrix, tol, cluster_tol=cluster_tol, recon_tol=recon_tol
+    )

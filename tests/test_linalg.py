@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from dgft import (
     DgftError,
+    DirectedLaplacian,
     EmptyTapsError,
     Graph,
     GraphSignal,
+    GraphSizeError,
     IllConditionedBasisWarning,
     NoConvergenceError,
     NonSquareError,
@@ -51,7 +53,6 @@ from dgft.linalg import (
     jordan_decompose,
     matrix_polynomial_apply,
     order_with_ties,
-    symmetric_eigen_decompose,
 )
 from conftest import defective_zoo, make_random_digraph, make_random_undirected
 from oracles import exact_block_sizes, exact_defective_triangular, ring_eigenvalues
@@ -505,9 +506,12 @@ class TestRealArithmetic:
             _assert_blocks_match_exact_oracle(dec, lap, name)
 
     def test_real_cluster_in_a_complex_eig_stack(self, svd_dtypes):
-        # A 4-ring and a 4-node path share one stacked eig, complex for the
-        # ring's sake; the path's chain at 1 is still built in real arithmetic.
-        lap, _ = _union([_piece("ring", 4, None)[0], _piece("path", 4, None)[0]], np.random.default_rng(0))
+        # A 4-cycle with one double weight (not normal, so not on the unitary
+        # route) and a 4-node path share one stacked eig, complex for the
+        # cycle's sake; the path's chain at 1 is still built in real arithmetic.
+        cycle = directed_laplacian(build_graph(4, _ring_edges(range(4))[1:] + [(3, 0, 2.0)])).matrix
+        assert not is_normal(cycle[None])[0] and np.linalg.eigvals(cycle).imag.any()
+        lap, _ = _union([cycle, _piece("path", 4, None)[0]], np.random.default_rng(0))
         dec = jordan_decompose(lap)
         assert svd_dtypes and set(svd_dtypes) == {np.dtype(float)}
         (b,) = [b for b in dec.blocks if b.size > 1]
@@ -678,14 +682,21 @@ class TestBasisCondition:
 
 
 class TestSymmetricEigenDecompose:
-    def test_refuses_a_matrix_that_is_not_normal(self):
-        # Its unitary basis cannot reproduce it: the certificate refuses it.
+    """The unitary routes of ``jordan_decompose``: ``eigh`` of a Hermitian
+    component, and of a normal one's Hermitian part."""
+
+    def test_refuses_a_matrix_that_is_not_normal(self, monkeypatch):
+        # Sent down the unitary route against the normality test, its
+        # unitary basis cannot reproduce it: the certificate refuses it.
+        import dgft.linalg
+
+        monkeypatch.setattr(dgft.linalg, "is_normal", lambda m: np.ones(len(m), dtype=bool))
         with pytest.raises(ReconstructionError):
-            symmetric_eigen_decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            jordan_decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_hermitian_matrix_gets_real_eigenvalues_and_unitary_basis(self):
         a = np.array([[0.0, 1j], [-1j, 0.0]])
-        dec = symmetric_eigen_decompose(a)
+        dec = jordan_decompose(a)
         assert dec.eigenvalues.dtype == float
         assert list(dec.eigenvalues) == pytest.approx([-1.0, 1.0], abs=1e-15)
         assert np.array_equal(dec.v_inv, dec.v.conj().T)
@@ -693,30 +704,30 @@ class TestSymmetricEigenDecompose:
 
     def test_eigenvalues_exactly_real(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        dec = symmetric_eigen_decompose(a)
+        dec = jordan_decompose(a)
         assert np.all(dec.eigenvalues.imag == 0)
 
     def test_basis_is_orthonormal_and_inverse_is_transpose(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((5, 5))
         a = m + m.T
-        dec = symmetric_eigen_decompose(a)
+        dec = jordan_decompose(a)
         assert dec.is_unitary_basis
         assert np.array_equal(dec.v_inv, dec.v.T)
         assert np.linalg.norm(dec.v.T @ dec.v - np.eye(5)) < 1e-10 * np.sqrt(5)
 
     def test_ordering_by_magnitude_negative_first(self):
-        dec = symmetric_eigen_decompose(np.diag([3.0, -3.0, 1.0]))
+        dec = jordan_decompose(np.diag([3.0, -3.0, 1.0]))
         assert list(np.real(dec.eigenvalues)) == [1.0, -3.0, 3.0]
 
     def test_sign_convention(self):
-        dec = symmetric_eigen_decompose(np.diag([2.0, 5.0]))
+        dec = jordan_decompose(np.diag([2.0, 5.0]))
         for k in range(2):
             col = dec.v[:, k]
             assert col[int(np.argmax(np.abs(col)))].real > 0
 
     def test_two_path_spectrum(self):
-        dec = symmetric_eigen_decompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        dec = jordan_decompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert list(np.real(dec.eigenvalues)) == pytest.approx([0.0, 2.0], abs=1e-12)
         flat, alternating = dec.v[:, 0], dec.v[:, 1]
         root_half = 1.0 / np.sqrt(2.0)
@@ -726,7 +737,7 @@ class TestSymmetricEigenDecompose:
         assert alternating[0] == pytest.approx(-alternating[1], abs=1e-12)
 
     def test_zero_matrix(self):
-        dec = symmetric_eigen_decompose(np.zeros((3, 3)))
+        dec = jordan_decompose(np.zeros((3, 3)))
         assert np.all(dec.eigenvalues == 0)
         assert np.linalg.norm(dec.v.T @ dec.v - np.eye(3)) < 1e-12
 
@@ -763,8 +774,10 @@ class TestNormalPath:
         assert np.array_equal(dec.v_inv, dec.v.conj().T)
         assert dec.residual <= RECON_LIMIT * max(1.0, norm)
         assert np.linalg.norm(dec.v_inv @ dec.v - np.eye(dec.n)) <= 1e-10 * np.sqrt(dec.n)
-        want = jordan_decompose(lap).eigenvalues
-        assert np.max(np.abs(dec.eigenvalues - want)) <= 1e-12 * norm
+        got = list(dec.eigenvalues)  # matched against eig's as a multiset
+        for want in np.linalg.eigvals(lap):
+            k = int(np.argmin(np.abs(np.subtract(got, want))))
+            assert abs(got.pop(k) - want) <= 1e-12 * norm
 
     def test_random_circulants_and_ring_unions(self):
         # Every circulant and every disjoint union of rings is normal. Random
@@ -817,12 +830,12 @@ class TestNormalPath:
             assert shapes and all(shape[-1] <= 2 for shape in shapes), n
 
     def test_symmetric_input_pays_no_normality_test(self, monkeypatch):
-        import dgft.spectral
+        import dgft.linalg
 
         def fail(m):
             raise AssertionError("normality tested")
 
-        monkeypatch.setattr(dgft.spectral, "is_normal", fail)
+        monkeypatch.setattr(dgft.linalg, "is_normal", fail)
         assert decompose(make_random_undirected(np.random.default_rng(2), 12)).is_unitary_basis
 
     def test_probe_rejects_a_digraph_without_an_n_by_n_product(self):
@@ -830,11 +843,11 @@ class TestNormalPath:
 
         class Recording(np.ndarray):
             def __matmul__(self, other):
-                operands.append(np.ndim(other))
+                operands.append(np.shape(other)[-1])  # columns: 1 for the probe vector
                 return super().__matmul__(other)
 
         lap = directed_laplacian(make_random_digraph(np.random.default_rng(5), 30)).matrix
-        assert not is_normal(lap.view(Recording))
+        assert is_normal(lap[None].view(Recording)).tolist() == [False]
         assert operands and max(operands) == 1
 
 
@@ -851,42 +864,55 @@ def _simple_undirected_laplacians(count: int = 8, n: int = 12):
     return out
 
 
+def _convention(columns):
+    """Each column at unit norm with its largest-magnitude entry real positive."""
+    pivots = columns[np.argmax(np.abs(columns), axis=0), range(columns.shape[1])]
+    return columns * np.conj(pivots) / (np.abs(pivots) * np.linalg.norm(columns, axis=0))
+
+
 class TestSharedFinisher:
-    """Both decomposition paths end in the same basis convention."""
+    """Every route ends in the same basis convention."""
 
     def test_paths_agree_on_simple_undirected_spectra(self):
+        # The Hermitian route against eig of the same Laplacian, ordered and
+        # normalized outside the pipeline.
         for lap in _simple_undirected_laplacians():
-            jd, sd = jordan_decompose(lap), symmetric_eigen_decompose(lap)
-            assert [(b.start, b.size) for b in jd.blocks] == [(b.start, b.size) for b in sd.blocks]
-            assert np.allclose(jd.eigenvalues, sd.eigenvalues, rtol=0, atol=1e-12)
-            (zero,) = [k for k, lam in enumerate(sd.eigenvalues) if lam == 0]
-            assert jd.eigenvalues[zero] == 0
+            w, vectors = np.linalg.eig(lap.real)
+            order, _ = order_with_ties(w)
+            want = _convention(vectors[:, order])
+            dec = jordan_decompose(lap)
+            assert [(b.start, b.size) for b in dec.blocks] == [(k, 1) for k in range(lap.shape[0])]
+            assert np.allclose(dec.eigenvalues, w[order], rtol=0, atol=1e-12)
+            (zero,) = [k for k, lam in enumerate(dec.eigenvalues) if lam == 0]
+            assert zero == 0 and abs(w[order][zero]) <= 1e-12
             constant = np.full(lap.shape[0], 1 / np.sqrt(lap.shape[0]), dtype=complex)
-            assert np.array_equal(jd.v[:, zero], constant)
-            assert np.array_equal(sd.v[:, zero], constant)
-            assert np.max(np.abs(jd.v - sd.v)) <= 1e-12
+            assert np.array_equal(dec.v[:, zero], constant)
+            assert np.max(np.abs(want[:, zero] - constant)) <= 1e-12
+            assert np.max(np.abs(dec.v - want)) <= 1e-12
 
     def test_raw_basis_keeps_kernel_columns(self):
         # The basis is the kernel's own columns, each times its convention
         # factor: the one that gives it unit norm and its largest-magnitude
         # entry real positive (the snapped constant column is that too).
-        def convention(columns):
-            pivots = columns[np.argmax(np.abs(columns), axis=0), range(columns.shape[1])]
-            return columns * np.conj(pivots) / (np.abs(pivots) * np.linalg.norm(columns, axis=0))
-
+        # Undirected Laplacians take eigh, digraphs eig; a digraph's snapped
+        # column is the exact constant, which eig's null vector only nears.
         for lap in _simple_undirected_laplacians(count=3):
             w, vectors = np.linalg.eigh(lap.real)
             order, _ = order_with_ties(w)
-            dec = symmetric_eigen_decompose(lap)
-            assert np.allclose(dec.v, convention(vectors[:, order]), rtol=0, atol=1e-14)
+            dec = jordan_decompose(lap)
+            assert np.allclose(dec.v, _convention(vectors[:, order]), rtol=0, atol=1e-14)
             assert np.array_equal(dec.v_inv, dec.v.T)
 
+        for seed in range(3):
+            lap = directed_laplacian(make_random_digraph(np.random.default_rng(seed), 12)).matrix
             w, vectors = np.linalg.eig(lap.real)
             order, _ = order_with_ties(w)
             dec = jordan_decompose(lap)
-            assert np.allclose(dec.v, convention(vectors[:, order]), rtol=0, atol=1e-14)
             snapped = dec.eigenvalues == 0
             assert np.count_nonzero(snapped) == 1
+            want = _convention(vectors[:, order])[:, ~snapped]
+            assert np.allclose(dec.v[:, ~snapped], want, rtol=0, atol=1e-14)
+            assert np.array_equal(dec.v[:, snapped].ravel(), np.full(12, 1 / np.sqrt(12)))
             assert np.array_equal(dec.eigenvalues[~snapped], w[order][~snapped])
 
     def test_normalization_matches_per_chain_reference(self, monkeypatch):
@@ -911,7 +937,7 @@ class TestSharedFinisher:
                 assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
     def test_derived_facts_are_read_only(self):
-        dec = symmetric_eigen_decompose(np.diag([2.0, 5.0]))
+        dec = jordan_decompose(np.diag([2.0, 5.0]))
         assert np.array_equal(dec.eigenvalues, np.diag(dec.j))
         with pytest.raises(ValueError):
             dec.eigenvalues[0] = 1.0
@@ -1043,12 +1069,15 @@ class TestCertificate:
         # the only signal: no numpy overflow warning comes before it.
         g = build_graph(3, [(0, 1, weight), (1, 2, 1.0), (2, 0, 1.0)])
         lap = directed_laplacian(g).matrix
+        edges = [(0, 1, weight), (1, 0, weight), (1, 2, 1.0), (2, 1, 1.0)]
+        undirected = directed_laplacian(build_graph(3, edges)).matrix  # the Hermitian route's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not is_normal(lap)
-            for call in (decompose, jordan_decompose, symmetric_eigen_decompose):
-                with pytest.raises(ReconstructionError, match="overflows"):
-                    call(lap)
+            for a in (lap, undirected):
+                for call in (decompose, jordan_decompose):
+                    with pytest.raises(ReconstructionError, match="overflows"):
+                        call(a)
 
     @pytest.mark.parametrize("weight", [5e-324, 1e-310, 1e-305, 1e-200, 1e-162])
     def test_underflowing_norm_is_refused(self, weight):
@@ -1056,11 +1085,14 @@ class TestCertificate:
         # recon_tol * ||L||_F is 0 and the float residual of any basis
         # could meet it: the parent certified three 1x1 blocks here.
         lap = directed_laplacian(build_graph(3, [(0, 1, weight), (1, 2, weight)])).matrix
+        edges = [(0, 1, weight), (1, 0, weight)]
+        undirected = directed_laplacian(build_graph(3, edges)).matrix  # the Hermitian route's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (decompose, jordan_decompose, symmetric_eigen_decompose):
-                with pytest.raises(ReconstructionError, match="underflows"):
-                    call(lap)
+            for a in (lap, undirected):
+                for call in (decompose, jordan_decompose):
+                    with pytest.raises(ReconstructionError, match="underflows"):
+                        call(a)
             edgeless = decompose(np.zeros((3, 3)))  # L = 0 is no underflow
         assert edgeless.residual == 0.0
 
@@ -1118,6 +1150,22 @@ def _support(column):
     return frozenset(np.flatnonzero(column).tolist())
 
 
+@pytest.fixture
+def kernel_shapes(monkeypatch):
+    """The shapes handed to ``np.linalg.svd``, ``eig``, ``eigh`` and ``inv``,
+    in call order."""
+    shapes: dict[str, list] = {"svd": [], "eig": [], "eigh": [], "inv": []}
+    for name in shapes:
+        kernel = getattr(np.linalg, name)
+
+        def recording(m, *args, _kernel=kernel, _name=name, **kwargs):
+            shapes[_name].append(np.shape(m))
+            return _kernel(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 class TestComponents:
     """Each weakly connected component is decomposed alone, with the
     tolerances of the whole matrix, and the union certified block by block."""
@@ -1165,22 +1213,13 @@ class TestComponents:
         at_one = [(-b.size, first[min(heads[b.start])]) for b in dec.blocks if b.eigenvalue == 1]
         assert at_one == sorted(at_one)
 
-    def test_chain_union_runs_component_sized_kernels(self, monkeypatch):
+    def test_chain_union_runs_component_sized_kernels(self, kernel_shapes):
         # 25 paths of 3 nodes and 25 of 5: one stacked eig per size, and no
         # rank decision or inverse larger than one component.
         g, lengths = _chain_union(np.random.default_rng(0), [3] * 25 + [5] * 25)
-        shapes: dict[str, list] = {"svd": [], "inv": [], "eig": []}
-        for name in shapes:
-            kernel = getattr(np.linalg, name)
-
-            def recording(m, *args, _kernel=kernel, _name=name, **kwargs):
-                shapes[_name].append(np.shape(m))
-                return _kernel(m, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recording)
         dec = jordan_decompose(directed_laplacian(g).matrix)
-        assert max(shape[-2] for shape in shapes["svd"] + shapes["inv"]) <= 5
-        assert sorted(shape[-1] for shape in shapes["eig"]) == [3, 5]
+        assert max(shape[-2] for shape in kernel_shapes["svd"] + kernel_shapes["inv"]) <= 5
+        assert sorted(shape[-1] for shape in kernel_shapes["eig"]) == [3, 5]
         assert sorted(b.size for b in dec.blocks if b.eigenvalue == 1) == sorted(
             length - 1 for length in lengths
         )
@@ -1234,6 +1273,70 @@ class TestComponents:
         assert dec.residual > 0
         assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - lap), rel=1e-6)
         assert np.allclose(dec.v_inv @ dec.v, np.eye(len(lap)), atol=1e-8)
+
+
+class TestRouting:
+    """Each component takes its own route: Hermitian ones ``eigh``, other
+    normal ones ``eigh`` of the Hermitian part, the rest ``eig`` and chains."""
+
+    @pytest.mark.parametrize("sizes", [[5, 5], [4, 4, 4], [3, 8]])
+    def test_normal_unions_snap_each_zero(self, sizes):
+        n = sum(sizes)
+        perm = np.random.default_rng(n).permutation(n)
+        offsets = np.cumsum([0] + sizes)
+        rings = sorted((perm[a:b] for a, b in zip(offsets, offsets[1:])), key=min)
+        dec = decompose(build_graph(n, [e for nodes in rings for e in _ring_edges(nodes)]))
+        assert dec.is_unitary_basis
+        assert np.array_equal(dec.v_inv, dec.v.conj().T)
+        # Every zero is exactly 0, so they come first, in component order.
+        assert np.flatnonzero(dec.eigenvalues == 0).tolist() == list(range(len(sizes)))
+        for k, nodes in enumerate(rings):
+            want = np.zeros(n)
+            want[nodes] = 1 / np.sqrt(len(nodes))
+            assert np.array_equal(dec.v[:, k], want), (sizes, k)
+
+    def test_ring_keeps_a_unitary_block_beside_a_path(self, kernel_shapes):
+        ring, path = _ring_edges(range(100)), [(100 + k, 101 + k, 1.0) for k in range(4)]
+        lap = directed_laplacian(build_graph(105, ring + path)).matrix
+        dec = jordan_decompose(lap)
+        # Only the path meets eig and inv; the ring's eig calls are its 1x1 and
+        # 2x2 clusters of the Hermitian part.
+        assert [s for s in kernel_shapes["eig"] if s[-1] > 2] == [(1, 5, 5)]
+        assert kernel_shapes["inv"] == [(1, 5, 5)]
+        assert kernel_shapes["eigh"] == [(1, 100, 100)]
+        cols = np.flatnonzero(~dec.v[100:].any(axis=0))  # the ring's columns
+        assert cols.size == 100
+        block = dec.v[:100][:, cols]
+        assert np.array_equal(dec.v_inv[cols][:, :100], block.conj().T)
+        assert not dec.is_unitary_basis
+        assert sorted(b.size for b in dec.blocks if b.eigenvalue == 1) == [4]
+        assert dec.residual <= RECON_LIMIT * np.linalg.norm(lap)
+        assert dec.residual == pytest.approx(np.linalg.norm(dec.reconstruct() - lap), abs=1e-13)
+
+    def test_undirected_component_pays_no_normality_test(self, monkeypatch, kernel_shapes):
+        import dgft.linalg
+
+        tested = []
+        monkeypatch.setattr(dgft.linalg, "is_normal", lambda m: tested.append(m.shape) or is_normal(m))
+        undirected = directed_laplacian(make_random_undirected(np.random.default_rng(2), 12)).matrix
+        assert np.unique(_component_minima(12, *np.nonzero(undirected))).size == 1
+        path = _piece("path", 4, None)[0]
+        lap, nodes = _union([undirected, path], np.random.default_rng(3))
+        dec = jordan_decompose(lap)
+        assert tested == [(1, 4, 4)]
+        assert kernel_shapes["eigh"] == [(1, 12, 12)]
+        assert kernel_shapes["eig"] == [(1, 4, 4)]
+        assert not dec.is_unitary_basis
+        cols = np.flatnonzero(dec.v[nodes[0]].any(axis=0))  # the undirected component's
+        assert cols.size == 12
+        assert np.array_equal(dec.v_inv[cols][:, nodes[0]], dec.v[nodes[0]][:, cols].T)
+
+    def test_empty_matrix_is_refused_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (decompose, jordan_decompose, DirectedLaplacian):
+                with pytest.raises(GraphSizeError):
+                    call(np.zeros((0, 0)))
 
 
 def _scale_corpus():
@@ -1336,8 +1439,9 @@ class TestInvert:
         assert dec.v.dtype == dec.v_inv.dtype == dec.j.dtype == np.dtype(float)
         assert np.array_equal(dec.v_inv, inv(dec.v))
         ring = jordan_decompose(directed_laplacian(ring_graph(5)).matrix)
-        assert seen[-1] == np.dtype(float)
+        assert seen == [np.dtype(float)]  # the ring's basis is unitary: no inverse
         assert ring.v.dtype == ring.v_inv.dtype == ring.j.dtype == np.dtype(complex)
+        assert np.array_equal(ring.v_inv, ring.v.conj().T)
         del seen[:]
         digraph = directed_laplacian(make_random_digraph(np.random.default_rng(40), 40)).matrix
         dec = jordan_decompose(digraph)
