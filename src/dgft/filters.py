@@ -23,7 +23,6 @@ import numpy as np
 from .graph import real_or_complex, signal_values
 from .linalg import (
     SpectralDecomposition,
-    _Bidiagonal,
     cluster_eigenvalues,
     matrix_polynomial_apply,
 )
@@ -54,10 +53,11 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
 
     ``L = V J V^{-1}`` gives ``h(L) = V h(J) V^{-1}``, so the middle step
     is the same Horner routine the vertex domain runs, only on ``J``,
-    applied through its bidiagonal layout (:class:`dgft.linalg._Bidiagonal`).
+    applied through the bidiagonal layout the decomposition keeps
+    (:class:`dgft.linalg._Bidiagonal`).
     It agrees with :func:`apply_vertex_domain` up to roundoff.
     """
-    filtered = matrix_polynomial_apply(_Bidiagonal(decomposition.j), h, gft(decomposition, f))
+    filtered = matrix_polynomial_apply(decomposition._bidiagonal, h, gft(decomposition, f))
     return igft(decomposition, filtered)
 
 

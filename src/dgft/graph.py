@@ -12,6 +12,7 @@ file format (see :mod:`dgft.io`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Number
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def real_or_complex(values, *, copy: bool = False) -> np.ndarray:
     a fresh array even when the input already has that dtype and layout.
     """
     a = np.asarray(values)
-    if np.iscomplexobj(a) and a.imag.any():
+    if a.dtype.kind == "c" and a.imag.any():
         dtype = complex
     else:
         a, dtype = a.real, float
@@ -191,22 +192,40 @@ def signal_values(f, n: int) -> np.ndarray:
 def build_graph(n: int, edges: list[tuple[int, int, complex]]) -> Graph:
     """Build a graph from ``(src, dst, weight)`` triples with 0-based indices.
 
-    Self-loops and duplicate (src, dst) pairs are rejected rather than
-    silently folded or summed; ingestion bugs should surface loudly.
+    Edges come from outside: each must be a triple of two integer node
+    indices in ``[0, n)`` (:class:`NodeIndexError`; a bool is none) and a
+    number (:class:`InvalidValueError`, as for a non-triple), and no edge may
+    be a self-loop or repeat a (src, dst) pair; neither is folded or summed.
+    The checks run on whole columns; a failed one names the first offending edge.
     """
     if n < 1:
         raise GraphSizeError(f"node count must be >= 1, got {n}")
-    weights = np.zeros((n, n), dtype=complex)
+    edges, weights = list(edges), np.zeros((n, n), dtype=complex)
+    try:
+        src, dst, weight = zip(*edges, strict=True) if edges else ((), (), ())
+        clean = all(issubclass(t, Integral) and t is not bool for t in {*map(type, src + dst)})
+        index, weight = np.fromiter(src + dst, np.intp), np.asarray(weight)
+        src, dst = index.reshape(2, -1)
+        clean = clean and weight.dtype.kind in "biufc" and weight.ndim == 1
+        clean = clean and 0 <= index.min() and index.max() < n and not (src == dst).any()
+        clean = clean and np.diff(np.sort(dst * n + src)).all()  # no (src, dst) pair twice
+    except (TypeError, ValueError, OverflowError):  # no edges, not all triples, past int64
+        clean = False
     seen: set[tuple[int, int]] = set()
-    for src, dst, weight in edges:
-        if not (0 <= src < n) or not (0 <= dst < n):
-            raise NodeIndexError(f"edge ({src}, {dst}) outside range [0, {n})")
-        if src == dst:
-            raise SelfLoopError(f"self-loop at node {src}")
-        if (src, dst) in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({src}, {dst})")
-        seen.add((src, dst))
-        weights[dst, src] = weight
+    for edge in () if clean else edges:  # only a failed check walks the edges
+        if not hasattr(edge, "__len__") or len(edge) != 3:
+            raise InvalidValueError(f"edge {edge!r} is not a (src, dst, weight) triple")
+        s, d, w = edge
+        if any(type(i) is bool or not isinstance(i, Integral) or not 0 <= i < n for i in (s, d)):
+            raise NodeIndexError(f"edge ({s!r}, {d!r}) needs integer node indices in [0, {n})")
+        if not isinstance(w, (Number, np.bool_)):
+            raise InvalidValueError(f"edge ({s}, {d}) has weight {w!r}, not a number")
+        if s == d:
+            raise SelfLoopError(f"self-loop at node {s}")
+        if (s, d) in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({s}, {d})")
+        seen.add((s, d))
+    weights[dst, src] = weight  # every edge passed; other numbers (Fraction, say) as objects
     return Graph(n=n, weights=weights)
 
 

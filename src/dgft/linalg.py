@@ -118,10 +118,10 @@ class SpectralDecomposition:
     ``v.conj().T``; a component on a unitary route has that property in
     its own block either way.
 
-    ``residual`` is the absolute reconstruction residual
-    ``||V J V^-1 - A||_F`` the decomposition was certified with. The
-    eigenvalues, the blocks and both verdicts are read off ``j`` and
-    ``basis_condition`` rather than stored, ``blocks`` once, on first access.
+    ``residual`` is the absolute residual ``||V J V^-1 - A||_F`` it was
+    certified with. The eigenvalues, the blocks and both verdicts are read
+    off ``j`` and ``basis_condition`` rather than stored, ``blocks`` once, on
+    first access; ``_bidiagonal`` keeps ``J``'s layout (:class:`_Bidiagonal`).
 
     The dtype rule (:func:`dgft.graph.real_or_complex`), which the
     package applies to every array it takes in and to the basis it
@@ -157,6 +157,7 @@ class SpectralDecomposition:
                 raise NonSquareError(f"{name} has shape {m.shape}, expected ({n}, {n})")
             m.flags.writeable = False
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_bidiagonal", _Bidiagonal(self.j))  # read by every transform
 
     @cached_property
     def blocks(self) -> tuple[JordanBlock, ...]:
@@ -178,7 +179,7 @@ class SpectralDecomposition:
     @property
     def is_diagonalizable(self) -> bool:
         """Every Jordan block is 1x1: no column of ``j`` continues a chain."""
-        return _Bidiagonal(self.j).inner.size == 0
+        return self._bidiagonal.inner.size == 0
 
     @property
     def ill_conditioned(self) -> bool:
@@ -188,13 +189,13 @@ class SpectralDecomposition:
     @property
     def proper_indices(self) -> tuple[int, ...]:
         """Columns of ``v`` that are proper eigenvectors: each continues no chain."""
-        return tuple(np.delete(np.arange(self.n), _Bidiagonal(self.j).inner).tolist())
+        return tuple(np.delete(np.arange(self.n), self._bidiagonal.inner).tolist())
 
     def reconstruct(self) -> np.ndarray:
         """Recompute ``(V J) V^{-1}``, the product the decomposition was
         certified with (``V J`` by :class:`_Bidiagonal`); compare it against
         the input to bound the error."""
-        return (self.v @ _Bidiagonal(self.j)) @ self.v_inv
+        return (self.v @ self._bidiagonal) @ self.v_inv
 
 
 def cluster_eigenvalues(values, tol: float, labels=None) -> list[list[int]]:
@@ -234,22 +235,18 @@ def cluster_eigenvalues(values, tol: float, labels=None) -> list[list[int]]:
 def _component_minima(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Smallest member of each node's connected component, edges ``i[e]--k[e]``.
 
-    Min-label propagation: every round lowers the two roots (labels) of
-    each edge's endpoints to the smaller of them, then pointer jumping
-    flattens the labels until each node points at a root. A round that
-    changes nothing leaves every edge inside one label, and that label is
-    the component's smallest member, the one node no label can go below.
+    Min-label hooking: every round hooks the larger root (label) of each
+    edge's endpoints onto the smaller, then pointer jumping flattens the
+    labels until each node points at a root. Labels only fall, each within
+    its node's component, so once every edge lies inside one label, that
+    label is the component's smallest member, the one no label goes below.
     """
     labels = np.arange(n)
-    while True:
-        low = np.minimum(labels[i], labels[k])
-        hooked = labels.copy()
-        np.minimum.at(hooked, np.concatenate([labels[i], labels[k]]), np.tile(low, 2))
-        while not np.array_equal(jumped := hooked[hooked], hooked):
-            hooked = jumped
-        if np.array_equal(hooked, labels):
-            return labels
-        labels = hooked
+    while not np.array_equal(low := labels[i], high := labels[k]):
+        np.minimum.at(labels, np.maximum(low, high), np.minimum(low, high))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    return labels
 
 
 def _converged(kernel, *args, **kwargs):
@@ -290,21 +287,21 @@ def order_with_ties(
     order, so the groups are runs split at consecutive differences.
     """
     w = np.asarray(values, dtype=complex).ravel()
-    if w.size == 0:
-        return [], []
     mag = np.abs(w)
     order = np.argsort(mag, kind="stable")
     m = mag[order]
-    group = np.cumsum(np.r_[True, ~(np.abs(np.diff(m)) <= tie_tol * m[1:])]) - 1
+    tie = np.abs(np.diff(m)) <= tie_tol * m[1:]
+    if not tie.any():  # no tie: the magnitude sort is the whole answer
+        return order.tolist(), []
+    group = np.cumsum(np.r_[True, ~tie]) - 1
     ends = np.flatnonzero(np.r_[group[1:] != group[:-1], True])
     slack = tie_tol * m[ends]  # magnitudes ascend, so the last is the largest
     # Within each group, by real part; runs of chained real parts, by imaginary part.
     order = order[np.lexsort((w.real[order], group))]
     split = (np.diff(group) != 0) | ~(np.abs(np.diff(w.real[order])) <= slack[group[1:]])
-    order = order[np.lexsort((w.imag[order], np.cumsum(np.r_[True, split])))]
+    order = order[np.lexsort((w.imag[order], np.cumsum(np.r_[True, split])))].tolist()
     starts = np.r_[0, ends[:-1] + 1].tolist()
-    groups = [tuple(order[s : e + 1].tolist()) for s, e in zip(starts, ends.tolist()) if e > s]
-    return order.tolist(), groups
+    return order, [tuple(order[s : e + 1]) for s, e in zip(starts, ends.tolist()) if e > s]
 
 
 def _normalize_chains(v: np.ndarray, heads: np.ndarray) -> None:
@@ -320,7 +317,7 @@ def _normalize_chains(v: np.ndarray, heads: np.ndarray) -> None:
     division, whose rounding differs from real division, so a real basis
     gets the bits a complex one with the same values would.
     """
-    head = v[:, heads]
+    head = v[:, heads]  # a copy, whose contiguous columns each norm sums pairwise
     norms = np.linalg.norm(head, axis=0)
     pivots = head[np.argmax(np.abs(head), axis=0), np.arange(head.shape[1])]
     factors = np.ones(head.shape[1], dtype=complex)
@@ -417,8 +414,8 @@ class _Bidiagonal:
     each row of ``x`` by its eigenvalue and adds each chain-tail row to
     the row above it; ``x @ J`` scales each column and adds, to each
     chain-tail column, the column before it. ``x`` is a vector or a block
-    (n rows for ``J @ x``, n columns for ``x @ J``), and 1x1 blocks cost
-    no superdiagonal work.
+    (n rows for ``J @ x``, n columns for ``x @ J``), and a ``J`` with no
+    chain tail (every block 1x1) costs no superdiagonal work at all.
     """
 
     __array_ufunc__ = None  # ``ndarray @ self`` defers to __rmatmul__
@@ -438,7 +435,8 @@ class _Bidiagonal:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = self.diagonal.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-        y[self.inner - 1] += x[self.inner]
+        if self.inner.size:
+            y[self.inner - 1] += x[self.inner]
         return y
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
@@ -449,6 +447,7 @@ class _Bidiagonal:
 
 def _finish(
     a: np.ndarray,
+    home: np.ndarray,
     stacks: list[np.ndarray],
     columns: list[np.ndarray],
     eigenvalues: np.ndarray,
@@ -465,7 +464,7 @@ def _finish(
 
     ``stacks`` holds the rows of each stack of equal-size components as an
     (m, k) array, ascending within a component; a connected ``A`` gives one
-    stack of all n rows. A component is named by its smallest row.
+    stack of all n rows. ``home`` names each row's component by its smallest row.
     ``unitary`` marks each stack whose basis is unitary. ``columns`` holds
     each stack's (m, k, k) vectors,
     ``columns[s][i][:, t]`` the t-th column of component i in its rows.
@@ -515,9 +514,6 @@ def _finish(
     defective matrices legitimately live there, so it is not an error.
     """
     n = a.shape[0]
-    home = np.empty(n, dtype=int)  # each row's component: its smallest row
-    for rows in stacks:
-        home[rows] = rows[:, :1]
     component = home[np.concatenate([rows.ravel() for rows in stacks])]  # each column's
     length = np.bincount(chains)[chains]  # each column's chain's
 
@@ -530,15 +526,17 @@ def _finish(
     # Every sort is stable and a chain's columns share one eigenvalue, so they stay together.
     order = np.lexsort((chains, component, -length))
     order = order[order_with_ties(eigenvalues[order])[0]]  # V's columns, in order
-    heads = np.diff(chains[order], prepend=-1) != 0
+    heads = np.append(True, np.diff(chains[order]) != 0)  # each chain's first column
 
     # A component's i-th smallest row and its i-th column share a slot.
     slot, owner = np.empty(n, dtype=int), component[order]
     slot[np.argsort(home, kind="stable")] = np.argsort(owner, kind="stable")
     parts, basis, first = [(rows, slot[rows]) for rows in stacks], [], 0
     for (rows, cols), stack in zip(parts, columns):  # block i of each stack is component i's
-        flat = stack.transpose(1, 0, 2).reshape(rows.shape[1], -1)  # column i * k + t
-        basis.append((rows, cols, np.take(flat, order[cols] - first, axis=1).transpose(1, 0, 2)))
+        if ((pick := order[cols] - first).ravel() != np.arange(pick.size)).any():  # not in order
+            flat = stack.transpose(1, 0, 2).reshape(rows.shape[1], -1)  # column i * k + t
+            stack = np.take(flat, pick, axis=1).transpose(1, 0, 2)
+        basis.append((rows, cols, stack))
         first += rows.size
     v = _block_diagonal(n, basis)
     v[:, snap[order]] = home[:, None] == owner[snap[order]]  # each its component's ones vector
@@ -576,7 +574,9 @@ def _finish(
             f"decomposition residual {residual:.3e} exceeds "
             f"{recon_tol * norm:.3e}; results would be unreliable"
         )
-    condition = float(np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1))
+    mag = np.abs(v)  # a unitary V^-1 laid out as V^H has |V|^T for magnitudes, bit for bit
+    inv = mag.T if all(unitary) and v_inv.flags.f_contiguous else np.abs(v_inv)
+    condition = float(mag.sum(axis=0).max() * inv.sum(axis=0).max())  # ||V||_1 ||V^-1||_1
     if condition > ILL_CONDITIONED_LIMIT:
         warnings.warn(
             f"Jordan basis condition {condition:.3e} exceeds "
@@ -644,7 +644,7 @@ def jordan_decompose(
     a = _as_square(a)
     n, norm = len(a), _frobenius(a, recon_tol)
     ct = _default_cluster_tol(n, norm) if cluster_tol is None else float(cluster_tol)
-    home = _component_minima(n, *np.nonzero(a != 0))  # each row's component: its smallest row
+    home = _component_minima(n, *np.divmod(np.flatnonzero(a != 0), n))  # nonzeros as edges
     size = np.bincount(home)[home]
     by_size = np.lexsort((home, size))
 
@@ -690,7 +690,7 @@ def jordan_decompose(
         chains.append(keys)
         first += m * k
     return _finish(
-        a, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
+        a, home, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
         np.unique(np.concatenate(chains), return_inverse=True)[1],
         norm=norm, tol=tol, cluster_tol=ct, unitary=[route < 2 for route, *_ in stacks],
         recon_tol=recon_tol,
@@ -773,7 +773,7 @@ def _dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     (n, 2k) for k columns, read and written in place as complex128 pairs.
     Any other ``a`` only needs to support ``@``.
     """
-    if getattr(a, "dtype", None) != float or not np.iscomplexobj(x):
+    if x.dtype.kind != "c" or getattr(a, "dtype", None) != float:
         return a @ x
     x = np.ascontiguousarray(x, dtype=complex)
     y = a @ x.view(float).reshape(x.shape[0], -1)

@@ -21,7 +21,7 @@ from dgft import (
     shift_operator,
 )
 from dgft.linalg import _Bidiagonal
-from conftest import defective_zoo, make_random_digraph
+from conftest import defective_zoo, make_random_digraph, make_random_undirected
 
 
 def _filter_calls(taps):
@@ -126,11 +126,13 @@ class TestSpectralDomain:
     def test_bidiagonal_j_matches_dense_horner(self):
         # h(J) through J's bidiagonal layout against Horner on the dense J,
         # for vectors and (n, k) blocks, real and complex taps; the zoo's
-        # chains put ones on the superdiagonal. The right product x @ J,
-        # which certifies every decomposition, against the dense product
-        # for rows and (k, n) blocks.
+        # chains put ones on the superdiagonal, and the undirected graph
+        # (real J) and the ring (complex J) leave it empty. The right product
+        # x @ J, which certifies every decomposition, against the dense
+        # product for rows and (k, n) blocks.
         rng = np.random.default_rng(12)
-        for name, g in defective_zoo():
+        diagonal = [("undirected", make_random_undirected(rng, 12)), ("ring", ring_graph(8))]
+        for name, g in defective_zoo() + diagonal:
             dec = decompose(g)
             j = _Bidiagonal(dec.j)
             block = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))

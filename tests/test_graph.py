@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,33 @@ class TestBuildGraph:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):
             build_graph(3, [(0, 1, 1.0), (0, 1, 2.0)])
+
+    @pytest.mark.parametrize(
+        "edges, error, match",
+        [
+            ([(0.5, 1, 1.0)], NodeIndexError, r"edge \(0\.5, 1\) needs integer node indices in"),
+            ([(np.float64(1.0), 2, 1.0)], NodeIndexError, "needs integer node indices"),
+            ([("0", 1, 1.0)], NodeIndexError, "needs integer node indices"),
+            ([(True, 2, 1.0)], NodeIndexError, r"edge \(True, 2\)"),  # not a boolean index
+            ([(0, 1, 1.0), (1, False, 1.0)], NodeIndexError, r"edge \(1, False\)"),
+            ([(0, 1, "x")], InvalidValueError, "'x', not a number"),
+            ([(0, 1, "2.5")], InvalidValueError, "'2.5', not a number"),  # no silent parse
+            ([(0, 1, None)], InvalidValueError, "None, not a number"),  # not a NaN weight
+            ([(0, 1)], InvalidValueError, r"\(0, 1\) is not a \(src, dst, weight\) triple"),
+            ([(0, 1, 1.0), 7], InvalidValueError, "edge 7 is not a"),
+            # The first offending edge in input order, whatever its fault.
+            ([(0, 2, "x"), (0, 1, 1.0), (0, 1, 2.0)], InvalidValueError, r"edge \(0, 2\)"),
+        ],
+    )
+    def test_malformed_edges_are_refused_typed(self, edges, error, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                build_graph(3, edges)
+
+    def test_numpy_scalars_and_other_numbers_are_accepted(self):
+        g = build_graph(3, [(np.int32(0), np.uint8(1), Fraction(1, 2)), (2, 1, np.float32(2))])
+        assert g.weights[1, 0] == 0.5 and g.weights[1, 2] == 2.0
 
     def test_antiparallel_edges_are_distinct(self):
         g = build_graph(2, [(0, 1, 1.0), (1, 0, 2.0)])

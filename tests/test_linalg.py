@@ -1150,6 +1150,47 @@ def _support(column):
     return frozenset(np.flatnonzero(column).tolist())
 
 
+@st.composite
+def _nonzero_patterns(draw):
+    """A sparse n x n matrix whose nonzeros are the edges: isolated nodes,
+    nonzero diagonals, one-way edges, and paths and rings laid over a random
+    node order, so a component's smallest node can sit anywhere on a long
+    path and the labels need many rounds."""
+    n = draw(st.integers(1, 60))
+    a = np.zeros((n, n), dtype=complex if draw(st.booleans()) else float)
+    pieces = st.tuples(
+        st.sampled_from(["path", "ring", "edges", "diagonal"]),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n),
+    )
+    for kind, nodes in draw(st.lists(pieces, max_size=5)):
+        if kind == "diagonal":
+            a[nodes, nodes] = 1.5
+        elif kind == "edges":  # one way each, node 2t to node 2t + 1
+            a[nodes[1::2], nodes[: len(nodes) // 2 * 2 : 2]] = -1.0
+        else:
+            nodes = draw(st.permutations(range(n)))[: len(nodes)] if kind == "ring" else nodes
+            a[nodes[1:], nodes[:-1]] = 2.0 - 1.0j if np.iscomplexobj(a) else 2.0
+            if kind == "ring" and len(nodes) > 1:
+                a[nodes[0], nodes[-1]] = 0.5
+    return a
+
+
+def _union_find_minima(n, pairs):
+    """Each node's smallest component member, by a union-find whose root
+    is always its set's smallest member."""
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, k in pairs:
+        low, high = sorted((root(i), root(k)))
+        parent[high] = low
+    return [root(x) for x in range(n)]
+
+
 @pytest.fixture
 def kernel_shapes(monkeypatch):
     """The shapes handed to ``np.linalg.svd``, ``eig``, ``eigh`` and ``inv``,
@@ -1265,6 +1306,14 @@ class TestComponents:
             owners = [home[min(_support(dec.v[:, k]))] for k in zeros]
             assert owners[-1] == 6, seed
             assert owners == sorted(owners), seed
+
+    @settings(max_examples=150, deadline=None)
+    @given(_nonzero_patterns())
+    def test_labels_match_union_find(self, a):
+        # The labelling jordan_decompose runs on a matrix's nonzeros.
+        n = len(a)
+        labels = _component_minima(n, *np.divmod(np.flatnonzero(a != 0), n))
+        assert labels.tolist() == _union_find_minima(n, np.argwhere(a != 0).tolist())
 
     def test_block_residuals_add_in_squares(self):
         g, _ = _chain_union(np.random.default_rng(3), [3, 5, 4], delta=1e-8)

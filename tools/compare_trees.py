@@ -1,0 +1,262 @@
+"""Compare two dgft source trees in one process: per-member timings and bit identity.
+
+    python3 tools/compare_trees.py PARENT [CHANGE] [--workload W] [--seed N] [-k K]
+    python3 tools/compare_trees.py PARENT [CHANGE] --check [--seed N ...]
+
+PARENT and CHANGE are dgft checkouts (CHANGE defaults to the tree this
+file sits in). Each tree's ``src/dgft`` is loaded under its own package
+name; the package imports only relatively, so both live side by side in
+one interpreter, on one BLAS, with the same warm caches. Each side builds
+its own workload objects from ``perfbench/workloads.py`` (of the CHANGE
+tree, imported as it is): a Laplacian of one package is not an instance
+of the other's class.
+
+Timing mode runs every member of the in-process workloads
+(``jordan-decompose``, ``symmetric-transform``). The two sides take turns
+call by call, the first side alternating member by member, and the min of
+``k`` calls per member and side is kept for the workload's ``op`` and for
+``decompose`` alone. It prints the medians over the members, their ratio,
+the median over the members of the change's time minus the parent's
+(``paired``, which cancels the spread between members) and how many
+members the change ran faster.
+The LAPACK kernel (``eigh`` of a symmetric Laplacian, else ``eig`` of the
+whole matrix) is timed once per member, as both sides call the same one;
+the rows ``decompose - kernel`` and ``op - decompose`` are differences of
+those per-member mins and show where a gain sits.
+
+``--check`` asserts, for every member of the given seeds (default 7 and
+401), that both trees return bit-identical ``v``, ``j``, ``v_inv``,
+``residual``, ``basis_condition``, ``blocks``, ``is_unitary_basis``,
+``gft``, ``igft(gft)`` and both filter domains' outputs, the same
+warnings, and equal typed refusals (class name and message). On
+``cli-mixed`` it runs every command of each seed's cycle against both
+trees and compares stdout, stderr and the exit code byte for byte. The
+exit code is 1 on any difference.
+
+Set ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads (this script does,
+unless it is set already) and keep the box otherwise idle.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.dont_write_bytecode = True  # leave no bytecode cache in either tree
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
+IN_PROCESS = ("jordan-decompose", "symmetric-transform")
+# Taps for the filters of the jordan-decompose members, which carry none.
+JORDAN_TAPS = np.array([0.5, -0.25, 0.125, -1.0])
+SIDES = ("parent", "change")
+
+
+def load_side(tree: Path, side: str):
+    """(package, workloads module) of one tree, each under its own name."""
+    init = tree / "src" / "dgft" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        f"dgft_{side}", init, submodule_search_locations=[str(init.parent)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = pkg
+    spec.loader.exec_module(pkg)
+    # workloads.py does ``import dgft``: bind that name to this side while it loads.
+    saved = sys.modules.get("dgft")
+    sys.modules["dgft"] = pkg
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"workloads_{side}", PERFBENCH / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        if saved is None:
+            del sys.modules["dgft"]
+        else:
+            sys.modules["dgft"] = saved
+    return pkg, workloads
+
+
+def members(pkg, workloads, name: str, seed: int, workdir: Path) -> tuple:
+    """(workload object, [(Laplacian, signals, taps)]) built with one side's package."""
+    w = workloads.WORKLOADS[name](seed, workdir)
+    if name == "symmetric-transform":
+        return w, [(lap, signals, taps) for lap, signals, taps in w.members]
+    n = workloads.N
+    return w, [
+        (pkg.directed_laplacian(pkg.build_graph(n, edges)), [f], JORDAN_TAPS)
+        for edges, f, _ in w.members
+    ]
+
+
+def call_ms(fn, refused) -> float:
+    start = time.perf_counter()
+    try:
+        fn()
+    except refused:  # a typed refusal is timed like any other outcome
+        pass
+    return (time.perf_counter() - start) * 1e3
+
+
+def timing(sides, name: str, seed: int, k: int, workdir: Path) -> None:
+    built = [members(pkg, wl, name, seed, workdir) for pkg, wl in sides]
+    count = len(built[0][1])
+    ms = {key: [[], []] for key in ("op", "decompose")}
+    kernel = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(count):
+            calls = [(s, key, built[s][0].op if key == "op" else sides[s][0].decompose)
+                     for key in ms for s in ((0, 1) if i % 2 == 0 else (1, 0))]
+            best = {(s, key): float("inf") for s, key, _ in calls}
+            for _ in range(k):  # the two sides take turns call by call
+                for s, key, fn in calls:
+                    arg = (i, None) if key == "op" else (built[s][1][i][0],)
+                    t = call_ms(lambda: fn(*arg), sides[s][0].DgftError)
+                    best[s, key] = min(best[s, key], t)
+            for s, key, _ in calls:
+                ms[key][s].append(best[s, key])
+            a = built[0][1][i][0].matrix
+            solver = np.linalg.eigh if np.array_equal(a, a.conj().T) else np.linalg.eig
+            kernel.append(min(call_ms(lambda: solver(a), np.linalg.LinAlgError) for _ in range(k)))
+    rows = {
+        "op": ms["op"],
+        "decompose": ms["decompose"],
+        "kernel (eigh/eig)": [kernel, kernel],
+        "decompose - kernel": [np.subtract(d, kernel) for d in ms["decompose"]],
+        "op - decompose": [np.subtract(o, d) for o, d in zip(ms["op"], ms["decompose"])],
+    }
+    print(f"\n{name}, seed {seed}: {count} members, min of {k} per member and side (ms)")
+    print(f"{'':20} {'parent':>9} {'change':>9} {'ratio':>7} {'paired':>8} {'wins':>7}")
+    for label, (p, c) in rows.items():
+        mp, mc = statistics.median(p), statistics.median(c)
+        paired = statistics.median(np.subtract(c, p))  # member by member, change - parent
+        wins = int(np.sum(np.asarray(c) < np.asarray(p)))
+        print(f"{label:20} {mp:9.3f} {mc:9.3f} {mc / mp:7.3f} {paired:8.3f} {wins:>3}/{count}")
+
+
+def bits(x):
+    """A value reduced to something ``==`` compares bit for bit."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (complex, np.complexfloating)):
+        return (x.real.hex(), x.imag.hex())
+    if isinstance(x, (list, tuple)):
+        return tuple(bits(e) for e in x)
+    return x
+
+
+def outputs(pkg, lap, signals, taps) -> dict:
+    """Every compared output of one member on one side."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            dec = pkg.decompose(lap)
+        except pkg.DgftError as exc:
+            out = {"refused": (type(exc).__name__, str(exc))}
+        else:
+            out = {name: getattr(dec, name) for name in (
+                "v", "j", "v_inv", "residual", "basis_condition", "is_unitary_basis",
+            )}
+            out["blocks"] = [(b.eigenvalue, b.size, b.start) for b in dec.blocks]
+            for s, f in enumerate(signals):
+                f_hat = pkg.gft(dec, f)
+                out[f"gft[{s}]"] = f_hat
+                out[f"igft[{s}]"] = pkg.igft(dec, f_hat)
+                out[f"vertex[{s}]"] = pkg.apply_vertex_domain(lap, taps, f)
+                out[f"spectral[{s}]"] = pkg.apply_spectral_domain(dec, taps, f)
+    out["warnings"] = [(w.category.__name__, str(w.message)) for w in caught]
+    return {key: bits(value) for key, value in out.items()}
+
+
+def cli_runs(tree: Path, workloads, seed: int, workdir: Path) -> list:
+    """(argv, exit code, stdout, stderr) of every command of a cli-mixed cycle."""
+    w = workloads.CliMixed(seed, workdir)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    runs = []
+    for i in range(w.cycle):
+        command, argv = w._argv(i)
+        spectrum = w._graph(i)[0]["spectrum"]
+        if command == "gft":
+            spectrum.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", workloads.ENTRY, *argv],
+            cwd=tree, env=env, capture_output=True,
+        )
+        if command == "gft" and proc.returncode == 0:
+            spectrum.write_bytes(proc.stdout)  # the cycle's igft reads it
+        runs.append((argv, proc.returncode, proc.stdout, proc.stderr))
+    return runs
+
+
+def check(sides, trees, seeds, workdir: Path) -> int:
+    failures = compared = 0
+    for seed in seeds:
+        for name in IN_PROCESS:
+            built = [members(pkg, wl, name, seed, workdir)[1] for pkg, wl in sides]
+            for i, pair in enumerate(zip(*built)):
+                got = [outputs(pkg, *member) for (pkg, _), member in zip(sides, pair)]
+                compared += 1
+                for key in sorted(set(got[0]) | set(got[1])):
+                    if got[0].get(key) != got[1].get(key):
+                        failures += 1
+                        print(f"DIFFERS {name} seed {seed} member {i}: {key}")
+        runs = []
+        for tree, (_, wl) in zip(trees, sides):
+            shutil.rmtree(workdir, ignore_errors=True)
+            workdir.mkdir()
+            runs.append(cli_runs(tree, wl, seed, workdir))
+        for (argv, *p), (_, *c) in zip(*runs):
+            compared += 1
+            for label, x, y in zip(("exit code", "stdout", "stderr"), p, c):
+                if x != y:
+                    failures += 1
+                    print(f"DIFFERS cli-mixed seed {seed} {' '.join(argv[:2])}: {label}")
+    print(f"{compared} members and commands compared, {failures} differences")
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path, nargs="?", default=HERE.parent)
+    p.add_argument("--workload", choices=IN_PROCESS + ("all",), default="all")
+    p.add_argument("--seed", type=int, action="append", help="repeatable; default 7 and 401")
+    p.add_argument("-k", type=int, default=15, help="calls per member and side (timing)")
+    p.add_argument("--check", action="store_true", help="bit identity instead of timing")
+    args = p.parse_args(argv)
+    seeds = args.seed or [7, 401]
+    trees = [args.parent.resolve(), args.change.resolve()]
+    sys.path.insert(0, str(PERFBENCH))  # workloads.py imports corpus and tracing
+    sides = [load_side(tree, side) for tree, side in zip(trees, SIDES)]
+    root = Path(tempfile.mkdtemp(prefix="compare_trees_"))
+    try:
+        if args.check:
+            return check(sides, trees, seeds, root / "work")
+        names = IN_PROCESS if args.workload == "all" else (args.workload,)
+        for seed in seeds:
+            for name in names:
+                timing(sides, name, seed, args.k, root)
+        return 0
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
