@@ -16,11 +16,9 @@ Jordan block, where a chain's coefficients leak into those above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .graph import real_or_complex, signal_values
+from .graph import _Record, real_or_complex, signal_values
 from .linalg import (
     SpectralDecomposition,
     cluster_eigenvalues,
@@ -61,8 +59,7 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
     return igft(decomposition, filtered)
 
 
-@dataclass(frozen=True)
-class ShiftInvariance:
+class ShiftInvariance(_Record):
     """Commutation verdict with the evidence: residual and its bound.
 
     Truthy exactly when ``invariant`` is, so the result drops into any
@@ -73,6 +70,9 @@ class ShiftInvariance:
     invariant: bool
     residual: float
     bound: float
+
+    def __init__(self, invariant, residual, bound):
+        self.__dict__.update(invariant=invariant, residual=residual, bound=bound)
 
     def __bool__(self) -> bool:
         return self.invariant
@@ -92,15 +92,16 @@ def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
     return ShiftInvariance(invariant=residual <= bound, residual=residual, bound=bound)
 
 
-@dataclass(frozen=True)
-class EigenvalueMultiplicity:
+class EigenvalueMultiplicity(_Record):
     eigenvalue: complex
     algebraic: int
     geometric: int
 
+    def __init__(self, eigenvalue, algebraic, geometric):
+        self.__dict__.update(eigenvalue=eigenvalue, algebraic=algebraic, geometric=geometric)
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+
+class MultiplicityReport(_Record):
     """Geometric multiplicity per distinct eigenvalue, plus the verdict.
 
     ``polynomials_span_commutant`` means every distinct eigenvalue has a
@@ -111,14 +112,11 @@ class MultiplicityReport:
     """
 
     entries: tuple[EigenvalueMultiplicity, ...]
-    polynomials_span_commutant: bool = field(init=False)
+    polynomials_span_commutant: bool
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "polynomials_span_commutant",
-            all(e.geometric == 1 for e in self.entries),
-        )
+    def __init__(self, entries):
+        span = all(e.geometric == 1 for e in entries)
+        self.__dict__.update(entries=entries, polynomials_span_commutant=span)
 
 
 def check_lsi_preconditions(decomposition: SpectralDecomposition) -> MultiplicityReport:

@@ -11,7 +11,6 @@ file format (see :mod:`dgft.io`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from numbers import Integral, Number
 
 import numpy as np
@@ -87,8 +86,56 @@ def is_normal(m: np.ndarray) -> np.ndarray:
     return probe & (np.linalg.norm(m @ ms - ms @ m, axis=(-2, -1)) <= bound)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of the package's immutable records: frozen dataclasses without the
+    code generation, which cost every process about 8 ms of import (2-vCPU
+    Xeon). A subclass's annotated names are its fields, in order; its
+    ``__init__`` stores them once through ``self.__dict__``. Equality (within
+    one class), the hash and the repr go by the field tuple. A subclass
+    inherits its base's fields, as a subclass of a dataclass does.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _node_count(n, least: int = 1) -> int:
+    """``n`` checked as a node count before anything is allocated: an integer
+    (a bool is none), at least ``least``, and small enough that numpy can
+    address an n x n complex matrix (:class:`GraphSizeError` otherwise)."""
+    if type(n) is bool or not isinstance(n, Integral):
+        raise GraphSizeError(f"node count must be an integer, got {n!r}")
+    if (n := int(n)) < least:  # a Python int: n * n cannot wrap around
+        raise GraphSizeError(f"node count must be >= {least}, got {n}")
+    if n * n * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise GraphSizeError(f"node count {n} is too large for an n x n matrix")
+    return n
+
+
+class Graph(_Record):
     """Weighted directed graph over ``n`` nodes.
 
     ``weights[i, j]`` holds the weight of the edge from node ``j`` to node
@@ -99,14 +146,10 @@ class Graph:
     n: int
     weights: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise GraphSizeError(f"node count must be >= 1, got {self.n}")
-        w = _as_square(self.weights, copy=True)
-        if w.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"weight matrix is {w.shape[0]}x{w.shape[1]} but n={self.n}"
-            )
+    def __init__(self, n, weights):
+        n, w = _node_count(n), _as_square(weights, copy=True)
+        if w.shape[0] != n:
+            raise DimensionMismatchError(f"weight matrix is {w.shape[0]}x{w.shape[1]} but n={n}")
         if np.any(np.diag(w) != 0):
             bad = int(np.flatnonzero(np.diag(w))[0])
             raise SelfLoopError(f"nonzero diagonal entry at node {bad}")
@@ -114,7 +157,7 @@ class Graph:
             dst, src = np.argwhere(~np.isfinite(w))[0]
             raise InvalidValueError(f"edge ({src}, {dst}) has non-finite weight {w[dst, src]}")
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        self.__dict__.update(n=n, weights=w)
 
     @property
     def is_undirected(self) -> bool:
@@ -131,24 +174,21 @@ class Graph:
         return not np.iscomplexobj(m) and np.array_equal(m, m.T)
 
 
-@dataclass(frozen=True)
-class GraphSignal:
+class GraphSignal(_Record):
     """One (possibly complex) value per node, as a length-``n`` vector."""
 
     values: np.ndarray
-    n: int = field(init=False)
+    n: int
 
-    def __post_init__(self):
-        v = real_or_complex(self.values, copy=True).ravel()
+    def __init__(self, values):
+        v = real_or_complex(values, copy=True).ravel()
         if v.size == 0:
             raise DimensionMismatchError("a signal needs at least one value")
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "n", int(v.size))
+        self.__dict__.update(values=v, n=int(v.size))
 
 
-@dataclass(frozen=True)
-class DirectedLaplacian:
+class DirectedLaplacian(_Record):
     """In-degree Laplacian of a directed graph.
 
     Row sums are zero by construction, which is what makes the constant
@@ -156,10 +196,10 @@ class DirectedLaplacian:
     """
 
     matrix: np.ndarray
-    n: int = field(init=False)
+    n: int
 
-    def __post_init__(self):
-        m = _as_square(self.matrix, copy=True)
+    def __init__(self, matrix):
+        m = _as_square(matrix, copy=True)
         if not np.isfinite(m).all():
             raise InvalidValueError("a non-finite entry; not a valid in-degree Laplacian matrix")
         row_sums = np.abs(m.sum(axis=1))
@@ -171,8 +211,7 @@ class DirectedLaplacian:
                 "not a valid in-degree Laplacian"
             )
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n", int(m.shape[0]))
+        self.__dict__.update(matrix=m, n=int(m.shape[0]))
 
 
 def signal_values(f, n: int) -> np.ndarray:
@@ -198,8 +237,7 @@ def build_graph(n: int, edges: list[tuple[int, int, complex]]) -> Graph:
     be a self-loop or repeat a (src, dst) pair; neither is folded or summed.
     The checks run on whole columns; a failed one names the first offending edge.
     """
-    if n < 1:
-        raise GraphSizeError(f"node count must be >= 1, got {n}")
+    n = _node_count(n)
     edges, weights = list(edges), np.zeros((n, n), dtype=complex)
     try:
         src, dst, weight = zip(*edges, strict=True) if edges else ((), (), ())
@@ -250,8 +288,7 @@ def ring_graph(n: int) -> Graph:
     Its shift operator (identity minus Laplacian) is exactly the cyclic
     delay of classical discrete-time signals.
     """
-    if n < 2:
-        raise GraphSizeError(f"a ring needs at least 2 nodes, got {n}")
+    n = _node_count(n, least=2)  # before the n edges are built
     edges = [((k - 1) % n, k, 1.0 + 0.0j) for k in range(n)]
     return build_graph(n, edges)
 

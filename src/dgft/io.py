@@ -202,10 +202,11 @@ def load_signal(src) -> GraphSignal:
 
 
 def _check_declared_n(doc: dict, count: int, noun: str) -> None:
-    """An optional ``"n"`` field must match the number of items present."""
+    """An optional ``"n"`` field must be an integer (not a bool) that matches
+    the number of items present."""
     declared = doc.get("n")
-    if declared is not None and declared != count:
-        raise ParseError(f"declared n={declared} but {count} {noun} present")
+    if declared is not None and (type(declared) is not int or declared != count):
+        raise ParseError(f"declared n={json.dumps(declared)} but {count} {noun} present")
 
 
 def dump_signal(signal, dst) -> None:

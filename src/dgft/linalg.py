@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,7 +56,7 @@ from .errors import (
     ReconstructionError,
     SingularMatrixError,
 )
-from .graph import _as_square, is_normal, real_or_complex
+from .graph import _as_square, _Record, is_normal, real_or_complex
 
 # Rank decisions treat singular values below rank_tol * ||matrix||_F as zero.
 DEFAULT_RANK_TOL = 1e-8
@@ -94,17 +93,18 @@ def _frobenius(a: np.ndarray, recon_tol: float) -> float:
     return norm
 
 
-@dataclass(frozen=True)
-class JordanBlock:
+class JordanBlock(_Record):
     """One block: ``size`` columns starting at ``start`` share ``eigenvalue``."""
 
     eigenvalue: complex
     size: int
     start: int
 
+    def __init__(self, eigenvalue, size, start):
+        self.__dict__.update(eigenvalue=eigenvalue, size=size, start=start)
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+
+class SpectralDecomposition(_Record):
     """Factorization A = V J V^{-1} with per-block structure metadata.
 
     ``v`` holds the basis columns (chain heads are proper eigenvectors,
@@ -147,17 +147,19 @@ class SpectralDecomposition:
     basis_condition: float
     cluster_tol: float
     residual: float
-    n: int = field(init=False)
+    n: int
 
-    def __post_init__(self):
-        n = self.v.shape[0]
-        for name in ("v", "j", "v_inv"):
-            m = getattr(self, name)
+    def __init__(self, v, j, v_inv, is_unitary_basis, basis_condition, cluster_tol, residual):
+        n = v.shape[0]
+        for name, m in (("v", v), ("j", j), ("v_inv", v_inv)):
             if m.shape != (n, n):
                 raise NonSquareError(f"{name} has shape {m.shape}, expected ({n}, {n})")
             m.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_bidiagonal", _Bidiagonal(self.j))  # read by every transform
+        self.__dict__.update(
+            v=v, j=j, v_inv=v_inv, is_unitary_basis=is_unitary_basis,
+            basis_condition=basis_condition, cluster_tol=cluster_tol, residual=residual, n=n,
+            _bidiagonal=_Bidiagonal(j),  # read by every transform
+        )
 
     @cached_property
     def blocks(self) -> tuple[JordanBlock, ...]:

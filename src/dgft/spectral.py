@@ -15,12 +15,17 @@ ranks the basis from smoothest to most oscillatory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidValueError
-from .graph import DirectedLaplacian, Graph, directed_laplacian, real_or_complex, signal_values
+from .graph import (
+    DirectedLaplacian,
+    Graph,
+    _Record,
+    directed_laplacian,
+    real_or_complex,
+    signal_values,
+)
 from .linalg import (
     DEFAULT_RANK_TOL,
     RECON_LIMIT,
@@ -80,8 +85,7 @@ def quadratic_form(lap, f) -> float:
     return 0.5 * float(np.real(np.vdot(diff, diff)))
 
 
-@dataclass(frozen=True)
-class FrequencyOrdering:
+class FrequencyOrdering(_Record):
     """Permutation of spectral indices from lowest to highest frequency.
 
     ``order[k]`` is the spectral index holding frequency rank ``k``;
@@ -95,6 +99,9 @@ class FrequencyOrdering:
     order: tuple[int, ...]
     ranks: tuple[int, ...]
     tie_groups: tuple[tuple[int, ...], ...]
+
+    def __init__(self, order, ranks, tie_groups):
+        self.__dict__.update(order=order, ranks=ranks, tie_groups=tie_groups)
 
 
 def order_frequencies(eigenvalues) -> FrequencyOrdering:
@@ -115,8 +122,7 @@ def order_frequencies(eigenvalues) -> FrequencyOrdering:
     )
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """A signal's expansion in the graph Fourier basis.
 
     Entry r pairs ``eigenvalues[r]`` with coefficient ``coefficients[r]``;
@@ -130,20 +136,19 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
-    ordering: FrequencyOrdering = field(init=False)
-    n: int = field(init=False)
+    ordering: FrequencyOrdering
+    n: int
 
-    def __post_init__(self):
-        w = real_or_complex(self.eigenvalues, copy=True).ravel()
-        c = real_or_complex(self.coefficients, copy=True).ravel()
+    def __init__(self, eigenvalues, coefficients):
+        w = real_or_complex(eigenvalues, copy=True).ravel()
+        c = real_or_complex(coefficients, copy=True).ravel()
         if w.shape != c.shape:
             raise InvalidValueError("eigenvalues and coefficients must have equal length")
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "coefficients", c)
         w.flags.writeable = False
         c.flags.writeable = False
-        object.__setattr__(self, "ordering", order_frequencies(w))
-        object.__setattr__(self, "n", int(w.size))
+        self.__dict__.update(
+            eigenvalues=w, coefficients=c, ordering=order_frequencies(w), n=int(w.size)
+        )
 
 
 def gft(decomposition: SpectralDecomposition, f) -> np.ndarray:

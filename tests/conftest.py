@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgft
 from dgft import Graph, build_graph, demo_graph, ring_graph
 
 DATA = Path(__file__).parent / "data"
+
+
+def env_importing_dgft() -> dict:
+    """Environment in which a child interpreter imports this dgft."""
+    src = str(Path(dgft.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import ast
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -14,7 +13,7 @@ import dgft
 from dgft import Graph, apply_vertex_domain, decompose, demo_graph, gft, ring_graph
 from dgft.cli import main
 from dgft.io import load_graph, load_signal, load_spectrum
-from conftest import DATA, make_random_digraph
+from conftest import DATA, env_importing_dgft, make_random_digraph
 
 DEMO = str(DATA / "demo_graph.txt")
 SIGNAL = str(DATA / "demo_signal.json")
@@ -421,6 +420,25 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_node_count_too_large_exits_2(self, capsys, tmp_path):
+        # --ring N is checked under a memory limit in test_graph.py.
+        graph = tmp_path / "huge.txt"
+        graph.write_text("nodes 1000000000\n1 2 1\n")
+        code, out, err = run_cli(capsys, "laplacian", str(graph))
+        assert code == 2
+        assert out == ""
+        assert err == "dgft: error: node count 1000000000 is too large for an n x n matrix\n"
+
+    def test_boolean_declared_n_exits_2(self, capsys, tmp_path):
+        graph, spectrum = tmp_path / "one.txt", tmp_path / "spec.json"
+        graph.write_text("nodes 1\n")
+        entries = [{"spectral_index": 0, "eigenvalue": 0.0, "coefficient": 2.5}]
+        spectrum.write_text(json.dumps({"n": True, "entries": entries}))
+        code, out, err = run_cli(capsys, "igft", str(graph), "--spectrum", str(spectrum))
+        assert code == 2
+        assert out == ""
+        assert "declared n=true" in err
+
     def test_numeric_failure_maps_to_4(self, capsys, monkeypatch, tmp_path):
         import dgft.cli as cli_mod
         from dgft.errors import ReconstructionError
@@ -464,7 +482,7 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "dgft.cli", "gft", str(graph), "--signal", str(signal)],
-            capture_output=True, text=True, env=_env_importing_dgft(),
+            capture_output=True, text=True, env=env_importing_dgft(),
         )
         assert proc.returncode == 4
         assert proc.stdout == ""
@@ -497,20 +515,13 @@ class TestExitCodes:
         assert code == 2
 
 
-def _env_importing_dgft() -> dict:
-    """Environment in which a child interpreter imports this dgft."""
-    src = str(Path(dgft.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
 def test_console_script_smoke():
     # the installed console script when it is on PATH, else the same
     # entry point as a module, importable from wherever dgft was found
     if shutil.which("dgft") is not None:
         cmd, env = ["dgft"], None
     else:
-        cmd, env = [sys.executable, "-m", "dgft.cli"], _env_importing_dgft()
+        cmd, env = [sys.executable, "-m", "dgft.cli"], env_importing_dgft()
     proc = subprocess.run(
         [*cmd, "laplacian", "--ring", "3"], capture_output=True, text=True, env=env
     )
@@ -563,7 +574,7 @@ for argv in {runs!r}:
     assert "scipy" not in sys.modules, argv
 """
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=_env_importing_dgft()
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env_importing_dgft()
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -581,3 +592,6 @@ def test_no_source_module_imports_scipy():
                 continue
             for name in names:
                 assert name.split(".")[0] != "scipy", f"{path.name}:{node.lineno} imports {name}"
+                # Building frozen dataclasses cost every CLI process about 8 ms
+                # of start-up; the records derive from graph._Record instead.
+                assert name != "dataclasses", f"{path.name}:{node.lineno} imports {name}"

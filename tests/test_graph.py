@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from dgft import (
     ring_graph,
 )
 from dgft.graph import Graph, GraphSignal, signal_values
+from conftest import env_importing_dgft
 
 DEMO_W = np.array(
     [
@@ -122,6 +126,26 @@ class TestBuildGraph:
             build_graph(0, [])
         with pytest.raises(GraphSizeError):
             Graph(n=0, weights=np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("n", [2.5, "3", True, np.True_, None])
+    def test_node_count_must_be_an_integer(self, n):
+        with pytest.raises(GraphSizeError, match="must be an integer"):
+            build_graph(n, [])
+        with pytest.raises(GraphSizeError, match="must be an integer"):
+            ring_graph(n)
+        with pytest.raises(GraphSizeError, match="must be an integer"):
+            Graph(n, np.zeros((1, 1)))
+
+    # numpy refuses an n x n matrix of these outright, so nothing is allocated
+    # even where the check is missing.
+    @pytest.mark.parametrize("n", [10**9, 2**40, np.int64(10**9)])
+    def test_node_count_past_an_addressable_matrix_is_refused(self, n):
+        with pytest.raises(GraphSizeError, match="too large"):
+            build_graph(n, [(0, 1, 1.0)])
+        with pytest.raises(GraphSizeError, match="too large"):
+            build_graph(n, [])
+        with pytest.raises(GraphSizeError, match="too large"):
+            Graph(n, np.zeros((1, 1)))
 
     def test_single_node_graph_is_legal(self):
         g = build_graph(1, [])
@@ -232,6 +256,32 @@ class TestRingGraph:
     def test_minimum_size(self):
         with pytest.raises(GraphSizeError):
             ring_graph(1)
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+    def test_huge_ring_is_refused_before_its_edges_are_built(self):
+        # The child may grow its address space by only 256 MiB, so a ring
+        # that built its edge tuples first fails fast with MemoryError; the
+        # CLI reaches ring_graph through --ring N.
+        script = (
+            "import resource\n"
+            "import dgft, dgft.cli\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 2**28, size + 2**28))\n"
+            "try:\n"
+            "    dgft.ring_graph(2**40)\n"
+            "except dgft.GraphSizeError as exc:\n"
+            "    print(exc)\n"
+            "print(dgft.cli.main(['laplacian', '--ring', str(10**9)]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env_importing_dgft(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "node count 1099511627776 is too large for an n x n matrix", "2"
+        ]
+        assert "node count 1000000000 is too large" in proc.stderr
 
 
 class TestSignals:

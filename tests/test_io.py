@@ -1,5 +1,6 @@
 import io as stdio
 import json
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ class TestSignalJson:
     def test_rejects_bool_values(self):
         with pytest.raises(ParseError):
             load_signal(stdio.StringIO('{"n": 1, "values": [true]}'))
+
+    @pytest.mark.parametrize("declared", ["true", "1.0", '"1"'])
+    def test_declared_n_must_be_an_integer(self, declared):
+        with pytest.raises(ParseError, match=f"declared n={re.escape(declared)} but 1 values"):
+            load_signal(stdio.StringIO('{"n": %s, "values": [2.5]}' % declared))
 
     def test_rejects_bad_pair(self):
         with pytest.raises(ParseError):
@@ -313,6 +319,12 @@ class TestSpectrumFiles:
         with pytest.raises(ParseError, match="declared n=9 but 2 entries"):
             load_spectrum(stdio.StringIO(json.dumps({"n": 9, "entries": entries})))
         assert load_spectrum(stdio.StringIO(json.dumps({"n": 2, "entries": entries}))).n == 2
+
+    @pytest.mark.parametrize("declared", [True, 1.0])
+    def test_json_declared_n_must_be_an_integer(self, declared):
+        entries = [{"spectral_index": 0, "eigenvalue": 0.0, "coefficient": 1.0}]
+        with pytest.raises(ParseError, match="but 1 entries"):
+            load_spectrum(stdio.StringIO(json.dumps({"n": declared, "entries": entries})))
 
     def test_csv_output_is_deterministic(self):
         spec = self._demo_spectrum()

@@ -1,0 +1,185 @@
+"""The package's record types behave as frozen value records.
+
+Each of the ten classes takes its fields in order, positionally or by
+keyword, and refuses its derived fields as arguments. Its instances refuse
+assignment and deletion, compare equal field by field against their own
+class only, hash by their field tuple (so records holding arrays are
+unhashable), show every field in their repr, and survive copy and pickle.
+"""
+
+import copy
+import inspect
+import pickle
+
+import numpy as np
+import pytest
+
+from dgft import (
+    DirectedLaplacian,
+    EigenvalueMultiplicity,
+    FrequencyOrdering,
+    Graph,
+    GraphSignal,
+    JordanBlock,
+    MultiplicityReport,
+    ShiftInvariance,
+    SpectralDecomposition,
+    Spectrum,
+    decompose,
+    demo_graph,
+)
+
+_DEC = decompose(demo_graph())
+_MULTIPLICITY = EigenvalueMultiplicity(2j, 2, 1)
+
+# class: (constructor arguments in field order, derived fields with their values)
+RECORDS = {
+    Graph: ((2, np.array([[0.0, 1.0], [0.0, 0.0]])), {}),
+    GraphSignal: (([2.5, -1.0],), {"n": 2}),
+    DirectedLaplacian: ((np.array([[1.0, -1.0], [0.0, 0.0]]),), {"n": 2}),
+    JordanBlock: ((1 + 0j, 2, 0), {}),
+    SpectralDecomposition: (
+        (_DEC.v, _DEC.j, _DEC.v_inv, False, 12.5, 1e-9, 3e-15),
+        {"n": 5},
+    ),
+    FrequencyOrdering: (((1, 0, 2), (1, 0, 2), ((1, 0),)), {}),
+    Spectrum: (
+        (np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+        {"ordering": FrequencyOrdering((0, 1), (0, 1), ()), "n": 2},
+    ),
+    ShiftInvariance: ((True, 0.0, 1e-10), {}),
+    EigenvalueMultiplicity: ((2j, 2, 1), {}),
+    MultiplicityReport: (((_MULTIPLICITY,),), {"polynomials_span_commutant": True}),
+}
+HASHABLE = {JordanBlock, FrequencyOrdering, ShiftInvariance, EigenvalueMultiplicity,
+            MultiplicityReport}
+CASES = [pytest.param(cls, id=cls.__name__) for cls in RECORDS]
+
+
+def _init_names(cls) -> list[str]:
+    return list(inspect.signature(cls).parameters)
+
+
+def _fields(cls) -> list[str]:
+    """Every field in order: the constructor's, then the derived ones."""
+    return _init_names(cls) + list(RECORDS[cls][1])
+
+
+def _build(cls, keyword=False):
+    args = RECORDS[cls][0]
+    return cls(**dict(zip(_init_names(cls), args))) if keyword else cls(*args)
+
+
+def _same(a, b) -> bool:
+    """Field by field, arrays by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) if isinstance(getattr(a, f), np.ndarray)
+        else getattr(a, f) == getattr(b, f)
+        for f in _fields(type(a))
+    )
+
+
+def test_every_record_type_of_the_package_is_covered():
+    import dgft
+
+    assert set(RECORDS) == {
+        getattr(dgft, name) for name in dgft.__all__
+        if inspect.isclass(getattr(dgft, name))
+        and not issubclass(getattr(dgft, name), (Exception, Warning))
+    }
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_constructor_takes_fields_in_order_and_refuses_derived_ones(cls):
+    args, derived = RECORDS[cls]
+    assert len(_init_names(cls)) == len(args)
+    positional, keyword = _build(cls), _build(cls, keyword=True)
+    assert _same(positional, keyword)
+    for name, value in derived.items():
+        got = getattr(positional, name)
+        assert got == value
+        with pytest.raises(TypeError):
+            cls(*args, **{name: got})
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_fields_can_be_neither_assigned_nor_deleted(cls):
+    record = _build(cls)
+    for name in _fields(cls) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert _same(record, _build(cls))
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_equality_is_per_field_and_per_class(cls):
+    record = _build(cls)
+    assert record.__eq__(object()) is NotImplemented
+    assert record != "record" and record is not None
+    if cls in HASHABLE:
+        assert record == _build(cls, keyword=True)
+        first, *rest = RECORDS[cls][0]
+        assert record != cls(type(first)(), *rest)  # the first field empty, zero or false
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_hash_is_the_field_tuple_and_arrays_are_unhashable(cls):
+    record = _build(cls)
+    if cls in HASHABLE:
+        assert hash(record) == hash(tuple(getattr(record, f) for f in _fields(cls)))
+        assert {record: 1}[_build(cls, keyword=True)] == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_repr_names_every_field_in_order(cls):
+    record = _build(cls)
+    shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in _fields(cls))
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+
+def test_repr_text():
+    assert repr(GraphSignal([2.5])) == "GraphSignal(values=array([2.5]), n=1)"
+    assert repr(JordanBlock(1 + 0j, 2, 0)) == "JordanBlock(eigenvalue=(1+0j), size=2, start=0)"
+    assert repr(MultiplicityReport((_MULTIPLICITY,))) == (
+        "MultiplicityReport(entries=(EigenvalueMultiplicity(eigenvalue=2j, algebraic=2, "
+        "geometric=1),), polynomials_span_commutant=True)"
+    )
+    assert repr(Spectrum([0.0], [1.0])) == (
+        "Spectrum(eigenvalues=array([0.]), coefficients=array([1.]), "
+        "ordering=FrequencyOrdering(order=(0,), ranks=(0,), tie_groups=()), n=1)"
+    )
+
+
+@pytest.mark.parametrize("cls", CASES)
+def test_copy_and_pickle_keep_every_field(cls):
+    record = _build(cls)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert _same(twin, record)
+
+
+def test_a_subclass_keeps_the_fields_and_its_own_class():
+    class Block(JordanBlock):
+        pass
+
+    block = Block(1 + 0j, 2, 0)
+    assert repr(block) == f"{Block.__qualname__}(eigenvalue=(1+0j), size=2, start=0)"
+    assert block == Block(1 + 0j, 2, 0) and block != Block(1 + 0j, 2, 1)
+    assert block != JordanBlock(1 + 0j, 2, 0)
+    with pytest.raises(AttributeError):
+        block.size = 3
+
+
+def test_shift_invariance_is_truthy_exactly_when_invariant():
+    assert ShiftInvariance(True, 0.0, 1.0)
+    assert not ShiftInvariance(False, 2.0, 1.0)
+
+
+def test_blocks_are_computed_once():
+    dec = decompose(demo_graph())
+    assert dec.blocks is dec.blocks
+    assert [b.size for b in dec.blocks] == [1] * 5

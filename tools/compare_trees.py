@@ -2,6 +2,7 @@
 
     python3 tools/compare_trees.py PARENT [CHANGE] [--workload W] [--seed N] [-k K]
     python3 tools/compare_trees.py PARENT [CHANGE] --check [--seed N ...]
+    python3 tools/compare_trees.py PARENT [CHANGE] --startup [--seed N ...] [-k K]
 
 PARENT and CHANGE are dgft checkouts (CHANGE defaults to the tree this
 file sits in). Each tree's ``src/dgft`` is loaded under its own package
@@ -32,6 +33,20 @@ warnings, and equal typed refusals (class name and message). On
 ``cli-mixed`` it runs every command of each seed's cycle against both
 trees and compares stdout, stderr and the exit code byte for byte. The
 exit code is 1 on any difference.
+
+``--startup`` times what the in-process modes cannot: the start of every
+``dgft`` process, as ``cli-mixed`` pays it. For ``import dgft.cli`` alone
+and for every command of each seed's ``cli-mixed`` cycle, it starts ``k``
+fresh interpreters per tree, the trees taking turns run by run (the first
+side alternating), each with ``PYTHONDONTWRITEBYTECODE=1`` so that it
+compiles its ``src/dgft`` as a benchmark run does. A ``python -c pass`` runs
+before the first process and after each one, and each process's wall time
+is scaled, as ``perfbench/reference.py``'s spawn reference scales
+``cli-mixed``, to nominal milliseconds: the spawn reference's nominal time
+over the mean of its two neighbouring ``pass`` timings. Per row it prints
+both sides' medians, their ratio, the median of the pairs' differences
+(``paired``) and how many pairs the change ran faster. A process that
+exits nonzero is reported and makes the exit code 1.
 
 Set ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads (this script does,
 unless it is set already) and keep the box otherwise idle.
@@ -205,6 +220,46 @@ def cli_runs(tree: Path, workloads, seed: int, workdir: Path) -> list:
     return runs
 
 
+def startup(trees, workloads, seed: int, k: int, workdir: Path) -> int:
+    """Nominal wall times of fresh ``dgft`` processes, the trees taking turns."""
+    import reference  # perfbench's spawn reference
+
+    w = workloads.CliMixed(seed, workdir)
+    rows = [("import dgft.cli", ["-c", "import dgft.cli"], None)]
+    for i in range(w.cycle):
+        command, argv = w._argv(i)
+        label = f"{command} {'directed' if i < len(workloads.COMMANDS) else 'undirected'}"
+        spectrum = w._graph(i)[0]["spectrum"] if command == "gft" else None
+        rows.append((label, ["-c", workloads.ENTRY, *argv], spectrum))  # igft reads gft's output
+    envs = [dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+            for tree in trees]
+    ref = reference.Reference("spawn")
+    ref.sample()
+    failures = 0
+    print(f"\ncli start-up, seed {seed}: {k} fresh processes per row and side, "
+          f"scaled to {reference.NOMINAL_MS['spawn']:g} ms per python -c pass (nominal ms)")
+    print(f"{'':28} {'parent':>9} {'change':>9} {'ratio':>7} {'paired':>8} {'wins':>7}")
+    for label, args, spectrum in rows:
+        ms = [[], []]
+        for r in range(k):
+            for s in (0, 1) if r % 2 == 0 else (1, 0):
+                start = time.perf_counter_ns()
+                proc = subprocess.run([sys.executable, *args], cwd=trees[s], env=envs[s],
+                                      capture_output=True)
+                elapsed = time.perf_counter_ns() - start
+                ref.sample()
+                ms[s].append(elapsed * ref.scale(len(ref.times) - 2) / 1e6)
+                if proc.returncode != 0:
+                    failures += 1
+                    print(f"EXIT {proc.returncode} {SIDES[s]} {label}: {proc.stderr[-200:]!r}")
+                elif spectrum is not None:
+                    spectrum.write_bytes(proc.stdout)
+        (p, c), paired = map(statistics.median, ms), statistics.median(np.subtract(*ms[::-1]))
+        wins = int(np.sum(np.asarray(ms[1]) < np.asarray(ms[0])))
+        print(f"{label:28} {p:9.2f} {c:9.2f} {c / p:7.3f} {paired:8.2f} {wins:>3}/{k}")
+    return 1 if failures else 0
+
+
 def check(sides, trees, seeds, workdir: Path) -> int:
     failures = compared = 0
     for seed in seeds:
@@ -238,8 +293,10 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, nargs="?", default=HERE.parent)
     p.add_argument("--workload", choices=IN_PROCESS + ("all",), default="all")
     p.add_argument("--seed", type=int, action="append", help="repeatable; default 7 and 401")
-    p.add_argument("-k", type=int, default=15, help="calls per member and side (timing)")
+    p.add_argument("-k", type=int, default=15,
+                   help="calls per member and side (timing), processes per row and side (--startup)")
     p.add_argument("--check", action="store_true", help="bit identity instead of timing")
+    p.add_argument("--startup", action="store_true", help="cold cli-mixed processes (timing)")
     args = p.parse_args(argv)
     seeds = args.seed or [7, 401]
     trees = [args.parent.resolve(), args.change.resolve()]
@@ -249,6 +306,8 @@ def main(argv=None) -> int:
     try:
         if args.check:
             return check(sides, trees, seeds, root / "work")
+        if args.startup:
+            return max(startup(trees, sides[1][1], seed, args.k, root) for seed in seeds)
         names = IN_PROCESS if args.workload == "all" else (args.workload,)
         for seed in seeds:
             for name in names:
