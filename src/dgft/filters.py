@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import _Record, real_or_complex, signal_values
+from .errors import DimensionMismatchError
+from .graph import _as_square, _Record, signal_values
 from .linalg import (
     SpectralDecomposition,
     cluster_eigenvalues,
@@ -51,8 +52,8 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
 
     ``L = V J V^{-1}`` gives ``h(L) = V h(J) V^{-1}``, so the middle step
     is the same Horner routine the vertex domain runs, only on ``J``,
-    applied through the bidiagonal layout the decomposition keeps
-    (:class:`dgft.linalg._Bidiagonal`).
+    applied through the layout the decomposition keeps of its eigenvalues
+    and chain heads (:class:`dgft.linalg._Bidiagonal`).
     It agrees with :func:`apply_vertex_domain` up to roundoff.
     """
     filtered = matrix_polynomial_apply(decomposition._bidiagonal, h, gft(decomposition, f))
@@ -60,22 +61,21 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
 
 
 class ShiftInvariance(_Record):
-    """Commutation verdict with the evidence: residual and its bound.
+    """Commutation verdict as its evidence: ``residual`` (the Frobenius norm
+    of L H - H L) and the ``bound`` it is compared against.
 
-    Truthy exactly when ``invariant`` is, so the result drops into any
-    boolean context while still exposing ``residual`` (the Frobenius norm
-    of L H - H L) and the ``bound`` it was compared against.
+    Truthy exactly when ``residual <= bound``, so the result drops into any
+    boolean context and cannot hold a verdict its evidence contradicts.
     """
 
-    invariant: bool
     residual: float
     bound: float
 
-    def __init__(self, invariant, residual, bound):
-        self.__dict__.update(invariant=invariant, residual=residual, bound=bound)
+    def __init__(self, residual, bound):
+        self.__dict__.update(residual=residual, bound=bound)
 
     def __bool__(self) -> bool:
-        return self.invariant
+        return bool(self.residual <= self.bound)
 
 
 def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
@@ -83,13 +83,15 @@ def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
 
     S = I - L commutes with H exactly when L does, so the test runs on
     the Laplacian directly. The residual ``||L H - H L||_F`` is compared
-    against ``COMMUTATOR_TOL * ||L||_F * ||H||_F``.
+    against ``COMMUTATOR_TOL * ||L||_F * ||H||_F``. An operator that is not
+    n x n raises :class:`NonSquareError` or :class:`DimensionMismatchError`.
     """
-    m = as_laplacian(lap).matrix
-    op = real_or_complex(operator)
+    m, op = as_laplacian(lap).matrix, _as_square(operator)
+    if len(op) != len(m):
+        raise DimensionMismatchError(f"operator is {len(op)}x{len(op)}, graph has {len(m)} nodes")
     bound = COMMUTATOR_TOL * float(np.linalg.norm(m)) * float(np.linalg.norm(op))
     residual = float(np.linalg.norm(m @ op - op @ m))
-    return ShiftInvariance(invariant=residual <= bound, residual=residual, bound=bound)
+    return ShiftInvariance(residual=residual, bound=bound)
 
 
 class EigenvalueMultiplicity(_Record):

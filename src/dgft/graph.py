@@ -11,6 +11,7 @@ file format (see :mod:`dgft.io`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from numbers import Integral, Number
 
 import numpy as np
@@ -228,7 +229,7 @@ def signal_values(f, n: int) -> np.ndarray:
     return values
 
 
-def build_graph(n: int, edges: list[tuple[int, int, complex]]) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int, complex]]) -> Graph:
     """Build a graph from ``(src, dst, weight)`` triples with 0-based indices.
 
     Edges come from outside: each must be a triple of two integer node
@@ -236,9 +237,14 @@ def build_graph(n: int, edges: list[tuple[int, int, complex]]) -> Graph:
     number (:class:`InvalidValueError`, as for a non-triple), and no edge may
     be a self-loop or repeat a (src, dst) pair; neither is folded or summed.
     The checks run on whole columns; a failed one names the first offending edge.
+    The n x n matrix comes first: one memory cannot hold is a :class:`GraphSizeError`.
     """
     n = _node_count(n)
-    edges, weights = list(edges), np.zeros((n, n), dtype=complex)
+    try:
+        weights = np.zeros((n, n), dtype=complex)
+    except MemoryError as exc:
+        raise GraphSizeError(f"node count {n} is too large for an n x n matrix: {exc}") from None
+    edges = list(edges)
     try:
         src, dst, weight = zip(*edges, strict=True) if edges else ((), (), ())
         clean = all(issubclass(t, Integral) and t is not bool for t in {*map(type, src + dst)})
@@ -288,8 +294,8 @@ def ring_graph(n: int) -> Graph:
     Its shift operator (identity minus Laplacian) is exactly the cyclic
     delay of classical discrete-time signals.
     """
-    n = _node_count(n, least=2)  # before the n edges are built
-    edges = [((k - 1) % n, k, 1.0 + 0.0j) for k in range(n)]
+    n = _node_count(n, least=2)
+    edges = (((k - 1) % n, k, 1.0 + 0.0j) for k in range(n))  # read after the n x n matrix
     return build_graph(n, edges)
 
 

@@ -51,6 +51,7 @@ import numpy as np
 from .errors import (
     EmptyTapsError,
     IllConditionedBasisWarning,
+    InvalidValueError,
     NoConvergenceError,
     NonSquareError,
     ReconstructionError,
@@ -108,30 +109,32 @@ class SpectralDecomposition(_Record):
     """Factorization A = V J V^{-1} with per-block structure metadata.
 
     ``v`` holds the basis columns (chain heads are proper eigenvectors,
-    listed first within each block) and ``j`` is block diagonal with unit
-    superdiagonals inside blocks. The columns come in frequency order:
-    ``order_frequencies(eigenvalues).order`` is ``range(n)``
-    (:func:`dgft.spectral.order_frequencies`), so a column's spectral
-    index is its frequency rank. ``is_unitary_basis`` marks a basis whose
-    every component took a unitary route of :func:`jordan_decompose` (real
+    listed first within each block). ``J`` is kept as ``eigenvalues``, its
+    diagonal, and ``proper_indices``, the columns that start a chain; each
+    other column continues the chain before it, with a one above it in
+    ``J``. The columns come in frequency order: ``order_frequencies(
+    eigenvalues).order`` is ``range(n)``, so a column's spectral index is
+    its frequency rank. ``is_unitary_basis`` marks a basis whose every
+    component took a unitary route of :func:`jordan_decompose` (real
     symmetric and other normal components), where ``v_inv`` is exactly
     ``v.conj().T``; a component on a unitary route has that property in
     its own block either way.
 
     ``residual`` is the absolute residual ``||V J V^-1 - A||_F`` it was
-    certified with. The eigenvalues, the blocks and both verdicts are read
-    off ``j`` and ``basis_condition`` rather than stored, ``blocks`` once, on
-    first access; ``_bidiagonal`` keeps ``J``'s layout (:class:`_Bidiagonal`).
+    certified with. The blocks and both verdicts are read off the fields
+    rather than stored, ``blocks`` once, on first access; ``_bidiagonal``
+    keeps ``J``'s layout (:class:`_Bidiagonal`).
 
     The dtype rule (:func:`dgft.graph.real_or_complex`), which the
     package applies to every array it takes in and to the basis it
     builds: an array is complex128 exactly when an entry has a nonzero
-    imaginary part, and float64 otherwise. So ``j`` is real exactly when
-    every eigenvalue is real, ``v`` is real for a real symmetric matrix
-    and for a real matrix with a real spectrum, conjugate pairs make both
-    complex, and ``v_inv`` has the dtype of ``v``. Transforms and filters
-    on a real basis run real BLAS, and a complex signal against a real
-    basis runs as one real product over its real and imaginary parts.
+    imaginary part, and float64 otherwise. So ``eigenvalues`` and ``J``
+    are real exactly when every eigenvalue is, ``v`` is real for a real
+    symmetric matrix and for a real matrix with a real spectrum, conjugate
+    pairs make both complex, and ``v_inv`` has the dtype of ``v``.
+    Transforms and filters on a real basis run real BLAS, and a complex
+    signal against a real basis runs as one real product over its real
+    and imaginary parts.
 
     A real ``A``'s complex basis is inverted and certified in its real
     pair form (:func:`_finish`): ``V = W T`` with a real ``W`` and an
@@ -141,7 +144,8 @@ class SpectralDecomposition(_Record):
     """
 
     v: np.ndarray
-    j: np.ndarray
+    eigenvalues: np.ndarray
+    proper_indices: tuple[int, ...]
     v_inv: np.ndarray
     is_unitary_basis: bool
     basis_condition: float
@@ -149,49 +153,43 @@ class SpectralDecomposition(_Record):
     residual: float
     n: int
 
-    def __init__(self, v, j, v_inv, is_unitary_basis, basis_condition, cluster_tol, residual):
+    def __init__(self, v, eigenvalues, proper_indices, v_inv, is_unitary_basis,
+                 basis_condition, cluster_tol, residual):
         n = v.shape[0]
-        for name, m in (("v", v), ("j", j), ("v_inv", v_inv)):
+        for name, m in (("v", v), ("v_inv", v_inv)):
             if m.shape != (n, n):
                 raise NonSquareError(f"{name} has shape {m.shape}, expected ({n}, {n})")
             m.flags.writeable = False
+        w, heads = real_or_complex(eigenvalues), np.asarray(proper_indices)
+        if w.shape != (n,):
+            raise InvalidValueError(f"eigenvalues of shape {w.shape} for {n} basis columns")
+        if not (heads.ndim == 1 and heads.dtype.kind in "iu" and heads[:1].tolist() == [0]
+                and (np.diff(heads) > 0).all() and heads[-1] < n):
+            raise InvalidValueError(f"proper indices {proper_indices!r} must rise from 0 below {n}")
+        w.flags.writeable = False
         self.__dict__.update(
-            v=v, j=j, v_inv=v_inv, is_unitary_basis=is_unitary_basis,
-            basis_condition=basis_condition, cluster_tol=cluster_tol, residual=residual, n=n,
-            _bidiagonal=_Bidiagonal(j),  # read by every transform
+            v=v, eigenvalues=w, proper_indices=tuple(heads.tolist()), v_inv=v_inv,
+            is_unitary_basis=is_unitary_basis, basis_condition=basis_condition,
+            cluster_tol=cluster_tol, residual=residual, n=n,
+            _bidiagonal=_Bidiagonal(w, heads),  # read by every transform
         )
 
     @cached_property
     def blocks(self) -> tuple[JordanBlock, ...]:
         """The Jordan blocks in column order, each from a proper column up to the next."""
-        starts = self.proper_indices
+        starts, w = self.proper_indices, self.eigenvalues
         ends = starts[1:] + (self.n,)
-        return tuple(JordanBlock(complex(self.j[s, s]), e - s, s) for s, e in zip(starts, ends))
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """The diagonal of ``j``, one entry per basis column (read-only).
-
-        A copy, so a caller keeping the eigenvalues does not keep ``j``.
-        """
-        w = self.j.diagonal().copy()
-        w.flags.writeable = False
-        return w
+        return tuple(JordanBlock(complex(w[s]), e - s, s) for s, e in zip(starts, ends))
 
     @property
     def is_diagonalizable(self) -> bool:
-        """Every Jordan block is 1x1: no column of ``j`` continues a chain."""
-        return self._bidiagonal.inner.size == 0
+        """Every Jordan block is 1x1: every column is proper."""
+        return len(self.proper_indices) == self.n
 
     @property
     def ill_conditioned(self) -> bool:
         """The basis condition exceeds :data:`ILL_CONDITIONED_LIMIT`."""
         return self.basis_condition > ILL_CONDITIONED_LIMIT
-
-    @property
-    def proper_indices(self) -> tuple[int, ...]:
-        """Columns of ``v`` that are proper eigenvectors: each continues no chain."""
-        return tuple(np.delete(np.arange(self.n), self._bidiagonal.inner).tolist())
 
     def reconstruct(self) -> np.ndarray:
         """Recompute ``(V J) V^{-1}``, the product the decomposition was
@@ -410,30 +408,21 @@ def _jordan_chains(
 class _Bidiagonal:
     """The layout of ``J`` and its products, O(n) per row or column.
 
-    ``J`` (:class:`SpectralDecomposition`) holds the eigenvalues on its
-    diagonal and a one above each chain-tail column, that is each column
-    that continues a Jordan chain, and zeros elsewhere. ``J @ x`` scales
-    each row of ``x`` by its eigenvalue and adds each chain-tail row to
-    the row above it; ``x @ J`` scales each column and adds, to each
-    chain-tail column, the column before it. ``x`` is a vector or a block
-    (n rows for ``J @ x``, n columns for ``x @ J``), and a ``J`` with no
-    chain tail (every block 1x1) costs no superdiagonal work at all.
+    ``J`` (:class:`SpectralDecomposition`), never formed, holds
+    ``eigenvalues`` on its diagonal, a one above each chain-tail column
+    (each column not in ``proper_indices``) and zeros elsewhere. ``J @ x``
+    scales each row of ``x`` by its eigenvalue and adds each chain-tail
+    row to the row above it; ``x @ J`` scales each column and adds, to
+    each chain-tail column, the column before it. ``x`` is a vector or a
+    block (n rows for ``J @ x``, n columns for ``x @ J``), and a ``J`` with
+    no chain tail (every block 1x1) costs no superdiagonal work at all.
     """
 
     __array_ufunc__ = None  # ``ndarray @ self`` defers to __rmatmul__
 
-    @staticmethod
-    def dense(eigenvalues: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """The n x n ``J`` of ``eigenvalues`` with a chain tail at each column
-        ``heads`` leaves unmarked, real exactly when every eigenvalue is."""
-        j = np.diag(real_or_complex(eigenvalues))
-        inner = np.flatnonzero(~heads)
-        j[inner - 1, inner] = 1.0
-        return j
-
-    def __init__(self, j: np.ndarray):
-        self.diagonal = j.diagonal()
-        self.inner = np.flatnonzero(j.diagonal(1)) + 1  # the chain-tail columns
+    def __init__(self, eigenvalues: np.ndarray, proper_indices: np.ndarray):
+        self.diagonal = eigenvalues
+        self.inner = np.delete(np.arange(eigenvalues.size), proper_indices)  # the chain tails
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = self.diagonal.reshape((-1,) + (1,) * (x.ndim - 1)) * x
@@ -460,6 +449,7 @@ def _finish(
     cluster_tol: float,
     unitary: list[bool],
     recon_tol: float,
+    scale: int,
 ) -> SpectralDecomposition:
     """The one tail of every route of :func:`jordan_decompose`: column
     order, basis convention, J, inverse and the certificate, on whole arrays.
@@ -473,7 +463,9 @@ def _finish(
     Numbered stack by stack, component by component, each column has an
     entry in the complex ``eigenvalues`` and in ``chains``, which numbers
     the chains 0, 1, ... in the order ties keep; a chain's columns come
-    head first and share one eigenvalue. ``norm`` is ``||A||_F``. In order:
+    head first and share one eigenvalue. ``a`` is the input ``A`` times
+    ``2^-scale`` and ``norm`` its ``||.||_F``; steps 1 to 4 run at that
+    scale. In order:
 
     1. When a component has exactly one 1x1 block at zero and each of its
        rows of ``A`` sums to zero, both within ``tol * norm`` (every graph
@@ -487,7 +479,7 @@ def _finish(
     3. Each component's columns, in that order, fill its rows of ``V``,
        which is C-contiguous. Each chain is scaled and phased through its
        head (:func:`_normalize_chains`), which gives a snapped vector its
-       exact unit form ``1/sqrt(k)``, and ``J`` is laid out.
+       exact unit form ``1/sqrt(k)``. ``J`` is kept as eigenvalues and heads.
     4. Columns ``c`` and ``c + 1`` form a pair when ``A`` is real, neither
        is in a ``unitary`` stack, both are 1x1 blocks, their eigenvalues
        are exact conjugates and ``v[:, c + 1] == conj(v[:, c])`` holds
@@ -504,12 +496,17 @@ def _finish(
        ``J`` with each pair's diagonal replaced by ``[[a, b], [-b, a]]``
        for ``lambda_c = a + ib``; ``W B`` is the pair form of ``V J``,
        formed once by :class:`_Bidiagonal`. As ``T`` is exact, this is the
-       residual of the returned ``v``, ``j`` and ``v_inv`` in another
+       residual of the returned ``v``, ``J`` and ``v_inv`` in another
        summation order. Their root sum of squares, above ``recon_tol *
        norm``, raises :class:`ReconstructionError`: the basis does not
        reproduce ``A``.
+    5. Back to the input's scale, exactly: eigenvalues, residual and
+       ``cluster_tol`` times ``2^scale``; column p of each chain (the head
+       is p = 0) times ``2^(-scale p)`` and its row of ``V^-1`` times
+       ``2^(scale p)``. A chain that leaves float64's normal range on the
+       way raises :class:`ReconstructionError`.
 
-    ``v``, its inverse and ``j`` follow the dtype rule
+    ``v``, its inverse and the eigenvalues follow the dtype rule
     (:class:`SpectralDecomposition`). A basis condition
     ``||V||_1 * ||V^-1||_1`` above :data:`ILL_CONDITIONED_LIMIT` raises
     :class:`IllConditionedBasisWarning` and sets the flag on the result;
@@ -544,19 +541,19 @@ def _finish(
     v[:, snap[order]] = home[:, None] == owner[snap[order]]  # each its component's ones vector
     _normalize_chains(v, heads)
     v = real_or_complex(v)  # a complex matrix can still have a real basis
-    j = _Bidiagonal.dense(eigenvalues[order], heads)
+    lam, proper = real_or_complex(eigenvalues[order]), np.flatnonzero(heads)  # J
 
     # The pairs: 1x1 blocks c, c + 1 of a real A with exactly conjugate values and
     # columns, outside the unitary stacks.
     c = np.empty(0, dtype=int)
     if np.isrealobj(a) and np.iscomplexobj(v):
         inverted = np.repeat(np.logical_not(unitary), [rows.size for rows in stacks])[order]
-        lam, single = j.diagonal(), heads & np.append(heads[1:], True) & inverted
+        single = heads & np.append(heads[1:], True) & inverted
         c = np.flatnonzero(
             single[:-1] & single[1:] & (lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj())
         )
         c = c[(v[:, c + 1] == v[:, c].conj()).all(axis=0)]
-    w, wb = _pair_form(v, c), _pair_form(v @ _Bidiagonal(j), c)  # W and W B
+    w, wb = _pair_form(v, c), _pair_form(v @ _Bidiagonal(lam, proper), c)  # W and W B
     z = _block_diagonal(n, [
         (cols, rows, b.conj().transpose(0, 2, 1) if u else _inverse(b))
         for (rows, cols), u in zip(parts, unitary)
@@ -572,10 +569,20 @@ def _finish(
         r -= a[_blocks(rows, rows, n)]
     residual = math.hypot(*[float(np.linalg.norm(r)) for r in residuals])
     if not residual <= recon_tol * norm:  # a NaN residual is refused too
+        shown = np.ldexp([residual, recon_tol * norm], scale)
         raise ReconstructionError(
-            f"decomposition residual {residual:.3e} exceeds "
-            f"{recon_tol * norm:.3e}; results would be unreliable"
+            f"decomposition residual {shown[0]:.3e} exceeds "
+            f"{shown[1]:.3e}; results would be unreliable"
         )
+    p = np.arange(n) - np.maximum.accumulate(np.where(heads, np.arange(n), 0))  # chain place
+    tail, s = p > 0, scale * p[p > 0]
+    cols, rows = _ldexp(v[:, tail], -s), _ldexp(v_inv[tail], s[:, None])
+    if not (np.array_equal(_ldexp(cols, s), v[:, tail])
+            and np.array_equal(_ldexp(rows, -s[:, None]), v_inv[tail])):
+        raise ReconstructionError("a Jordan chain leaves float64's range at this scale")
+    v[:, tail], v_inv[tail] = cols, rows
+    lam, residual = _ldexp(lam, scale), float(np.ldexp(residual, scale))
+    cluster_tol = float(np.ldexp(cluster_tol, scale))
     mag = np.abs(v)  # a unitary V^-1 laid out as V^H has |V|^T for magnitudes, bit for bit
     inv = mag.T if all(unitary) and v_inv.flags.f_contiguous else np.abs(v_inv)
     condition = float(mag.sum(axis=0).max() * inv.sum(axis=0).max())  # ||V||_1 ||V^-1||_1
@@ -588,7 +595,8 @@ def _finish(
         )
     return SpectralDecomposition(
         v=v,
-        j=j,
+        eigenvalues=lam,
+        proper_indices=proper,
         v_inv=v_inv,
         is_unitary_basis=all(unitary),
         basis_condition=condition,
@@ -597,8 +605,8 @@ def _finish(
     )
 
 
-# Matrix powers and chains span ||A||^k in scale, so at extreme weights they can
-# overflow; the chain then falls short or fails the certificate, with no numpy warning.
+# Scaling a chain back to A's scale can overflow, which _finish refuses; a kernel's
+# non-finite output fails the certificate. Neither gives a numpy warning first.
 @np.errstate(over="ignore", invalid="ignore")
 def jordan_decompose(
     a,
@@ -641,11 +649,17 @@ def jordan_decompose(
     above ``recon_tol`` relative raises :class:`ReconstructionError`, which
     also refuses a component a route cannot reproduce; a basis condition
     above :data:`ILL_CONDITIONED_LIMIT` raises
-    :class:`IllConditionedBasisWarning`.
+    :class:`IllConditionedBasisWarning`. Everything runs on ``2^-e A``, e
+    even and ``||2^-e A||_F`` in [1/4, 1), so ``4^k A`` decomposes as ``A``
+    does, bit for bit, at any scale whose chains fit in float64.
     """
     a = _as_square(a)
     n, norm = len(a), _frobenius(a, recon_tol)
-    ct = _default_cluster_tol(n, norm) if cluster_tol is None else float(cluster_tol)
+    # Every kernel runs at ||.||_F in [1/4, 1); e is even, as eig's bits follow 4^k A, not 2 A.
+    e = 2 * math.ceil(math.frexp(norm)[1] / 2)
+    a = a * np.ldexp(1.0, -e)
+    norm = float(np.linalg.norm(a))
+    ct = _default_cluster_tol(n, norm) if cluster_tol is None else np.ldexp(float(cluster_tol), -e)
     home = _component_minima(n, *np.divmod(np.flatnonzero(a != 0), n))  # nonzeros as edges
     size = np.bincount(home)[home]
     by_size = np.lexsort((home, size))
@@ -695,7 +709,7 @@ def jordan_decompose(
         a, home, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
         np.unique(np.concatenate(chains), return_inverse=True)[1],
         norm=norm, tol=tol, cluster_tol=ct, unitary=[route < 2 for route, *_ in stacks],
-        recon_tol=recon_tol,
+        recon_tol=recon_tol, scale=e,
     )
 
 
@@ -756,6 +770,15 @@ def _pair_form(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     out[:, c + 1] = m[:, c].imag
     out[:, c] = m[:, c].real
     return real_or_complex(out)
+
+
+def _ldexp(x: np.ndarray, e) -> np.ndarray:
+    """``x * 2^e``, real or complex: exact within float64's normal range."""
+    if x.dtype.kind != "c":
+        return np.ldexp(x, e)
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+    return out
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:

@@ -26,6 +26,16 @@ def demo() -> Graph:
     return demo_graph()
 
 
+def jordan_matrix(dec) -> np.ndarray:
+    """The dense n x n ``J`` of a decomposition, from its public fields only:
+    ``eigenvalues`` on the diagonal and a 1 above every column that is not
+    in ``proper_indices`` (each continues the chain of the column before)."""
+    j = np.diag(dec.eigenvalues)
+    for col in set(range(dec.n)) - set(dec.proper_indices):
+        j[col - 1, col] = 1
+    return j
+
+
 def make_random_digraph(rng: np.random.Generator, n: int, p: float = 0.25) -> Graph:
     """Random weighted digraph: each ordered pair gets an edge with prob p.
 

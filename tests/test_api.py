@@ -1,10 +1,10 @@
-"""The package holds no public function or property that nothing uses.
+"""The package holds no public function, property or field that nothing uses.
 
 A public module-level function of any ``dgft`` module, or a public
-property of a class in ``dgft.__all__``, earns its place when code
-outside its defining module names it: another package module, the
-acceptance suite or the benchmark harness. The package's ``__init__``
-re-exports every name, so it counts for none.
+property or record field (``_fields``) of a class in ``dgft.__all__``,
+earns its place when code outside its defining module names it: another
+package module, the acceptance suite or the benchmark harness. The
+package's ``__init__`` re-exports every name, so it counts for none.
 
 The rule matches names, not objects, so a property that shares its name
 with something used elsewhere passes unseen. ``LsiFilter.order`` was such
@@ -80,3 +80,15 @@ def test_every_public_property_is_used_outside_its_module():
     ]
     assert properties  # the rule has something to check
     assert _unused(properties) == []
+
+
+def test_every_record_field_is_used_outside_its_module():
+    classes = [getattr(dgft, name) for name in dgft.__all__]
+    fields = [
+        (field, cls)
+        for cls in classes
+        if inspect.isclass(cls)
+        for field in getattr(cls, "_fields", ())
+    ]
+    assert fields  # the rule has something to check
+    assert _unused(fields) == []

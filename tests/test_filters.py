@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgft import (
+    DimensionMismatchError,
     EmptyTapsError,
+    NonSquareError,
     apply_spectral_domain,
     apply_vertex_domain,
     check_lsi_preconditions,
@@ -20,8 +22,7 @@ from dgft import (
     shift,
     shift_operator,
 )
-from dgft.linalg import _Bidiagonal
-from conftest import defective_zoo, make_random_digraph, make_random_undirected
+from conftest import defective_zoo, jordan_matrix, make_random_digraph, make_random_undirected
 
 
 def _filter_calls(taps):
@@ -118,7 +119,7 @@ class TestSpectralDomain:
             dec = decompose(g)
             taps = [0.5, -2.0, 1.5, 0.25]
             f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-            h_of_j = matrix_polynomial_apply(dec.j, taps, np.eye(g.n))
+            h_of_j = matrix_polynomial_apply(jordan_matrix(dec), taps, np.eye(g.n))
             direct = dec.v @ h_of_j @ dec.v_inv @ f
             got = apply_spectral_domain(dec, taps, f)
             assert np.allclose(got, direct, rtol=0, atol=1e-10), name
@@ -134,15 +135,15 @@ class TestSpectralDomain:
         diagonal = [("undirected", make_random_undirected(rng, 12)), ("ring", ring_graph(8))]
         for name, g in defective_zoo() + diagonal:
             dec = decompose(g)
-            j = _Bidiagonal(dec.j)
+            j, dense = dec._bidiagonal, jordan_matrix(dec)
             block = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
             for taps in ([0.5, -2.0, 1.5, 0.25], [1 + 2j, -0.5j, 0.75, 2 - 1j]):
                 for x in (rng.standard_normal(g.n), block):
-                    want = matrix_polynomial_apply(dec.j, taps, x)
+                    want = matrix_polynomial_apply(dense, taps, x)
                     got = matrix_polynomial_apply(j, taps, x)
                     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), name
             for x in (rng.standard_normal(g.n), block.T, dec.v):
-                want = x @ dec.j
+                want = x @ dense
                 assert np.linalg.norm(x @ j - want) <= 1e-14 * np.linalg.norm(want), name
 
     @settings(max_examples=15, deadline=None)
@@ -191,7 +192,7 @@ class TestShiftInvariance:
         g = demo_graph()
         h = materialize(g, [0.5, 1.5, -0.5])
         verdict = is_shift_invariant(g, h)
-        assert verdict.invariant
+        assert bool(verdict)
         assert 0.0 <= verdict.residual <= verdict.bound
         lap = directed_laplacian(g).matrix
         assert verdict.bound == pytest.approx(
@@ -201,8 +202,17 @@ class TestShiftInvariance:
     def test_laplacian_commutes_with_itself_exactly(self):
         g = demo_graph()
         verdict = is_shift_invariant(g, directed_laplacian(g).matrix)
-        assert verdict.invariant
+        assert bool(verdict)
         assert verdict.residual == 0.0
+
+    def test_operator_must_be_n_by_n(self):
+        # Neither a smaller operator nor a vector gets a verdict.
+        g = demo_graph()
+        with pytest.raises(DimensionMismatchError):
+            is_shift_invariant(g, np.eye(3))
+        for vector in (np.ones(5), np.ones((5, 1))):
+            with pytest.raises(NonSquareError):
+                is_shift_invariant(g, vector)
 
 
 class TestPreconditions:

@@ -283,6 +283,31 @@ class TestRingGraph:
         ]
         assert "node count 1000000000 is too large" in proc.stderr
 
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+    def test_unallocatable_node_count_is_refused_typed(self, tmp_path):
+        # A node count numpy can address but memory cannot hold: the n x n
+        # matrix is allocated before any edge, so both the file header and
+        # --ring end in GraphSizeError (CLI exit 2), not numpy's MemoryError.
+        header = tmp_path / "huge.txt"
+        header.write_text("nodes 500000000\n")
+        script = (
+            "import resource, sys\n"
+            "import dgft.cli\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 2**28, size + 2**28))\n"
+            "print(dgft.cli.main(['laplacian', sys.argv[1]]))\n"
+            "print(dgft.cli.main(['laplacian', '--ring', '500000000']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(header)], capture_output=True, text=True,
+            env=env_importing_dgft(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["2", "2"]
+        refusals = proc.stderr.splitlines()
+        assert len(refusals) == 2
+        assert all("node count 500000000 is too large" in line for line in refusals)
+
 
 class TestSignals:
     def test_signal_is_copied_read_only(self):

@@ -42,7 +42,6 @@ from dgft.linalg import (
     RECON_LIMIT,
     JordanBlock,
     SpectralDecomposition,
-    _Bidiagonal,
     _component_minima,
     _default_cluster_tol,
     _inverse,
@@ -54,7 +53,7 @@ from dgft.linalg import (
     matrix_polynomial_apply,
     order_with_ties,
 )
-from conftest import defective_zoo, make_random_digraph, make_random_undirected
+from conftest import defective_zoo, jordan_matrix, make_random_digraph, make_random_undirected
 from oracles import exact_block_sizes, exact_defective_triangular, ring_eigenvalues
 
 
@@ -330,7 +329,7 @@ class TestJordanDecompose:
             dec = jordan_decompose(directed_laplacian(g).matrix)
             for b in dec.blocks:
                 for k in range(b.size - 1):
-                    assert dec.j[b.start + k, b.start + k + 1] == 1.0, name
+                    assert jordan_matrix(dec)[b.start + k, b.start + k + 1] == 1.0, name
 
     def test_chain_heads_are_proper_eigenvectors(self):
         for name, g in defective_zoo():
@@ -385,7 +384,7 @@ class TestJordanDecompose:
 
     def test_diagonal_matrix_passes_through_sorted(self):
         dec = jordan_decompose(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(dec.j, np.diag([1.0, 2.0, 3.0]).astype(complex))
+        assert np.array_equal(jordan_matrix(dec), np.diag([1.0, 2.0, 3.0]).astype(complex))
         for k in range(3):
             col = dec.v[:, k]
             assert np.count_nonzero(col) == 1
@@ -938,7 +937,7 @@ class TestSharedFinisher:
 
     def test_derived_facts_are_read_only(self):
         dec = jordan_decompose(np.diag([2.0, 5.0]))
-        assert np.array_equal(dec.eigenvalues, np.diag(dec.j))
+        assert np.array_equal(dec.eigenvalues, np.diag(jordan_matrix(dec)))
         with pytest.raises(ValueError):
             dec.eigenvalues[0] = 1.0
         for name in ("eigenvalues", "is_diagonalizable", "ill_conditioned"):
@@ -947,7 +946,8 @@ class TestSharedFinisher:
 
 
 class TestDerivedBlocks:
-    """``blocks`` is read off ``j`` on first access, not built by the finisher."""
+    """``blocks`` is read off the eigenvalues and the proper indices on first
+    access, not built by the finisher."""
 
     @staticmethod
     def _decompositions():
@@ -971,7 +971,7 @@ class TestDerivedBlocks:
         rng = np.random.default_rng(401)
         for g in (make_random_undirected(rng, 200, p=0.05), make_random_digraph(rng, 200, p=0.05)):
             dec = decompose(directed_laplacian(g))
-            tails = _Bidiagonal(dec.j).inner.size
+            tails = np.count_nonzero(np.diag(jordan_matrix(dec), 1))
             assert len(dec.proper_indices) + tails == dec.eigenvalues.size == 200
             assert dec.is_diagonalizable == (tails == 0)
             assert built == []
@@ -981,12 +981,13 @@ class TestDerivedBlocks:
 
     def test_blocks_tile_columns_from_the_chain_heads(self):
         for dec in self._decompositions():
-            heads = np.delete(np.arange(dec.n), _Bidiagonal(dec.j).inner)
+            j = jordan_matrix(dec)
+            heads = np.delete(np.arange(dec.n), np.flatnonzero(np.diag(j, 1)) + 1)
             assert [b.start for b in dec.blocks] == heads.tolist() == list(dec.proper_indices)
             assert [b.start + b.size for b in dec.blocks] == heads[1:].tolist() + [dec.n]
             for b in dec.blocks:
-                assert type(b.eigenvalue) is complex and b.eigenvalue == dec.j[b.start, b.start]
-                block = dec.j[b.start : b.start + b.size, b.start : b.start + b.size]
+                assert type(b.eigenvalue) is complex and b.eigenvalue == j[b.start, b.start]
+                block = j[b.start : b.start + b.size, b.start : b.start + b.size]
                 assert np.array_equal(block, b.eigenvalue * np.eye(b.size) + np.eye(b.size, k=1))
             assert dec.is_diagonalizable == all(b.size == 1 for b in dec.blocks)
 
@@ -1405,6 +1406,19 @@ def _scale_corpus():
     return laps
 
 
+def _times_power_of_two(x, s):
+    """``x * 2^s``, ``s`` broadcast against ``x``, or None when an entry's
+    real or imaginary part would leave float64's normal range and round."""
+    parts = np.stack([x.real, x.imag])
+    mantissa, exponent = np.frexp(parts)
+    exponent = exponent + s
+    live = mantissa != 0
+    if (exponent[live] < -1021).any() or (exponent[live] > 1024).any():
+        return None
+    re, im = np.ldexp(mantissa, np.where(live, exponent, 0))
+    return re + 1j * im if np.iscomplexobj(x) else re
+
+
 def _decompose_quietly(lap):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedBasisWarning)
@@ -1423,14 +1437,34 @@ class TestScaleInvariance:
         for name, lap in _scale_corpus():
             dec, scaled = _decompose_quietly(lap), _decompose_quietly(2.0**k * lap)
             p = np.concatenate([np.arange(b.size) for b in dec.blocks])
-            j = dec.j.copy()
-            np.fill_diagonal(j, dec.j.diagonal() * 2.0**k)
+            j = jordan_matrix(dec)
+            np.fill_diagonal(j, dec.eigenvalues * 2.0**k)
             for got, want in (
                 (scaled.v, dec.v * 2.0 ** (-k * p)),
-                (scaled.j, j),
+                (jordan_matrix(scaled), j),
                 (scaled.v_inv, dec.v_inv * 2.0 ** (k * p)[:, None]),
             ):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (name, k)
+            assert scaled.residual == 2.0**k * dec.residual, (name, k)
+
+    @pytest.mark.parametrize("k", [-500, -250, 250, 500])
+    def test_extreme_scaling_follows_the_jordan_rule_or_refuses_typed(self, k):
+        # Every kernel runs at unit scale, so the rule holds bit for bit far
+        # from it too, wherever the scaled chains fit in float64; where one
+        # does not, the refusal is typed and comes with no numpy warning.
+        for name, lap in _scale_corpus():
+            dec = _decompose_quietly(lap)
+            p = np.concatenate([np.arange(b.size) for b in dec.blocks])
+            v = _times_power_of_two(dec.v, -k * p)
+            v_inv = _times_power_of_two(dec.v_inv, (k * p)[:, None])
+            if v is None or v_inv is None:
+                with pytest.raises(ReconstructionError, match="float64's range"):
+                    _decompose_quietly(2.0**k * lap)
+                continue
+            scaled = _decompose_quietly(2.0**k * lap)
+            assert np.array_equal(scaled.v, v) and np.array_equal(scaled.v_inv, v_inv), (name, k)
+            assert np.array_equal(scaled.eigenvalues, dec.eigenvalues * 2.0**k), (name, k)
+            assert scaled.proper_indices == dec.proper_indices, (name, k)
             assert scaled.residual == 2.0**k * dec.residual, (name, k)
 
     @pytest.mark.parametrize("k", [-60, 60])
@@ -1466,7 +1500,8 @@ class TestInvert:
         with pytest.raises(NonSquareError):
             SpectralDecomposition(
                 v=np.eye(2, dtype=complex),
-                j=np.diag([1.0, 2.0]).astype(complex),
+                eigenvalues=np.array([1.0, 2.0]),
+                proper_indices=(0, 1),
                 v_inv=np.zeros((2, 3), dtype=complex),
                 is_unitary_basis=False,
                 basis_condition=1.0,
@@ -1485,11 +1520,11 @@ class TestInvert:
         path = directed_laplacian(build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]))
         dec = jordan_decompose(path.matrix)
         assert seen == [np.dtype(float)]
-        assert dec.v.dtype == dec.v_inv.dtype == dec.j.dtype == np.dtype(float)
+        assert dec.v.dtype == dec.v_inv.dtype == dec.eigenvalues.dtype == np.dtype(float)
         assert np.array_equal(dec.v_inv, inv(dec.v))
         ring = jordan_decompose(directed_laplacian(ring_graph(5)).matrix)
         assert seen == [np.dtype(float)]  # the ring's basis is unitary: no inverse
-        assert ring.v.dtype == ring.v_inv.dtype == ring.j.dtype == np.dtype(complex)
+        assert ring.v.dtype == ring.v_inv.dtype == ring.eigenvalues.dtype == np.dtype(complex)
         assert np.array_equal(ring.v_inv, ring.v.conj().T)
         del seen[:]
         digraph = directed_laplacian(make_random_digraph(np.random.default_rng(40), 40)).matrix
@@ -1568,7 +1603,7 @@ class TestDtypeRule:
                 "complex-typed taps": apply_vertex_domain(lap, np.array(taps, dtype=complex), f),
                 "v": dec.v,
                 "v_inv": dec.v_inv,
-                "j": dec.j,
+                "eigenvalues": dec.eigenvalues,
                 "gft": gft(dec, f),
                 "igft": igft(dec, f),
                 "vertex": apply_vertex_domain(lap, taps, f),
@@ -1592,7 +1627,7 @@ class TestDtypeRule:
             assert lap.matrix.dtype == np.dtype(float)
             dec = decompose(lap)
             assert np.any(dec.eigenvalues.imag != 0)
-            for a in (dec.v, dec.v_inv, dec.j):
+            for a in (dec.v, dec.v_inv, dec.eigenvalues):
                 assert a.dtype == np.dtype(complex)
 
     def test_one_imaginary_entry_makes_complex(self):

@@ -29,7 +29,7 @@ from dgft import (
     ring_graph,
 )
 from dgft.linalg import RECON_LIMIT
-from conftest import make_random_digraph
+from conftest import jordan_matrix, make_random_digraph
 
 DELTAS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 SCALES = (-500, -60, -30, 0, 30, 60, 500)
@@ -108,7 +108,7 @@ def _certified_or_refused(name, lap):
     assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n)), name
     with mpmath.workdps(50):
         a = _mp(lap)
-        residual = mpmath.mnorm(_mp(dec.v) * _mp(dec.j) * _mp(dec.v_inv) - a, "f")
+        residual = mpmath.mnorm(_mp(dec.v) * _mp(jordan_matrix(dec)) * _mp(dec.v_inv) - a, "f")
         bound = RECON_LIMIT * mpmath.mnorm(a, "f")
     assert residual <= bound, (name, float(residual), float(bound))
 
@@ -118,6 +118,23 @@ def _certified_or_refused(name, lap):
 def test_decompose_certifies_at_50_digits_or_refuses_typed(case, k):
     family, lap = case
     _certified_or_refused((family, k), 2.0**k * lap)
+
+
+def test_near_defective_union_far_below_unit_scale_certifies():
+    # Two 3-node paths at delta = 1e-12, each weight times 2^-500. Decomposed
+    # at that scale, the chains came out with basis condition 3e162 and a
+    # float residual of 3.0e-157 against an exact 5.5e-156, above the bound.
+    # Run at unit scale, it is the basis of the unscaled union, scaled.
+    edges = [
+        (2, 0, 0.9999999999994322), (5, 1, 1.0000000000020408),
+        (4, 2, 1.000000000000418), (1, 3, 0.9999999999974444),
+    ]
+    lap = 2.0**-500 * directed_laplacian(build_graph(6, edges)).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedBasisWarning)
+        dec = decompose(lap)
+    assert [b.size for b in dec.blocks] == [1, 1, 2, 2]
+    _certified_or_refused("path union at 2^-500", lap)
 
 
 def test_backfilled_cluster_certifies_in_frequency_order(monkeypatch):

@@ -20,13 +20,16 @@ from dgft import (
     FrequencyOrdering,
     Graph,
     GraphSignal,
+    InvalidValueError,
     JordanBlock,
     MultiplicityReport,
     ShiftInvariance,
     SpectralDecomposition,
     Spectrum,
+    build_graph,
     decompose,
     demo_graph,
+    ring_graph,
 )
 
 _DEC = decompose(demo_graph())
@@ -39,7 +42,7 @@ RECORDS = {
     DirectedLaplacian: ((np.array([[1.0, -1.0], [0.0, 0.0]]),), {"n": 2}),
     JordanBlock: ((1 + 0j, 2, 0), {}),
     SpectralDecomposition: (
-        (_DEC.v, _DEC.j, _DEC.v_inv, False, 12.5, 1e-9, 3e-15),
+        (_DEC.v, _DEC.eigenvalues, _DEC.proper_indices, _DEC.v_inv, False, 12.5, 1e-9, 3e-15),
         {"n": 5},
     ),
     FrequencyOrdering: (((1, 0, 2), (1, 0, 2), ((1, 0),)), {}),
@@ -47,7 +50,7 @@ RECORDS = {
         (np.array([0.0, 1.0]), np.array([1.0, 2.0])),
         {"ordering": FrequencyOrdering((0, 1), (0, 1), ()), "n": 2},
     ),
-    ShiftInvariance: ((True, 0.0, 1e-10), {}),
+    ShiftInvariance: ((1e-12, 1e-10), {}),
     EigenvalueMultiplicity: ((2j, 2, 1), {}),
     MultiplicityReport: (((_MULTIPLICITY,),), {"polynomials_span_commutant": True}),
 }
@@ -175,11 +178,43 @@ def test_a_subclass_keeps_the_fields_and_its_own_class():
 
 
 def test_shift_invariance_is_truthy_exactly_when_invariant():
-    assert ShiftInvariance(True, 0.0, 1.0)
-    assert not ShiftInvariance(False, 2.0, 1.0)
+    # The verdict is its evidence: residual within the bound, a NaN never.
+    assert ShiftInvariance(0.0, 1.0) and ShiftInvariance(1.0, 1.0)
+    assert not ShiftInvariance(2.0, 1.0)
+    assert not ShiftInvariance(float("nan"), 1.0)
+    assert bool(ShiftInvariance(np.float64(0.5), np.float64(1.0))) is True
 
 
 def test_blocks_are_computed_once():
     dec = decompose(demo_graph())
     assert dec.blocks is dec.blocks
     assert [b.size for b in dec.blocks] == [1] * 5
+
+
+def test_a_decomposition_holds_no_square_array_but_its_basis():
+    # J is kept as its eigenvalues and chain heads: the basis and its
+    # inverse are the only n x n arrays, in the record and in J's layout.
+    chain = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    for g in (demo_graph(), ring_graph(6), chain):
+        dec = decompose(g)
+        assert dec.blocks  # cached in the record from here on
+        held = {**vars(dec), **vars(dec._bidiagonal)}
+        square = sorted(k for k, x in held.items() if np.shape(x) == (dec.n, dec.n))
+        assert square == ["v", "v_inv"]
+
+
+def test_decomposition_refuses_a_j_that_does_not_fit_its_basis():
+    basis = dict(is_unitary_basis=True, basis_condition=3.0, cluster_tol=1e-9, residual=0.0)
+
+    def build(eigenvalues, proper_indices):
+        return SpectralDecomposition(np.eye(3), eigenvalues, proper_indices, np.eye(3), **basis)
+
+    dec = build(np.array([0.0, 1.0, 1.0]), (0, 1))  # a 1x1 and a 2x2 block
+    assert [(b.size, b.start) for b in dec.blocks] == [(1, 0), (2, 1)]
+    for eigenvalues in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3))):
+        with pytest.raises(InvalidValueError, match="eigenvalues of shape"):
+            build(eigenvalues, (0, 1, 2))
+    # Column 0 continues no chain; heads ascend strictly, as integers, below n.
+    for proper in ((), (1, 2), (0, 2, 1), (0, 0, 1), (0, 3), (-1, 0), (0, 1.0), [[0, 1]]):
+        with pytest.raises(InvalidValueError, match="proper indices"):
+            build(np.zeros(3), proper)

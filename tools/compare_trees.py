@@ -26,10 +26,11 @@ the rows ``decompose - kernel`` and ``op - decompose`` are differences of
 those per-member mins and show where a gain sits.
 
 ``--check`` asserts, for every member of the given seeds (default 7 and
-401), that both trees return bit-identical ``v``, ``j``, ``v_inv``,
-``residual``, ``basis_condition``, ``blocks``, ``is_unitary_basis``,
-``gft``, ``igft(gft)`` and both filter domains' outputs, the same
-warnings, and equal typed refusals (class name and message). On
+401), that both trees return bit-identical ``v``, ``eigenvalues``,
+``proper_indices``, ``v_inv``, ``reconstruct()``, ``residual``,
+``basis_condition``, ``blocks``, ``is_unitary_basis``, ``gft``,
+``igft(gft)`` and both filter domains' outputs, the same warnings, and
+equal typed refusals (class name and message). On
 ``cli-mixed`` it runs every command of each seed's cycle against both
 trees and compares stdout, stderr and the exit code byte for byte. The
 exit code is 1 on any difference.
@@ -187,8 +188,10 @@ def outputs(pkg, lap, signals, taps) -> dict:
             out = {"refused": (type(exc).__name__, str(exc))}
         else:
             out = {name: getattr(dec, name) for name in (
-                "v", "j", "v_inv", "residual", "basis_condition", "is_unitary_basis",
+                "v", "eigenvalues", "proper_indices", "v_inv", "residual", "basis_condition",
+                "is_unitary_basis",
             )}
+            out["reconstruct()"] = dec.reconstruct()
             out["blocks"] = [(b.eigenvalue, b.size, b.start) for b in dec.blocks]
             for s, f in enumerate(signals):
                 f_hat = pkg.gft(dec, f)
