@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .graph import _as_square, _Record, signal_values
+from .graph import _as_square, _Record, _unit_scale, signal_values
 from .linalg import (
     SpectralDecomposition,
     cluster_eigenvalues,
@@ -61,8 +61,11 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
 
 
 class ShiftInvariance(_Record):
-    """Commutation verdict as its evidence: ``residual`` (the Frobenius norm
-    of L H - H L) and the ``bound`` it is compared against.
+    """Commutation verdict as its evidence: ``residual``, the relative
+    commutator ``||L H - H L||_F / (||L||_F ||H||_F)`` (0 when the commutator
+    is exactly 0), and the ``bound`` it is compared against,
+    :data:`COMMUTATOR_TOL`. Both are ratios, so they read the same in any
+    unit of weight.
 
     Truthy exactly when ``residual <= bound``, so the result drops into any
     boolean context and cannot hold a verdict its evidence contradicts.
@@ -82,16 +85,20 @@ def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
     """Whether an operator commutes with the graph shift.
 
     S = I - L commutes with H exactly when L does, so the test runs on
-    the Laplacian directly. The residual ``||L H - H L||_F`` is compared
-    against ``COMMUTATOR_TOL * ||L||_F * ||H||_F``. An operator that is not
-    n x n raises :class:`NonSquareError` or :class:`DimensionMismatchError`.
+    the Laplacian directly, after each of ``L`` and ``H`` is brought to
+    unit scale (:func:`dgft.graph._unit_scale`), so that no product
+    overflows or underflows. The relative residual
+    ``||L H - H L||_F / (||L||_F ||H||_F)`` is compared against
+    ``COMMUTATOR_TOL``. An operator that is not n x n raises
+    :class:`NonSquareError` or :class:`DimensionMismatchError`.
     """
     m, op = as_laplacian(lap).matrix, _as_square(operator)
     if len(op) != len(m):
         raise DimensionMismatchError(f"operator is {len(op)}x{len(op)}, graph has {len(m)} nodes")
-    bound = COMMUTATOR_TOL * float(np.linalg.norm(m)) * float(np.linalg.norm(op))
-    residual = float(np.linalg.norm(m @ op - op @ m))
-    return ShiftInvariance(residual=residual, bound=bound)
+    (m, _), (op, _) = _unit_scale(m), _unit_scale(op)
+    residual = float(np.linalg.norm(m @ op - op @ m))  # nonzero only if m and op are
+    residual = residual and residual / (float(np.linalg.norm(m)) * float(np.linalg.norm(op)))
+    return ShiftInvariance(residual=residual, bound=COMMUTATOR_TOL)
 
 
 class EigenvalueMultiplicity(_Record):

@@ -59,6 +59,27 @@ def _as_square(matrix, *, copy: bool = False) -> np.ndarray:
     return a
 
 
+def _ldexp(x: np.ndarray, e) -> np.ndarray:
+    """``x * 2^e``, real or complex: exact within float64's normal range."""
+    if x.dtype.kind != "c":
+        return np.ldexp(x, e)
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+    return out
+
+
+def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(2^-e m, e)`` for a matrix or each matrix of a stack, exactly
+    (:func:`_ldexp`): ``e`` is even, as ``eig``'s bits follow ``4^k m`` but
+    not ``2 m``, and brings the largest real or imaginary part into [1/4, 1)
+    (0 for a zero matrix). Read off the parts, not a norm, it overflows at no scale."""
+    parts = np.maximum(np.abs(m.real), np.abs(m.imag)) if m.dtype.kind == "c" else np.abs(m)
+    e = np.frexp(parts.max(axis=(-2, -1), initial=0.0))[1]
+    del parts  # freed before the scaled copy is allocated, which then reuses its pages
+    e += e & 1
+    return _ldexp(m, -e[..., None, None]), e
+
+
 def is_normal(m: np.ndarray) -> np.ndarray:
     """``m mᴴ = mᴴ m`` for each matrix of a stack ``m`` (shape (..., k, k)):
     the commutator within NORMALITY_TOL * ||m||_F^2 (Frobenius), one
@@ -70,14 +91,12 @@ def is_normal(m: np.ndarray) -> np.ndarray:
     matrices in O(k^2), since ``||C x|| <= ||C||_F ||x||``; only a stack
     with a matrix that passes the probe pays the O(k^3) commutator.
 
-    Both sides scale with ``|m|^2``, so each matrix is first scaled by the
-    power of two that brings its largest entry into [1/2, 1) (as near as
-    float64 reaches). That is exact, so verdicts on ``2^k m`` and ``m``
-    agree: no large weight overflows, no small commutator underflows into
-    "normal".
+    Both sides scale with ``|m|^2``, so each matrix is first brought to
+    unit scale on its own (:func:`_unit_scale`). That is exact, so verdicts
+    on ``2^k m`` and ``m`` agree: no large weight overflows, no small
+    commutator underflows into "normal".
     """
-    e = np.frexp(np.max(np.abs(m), axis=(-2, -1), initial=0.0))[1]
-    m = m * np.ldexp(1.0, -np.maximum(e, np.finfo(float).minexp))[..., None, None]
+    m = _unit_scale(m)[0]
     ms = m.conj().swapaxes(-1, -2)
     bound = NORMALITY_TOL * np.linalg.norm(m, axis=(-2, -1)) ** 2
     x = np.cos(np.arange(m.shape[-1]))[:, None]  # fixed and generic: no structure to align with
@@ -92,8 +111,9 @@ class _Record:
     code generation, which cost every process about 8 ms of import (2-vCPU
     Xeon). A subclass's annotated names are its fields, in order; its
     ``__init__`` stores them once through ``self.__dict__``. Equality (within
-    one class), the hash and the repr go by the field tuple. A subclass
-    inherits its base's fields, as a subclass of a dataclass does.
+    one class, array fields by value), the hash and the repr go by the field
+    tuple. A subclass inherits its base's fields, as a subclass of a
+    dataclass does.
     """
 
     _fields: tuple[str, ...] = ()
@@ -113,7 +133,10 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return all(
+            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+            for x, y in zip(self._astuple(), other._astuple())
+        )
 
     def __hash__(self):
         return hash(self._astuple())

@@ -57,7 +57,7 @@ from .errors import (
     ReconstructionError,
     SingularMatrixError,
 )
-from .graph import _as_square, _Record, is_normal, real_or_complex
+from .graph import _as_square, _ldexp, _Record, _unit_scale, is_normal, real_or_complex
 
 # Rank decisions treat singular values below rank_tol * ||matrix||_F as zero.
 DEFAULT_RANK_TOL = 1e-8
@@ -77,21 +77,6 @@ def _default_cluster_tol(n: int, norm: float) -> float:
     eigenvalues cluster back together without merging distinct ones.
     """
     return 1e-6 * norm / n
-
-
-def _frobenius(a: np.ndarray, recon_tol: float) -> float:
-    """``||A||_F``, the scale of the default cluster tolerance, the zero
-    snap and the certificate bound ``recon_tol * ||A||_F``. A bound that
-    overflows certifies nothing, and neither does a norm that underflows to
-    0 on a nonzero ``A``: :class:`ReconstructionError` before any kernel.
-    """
-    with np.errstate(over="ignore"):  # an overflowed norm is refused just below
-        norm = float(np.linalg.norm(a))
-    if not math.isfinite(recon_tol * norm):
-        raise ReconstructionError("recon_tol * ||A||_F overflows; nothing can be certified")
-    if norm == 0 and a.any():
-        raise ReconstructionError("||A||_F underflows; nothing can be certified")
-    return norm
 
 
 class JordanBlock(_Record):
@@ -192,9 +177,11 @@ class SpectralDecomposition(_Record):
         return self.basis_condition > ILL_CONDITIONED_LIMIT
 
     def reconstruct(self) -> np.ndarray:
-        """Recompute ``(V J) V^{-1}``, the product the decomposition was
-        certified with (``V J`` by :class:`_Bidiagonal`); compare it against
-        the input to bound the error."""
+        """Recompute ``(V J) V^{-1}`` from the fields (``V J`` by
+        :class:`_Bidiagonal`); compare it against the input to bound the
+        error. A real ``A``'s complex basis was certified block by block in
+        its real pair form ``(W B) Z`` (:func:`_finish`): the same product,
+        summed in another order."""
         return (self.v @ self._bidiagonal) @ self.v_inv
 
 
@@ -504,7 +491,8 @@ def _finish(
        ``cluster_tol`` times ``2^scale``; column p of each chain (the head
        is p = 0) times ``2^(-scale p)`` and its row of ``V^-1`` times
        ``2^(scale p)``. A chain that leaves float64's normal range on the
-       way raises :class:`ReconstructionError`.
+       way raises :class:`ReconstructionError`, as does an eigenvalue, the
+       residual or ``cluster_tol`` that overflows, or that underflows to 0.
 
     ``v``, its inverse and the eigenvalues follow the dtype rule
     (:class:`SpectralDecomposition`). A basis condition
@@ -581,8 +569,13 @@ def _finish(
             and np.array_equal(_ldexp(rows, -s[:, None]), v_inv[tail])):
         raise ReconstructionError("a Jordan chain leaves float64's range at this scale")
     v[:, tail], v_inv[tail] = cols, rows
-    lam, residual = _ldexp(lam, scale), float(np.ldexp(residual, scale))
-    cluster_tol = float(np.ldexp(cluster_tol, scale))
+    parts = np.concatenate([lam.view(float), [residual, cluster_tol]])  # lam's real (, imag)
+    back = np.ldexp(parts, scale)
+    if not (np.isfinite(back).all() and back[parts != 0].all()):
+        raise ReconstructionError(
+            "an eigenvalue, the residual or cluster_tol leaves float64's range at this scale"
+        )
+    lam, (residual, cluster_tol) = back[:-2].view(lam.dtype), back[-2:].tolist()
     mag = np.abs(v)  # a unitary V^-1 laid out as V^H has |V|^T for magnitudes, bit for bit
     inv = mag.T if all(unitary) and v_inv.flags.f_contiguous else np.abs(v_inv)
     condition = float(mag.sum(axis=0).max() * inv.sum(axis=0).max())  # ||V||_1 ||V^-1||_1
@@ -605,8 +598,8 @@ def _finish(
     )
 
 
-# Scaling a chain back to A's scale can overflow, which _finish refuses; a kernel's
-# non-finite output fails the certificate. Neither gives a numpy warning first.
+# Scaling back to A's scale can overflow, which _finish refuses; so can a product with a
+# near-singular inverse, which fails the certificate. Neither gives a numpy warning first.
 @np.errstate(over="ignore", invalid="ignore")
 def jordan_decompose(
     a,
@@ -649,16 +642,14 @@ def jordan_decompose(
     above ``recon_tol`` relative raises :class:`ReconstructionError`, which
     also refuses a component a route cannot reproduce; a basis condition
     above :data:`ILL_CONDITIONED_LIMIT` raises
-    :class:`IllConditionedBasisWarning`. Everything runs on ``2^-e A``, e
-    even and ``||2^-e A||_F`` in [1/4, 1), so ``4^k A`` decomposes as ``A``
-    does, bit for bit, at any scale whose chains fit in float64.
+    :class:`IllConditionedBasisWarning`. Everything runs on ``2^-e A`` at
+    unit scale (:func:`dgft.graph._unit_scale`), so ``4^k A`` decomposes as
+    ``A`` does, bit for bit, at any scale whose chains and eigenvalues fit.
     """
-    a = _as_square(a)
-    n, norm = len(a), _frobenius(a, recon_tol)
-    # Every kernel runs at ||.||_F in [1/4, 1); e is even, as eig's bits follow 4^k A, not 2 A.
-    e = 2 * math.ceil(math.frexp(norm)[1] / 2)
-    a = a * np.ldexp(1.0, -e)
-    norm = float(np.linalg.norm(a))
+    a, e = _unit_scale(_as_square(a))  # every kernel runs at unit scale
+    n, norm = len(a), float(np.linalg.norm(a))
+    if not math.isfinite(recon_tol * norm):
+        raise ReconstructionError(f"recon_tol {recon_tol!r} overflows; nothing can be certified")
     ct = _default_cluster_tol(n, norm) if cluster_tol is None else np.ldexp(float(cluster_tol), -e)
     home = _component_minima(n, *np.divmod(np.flatnonzero(a != 0), n))  # nonzeros as edges
     size = np.bincount(home)[home]
@@ -692,6 +683,7 @@ def jordan_decompose(
         for cluster in [c for c in clusters if len(c) > 1 and route == 2]:
             i, t = np.divmod(cluster, k)  # one component
             lam = complex(np.mean(w[cluster]))
+            lam = 0j if abs(lam) <= tol * norm else lam  # the zero snap's threshold
             mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
             found = _jordan_chains(sub[i[0]], mu, len(cluster), tol)
             # The chains take the cluster's first columns, longest first. A shortfall is a
@@ -709,7 +701,7 @@ def jordan_decompose(
         a, home, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
         np.unique(np.concatenate(chains), return_inverse=True)[1],
         norm=norm, tol=tol, cluster_tol=ct, unitary=[route < 2 for route, *_ in stacks],
-        recon_tol=recon_tol, scale=e,
+        recon_tol=recon_tol, scale=int(e),
     )
 
 
@@ -770,15 +762,6 @@ def _pair_form(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     out[:, c + 1] = m[:, c].imag
     out[:, c] = m[:, c].real
     return real_or_complex(out)
-
-
-def _ldexp(x: np.ndarray, e) -> np.ndarray:
-    """``x * 2^e``, real or complex: exact within float64's normal range."""
-    if x.dtype.kind != "c":
-        return np.ldexp(x, e)
-    out = np.empty_like(x)
-    out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
-    return out
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:

@@ -467,21 +467,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("weight", ["1e300", "1e154"])
     def test_overflowing_weight_exits_4(self, capsys, tmp_path, weight):
-        # ||L||_F overflows, so no residual can be certified: the parent
-        # printed a spectrum of 3.3e299s (1e300) and exited 0.
-        graph = tmp_path / "big.txt"
-        graph.write_text(f"nodes 3\n1 2 {weight}\n2 3 1\n3 1 1\n")
+        # ||L||_F is taken at unit scale, where it cannot overflow, so a
+        # 3-cycle with one heavy edge transforms. A 5-node path at that weight
+        # has a chain tail that float64 cannot hold there: one typed line and
+        # exit 4, in process and in a fresh interpreter, with no numpy note first.
+        cycle, path = tmp_path / "cycle.txt", tmp_path / "path.txt"
+        cycle.write_text(f"nodes 3\n1 2 {weight}\n2 3 1\n3 1 1\n")
+        path.write_text("nodes 5\n" + "".join(f"{i} {i + 1} {weight}\n" for i in range(1, 5)))
         signal = tmp_path / "signal.json"
         signal.write_text('{"n": 3, "values": [1, 2, 3]}')
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy overflow note comes first
-            code, out, err = run_cli(capsys, "gft", str(graph), "--signal", str(signal))
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "gft", str(cycle), "--signal", str(signal))
+            assert (code, err) == (0, "")
+            (tmp_path / "spectrum.csv").write_text(out)
+            spectrum = load_spectrum(tmp_path / "spectrum.csv")
+            assert spectrum.eigenvalues[-1] == pytest.approx(float(weight), rel=1e-15)
+            code, out, err = run_cli(capsys, "analyze", str(path))
         assert code == 4
         assert out == ""
         assert err.startswith("dgft: error: ReconstructionError")
+        assert "float64's range" in err
         assert len(err.splitlines()) == 1
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "dgft.cli", "gft", str(graph), "--signal", str(signal)],
+            [sys.executable, "-W", "error", "-m", "dgft.cli", "analyze", str(path)],
             capture_output=True, text=True, env=env_importing_dgft(),
         )
         assert proc.returncode == 4
@@ -490,17 +499,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("weight", ["5e-324", "1e-310", "1e-305", "1e-200", "1e-162"])
     def test_underflowing_weight_exits_4(self, capsys, tmp_path, weight):
-        # ||L||_F underflows to 0, so no residual can be certified: the
-        # parent reported three 1x1 blocks with residual 0.0 and exited 0.
-        graph = tmp_path / "tiny.txt"
-        graph.write_text(f"nodes 3\n1 2 {weight}\n2 3 {weight}\n")
+        # ||L||_F is taken at unit scale, where it cannot underflow to 0, so
+        # the 3-node path's blocks [1, 2] are analyzed wherever its chain
+        # tail fits in float64. Where it does not, and for the 4-node path at
+        # every one of these weights, the run exits 4.
+        fits = float(weight) >= 1e-305
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "analyze", str(graph))
-        assert code == 4
-        assert out == ""
-        assert err.startswith("dgft: error: ReconstructionError")
-        assert "underflows" in err
+            for k in (3, 4):
+                graph = tmp_path / f"path{k}.txt"
+                edges = "".join(f"{i} {i + 1} {weight}\n" for i in range(1, k))
+                graph.write_text(f"nodes {k}\n{edges}")
+                code, out, err = run_cli(capsys, "analyze", str(graph))
+                if k == 3 and fits:
+                    assert code == 0
+                    assert [b["size"] for b in json.loads(out)["blocks"]] == [1, 2]
+                    continue
+                assert code == 4
+                assert out == ""
+                assert err.startswith("dgft: error: ReconstructionError")
+                assert "float64's range" in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from dgft import (
     DimensionMismatchError,
     EmptyTapsError,
+    Graph,
     NonSquareError,
     apply_spectral_domain,
     apply_vertex_domain,
@@ -22,6 +25,7 @@ from dgft import (
     shift,
     shift_operator,
 )
+from dgft.filters import COMMUTATOR_TOL
 from conftest import defective_zoo, jordan_matrix, make_random_digraph, make_random_undirected
 
 
@@ -193,11 +197,22 @@ class TestShiftInvariance:
         h = materialize(g, [0.5, 1.5, -0.5])
         verdict = is_shift_invariant(g, h)
         assert bool(verdict)
-        assert 0.0 <= verdict.residual <= verdict.bound
+        assert 0.0 <= verdict.residual <= verdict.bound == COMMUTATOR_TOL
         lap = directed_laplacian(g).matrix
-        assert verdict.bound == pytest.approx(
-            1e-10 * np.linalg.norm(lap) * np.linalg.norm(h), rel=1e-12
-        )
+        want = np.linalg.norm(lap @ h - h @ lap) / (np.linalg.norm(lap) * np.linalg.norm(h))
+        assert verdict.residual == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("weight", [1.0, 1e-170, 1e-200, 1e160, 1e300])
+    def test_verdict_holds_at_any_weight_scale(self, weight):
+        # Both operands are brought to unit scale first, so no product
+        # underflows into "commutes" or overflows into a numpy warning.
+        g = Graph(n=3, weights=weight * ring_graph(3).weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_shift_invariant(g, np.diag([1.0, 2.0, 3.0]))
+            for h in (np.eye(3), directed_laplacian(g).matrix, materialize(g, [0.5, 1.5])):
+                verdict = is_shift_invariant(g, h)
+                assert verdict and verdict.bound == COMMUTATOR_TOL
 
     def test_laplacian_commutes_with_itself_exactly(self):
         g = demo_graph()

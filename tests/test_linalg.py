@@ -539,6 +539,19 @@ class TestRealArithmetic:
         assert sizes == sorted(length - 1 for length in lengths)
         assert np.linalg.norm(dec.reconstruct() - lap) <= 1e-8 * np.linalg.norm(lap)
 
+    @pytest.mark.parametrize("weight", [1.0, 1j], ids=["real", "complex"])
+    def test_nilpotent_pair_is_one_block_at_zero(self, weight):
+        # Weights w (0 -> 1) and -w (1 -> 0) give L^2 = 0 exactly: one 2-block
+        # at 0. The two computed eigenvalues are about 1e-16, and so is their
+        # cluster mean, which lies within tol * ||L||_F of 0; the chains are
+        # built at exactly 0, where the power L^2 has rank 0. Built at the
+        # complex mean instead, (L - mu I)^2 kept rank 2, and the basis failed.
+        lap = directed_laplacian(build_graph(2, [(0, 1, weight), (1, 0, -weight)])).matrix
+        dec = jordan_decompose(lap)
+        assert [b.size for b in dec.blocks] == [2]
+        assert dec.eigenvalues.tolist() == [0.0, 0.0]
+        assert dec.residual == 0.0
+
 
 def _reference_chains(a, lam, multiplicity, rank_tol):
     """Chain extraction that re-projects every candidate against the whole
@@ -1065,36 +1078,57 @@ class TestCertificate:
 
     @pytest.mark.parametrize("weight", [1e300, 1e154])
     def test_overflowing_bound_is_refused(self, weight):
-        # ||L||_F overflows to inf, so recon_tol * ||L||_F would
-        # accept any residual, the infinite one included. The refusal is
-        # the only signal: no numpy overflow warning comes before it.
+        # ||L||_F is taken at unit scale, where it cannot overflow, so heavy
+        # weights certify: a 3-cycle with one heavy edge (the Jordan route)
+        # and its undirected twin (the Hermitian route). Only a recon_tol so
+        # large that recon_tol * ||L||_F overflows even at unit scale is
+        # refused, as that bound would accept any residual. No numpy
+        # overflow warning comes before either outcome.
         g = build_graph(3, [(0, 1, weight), (1, 2, 1.0), (2, 0, 1.0)])
         lap = directed_laplacian(g).matrix
         edges = [(0, 1, weight), (1, 0, weight), (1, 2, 1.0), (2, 1, 1.0)]
-        undirected = directed_laplacian(build_graph(3, edges)).matrix  # the Hermitian route's
+        undirected = directed_laplacian(build_graph(3, edges)).matrix
+        ring = directed_laplacian(ring_graph(6)).matrix  # ||.||_F above 1 at unit scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not is_normal(lap)
-            for a in (lap, undirected):
+            for a, top in ((lap, weight), (undirected, 2 * weight)):
+                for call in (decompose, jordan_decompose):
+                    dec = call(a)
+                    assert dec.eigenvalues[-1] == pytest.approx(top, rel=1e-15)
+                    assert dec.residual <= RECON_LIMIT * weight * np.linalg.norm(a / weight)
+            for a in (weight * ring, weight * (ring + ring.T)):
                 for call in (decompose, jordan_decompose):
                     with pytest.raises(ReconstructionError, match="overflows"):
-                        call(a)
+                        call(a, recon_tol=np.finfo(float).max)
 
     @pytest.mark.parametrize("weight", [5e-324, 1e-310, 1e-305, 1e-200, 1e-162])
     def test_underflowing_norm_is_refused(self, weight):
-        # ||L||_F underflows to 0 on a nonzero L, so the bound
-        # recon_tol * ||L||_F is 0 and the float residual of any basis
-        # could meet it: the parent certified three 1x1 blocks here.
+        # ||L||_F squares no unscaled entry, so it no longer underflows to 0
+        # at these weights: the directed 3-node path certifies its blocks
+        # [1, 2] and the undirected pair its spectrum, each within its bound.
+        # Below float64's normal range the path's chain tail (times 2^1028
+        # and more) cannot be held, nor the pair's cluster_tol (it
+        # underflows to 0): both are refused typed, with no numpy warning.
         lap = directed_laplacian(build_graph(3, [(0, 1, weight), (1, 2, weight)])).matrix
         edges = [(0, 1, weight), (1, 0, weight)]
         undirected = directed_laplacian(build_graph(3, edges)).matrix  # the Hermitian route's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for a in (lap, undirected):
-                for call in (decompose, jordan_decompose):
-                    with pytest.raises(ReconstructionError, match="underflows"):
-                        call(a)
-            edgeless = decompose(np.zeros((3, 3)))  # L = 0 is no underflow
+            warnings.simplefilter("ignore", IllConditionedBasisWarning)
+            for call in (decompose, jordan_decompose):
+                if weight < np.finfo(float).tiny:
+                    for a in (lap, undirected):
+                        with pytest.raises(ReconstructionError, match="float64's range"):
+                            call(a)
+                    continue
+                path, pair = call(lap), call(undirected)
+                assert [b.size for b in path.blocks] == [1, 2]
+                assert path.eigenvalues.tolist() == [0.0, weight, weight]
+                assert pair.eigenvalues.tolist() == [0.0, 0.0, 2 * weight]
+                for dec, a in ((path, lap), (pair, undirected)):
+                    assert dec.residual <= RECON_LIMIT * weight * np.linalg.norm(a / weight)
+            edgeless = decompose(np.zeros((3, 3)))  # L = 0 is at unit scale already
         assert edgeless.residual == 0.0
 
     def test_normality_verdicts_survive_power_of_two_scaling(self):
@@ -1425,6 +1459,25 @@ def _decompose_quietly(lap):
         return decompose(lap)
 
 
+def _assert_jordan_rule_or_refusal(name, lap, k):
+    """``2^k lap`` decomposes as ``lap`` under the Jordan scaling rule, bit
+    for bit, or, where a scaled chain leaves float64's normal range, is
+    refused typed with no numpy warning."""
+    dec = _decompose_quietly(lap)
+    p = np.concatenate([np.arange(b.size) for b in dec.blocks])
+    v = _times_power_of_two(dec.v, -k * p)
+    v_inv = _times_power_of_two(dec.v_inv, (k * p)[:, None])
+    if v is None or v_inv is None:
+        with pytest.raises(ReconstructionError, match="float64's range"):
+            _decompose_quietly(2.0**k * lap)
+        return
+    scaled = _decompose_quietly(2.0**k * lap)
+    assert np.array_equal(scaled.v, v) and np.array_equal(scaled.v_inv, v_inv), (name, k)
+    assert np.array_equal(scaled.eigenvalues, dec.eigenvalues * 2.0**k), (name, k)
+    assert scaled.proper_indices == dec.proper_indices, (name, k)
+    assert scaled.residual == 2.0**k * dec.residual, (name, k)
+
+
 class TestScaleInvariance:
     """Every threshold is a fraction of the input's own size, so 2^k L
     decomposes as L does under the Jordan scaling rule: eigenvalues times
@@ -1453,19 +1506,20 @@ class TestScaleInvariance:
         # from it too, wherever the scaled chains fit in float64; where one
         # does not, the refusal is typed and comes with no numpy warning.
         for name, lap in _scale_corpus():
-            dec = _decompose_quietly(lap)
-            p = np.concatenate([np.arange(b.size) for b in dec.blocks])
-            v = _times_power_of_two(dec.v, -k * p)
-            v_inv = _times_power_of_two(dec.v_inv, (k * p)[:, None])
-            if v is None or v_inv is None:
-                with pytest.raises(ReconstructionError, match="float64's range"):
-                    _decompose_quietly(2.0**k * lap)
-                continue
-            scaled = _decompose_quietly(2.0**k * lap)
-            assert np.array_equal(scaled.v, v) and np.array_equal(scaled.v_inv, v_inv), (name, k)
-            assert np.array_equal(scaled.eigenvalues, dec.eigenvalues * 2.0**k), (name, k)
-            assert scaled.proper_indices == dec.proper_indices, (name, k)
-            assert scaled.residual == 2.0**k * dec.residual, (name, k)
+            _assert_jordan_rule_or_refusal(name, lap, k)
+
+    @pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
+    def test_long_paths_follow_the_jordan_rule_or_refuse_typed(self, k):
+        # Chains of 10 to 40 columns, exact and perturbed: their powers'
+        # norms are taken at unit scale, so they follow the rule as short
+        # chains do, wherever the scaled chains fit in float64.
+        rng = np.random.default_rng(44)
+        for n in (10, 20, 40):
+            for delta in (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+                w = 1.0 + delta * rng.standard_normal(n - 1)
+                edges = [(i, i + 1, float(w[i])) for i in range(n - 1)]
+                lap = directed_laplacian(build_graph(n, edges)).matrix
+                _assert_jordan_rule_or_refusal(f"{n}-path at delta {delta}", lap, k)
 
     @pytest.mark.parametrize("k", [-60, 60])
     def test_structure_survives_far_scaling(self, k):

@@ -14,6 +14,7 @@ import warnings
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from dgft import (
     DgftError,
     Graph,
     IllConditionedBasisWarning,
+    ReconstructionError,
     build_graph,
     decompose,
     directed_laplacian,
@@ -32,7 +34,7 @@ from dgft.linalg import RECON_LIMIT
 from conftest import jordan_matrix, make_random_digraph
 
 DELTAS = (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
-SCALES = (-500, -60, -30, 0, 30, 60, 500)
+SCALES = (-1000, -500, -60, -30, 0, 30, 60, 500, 1000)
 
 
 def _weights(rng, count, delta):
@@ -105,6 +107,12 @@ def _certified_or_refused(name, lap):
             dec = decompose(lap)
     except DgftError:
         return
+    _assert_certified(name, lap, dec)
+
+
+def _assert_certified(name, lap, dec):
+    """The columns of ``dec`` come in frequency order, and its residual
+    against ``lap`` at 50 digits is within the bound."""
     assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n)), name
     with mpmath.workdps(50):
         a = _mp(lap)
@@ -118,6 +126,31 @@ def _certified_or_refused(name, lap):
 def test_decompose_certifies_at_50_digits_or_refuses_typed(case, k):
     family, lap = case
     _certified_or_refused((family, k), 2.0**k * lap)
+
+
+# The directed 3-node path certifies its blocks [1, 2] wherever its chain
+# tail fits in float64; below that, and for the 4-node path's longer tail at
+# these weights, the refusal is typed.
+EXTREME_PATHS = [(3, w, [1, 2]) for w in (1e-305, 1e-200, 1e-162, 1e154, 1e300)]
+EXTREME_PATHS += [(3, w, None) for w in (5e-324, 1e-310)]
+EXTREME_PATHS += [(4, w, None) for w in (1e-305, 1e-200, 1e-160, 1e300)]
+
+
+@pytest.mark.parametrize("k, weight, blocks", EXTREME_PATHS)
+def test_directed_path_at_extreme_weight_certifies_or_refuses_typed(k, weight, blocks):
+    # ||L||_F and every kernel run at unit scale, so no unscaled square
+    # under- or overflows on the way; no numpy warning comes either way.
+    lap = directed_laplacian(build_graph(k, [(i, i + 1, weight) for i in range(k - 1)])).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", IllConditionedBasisWarning)
+        if blocks is None:
+            with pytest.raises(ReconstructionError, match="float64's range"):
+                decompose(lap)
+            return
+        dec = decompose(lap)
+    assert [b.size for b in dec.blocks] == blocks
+    _assert_certified((k, weight), lap, dec)
 
 
 def test_near_defective_union_far_below_unit_scale_certifies():

@@ -121,10 +121,20 @@ def test_equality_is_per_field_and_per_class(cls):
     record = _build(cls)
     assert record.__eq__(object()) is NotImplemented
     assert record != "record" and record is not None
+    assert record == _build(cls, keyword=True)  # array fields by value
     if cls in HASHABLE:
-        assert record == _build(cls, keyword=True)
         first, *rest = RECORDS[cls][0]
         assert record != cls(type(first)(), *rest)  # the first field empty, zero or false
+
+
+def test_records_holding_arrays_compare_by_value():
+    # Array fields compare with np.array_equal, so a comparison answers
+    # rather than raising numpy's ValueError.
+    assert demo_graph() == demo_graph()
+    assert decompose(demo_graph()) == decompose(demo_graph())
+    assert demo_graph() != ring_graph(5)  # the same n, other weights
+    assert GraphSignal([1.0, 2.0]) != GraphSignal([1.0, 3.0])
+    assert GraphSignal([1.0, 2.0]) != GraphSignal([1.0, 2.0, 3.0])  # arrays of two shapes
 
 
 @pytest.mark.parametrize("cls", CASES)

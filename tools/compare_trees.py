@@ -32,8 +32,10 @@ those per-member mins and show where a gain sits.
 ``igft(gft)`` and both filter domains' outputs, the same warnings, and
 equal typed refusals (class name and message). On
 ``cli-mixed`` it runs every command of each seed's cycle against both
-trees and compares stdout, stderr and the exit code byte for byte. The
-exit code is 1 on any difference.
+trees and compares stdout, stderr and the exit code byte for byte. It
+compares the inputs of ``EXTREME`` the same way, once, after the seeds:
+far from unit scale, where a change to how a matrix's size is measured
+shows first. The exit code is 1 on any difference.
 
 ``--startup`` times what the in-process modes cannot: the start of every
 ``dgft`` process, as ``cli-mixed`` pays it. For ``import dgft.cli`` alone
@@ -79,6 +81,14 @@ IN_PROCESS = ("jordan-decompose", "symmetric-transform")
 # Taps for the filters of the jordan-decompose members, which carry none.
 JORDAN_TAPS = np.array([0.5, -0.25, 0.125, -1.0])
 SIDES = ("parent", "change")
+# (name, n, edges) of the inputs far from unit scale that --check adds: the
+# 3- and 4-node directed paths at weights 1e-300 and 1e300, and a unit 5-ring
+# beside a 3-node path at 1e-200.
+EXTREME = [
+    (f"{k}-path at {w:g}", k, [(i, i + 1, w) for i in range(k - 1)])
+    for k in (3, 4) for w in (1e-300, 1e300)
+] + [("5-ring and 3-path at 1e-200", 8,
+      [(i, (i + 1) % 5, 1.0) for i in range(5)] + [(5, 6, 1e-200), (6, 7, 1e-200)])]
 
 
 def load_side(tree: Path, side: str):
@@ -263,18 +273,22 @@ def startup(trees, workloads, seed: int, k: int, workdir: Path) -> int:
     return 1 if failures else 0
 
 
+def differing(sides, pair) -> list:
+    """The keys of :func:`outputs` on which the sides differ for one member."""
+    got = [outputs(pkg, *member) for (pkg, _), member in zip(sides, pair)]
+    return [key for key in sorted(set(got[0]) | set(got[1])) if got[0].get(key) != got[1].get(key)]
+
+
 def check(sides, trees, seeds, workdir: Path) -> int:
     failures = compared = 0
     for seed in seeds:
         for name in IN_PROCESS:
             built = [members(pkg, wl, name, seed, workdir)[1] for pkg, wl in sides]
             for i, pair in enumerate(zip(*built)):
-                got = [outputs(pkg, *member) for (pkg, _), member in zip(sides, pair)]
                 compared += 1
-                for key in sorted(set(got[0]) | set(got[1])):
-                    if got[0].get(key) != got[1].get(key):
-                        failures += 1
-                        print(f"DIFFERS {name} seed {seed} member {i}: {key}")
+                for key in differing(sides, pair):
+                    failures += 1
+                    print(f"DIFFERS {name} seed {seed} member {i}: {key}")
         runs = []
         for tree, (_, wl) in zip(trees, sides):
             shutil.rmtree(workdir, ignore_errors=True)
@@ -287,7 +301,15 @@ def check(sides, trees, seeds, workdir: Path) -> int:
                     failures += 1
                     print(f"DIFFERS cli-mixed seed {seed} {' '.join(argv[:2])}: {label}")
     print(f"{compared} members and commands compared, {failures} differences")
-    return 1 if failures else 0
+    extreme = 0
+    for name, n, edges in EXTREME:
+        pair = [(pkg.directed_laplacian(pkg.build_graph(n, edges)), [np.cos(np.arange(n))],
+                 JORDAN_TAPS) for pkg, _ in sides]
+        for key in differing(sides, pair):
+            extreme += 1
+            print(f"DIFFERS extreme {name}: {key}")
+    print(f"{len(EXTREME)} extreme-scale inputs compared, {extreme} differences")
+    return 1 if failures or extreme else 0
 
 
 def main(argv=None) -> int:
