@@ -167,21 +167,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = check_lsi_preconditions(dec)
     ordering = order_frequencies(dec.eigenvalues)
 
-    variation = []
-    for b in dec.blocks:
-        col = dec.v[:, b.start]
-        variation.append(
-            {
-                "spectral_index": b.start,
-                "tv": total_variation(lap, col),
-                "lambda_times_l1": abs(complex(b.eigenvalue))
-                * float(np.sum(np.abs(col))),
-            }
-        )
+    # Whole arrays, listed once: no JordanBlock, no Python step per column.
+    w = dec.eigenvalues
+    pairs = np.stack((w.real, w.imag), axis=-1).tolist()
+    heads = np.asarray(dec.proper_indices)
+    starts, sizes = heads.tolist(), np.diff(heads, append=dec.n).tolist()
+    proper = dec.v[:, heads]
+    with np.errstate(over="ignore"):  # a value past float64's range prints null
+        tv = total_variation(lap, proper).tolist()
+        l1 = (np.abs(w[heads]) * np.abs(proper).sum(axis=0)).tolist()
 
     doc = {
         "n": g.n,
-        "undirected": g.is_undirected,
+        "undirected": lap.is_undirected,
         "tol": args.tol,
         "cluster_tol": dec.cluster_tol,
         "diagonalizable": dec.is_diagonalizable,
@@ -189,14 +187,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "basis_condition": dec.basis_condition,
         "ill_conditioned": dec.ill_conditioned,
         "reconstruction_residual": dec.residual,
-        "eigenvalues": [[v.real, v.imag] for v in map(complex, dec.eigenvalues)],
+        "eigenvalues": pairs,
         "blocks": [
-            {
-                "eigenvalue": [b.eigenvalue.real, b.eigenvalue.imag],
-                "size": b.size,
-                "start": b.start,
-            }
-            for b in dec.blocks
+            {"eigenvalue": pairs[s], "size": k, "start": s} for s, k in zip(starts, sizes)
         ],
         "frequency_order": list(ordering.order),
         "frequency_ranks": list(ordering.ranks),
@@ -212,7 +205,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 for e in report.entries
             ],
         },
-        "proper_vector_variation": variation,
+        "proper_vector_variation": [
+            {"spectral_index": s, "tv": t, "lambda_times_l1": x}
+            for s, t, x in zip(starts, tv, l1)
+        ],
     }
     fileio.dump_report(doc, args.output)
     return EXIT_OK

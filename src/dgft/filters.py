@@ -135,16 +135,19 @@ def check_lsi_preconditions(decomposition: SpectralDecomposition) -> Multiplicit
     blocks carrying it; algebraic is the total of their sizes. Distinct
     means separated by more than the decomposition's clustering tolerance.
     Entries follow their first block, so they come in frequency order.
+    A value shared by several blocks is their mean; a lone block's value
+    is its eigenvalue, bit for bit. The blocks are read off the chain
+    heads (``proper_indices``), with no :class:`JordanBlock` built.
     """
-    block_values = [complex(b.eigenvalue) for b in decomposition.blocks]
-    entries = []
-    for cluster in cluster_eigenvalues(block_values, decomposition.cluster_tol):
-        members = [decomposition.blocks[i] for i in cluster]
-        entries.append(
-            EigenvalueMultiplicity(
-                eigenvalue=complex(np.mean([b.eigenvalue for b in members])),
-                algebraic=sum(b.size for b in members),
-                geometric=len(members),
-            )
+    heads = np.asarray(decomposition.proper_indices)
+    values = decomposition.eigenvalues[heads].astype(complex)
+    sizes = np.diff(heads, append=decomposition.n).tolist()
+    listed = values.tolist()
+    return MultiplicityReport(entries=tuple(
+        EigenvalueMultiplicity(
+            eigenvalue=listed[c[0]] if len(c) == 1 else complex(np.mean(values[c])),
+            algebraic=sum(sizes[i] for i in c),
+            geometric=len(c),
         )
-    return MultiplicityReport(entries=tuple(entries))
+        for c in cluster_eigenvalues(values, decomposition.cluster_tol)
+    ))

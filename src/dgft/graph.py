@@ -185,17 +185,8 @@ class Graph(_Record):
 
     @property
     def is_undirected(self) -> bool:
-        """Whether the Laplacian is real and exactly symmetric, in any unit
-        of weight.
-
-        Each component of these graphs takes the Hermitian route of
-        :func:`dgft.linalg.jordan_decompose`, with a real basis and a real
-        spectrum; negative weights count, complex ones do not. Components
-        of normal digraphs (:func:`is_normal`) take the unitary route too,
-        with a complex basis.
-        """
-        m = directed_laplacian(self).matrix
-        return not np.iscomplexobj(m) and np.array_equal(m, m.T)
+        """Whether the Laplacian is undirected (:attr:`DirectedLaplacian.is_undirected`)."""
+        return directed_laplacian(self).is_undirected
 
 
 class GraphSignal(_Record):
@@ -224,18 +215,35 @@ class DirectedLaplacian(_Record):
 
     def __init__(self, matrix):
         m = _as_square(matrix, copy=True)
-        if not np.isfinite(m).all():
+        # At unit scale no row sum overflows, and a non-finite entry makes the
+        # largest absolute row sum non-finite. Row sums are products with ones (BLAS).
+        u, ones = _unit_scale(m)[0], np.ones(len(m))
+        largest = float(np.max(np.abs(u) @ ones))
+        if not np.isfinite(largest):
             raise InvalidValueError("a non-finite entry; not a valid in-degree Laplacian matrix")
-        row_sums = np.abs(m.sum(axis=1))
-        limit = ROW_SUM_TOL * float(np.max(np.abs(m).sum(axis=1), initial=0.0))
-        if np.any(row_sums > limit):
+        row_sums = np.abs(u @ ones)
+        if np.any(row_sums > ROW_SUM_TOL * largest):
             worst = int(np.argmax(row_sums))
             raise InvalidValueError(
-                f"row {worst} sums to {m.sum(axis=1)[worst]:.3e}; "
-                "not a valid in-degree Laplacian"
+                f"row {worst} sums to {row_sums[worst] / largest:.3e} of the largest "
+                "absolute row sum; not a valid in-degree Laplacian"
             )
         m.flags.writeable = False
         self.__dict__.update(matrix=m, n=int(m.shape[0]))
+
+    @property
+    def is_undirected(self) -> bool:
+        """Whether the Laplacian is real and exactly symmetric, in any unit
+        of weight.
+
+        Each component of these graphs takes the Hermitian route of
+        :func:`dgft.linalg.jordan_decompose`, with a real basis and a real
+        spectrum; negative weights count, complex ones do not. Components
+        of normal digraphs (:func:`is_normal`) take the unitary route too,
+        with a complex basis.
+        """
+        m = self.matrix
+        return not np.iscomplexobj(m) and np.array_equal(m, m.T)
 
 
 def signal_values(f, n: int) -> np.ndarray:

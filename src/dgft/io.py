@@ -76,9 +76,11 @@ def _opened(target, mode: str) -> Iterator[IO[str]]:
         yield target
 
 
-def _dump_json(doc, dst, indent: int | None = None) -> None:
+def _dump_json(doc, dst) -> None:
+    """``doc`` on one line. :func:`json.dumps` runs the C encoder; :func:`json.dump`
+    never does, and writes the same text."""
     with _opened(dst, "w") as fh:
-        json.dump(doc, fh, indent=indent)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
@@ -297,9 +299,34 @@ def dump_spectrum_json(spec: Spectrum, dst) -> None:
     _dump_json({"n": spec.n, "entries": entries}, dst)
 
 
+def _null_non_finite(value):
+    """``value`` with every float that is not finite replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_non_finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(v) for v in value]
+    return value
+
+
 def dump_report(doc: dict, dst) -> None:
-    """A JSON report (``dgft analyze``), indented two spaces."""
-    _dump_json(doc, dst, indent=2)
+    """A JSON report (``dgft analyze``): one top-level key per line,
+    indented two spaces, its value as :func:`json.dumps` prints it.
+
+    A number past float64's range (an overflowing ``basis_condition``, say)
+    prints ``null``, as JSON has no infinity; only a value holding one is
+    walked to find it.
+    """
+    lines = []
+    for key, value in doc.items():
+        try:
+            text = json.dumps(value, allow_nan=False)
+        except ValueError:
+            text = json.dumps(_null_non_finite(value), allow_nan=False)
+        lines.append(f"  {json.dumps(key)}: {text}")
+    with _opened(dst, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def _load_spectrum_rows(rows: Iterable[tuple[int, complex, complex]]) -> Spectrum:

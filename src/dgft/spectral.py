@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidValueError
+from .errors import DimensionMismatchError, InvalidValueError
 from .graph import (
     DirectedLaplacian,
     Graph,
@@ -68,13 +68,19 @@ def shift_operator(lap) -> np.ndarray:
     return np.eye(lap.n) - lap.matrix
 
 
-def total_variation(lap, f) -> float:
+def total_variation(lap, f) -> float | np.ndarray:
     """TV(f) = sum of |(L f)_i|: the 1-norm of the signal's local differences.
 
     Zero exactly on constants; for a unit proper eigenvector at lambda it
-    equals |lambda| times the eigenvector's 1-norm.
+    equals |lambda| times the eigenvector's 1-norm. An (n, k) block ``f``
+    gives an array of k values, one per column, from one product ``L f``.
     """
     lap = as_laplacian(lap)
+    if np.ndim(f) == 2:
+        block = real_or_complex(f)
+        if len(block) != lap.n:
+            raise DimensionMismatchError(f"block has {len(block)} rows, graph has {lap.n} nodes")
+        return np.abs(_dot(lap.matrix, block)).sum(axis=0)
     return float(np.sum(np.abs(_dot(lap.matrix, signal_values(f, lap.n)))))
 
 

@@ -413,6 +413,74 @@ class TestAnalyze:
         for entry in doc["proper_vector_variation"]:
             assert entry["tv"] == pytest.approx(entry["lambda_times_l1"], abs=1e-8)
 
+    @pytest.mark.parametrize("source", [[DEMO], ["--ring", "7"], ["digraph"], ["chain"]])
+    def test_variation_is_the_per_column_total_variation(self, capsys, tmp_path, source):
+        # one product L V[:, heads] for the report; each entry is the TV of
+        # its proper column, and |lambda| times its 1-norm, up to sum order
+        if source == ["digraph"]:
+            g = make_random_digraph(np.random.default_rng(5), 40)
+            (tmp_path / "g.txt").write_text(edge_list(g))
+            source = [str(tmp_path / "g.txt")]
+        elif source == ["chain"]:
+            (tmp_path / "g.txt").write_text("nodes 5\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n2 1 0.5\n")
+            source = [str(tmp_path / "g.txt")]
+        code, out, _ = run_cli(capsys, "analyze", *source)
+        assert code == 0
+        g = ring_graph(7) if source[0] == "--ring" else load_graph(source[0])
+        lap, dec = dgft.directed_laplacian(g), decompose(g)
+        rows = json.loads(out)["proper_vector_variation"]
+        assert [r["spectral_index"] for r in rows] == list(dec.proper_indices)
+        for r in rows:
+            col = dec.v[:, r["spectral_index"]]
+            bound = 1e-12 * np.linalg.norm(lap.matrix) * np.abs(col).sum()
+            assert abs(r["tv"] - dgft.total_variation(lap, col)) <= bound
+            lam = abs(complex(dec.eigenvalues[r["spectral_index"]]))
+            assert abs(r["lambda_times_l1"] - lam * float(np.sum(np.abs(col)))) <= bound
+
+    def test_report_is_one_key_per_line(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", DEMO)
+        assert code == 0
+        doc = json.loads(out)
+        lines = out.splitlines()
+        assert (lines[0], lines[-1], len(lines)) == ("{", "}", len(doc) + 2)
+        for line, (key, value) in zip(lines[1:-1], doc.items()):
+            assert line.rstrip(",") == f"  {json.dumps(key)}: {json.dumps(value)}"
+
+    @staticmethod
+    def _strict_json(text):
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def test_overflowing_basis_condition_prints_null(self, capsys, tmp_path):
+        # the 4-node path at 1e154 is certified, but its 1-norm condition
+        # overflows; JSON has no Infinity, so the report says null
+        path = tmp_path / "path.txt"
+        path.write_text("nodes 4\n" + "".join(f"{i} {i + 1} 1e154\n" for i in range(1, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, err) == (0, "")
+        doc = self._strict_json(out)
+        assert doc["basis_condition"] is None
+        assert [b["size"] for b in doc["blocks"]] == [1, 3]
+        assert '  "basis_condition": null,' in out.splitlines()
+
+    def test_overflowing_variation_prints_null(self, capsys, tmp_path):
+        # |lambda| ||v||_1 of the undirected pair at 8e307 is past float64's
+        # range; that entry's numbers print null, with no numpy warning
+        path = tmp_path / "pair.txt"
+        path.write_text("nodes 2\n1 2 8e307\n2 1 8e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, err) == (0, "")
+        doc = self._strict_json(out)
+        assert doc["eigenvalues"][1] == [1.6e308, 0.0]
+        last = doc["proper_vector_variation"][1]
+        assert (last["tv"], last["lambda_times_l1"]) == (None, None)
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):

@@ -13,6 +13,7 @@ from dgft import (
     apply_spectral_domain,
     apply_vertex_domain,
     check_lsi_preconditions,
+    cluster_eigenvalues,
     decompose,
     demo_graph,
     directed_laplacian,
@@ -21,6 +22,7 @@ from dgft import (
     jordan_decompose,
     materialize,
     matrix_polynomial_apply,
+    order_frequencies,
     ring_graph,
     shift,
     shift_operator,
@@ -256,6 +258,41 @@ class TestPreconditions:
         report = check_lsi_preconditions(decompose(demo_graph()))
         mags = [abs(e.eigenvalue) for e in report.entries]
         assert mags == sorted(mags)
+
+    @staticmethod
+    def _grouped_by_block(dec):
+        """The reference: cluster the blocks' eigenvalues, then per cluster the
+        mean of its blocks' values, their total size and their count."""
+        blocks = dec.blocks
+        return [
+            (complex(np.mean([blocks[i].eigenvalue for i in c])),
+             sum(blocks[i].size for i in c), len(c))
+            for c in cluster_eigenvalues([b.eigenvalue for b in blocks], dec.cluster_tol)
+        ]
+
+    @pytest.mark.parametrize("name, g, cluster_tol", [
+        ("defective path", dict(defective_zoo())["chain5"], None),
+        ("two chains", dict(defective_zoo())["two_chains"], None),
+        ("ring with ties", ring_graph(8), None),
+        ("ring merged whole", ring_graph(6), 10.0),
+        ("two disconnected edges", Graph(n=4, weights=np.kron(np.eye(2), [[0, 1], [1, 0]])), None),
+        ("digraph with conjugate pairs", make_random_digraph(np.random.default_rng(3), 12), None),
+    ])
+    def test_report_equals_the_per_block_grouping(self, name, g, cluster_tol):
+        # read off the chain heads, bit for bit what grouping the blocks gives
+        dec = decompose(g, cluster_tol=cluster_tol)
+        got = [(e.eigenvalue, e.algebraic, e.geometric)
+               for e in check_lsi_preconditions(dec).entries]
+        assert got == self._grouped_by_block(dec), name
+        assert all(type(value) is complex for value, _, _ in got)
+
+    def test_reference_cases_hold_what_they_are_named_for(self):
+        digraph = decompose(make_random_digraph(np.random.default_rng(3), 12))
+        assert np.iscomplexobj(digraph.eigenvalues)
+        pair = decompose(Graph(n=4, weights=np.kron(np.eye(2), [[0, 1], [1, 0]])))
+        assert [e.geometric for e in check_lsi_preconditions(pair).entries] == [2, 2]
+        assert order_frequencies(decompose(ring_graph(8)).eigenvalues).tie_groups
+        assert [b.size for b in decompose(dict(defective_zoo())["chain5"]).blocks] == [1, 4]
 
     def test_repeated_diagonal_raw_matrix(self):
         # diagonalizable but with a two-dimensional eigenspace: filters

@@ -224,6 +224,33 @@ class TestDirectedLaplacian:
             with pytest.raises(InvalidValueError, match="non-finite"):
                 decompose(matrix)
 
+    def test_heaviest_weights_get_a_typed_outcome_without_a_warning(self):
+        # Unscaled, the absolute row sums 2e308 overflowed in the row-sum
+        # check itself; at unit scale the pair passes it, and decompose refuses
+        # typed because the eigenvalue 2e308 leaves float64.
+        m = np.array([[1e308, -1e308, 0], [-1e308, 1e308, 0], [0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DirectedLaplacian(m).n == 3
+            with pytest.raises(DgftError):
+                decompose(m)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # unscaled, this row's sum overflowed to inf and so did the limit,
+            # and inf > inf is false: the row was accepted
+            [[1e308, 1e308, -1e308], [0, 0, 0], [0, 0, 0]],
+            [[1e308, -1e308, 0], [-1e308, 1e308, 1e300], [0, 0, 0]],
+            [[5e-324, 0], [0, 0]],
+        ],
+    )
+    def test_row_that_does_not_sum_to_zero_is_refused_at_any_scale(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValueError, match="not a valid in-degree Laplacian"):
+                DirectedLaplacian(np.array(matrix))
+
     def test_accepts_tiny_residual_row_sums(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-14]])
         lap = DirectedLaplacian(m)

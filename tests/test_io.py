@@ -20,6 +20,7 @@ from dgft.io import (
     _value_to_json,
     dump_matrix_csv,
     dump_matrix_json,
+    dump_report,
     dump_signal,
     dump_spectrum_csv,
     dump_spectrum_json,
@@ -254,6 +255,18 @@ class TestMatrixDumps:
         assert doc["rows"][1] == [0.0, 2.0]
 
 
+class TestReport:
+    def test_one_key_per_line_with_non_finite_numbers_as_null(self):
+        doc = {"n": 2, "condition": float("inf"), "rows": [{"tv": float("nan"), "k": 1}],
+               "pair": (1.5, -float("inf")), "ok": [0.1, 2.0]}
+        buf = stdio.StringIO()
+        dump_report(doc, buf)
+        assert buf.getvalue() == (
+            '{\n  "n": 2,\n  "condition": null,\n  "rows": [{"tv": null, "k": 1}],\n'
+            '  "pair": [1.5, null],\n  "ok": [0.1, 2.0]\n}\n'
+        )
+
+
 class TestSpectrumFiles:
     def _demo_spectrum(self):
         dec = decompose(demo_graph())
@@ -279,6 +292,16 @@ class TestSpectrumFiles:
         dump_spectrum_json(spec, buf)
         again = load_spectrum(stdio.StringIO(buf.getvalue()))
         assert np.array_equal(again.coefficients, spec.coefficients)
+
+    def test_json_writers_print_what_json_dump_prints(self):
+        # one json.dumps call (the C encoder); the text is the pure-Python
+        # encoder's, which json.dump runs, byte for byte
+        spec = self._demo_spectrum()
+        for dump, value in ((dump_spectrum_json, spec), (dump_signal, spec.coefficients)):
+            buf, want = stdio.StringIO(), stdio.StringIO()
+            dump(value, buf)
+            json.dump(json.loads(buf.getvalue()), want)
+            assert buf.getvalue() == want.getvalue() + "\n"
 
     def test_format_sniffing(self):
         spec = self._demo_spectrum()

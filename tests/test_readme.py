@@ -76,18 +76,22 @@ def test_readme_shows_cli_output():
 @pytest.mark.parametrize("command, shown", SHOWN, ids=[f"out{k}" for k in range(len(SHOWN))])
 def test_shown_output_is_the_real_output(command, shown, capsys, monkeypatch):
     # Shown lines match the printed ones by position, or by key in a JSON
-    # report; a line with "..." is abridged and checks nothing. An
-    # example without "..." is shown in full.
+    # report, which prints one top-level key per line; a line with "..." is
+    # abridged and checks only that its key is printed, in the shown order.
+    # An example without "..." is shown in full.
     monkeypatch.chdir(ROOT)
     assert main(shlex.split(command, comments=True)) == 0
     out = capsys.readouterr().out
     if shown[0] == "{":
-        doc = json.loads(out)
-        for line in shown[1:-1]:
-            key, value = re.fullmatch(r'\s*"(\w+)": (.*?),?', line).groups()
-            assert key in doc, line
-            if "..." not in value:
-                assert json.loads(value) == doc[key], line
+        json.loads(out)
+        lines = out.splitlines()
+        assert (lines[0], lines[-1], shown[-1]) == ("{", "}", "}")
+        printed = {re.match(r'  "(\w+)": ', line).group(1): line for line in lines[1:-1]}
+        keys = [re.fullmatch(r'  "(\w+)": .*', line).group(1) for line in shown[1:-1]]
+        assert keys == sorted(keys, key=list(printed).index)  # a missing key raises here
+        for key, line in zip(keys, shown[1:-1]):
+            if "..." not in line:
+                assert line == printed[key]
         return
     printed = out.splitlines()
     for want, got in zip(shown, printed):

@@ -123,6 +123,31 @@ class TestVariation:
                     expected, abs=1e-8 * (1 + abs(b.eigenvalue))
                 )
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_block_gives_the_column_by_column_values(self, kind):
+        # one product L F for the block; each value is that column's TV up
+        # to the order of the sums (a real L against a complex block, too)
+        rng = np.random.default_rng(21)
+        g = make_random_digraph(rng, 30)
+        block = rng.standard_normal((30, 7))
+        if kind == "complex":
+            block = block + 1j * rng.standard_normal((30, 7))
+        got = total_variation(g, block)
+        assert got.shape == (7,)
+        want = [total_variation(g, block[:, k]) for k in range(7)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        dec = decompose(g)
+        heads = list(dec.proper_indices)
+        np.testing.assert_allclose(
+            total_variation(directed_laplacian(g), dec.v[:, heads]),
+            [total_variation(g, dec.v[:, s]) for s in heads],
+            rtol=1e-12, atol=1e-12 * np.linalg.norm(directed_laplacian(g).matrix),
+        )
+
+    def test_block_of_the_wrong_height_is_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            total_variation(ring_graph(4), np.ones((5, 2)))
+
     def test_quadratic_form_is_half_squared_difference_norm(self):
         g = demo_graph()
         lap = directed_laplacian(g)

@@ -32,7 +32,12 @@ those per-member mins and show where a gain sits.
 ``igft(gft)`` and both filter domains' outputs, the same warnings, and
 equal typed refusals (class name and message). On
 ``cli-mixed`` it runs every command of each seed's cycle against both
-trees and compares stdout, stderr and the exit code byte for byte. It
+trees and compares stdout, stderr and the exit code byte for byte, except
+``analyze``'s stdout: its two reports must be equal after ``json.loads``,
+but for the ``tv`` and ``lambda_times_l1`` of each proper vector ``v``,
+which are sums whose order may change, and may differ by
+``VARIATION_TOL * ||L||_F * ||v||_1`` (``L`` and ``v`` from the change's
+own decomposition of the graph file). It
 compares the inputs of ``EXTREME`` the same way, once, after the seeds:
 far from unit scale, where a change to how a matrix's size is measured
 shows first. The exit code is 1 on any difference.
@@ -65,6 +70,7 @@ sys.dont_write_bytecode = True  # leave no bytecode cache in either tree
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import json  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -81,6 +87,8 @@ IN_PROCESS = ("jordan-decompose", "symmetric-transform")
 # Taps for the filters of the jordan-decompose members, which carry none.
 JORDAN_TAPS = np.array([0.5, -0.25, 0.125, -1.0])
 SIDES = ("parent", "change")
+# Relative bound, against ||L||_F ||v||_1, on analyze's variation sums.
+VARIATION_TOL = 1e-12
 # (name, n, edges) of the inputs far from unit scale that --check adds: the
 # 3- and 4-node directed paths at weights 1e-300 and 1e300, and a unit 5-ring
 # beside a 3-node path at 1e-200.
@@ -279,6 +287,25 @@ def differing(sides, pair) -> list:
     return [key for key in sorted(set(got[0]) | set(got[1])) if got[0].get(key) != got[1].get(key)]
 
 
+def report_differences(pkg, path: str, stdouts) -> list:
+    """The keys on which two ``analyze`` reports of one graph file differ."""
+    docs = [json.loads(text) for text in stdouts]
+    rows = [doc.pop("proper_vector_variation") for doc in docs]
+    keys = [k for k in sorted(docs[0].keys() | docs[1].keys()) if docs[0].get(k) != docs[1].get(k)]
+    lap = pkg.directed_laplacian(importlib.import_module(f"{pkg.__name__}.io").load_graph(path))
+    v, norm = pkg.decompose(lap).v, float(np.linalg.norm(lap.matrix))
+    indices = [[r["spectral_index"] for r in side] for side in rows]
+    if indices[0] != indices[1]:
+        return keys + ["proper_vector_variation"]
+    for p, c in zip(*rows):
+        bound = VARIATION_TOL * norm * float(np.abs(v[:, p["spectral_index"]]).sum())
+        for field in ("tv", "lambda_times_l1"):
+            x, y = p[field], c[field]  # null where a value overflowed
+            if x != y and (None in (x, y) or not abs(x - y) <= bound):
+                keys.append(f"proper_vector_variation[{p['spectral_index']}].{field}")
+    return keys
+
+
 def check(sides, trees, seeds, workdir: Path) -> int:
     failures = compared = 0
     for seed in seeds:
@@ -296,8 +323,14 @@ def check(sides, trees, seeds, workdir: Path) -> int:
             runs.append(cli_runs(tree, wl, seed, workdir))
         for (argv, *p), (_, *c) in zip(*runs):
             compared += 1
-            for label, x, y in zip(("exit code", "stdout", "stderr"), p, c):
-                if x != y:
+            labels = ["exit code", "stdout", "stderr"]
+            if argv[0] == "analyze" and p[0] == c[0] == 0:
+                labels[1] = None
+                for key in report_differences(sides[1][0], argv[1], (p[1], c[1])):
+                    failures += 1
+                    print(f"DIFFERS cli-mixed seed {seed} {' '.join(argv[:2])}: {key}")
+            for label, x, y in zip(labels, p, c):
+                if label and x != y:
                     failures += 1
                     print(f"DIFFERS cli-mixed seed {seed} {' '.join(argv[:2])}: {label}")
     print(f"{compared} members and commands compared, {failures} differences")
