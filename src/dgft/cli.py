@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NUMERIC = 4
+SUBCOMMANDS = ("laplacian", "gft", "igft", "filter", "analyze")
 
 
 def _tolerance(text: str) -> float:
@@ -173,9 +174,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     heads = np.asarray(dec.proper_indices)
     starts, sizes = heads.tolist(), np.diff(heads, append=dec.n).tolist()
     proper = dec.v[:, heads]
-    with np.errstate(over="ignore"):  # a value past float64's range prints null
-        tv = total_variation(lap, proper).tolist()
-        l1 = (np.abs(w[heads]) * np.abs(proper).sum(axis=0)).tolist()
+    tv = total_variation(lap, proper).tolist()
+    l1 = (np.abs(w[heads]) * np.abs(proper).sum(axis=0)).tolist()
 
     doc = {
         "n": g.n,
@@ -250,69 +250,77 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``dgft`` parser with every subcommand, or with ``command``'s alone."""
     parser = argparse.ArgumentParser(
         prog="dgft",
         description="Graph Fourier transform on directed graphs "
         "(in-degree Laplacian).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.metavar = command and "{" + ",".join(SUBCOMMANDS) + "}"  # the full parser's usage
+    if command in (None, "laplacian"):
+        p = sub.add_parser("laplacian", help="assemble graph matrices and write one out")
+        _add_common(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument(
+            "--matrix",
+            choices=("w", "din", "l"),
+            default="l",
+            help="which matrix to emit: weights, in-degree diagonal, or the "
+            "Laplacian (default l)",
+        )
+        p.set_defaults(func=_cmd_laplacian)
 
-    p = sub.add_parser("laplacian", help="assemble graph matrices and write one out")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--matrix",
-        choices=("w", "din", "l"),
-        default="l",
-        help="which matrix to emit: weights, in-degree diagonal, or the "
-        "Laplacian (default l)",
-    )
-    p.set_defaults(func=_cmd_laplacian)
+    if command in (None, "gft"):
+        p = sub.add_parser("gft", help="transform a signal into the spectral domain")
+        _add_common(p)
+        p.add_argument("--signal", required=True, help="signal JSON file")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=_cmd_gft)
 
-    p = sub.add_parser("gft", help="transform a signal into the spectral domain")
-    _add_common(p)
-    p.add_argument("--signal", required=True, help="signal JSON file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_gft)
+    if command in (None, "igft"):
+        p = sub.add_parser("igft", help="synthesize a signal from a spectrum file")
+        _add_common(p)
+        p.add_argument("--spectrum", required=True, help="spectrum CSV or JSON file")
+        p.set_defaults(func=_cmd_igft)
 
-    p = sub.add_parser("igft", help="synthesize a signal from a spectrum file")
-    _add_common(p)
-    p.add_argument("--spectrum", required=True, help="spectrum CSV or JSON file")
-    p.set_defaults(func=_cmd_igft)
+    if command in (None, "filter"):
+        p = sub.add_parser("filter", help="apply a polynomial filter to a signal")
+        _add_common(p)
+        p.add_argument("--signal", required=True, help="signal JSON file")
+        p.add_argument(
+            "--taps",
+            required=True,
+            help="comma-separated taps, lowest order first (complex as a+bi); "
+            "write a negative first tap as --taps=-1,1",
+        )
+        p.add_argument(
+            "--domain",
+            choices=("vertex", "spectral"),
+            default="vertex",
+            help="where to run the filter (default vertex)",
+        )
+        p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("filter", help="apply a polynomial filter to a signal")
-    _add_common(p)
-    p.add_argument("--signal", required=True, help="signal JSON file")
-    p.add_argument(
-        "--taps",
-        required=True,
-        help="comma-separated taps, lowest order first (complex as a+bi); "
-        "write a negative first tap as --taps=-1,1",
-    )
-    p.add_argument(
-        "--domain",
-        choices=("vertex", "spectral"),
-        default="vertex",
-        help="where to run the filter (default vertex)",
-    )
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("analyze", help="report spectral structure as JSON")
-    _add_common(p)
-    p.set_defaults(func=_cmd_analyze)
+    if command in (None, "analyze"):
+        p = sub.add_parser("analyze", help="report spectral structure as JSON")
+        _add_common(p)
+        p.set_defaults(func=_cmd_analyze)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    command = next(iter(sys.argv[1:] if argv is None else argv), None)  # build only its parser
+    parser = _build_parser(command if command in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning on stderr
+            return args.func(args)
     except (DimensionMismatchError, NonSquareError) as exc:
         print(f"dgft: error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

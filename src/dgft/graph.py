@@ -260,6 +260,13 @@ def signal_values(f, n: int) -> np.ndarray:
     return values
 
 
+def _clean_columns(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> bool:
+    """:func:`build_graph`'s checks on whole, nonempty index and weight columns."""
+    return (weight.dtype.kind in "biufc" and weight.ndim == 1 and not (src == dst).any()
+            and 0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
+            and np.diff(np.sort(dst * n + src)).all())
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int, complex]]) -> Graph:
     """Build a graph from ``(src, dst, weight)`` triples with 0-based indices.
 
@@ -279,11 +286,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, complex]]) -> Graph:
     try:
         src, dst, weight = zip(*edges, strict=True) if edges else ((), (), ())
         clean = all(issubclass(t, Integral) and t is not bool for t in {*map(type, src + dst)})
-        index, weight = np.fromiter(src + dst, np.intp), np.asarray(weight)
-        src, dst = index.reshape(2, -1)
-        clean = clean and weight.dtype.kind in "biufc" and weight.ndim == 1
-        clean = clean and 0 <= index.min() and index.max() < n and not (src == dst).any()
-        clean = clean and np.diff(np.sort(dst * n + src)).all()  # no (src, dst) pair twice
+        (src, dst), weight = np.fromiter(src + dst, np.intp).reshape(2, -1), np.asarray(weight)
+        clean = clean and _clean_columns(n, src, dst, weight)
     except (TypeError, ValueError, OverflowError):  # no edges, not all triples, past int64
         clean = False
     seen: set[tuple[int, int]] = set()
@@ -305,8 +309,12 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, complex]]) -> Graph:
 
 
 def in_degree_matrix(g: Graph) -> np.ndarray:
-    """Diagonal matrix of in-degrees (row sums of the weight matrix)."""
-    return np.diag(g.weights.sum(axis=1))
+    """Diagonal matrix of in-degrees (row sums of the weight matrix), each finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = g.weights.sum(axis=1)
+    if not np.isfinite(d).all():
+        raise InvalidValueError(f"in-degree of node {np.argmin(np.isfinite(d))} overflows float64")
+    return np.diag(d)
 
 
 def out_degree_vector(g: Graph) -> np.ndarray:

@@ -12,27 +12,23 @@ The imaginary unit is ``i`` in every file format, independent of the
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import os
+import warnings
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError
-from .graph import Graph, GraphSignal, build_graph, real_or_complex
+from .errors import GraphSizeError, ParseError
+from .graph import Graph, GraphSignal, _clean_columns, _node_count, build_graph, real_or_complex
 from .spectral import Spectrum
 
 SPECTRUM_HEADER = (
-    "spectral_index",
-    "eig_re",
-    "eig_im",
-    "coeff_re",
-    "coeff_im",
-    "magnitude",
-    "frequency_rank",
+    "spectral_index", "eig_re", "eig_im", "coeff_re", "coeff_im", "magnitude", "frequency_rank"
 )
+_SPECTRUM_COLUMNS = np.dtype({"names": SPECTRUM_HEADER, "formats": [np.intp] + [float] * 6})
+_EDGE_COLUMNS = np.dtype([("src", np.intp), ("dst", np.intp), ("weight", float)])
 
 
 def _fmt_float(x: float) -> str:
@@ -76,12 +72,46 @@ def _opened(target, mode: str) -> Iterator[IO[str]]:
         yield target
 
 
+def _json(value) -> str:
+    """``value`` as :func:`json.dumps` (the C encoder) prints it, but a number past
+    float64's range prints ``null``, as JSON has no infinity; only then is it walked."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError:
+        return json.dumps(_null_non_finite(value))
+
+
+def _null_non_finite(value):
+    """``value`` with every float that is not finite replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_non_finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(v) for v in value]
+    return value
+
+
 def _dump_json(doc, dst) -> None:
-    """``doc`` on one line. :func:`json.dumps` runs the C encoder; :func:`json.dump`
-    never does, and writes the same text."""
+    """``doc`` on one line (:func:`_json`)."""
     with _opened(dst, "w") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(_json(doc))
         fh.write("\n")
+
+
+def _columns(lines: list[str], dtype: np.dtype, **options) -> np.ndarray | None:
+    """``lines`` as rows of ``dtype``'s fields, read by numpy's C text reader as
+    :func:`int` and :func:`float` read them, or None: a field that does not parse, a row
+    of another width, no row, or text that is not ASCII (numpy reads other digits as
+    ASCII ones) or holds ``\\x1c``-``\\x1f`` (numpy strips them off a field)."""
+    if not (text := "".join(lines)).isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            return np.loadtxt(lines, dtype, ndmin=1, **options)
+    except (ValueError, UserWarning):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -91,58 +121,78 @@ def _dump_json(doc, dst) -> None:
 def load_graph(src, *, sum_duplicates: bool = False) -> Graph:
     """Read an edge-list file into a Graph.
 
-    Format: a ``nodes N`` header, then one ``src dst weight`` line per
-    edge with 1-based endpoints. ``#`` starts a comment, blank lines are
-    skipped. Repeated (src, dst) pairs are an error unless
-    ``sum_duplicates`` is set, in which case their weights accumulate.
+    Format: a ``nodes N`` header, then one ``src dst weight`` line per edge with
+    1-based endpoints. ``#`` starts a comment, blank lines are skipped. Repeated (src,
+    dst) pairs are an error unless ``sum_duplicates`` is set, in which case their weights
+    accumulate. Only that or a failed check on the edge columns walks the lines.
     """
     with _opened(src, "r") as fh:
-        n: int | None = None
-        weights: dict[tuple[int, int], complex] = {}
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if n is None:
-                if len(tokens) != 2 or tokens[0] != "nodes":
-                    raise ParseError("expected header 'nodes N'", line=lineno)
-                try:
-                    n = int(tokens[1])
-                except ValueError:
-                    raise ParseError(f"bad node count {tokens[1]!r}", line=lineno) from None
-                if n < 1:
-                    raise ParseError("node count must be positive", line=lineno)
-                continue
-            if len(tokens) != 3:
-                raise ParseError("expected 'src dst weight'", line=lineno)
-            try:
-                src_id, dst_id = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError("endpoints must be integers", line=lineno) from None
-            if not (1 <= src_id <= n and 1 <= dst_id <= n):
-                raise ParseError(
-                    f"endpoint out of range 1..{n}: {src_id} -> {dst_id}", line=lineno
-                )
-            if src_id == dst_id:
-                raise ParseError(f"self-loop on node {src_id}", line=lineno)
-            try:
-                weight = parse_complex(tokens[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            key = (src_id - 1, dst_id - 1)
-            if key in weights:
-                if not sum_duplicates:
-                    raise ParseError(
-                        f"duplicate edge {src_id} -> {dst_id}", line=lineno
-                    )
-                weights[key] += weight
-            else:
-                weights[key] = weight
-        if n is None:
-            raise ParseError("missing 'nodes N' header", line=1)
-        edges = [(s, d, w) for (s, d), w in sorted(weights.items())]
-        return build_graph(n, edges)
+        lines = fh.readlines()
+    k, n = _header(lines)
+    if not sum_duplicates and (graph := _edge_columns(n, lines[k + 1:])) is not None:
+        return graph
+    weights: dict[tuple[int, int], complex] = {}
+    for lineno, raw in enumerate(lines[k + 1:], start=k + 2):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError("expected 'src dst weight'", line=lineno)
+        try:
+            src_id, dst_id = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError("endpoints must be integers", line=lineno) from None
+        if not (1 <= src_id <= n and 1 <= dst_id <= n):
+            raise ParseError(f"endpoint out of range 1..{n}: {src_id} -> {dst_id}", line=lineno)
+        if src_id == dst_id:
+            raise ParseError(f"self-loop on node {src_id}", line=lineno)
+        try:
+            weight = parse_complex(tokens[2])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        key = (src_id - 1, dst_id - 1)
+        if key in weights:
+            if not sum_duplicates:
+                raise ParseError(f"duplicate edge {src_id} -> {dst_id}", line=lineno)
+            weights[key] += weight
+        else:
+            weights[key] = weight
+    edges = [(s, d, w) for (s, d), w in sorted(weights.items())]
+    return build_graph(n, edges)
+
+
+def _header(lines: list[str]) -> tuple[int, int]:
+    """(index, N) of the ``nodes N`` header, the first line not blank or a comment."""
+    for k, raw in enumerate(lines):
+        if not (tokens := raw.split("#", 1)[0].split()):
+            continue
+        if len(tokens) != 2 or tokens[0] != "nodes":
+            raise ParseError("expected header 'nodes N'", line=k + 1)
+        try:
+            n = int(tokens[1])
+        except ValueError:
+            raise ParseError(f"bad node count {tokens[1]!r}", line=k + 1) from None
+        if n < 1:
+            raise ParseError("node count must be positive", line=k + 1)
+        return k, n
+    raise ParseError("missing 'nodes N' header", line=1)
+
+
+def _edge_columns(n: int, lines: list[str]) -> Graph | None:
+    """The graph of edge lines of real weights, read as columns (:func:`_columns`), checked
+    whole as :func:`dgft.build_graph` checks them and written in its final dtype, or None."""
+    try:
+        weights = np.zeros((_node_count(n), n))
+    except (GraphSizeError, MemoryError):  # the walker's build_graph refuses it typed
+        return None
+    if (edges := _columns(lines, _EDGE_COLUMNS, comments="#")) is None:
+        return None
+    src, dst, weight = edges["src"] - 1, edges["dst"] - 1, edges["weight"]
+    if not (np.isfinite(weight).all() and _clean_columns(n, src, dst, weight)):
+        return None
+    weights[dst, src] = weight
+    return Graph(n=n, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +244,14 @@ def load_signal(src) -> GraphSignal:
         raise ParseError("signal file must hold a JSON object")
     if "values" not in doc or not isinstance(doc["values"], list):
         raise ParseError("signal object needs a 'values' list")
-    values = [
-        _value_from_json(item, f"values[{k}]") for k, item in enumerate(doc["values"])
-    ]
-    if not values:
+    items = doc["values"]
+    try:  # plain numbers (a bool is none) as one array
+        values = np.array(items, float) if {*map(type, items)} <= {int, float} else None
+    except OverflowError:  # an int past float64's range
+        values = None
+    if values is None or not np.isfinite(values).all():  # item by item, naming the one refused
+        values = [_value_from_json(v, f"values[{k}]") for k, v in enumerate(items)]
+    if not len(values):
         raise ParseError("signal has no values")
     _check_declared_n(doc, len(values), "values")
     return GraphSignal(values)
@@ -212,8 +266,11 @@ def _check_declared_n(doc: dict, count: int, noun: str) -> None:
 
 
 def dump_signal(signal, dst) -> None:
-    values = signal.values if isinstance(signal, GraphSignal) else np.asarray(signal)
-    _dump_json({"n": int(len(values)), "values": [_value_to_json(v) for v in values]}, dst)
+    """A plain number for a value with no imaginary part, else a [re, im] pair."""
+    v = real_or_complex(signal.values if isinstance(signal, GraphSignal) else signal).ravel()
+    values = v.tolist() if v.dtype.kind != "c" else [
+        re if im == 0.0 else [re, im] for re, im in zip(v.real.tolist(), v.imag.tolist())]
+    _dump_json({"n": len(values), "values": values}, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +302,9 @@ def dump_matrix_json(m, dst) -> None:
     """{"n": N, "rows": [[...], ...]} with number-or-pair entries.
 
     The text :func:`json.dump` writes, with each entry formatted by
-    :func:`json.dumps` and joined by its default separators.
+    :func:`_json` and joined by its default separators.
     """
-    rows = _formatted_rows(m, lambda z: json.dumps(_value_to_json(z)))
+    rows = _formatted_rows(m, lambda z: _json(_value_to_json(z)))
     with _opened(dst, "w") as fh:
         fh.write('{"n": %d, "rows": [' % len(rows))
         fh.write(", ".join("[" + ", ".join(row) + "]" for row in rows))
@@ -258,73 +315,42 @@ def dump_matrix_json(m, dst) -> None:
 # Spectra
 
 
+def _spectrum_table(spec: Spectrum) -> np.ndarray:
+    """The spectrum file's rows, its columns in :data:`SPECTRUM_HEADER`'s order; the
+    magnitude is libm's ``hypot``, as ``abs`` of a complex (numpy's differs in the last bit)."""
+    w, c = spec.eigenvalues.astype(complex), spec.coefficients.astype(complex)
+    columns = (w.real, w.imag, c.real, c.imag, np.hypot(c.real, c.imag), spec.ordering.ranks)
+    return np.stack((np.arange(spec.n), *columns), axis=-1)
+
+
 def dump_spectrum_csv(spec: Spectrum, dst) -> None:
-    """One row per spectral index, in spectral (basis column) order.
+    """One row per spectral index, in spectral (basis column) order, in one ``%``.
 
     A decomposition lists its columns in frequency order, so for a
     spectrum of one (:func:`dgft.spectral.spectrum`) the
     ``frequency_rank`` column reads 0, 1, ..., n-1 down the file.
     """
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
     with _opened(dst, "w") as fh:
         fh.write(",".join(SPECTRUM_HEADER) + "\n")
-        for r in range(spec.n):
-            lam = complex(spec.eigenvalues[r])
-            c = complex(spec.coefficients[r])
-            fields = (
-                str(r),
-                _fmt_float(lam.real),
-                _fmt_float(lam.imag),
-                _fmt_float(c.real),
-                _fmt_float(c.imag),
-                _fmt_float(abs(c)),
-                str(spec.ordering.ranks[r]),
-            )
-            fh.write(",".join(fields) + "\n")
+        fh.write((row * spec.n) % tuple(_spectrum_table(spec).ravel().tolist()))
 
 
 def dump_spectrum_json(spec: Spectrum, dst) -> None:
-    entries = []
-    for r in range(spec.n):
-        lam = complex(spec.eigenvalues[r])
-        c = complex(spec.coefficients[r])
-        entries.append(
-            {
-                "spectral_index": int(r),
-                "eigenvalue": [lam.real, lam.imag],
-                "coefficient": [c.real, c.imag],
-                "magnitude": abs(c),
-                "frequency_rank": spec.ordering.ranks[r],
-            }
-        )
+    entries = [
+        {"spectral_index": int(r), "eigenvalue": [a, b], "coefficient": [x, y],
+         "magnitude": m, "frequency_rank": int(k)}
+        for r, a, b, x, y, m, k in _spectrum_table(spec).tolist()
+    ]
     _dump_json({"n": spec.n, "entries": entries}, dst)
-
-
-def _null_non_finite(value):
-    """``value`` with every float that is not finite replaced by ``None``."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _null_non_finite(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_null_non_finite(v) for v in value]
-    return value
 
 
 def dump_report(doc: dict, dst) -> None:
     """A JSON report (``dgft analyze``): one top-level key per line,
-    indented two spaces, its value as :func:`json.dumps` prints it.
-
-    A number past float64's range (an overflowing ``basis_condition``, say)
-    prints ``null``, as JSON has no infinity; only a value holding one is
-    walked to find it.
+    indented two spaces, its value as :func:`_json` prints it (an
+    overflowing ``basis_condition`` as ``null``, say).
     """
-    lines = []
-    for key, value in doc.items():
-        try:
-            text = json.dumps(value, allow_nan=False)
-        except ValueError:
-            text = json.dumps(_null_non_finite(value), allow_nan=False)
-        lines.append(f"  {json.dumps(key)}: {text}")
+    lines = [f"  {json.dumps(key)}: {_json(value)}" for key, value in doc.items()]
     with _opened(dst, "w") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
@@ -351,7 +377,7 @@ def load_spectrum(src) -> Spectrum:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _load_spectrum_json(stripped)
-    return _load_spectrum_csv(text)
+    return _load_spectrum_csv(text.splitlines())
 
 
 def _load_spectrum_json(text: str) -> Spectrum:
@@ -379,24 +405,39 @@ def _load_spectrum_json(text: str) -> Spectrum:
     return _load_spectrum_rows(rows)
 
 
-def _load_spectrum_csv(text: str) -> Spectrum:
-    reader = csv.reader(text.splitlines())
+def _spectrum_columns(lines: list[str]) -> Spectrum | None:
+    """The spectrum of a CSV file, or None when a check fails: a plain header, then
+    rows (:func:`_columns`) with each ``spectral_index`` in 0..n-1 once, finite values."""
+    if not lines or tuple(h.strip() for h in lines[0].split(",")) != SPECTRUM_HEADER:
+        return None
+    if (rows := _columns(lines[1:], _SPECTRUM_COLUMNS, delimiter=",", comments=None)) is None:
+        return None
+    order = np.argsort(rows["spectral_index"], kind="stable")
+    parts = np.stack([rows[name] for name in SPECTRUM_HEADER[1:5]], axis=-1)[order]
+    if not (np.array_equal(rows["spectral_index"][order], np.arange(len(rows)))
+            and np.isfinite(parts).all()):
+        return None
+    return Spectrum(*parts.view(complex).T)  # (re, im) pairs, exactly: eigenvalue, coefficient
+
+
+def _load_spectrum_csv(lines: list[str]) -> Spectrum:
+    if (spec := _spectrum_columns(lines)) is not None:
+        return spec
+    import csv  # only the walker, which defines the format, reads CSV quoting
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty spectrum file") from None
     if tuple(h.strip() for h in header) != SPECTRUM_HEADER:
-        raise ParseError(
-            "bad header, expected " + ",".join(SPECTRUM_HEADER), line=1
-        )
+        raise ParseError("bad header, expected " + ",".join(SPECTRUM_HEADER), line=1)
     rows = []
     for lineno, fields in enumerate(reader, start=2):
         if not fields or (len(fields) == 1 and not fields[0].strip()):
             continue
         if len(fields) != len(SPECTRUM_HEADER):
             raise ParseError(
-                f"expected {len(SPECTRUM_HEADER)} fields, got {len(fields)}",
-                line=lineno,
+                f"expected {len(SPECTRUM_HEADER)} fields, got {len(fields)}", line=lineno
             )
         try:
             idx = int(fields[0])

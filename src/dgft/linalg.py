@@ -255,6 +255,7 @@ def _nullspace_basis(m: np.ndarray, cutoff: float) -> np.ndarray:
 DEFAULT_TIE_TOL = 1e-10
 
 
+@np.errstate(over="ignore")  # a difference past float64 is inf: no tie, as it should be
 def order_with_ties(
     values, tie_tol: float = DEFAULT_TIE_TOL
 ) -> tuple[list[int], list[tuple[int, ...]]]:

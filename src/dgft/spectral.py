@@ -68,12 +68,13 @@ def shift_operator(lap) -> np.ndarray:
     return np.eye(lap.n) - lap.matrix
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def total_variation(lap, f) -> float | np.ndarray:
     """TV(f) = sum of |(L f)_i|: the 1-norm of the signal's local differences.
 
-    Zero exactly on constants; for a unit proper eigenvector at lambda it
-    equals |lambda| times the eigenvector's 1-norm. An (n, k) block ``f``
-    gives an array of k values, one per column, from one product ``L f``.
+    Zero exactly on constants; for a unit proper eigenvector at lambda it equals
+    |lambda| times the eigenvector's 1-norm. An (n, k) block ``f`` gives an array of
+    k values, one per column, from one product ``L f``. Past float64 it is ``inf``.
     """
     lap = as_laplacian(lap)
     if np.ndim(f) == 2:
@@ -84,8 +85,9 @@ def total_variation(lap, f) -> float | np.ndarray:
     return float(np.sum(np.abs(_dot(lap.matrix, signal_values(f, lap.n)))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quadratic_form(lap, f) -> float:
-    """Quadratic (2-Dirichlet) smoothness: half the squared 2-norm of L f."""
+    """Quadratic (2-Dirichlet) smoothness: half the squared 2-norm of L f (past float64, inf)."""
     lap = as_laplacian(lap)
     diff = _dot(lap.matrix, signal_values(f, lap.n))
     return 0.5 * float(np.real(np.vdot(diff, diff)))

@@ -11,8 +11,8 @@ import pytest
 
 import dgft
 from dgft import Graph, apply_vertex_domain, decompose, demo_graph, gft, ring_graph
-from dgft.cli import main
-from dgft.io import load_graph, load_signal, load_spectrum
+from dgft.cli import SUBCOMMANDS, _build_parser, main
+from dgft.io import SPECTRUM_HEADER, load_graph, load_signal, load_spectrum
 from conftest import DATA, env_importing_dgft, make_random_digraph
 
 DEMO = str(DATA / "demo_graph.txt")
@@ -313,6 +313,21 @@ class TestFilter:
         code, _, _ = run_cli(capsys, "filter", DEMO, "--signal", SIGNAL, "--taps", ",")
         assert code == 2
 
+    @pytest.mark.parametrize("domain", ["vertex", "spectral"])
+    def test_overflowing_output_prints_null_without_a_numpy_warning(self, tmp_path, domain):
+        # 1e300 * 1e300 is past float64's range: every value prints null,
+        # which is JSON, and numpy writes nothing, even under -W error
+        graph, signal = tmp_path / "g.txt", tmp_path / "s.json"
+        graph.write_text(UNDIRECTED)
+        signal.write_text('{"n": 3, "values": [1e300, 2e300, 3e300]}')
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dgft.cli", "filter", str(graph),
+             "--signal", str(signal), "--taps=1e300,1", "--domain", domain],
+            capture_output=True, text=True, env=env_importing_dgft(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert TestAnalyze._strict_json(proc.stdout) == {"n": 3, "values": [None] * 3}
+
     def test_short_signal_exits_3(self, capsys, tmp_path):
         short = tmp_path / "short.json"
         short.write_text('{"n": 2, "values": [1, 2]}')
@@ -588,6 +603,34 @@ class TestExitCodes:
                 assert err.startswith("dgft: error: ReconstructionError")
                 assert "float64's range" in err
 
+    def test_overflowing_in_degree_exits_2_with_one_line(self, capsys, tmp_path):
+        # node 3 (index 2) takes in 1e308 twice: each weight is finite, its
+        # in-degree is not; no command prints a numpy warning or Infinity
+        graph, signal = tmp_path / "g.txt", tmp_path / "s.json"
+        graph.write_text("nodes 3\n1 3 1e308\n2 3 1e308\n")
+        signal.write_text('{"n": 3, "values": [1, 2, 3]}')
+        g, f = str(graph), str(signal)
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text(",".join(SPECTRUM_HEADER) + "\n0,0,0,1,0,1,0\n1,1,0,1,0,1,1\n2,2,0,1,0,1,2\n")
+        runs = [
+            ["laplacian", g], ["laplacian", g, "--matrix", "din"], ["gft", g, "--signal", f],
+            ["igft", g, "--spectrum", str(spectrum)], ["analyze", g],
+            ["filter", g, "--signal", f, "--taps", "1,1"],
+            ["filter", g, "--signal", f, "--taps", "1,1", "--domain", "spectral"],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in runs:
+                assert run_cli(capsys, *argv) == (
+                    2, "", "dgft: error: in-degree of node 2 overflows float64\n"
+                ), argv
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dgft.cli", "laplacian", g, "--matrix", "din"],
+            capture_output=True, text=True, env=env_importing_dgft(),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "dgft: error: in-degree of node 2 overflows float64\n"
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-cluster", "--tol-recon"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, flag, value):
@@ -599,6 +642,25 @@ class TestExitCodes:
     def test_ring_too_small_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "laplacian", "--ring", "1")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["nosuch"]]
+    + [[name, "--help"] for name in SUBCOMMANDS]
+    + [[name, "--no-such-flag"] for name in SUBCOMMANDS]  # the top-level usage
+    + [[name, "--tol=0"] for name in SUBCOMMANDS]  # the subcommand's usage
+    + [[name, "a", "b"] for name in SUBCOMMANDS],
+)
+def test_one_subparser_prints_what_the_full_parser_prints(capsys, argv):
+    # main builds only the subcommand argv names; its help and its usage
+    # errors are the bytes of the parser with every subcommand
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
 
 
 def test_console_script_smoke():

@@ -251,6 +251,17 @@ class TestDirectedLaplacian:
             with pytest.raises(InvalidValueError, match="not a valid in-degree Laplacian"):
                 DirectedLaplacian(np.array(matrix))
 
+    def test_overflowing_in_degree_is_refused_typed_without_a_warning(self):
+        # each weight is finite, but node 2's in-degree 2e308 is not: the
+        # row sum overflowed with numpy's warnings before this was refused
+        g = build_graph(3, [(0, 2, 1e308), (1, 2, 1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (in_degree_matrix, directed_laplacian, lambda g: g.is_undirected):
+                with pytest.raises(InvalidValueError, match="in-degree of node 2 overflows float64"):
+                    call(g)
+            assert out_degree_vector(g).tolist() == [1e308, 1e308, 0.0]
+
     def test_accepts_tiny_residual_row_sums(self):
         m = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-14]])
         lap = DirectedLaplacian(m)

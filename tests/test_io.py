@@ -1,22 +1,33 @@
 import io as stdio
 import json
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgft import (
+    DgftError,
     ParseError,
+    Spectrum,
     decompose,
     demo_graph,
     directed_laplacian,
     spectrum,
 )
-from dgft.graph import GraphSignal
+import dgft.io
+from dgft.graph import Graph, GraphSignal
 from dgft.io import (
     SPECTRUM_HEADER,
+    _edge_columns,
+    _header,
     _fmt_float,
     _format_complex,
+    _spectrum_columns,
+    _value_from_json,
     _value_to_json,
     dump_matrix_csv,
     dump_matrix_json,
@@ -379,3 +390,282 @@ class TestSpectrumFiles:
         p = tmp_path / "spec.csv"
         dump_spectrum_csv(spec, p)
         assert load_spectrum(p).n == 5
+
+
+# ---------------------------------------------------------------------------
+# The column routes against the walkers, which define the formats
+
+
+def _outcome(read):
+    """What a reader gives: the bits of its arrays, or its typed refusal."""
+    try:
+        got = read()
+    except DgftError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None))
+    fields = {Graph: ("weights",), GraphSignal: ("values",), Spectrum: ("eigenvalues", "coefficients")}
+    return tuple((a.dtype.str, a.tobytes()) for a in map(got.__getattribute__, fields[type(got)]))
+
+
+def _walked(read, route: str):
+    """:func:`_outcome` of ``read`` with the column route ``route`` refusing
+    every file, so that the line walker, which defines the format, answers."""
+    with mock.patch.object(dgft.io, route, return_value=None):
+        return _outcome(read)
+
+
+def _body_columns(lines: list[str]):
+    """:func:`_edge_columns` of a file's lines after its header."""
+    k, n = _header(lines)
+    return _edge_columns(n, lines[k + 1:])
+
+
+_EDGE_CASES = (5e-324, -0.0, 0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1)
+_WEIGHTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_CASES))
+
+
+@st.composite
+def _number(draw, x):
+    """``x`` as a file writes it: by repr, by %.17g, with an exponent, or
+    a zero as ``-0``/``0``; every form holds ``x`` exactly."""
+    forms = [repr(x), "%.17g" % x, "%.16e" % x, "%.16E" % x]
+    if x == 0:
+        forms += ["-0", "0", "-0.0e5"]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _edge_files(draw):
+    """(n, edge lines as (src, dst, weight) text, a valid edge-list file)."""
+    n = draw(st.integers(1, 5))
+    pairs = [(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    filler = st.sampled_from(["", "   ", "# a comment", "\t# another"])
+    endpoint = st.sampled_from(["{}", "+{}", "0{}", " {} "])
+    lines = [draw(filler) + end for _ in range(draw(st.integers(0, 2)))]
+    lines.append(f"nodes{draw(sep)}{n}{draw(st.sampled_from(['', ' # header']))}{end}")
+    edges = []
+    for s, d in chosen:
+        w = draw(_number(draw(_WEIGHTS)))
+        edges.append((draw(endpoint).format(s), draw(endpoint).format(d), w))
+        lines.append(draw(sep).join(edges[-1]) + draw(st.sampled_from(["", " # note"])) + end)
+        if draw(st.booleans()):
+            lines.append(draw(filler) + end)
+    return n, edges, lines
+
+
+# One corruption of a valid edge line each; the walker's verdict stands.
+_EDGE_DAMAGE = (
+    lambda n, s, d, w: f"{s} {d}",
+    lambda n, s, d, w: f"{s} {d} {w} 4",
+    lambda n, s, d, w: f"1.5 {d} {w}",
+    lambda n, s, d, w: f"{s} 1_0 {w}",
+    lambda n, s, d, w: f"99999999999999999999 {d} {w}",
+    lambda n, s, d, w: f"0 {d} {w}",
+    lambda n, s, d, w: f"{s} {n + 1} {w}",
+    lambda n, s, d, w: f"{s} {s} {w}",
+    lambda n, s, d, w: f"{s} {d} nan",
+    lambda n, s, d, w: f"{s} {d} inf",
+    lambda n, s, d, w: f"{s} {d} 1e400",
+    lambda n, s, d, w: f"{s} {d} xyz",
+    lambda n, s, d, w: f"{s} {d} 1+2i",
+    lambda n, s, d, w: f"{s} {d} -0.5i",
+    lambda n, s, d, w: f"{s} {d} {w}\n{s} {d} 2",  # a repeated pair
+)
+
+
+class TestEdgeListColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_files())
+    def test_valid_files_give_the_walkers_weights_bit_for_bit(self, file):
+        _, edges, lines = file
+        read = lambda: load_graph(stdio.StringIO("".join(lines)))  # noqa: E731
+        want = _walked(read, "_edge_columns")
+        columns = _body_columns(lines)
+        assert (columns is None) == (not edges)  # a header alone reads no columns
+        if columns is not None:
+            assert _outcome(lambda: columns) == want
+        assert _outcome(read) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_files(), st.data())
+    def test_malformed_files_give_the_walkers_error_and_line(self, file, data):
+        n, edges, lines = file
+        sum_duplicates = data.draw(st.booleans())
+        if edges:
+            k = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.split("#")[0].strip()][1:]))
+            s, d, w = lines[k].split("#")[0].split()
+            lines[k] = data.draw(st.sampled_from(_EDGE_DAMAGE))(n, s, d, w) + "\n"
+        text = "".join(lines)
+        read = lambda: load_graph(stdio.StringIO(text), sum_duplicates=sum_duplicates)  # noqa: E731
+        want = _walked(read, "_edge_columns")
+        columns = _body_columns(stdio.StringIO(text).readlines())
+        assert columns is None or _outcome(lambda: columns) == want
+        assert _outcome(read) == want
+
+    def test_an_empty_body_reads_no_columns_and_warns_nothing(self):
+        # numpy's reader warns "input contained no data"; the walker reads it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _edge_columns(3, ["# no edges\n"]) is None
+            assert not load_graph(stdio.StringIO("nodes 3\n# no edges\n")).weights.any()
+
+    @pytest.mark.parametrize("line", ["\u01fe 2 1\n", "١ 2 1\n", "1 2\x1f 1\n", "1 2 1\r3 1 1\n"])
+    def test_text_the_c_reader_misreads_goes_to_the_walker(self, line):
+        # numpy reads U+01FE as the integer 462 and the Arabic-Indic one as
+        # garbage, not 1; \x1f is a separator to str.split; a lone \r ends a
+        # line to numpy only
+        assert _edge_columns(500, [line]) is None
+        read = lambda: load_graph(stdio.StringIO("nodes 500\n" + line))  # noqa: E731
+        assert _outcome(read) == _walked(read, "_edge_columns")
+
+
+@st.composite
+def _spectrum_files(draw):
+    """(rows as field lists, a valid spectrum CSV file's lines)."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for index in draw(st.permutations(range(n))):
+        values = [draw(_number(draw(_WEIGHTS))) for _ in range(5)]
+        pad = draw(st.sampled_from(["{}", " {}", "{} ", "+{}"]))
+        rows.append([pad.format(index), *values, str(draw(st.integers(0, 9)))])
+    lines = [",".join(SPECTRUM_HEADER)]
+    for row in rows:
+        lines.append(",".join(row))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  "])))
+    return rows, lines
+
+
+_SPECTRUM_DAMAGE = (
+    lambda row: row[:5],
+    lambda row: row + ["1"],
+    lambda row: ["1.5"] + row[1:],
+    lambda row: ["x"] + row[1:],
+    lambda row: ["0"] + row[1:],  # a repeated or missing index
+    lambda row: ["7"] + row[1:],
+    lambda row: row[:1] + ["nan"] + row[2:],
+    lambda row: row[:2] + ["inf"] + row[3:],
+    lambda row: row[:3] + ["1e400"] + row[4:],
+    lambda row: row[:4] + ["xyz"] + row[5:],
+    lambda row: row[:1] + ['"1"'] + row[2:],  # csv quoting: the walker reads 1
+    lambda row: row[:5] + ["magnitude"] + row[6:],  # a column neither reader uses
+)
+
+
+class TestSpectrumColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(_spectrum_files())
+    def test_valid_files_give_the_walkers_spectrum_bit_for_bit(self, file):
+        _, lines = file
+        read = lambda: load_spectrum(stdio.StringIO("\r\n".join(lines)))  # noqa: E731
+        want = _walked(read, "_spectrum_columns")
+        columns = _spectrum_columns(lines)
+        # numpy's reader takes a row of blanks for a field; the walker skips it
+        assert (columns is None) == any(line.isspace() for line in lines)
+        if columns is not None:
+            assert _outcome(lambda: columns) == want
+        assert _outcome(read) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_spectrum_files(), st.data())
+    def test_malformed_files_give_the_walkers_error_and_line(self, file, data):
+        rows, lines = file
+        k = data.draw(st.integers(0, len(rows) - 1))
+        at = lines.index(",".join(rows[k]))
+        lines[at] = ",".join(data.draw(st.sampled_from(_SPECTRUM_DAMAGE))(rows[k]))
+        read = lambda: load_spectrum(stdio.StringIO("\n".join(lines)))  # noqa: E731
+        want = _walked(read, "_spectrum_columns")
+        columns = _spectrum_columns(lines)
+        assert columns is None or _outcome(lambda: columns) == want
+        assert _outcome(read) == want
+
+    def test_quoted_header_goes_to_the_walker(self):
+        lines = ['"spectral_index"' + ",".join(("",) + SPECTRUM_HEADER[1:]), "0,1,0,2,0,2,0"]
+        assert _spectrum_columns(lines) is None
+        assert load_spectrum(stdio.StringIO("\n".join(lines))).coefficients.tolist() == [2.0]
+
+
+_SIGNAL_ITEMS = st.one_of(
+    _WEIGHTS,
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**400, -(10**400), True, False, float("nan"), float("inf")]),
+    st.lists(_WEIGHTS, min_size=2, max_size=2),
+    st.lists(_WEIGHTS, min_size=1, max_size=3),
+)
+
+
+class TestSignalColumns:
+    @staticmethod
+    def _walk(items):
+        return GraphSignal([_value_from_json(item, f"values[{k}]") for k, item in enumerate(items)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(_WEIGHTS, st.integers(-(2**70), 2**70)), min_size=1, max_size=8))
+    def test_plain_numbers_give_the_walkers_values_bit_for_bit(self, items):
+        want = _outcome(lambda: self._walk(items))
+        assert want[0][0] == "<f8"
+        text = json.dumps({"n": len(items), "values": items})
+        assert _outcome(lambda: load_signal(stdio.StringIO(text))) == want
+
+    @pytest.mark.parametrize(
+        "items", [[1.0, float("nan")], [float("-inf")], [2, 10**400], [1.5, True], [1, [0, 1]]]
+    )
+    def test_what_one_array_cannot_hold_gets_the_walkers_verdict(self, items):
+        text = json.dumps({"values": items})
+        want = _outcome(lambda: self._walk(items))
+        assert _outcome(lambda: load_signal(stdio.StringIO(text))) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_SIGNAL_ITEMS, min_size=1, max_size=6))
+    def test_any_values_give_the_walkers_values_or_error(self, items):
+        want = _outcome(lambda: self._walk(items))
+        text = json.dumps({"values": items})  # NaN and Infinity as Python's json writes them
+        assert _outcome(lambda: load_signal(stdio.StringIO(text))) == want
+
+
+# ---------------------------------------------------------------------------
+# Writers: one % operation, one non-finite rule
+
+
+def test_spectrum_csv_is_the_per_row_loop_byte_for_byte():
+    def per_row(spec):
+        out = [",".join(SPECTRUM_HEADER)]
+        for r in range(spec.n):
+            lam, c = complex(spec.eigenvalues[r]), complex(spec.coefficients[r])
+            fields = (lam.real, lam.imag, c.real, c.imag, abs(c))
+            out.append(",".join([str(r), *map(_fmt_float, fields), str(spec.ordering.ranks[r])]))
+        return "\n".join(out) + "\n"
+
+    rng = np.random.default_rng(5)
+    for dtype in (float, complex):
+        for scale in (1e-300, 1.0, 1e300):
+            w = rng.standard_normal(40) + (1j * rng.standard_normal(40) if dtype is complex else 0)
+            c = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * scale
+            spec = Spectrum(w, c if dtype is complex else c.real)
+            buf = stdio.StringIO()
+            dump_spectrum_csv(spec, buf)
+            assert buf.getvalue() == per_row(spec)
+
+
+def test_every_json_writer_prints_null_past_float64():
+    inf, nan = float("inf"), float("nan")
+
+    def text(dump, value):
+        buf = stdio.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dump(value, buf)
+        return buf.getvalue()
+
+    assert text(dump_signal, np.array([inf, 1.0, nan])) == '{"n": 3, "values": [null, 1.0, null]}\n'
+    assert text(dump_signal, np.array([complex(inf, 1), 2.0])) == (
+        '{"n": 2, "values": [[null, 1.0], 2.0]}\n'
+    )
+    assert text(dump_matrix_json, np.array([[inf, 0.0], [1.0, -inf]])) == (
+        '{"n": 2, "rows": [[null, 0.0], [1.0, null]]}\n'
+    )
+    doc = json.loads(text(dump_spectrum_json, Spectrum([0.0, 1.0], [inf, 2.0])))
+    assert [e["coefficient"] for e in doc["entries"]] == [[None, 0.0], [2.0, 0.0]]
+    assert doc["entries"][0]["magnitude"] is None

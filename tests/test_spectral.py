@@ -165,6 +165,17 @@ class TestVariation:
                 expected, abs=1e-8 * (1 + abs(b.eigenvalue) ** 2)
             )
 
+    def test_both_variations_overflow_to_inf_without_a_warning(self):
+        # the undirected pair at 8e307: |lambda| = 1.6e308, and the 1- and
+        # squared 2-norms of L v for the unit eigenvector are past float64
+        lap = directed_laplacian(build_graph(2, [(0, 1, 8e307), (1, 0, 8e307)]))
+        v = decompose(lap).v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert total_variation(lap, v[:, 1]) == np.inf
+            assert quadratic_form(lap, v[:, 1]) == np.inf
+            assert total_variation(lap, v)[1] == np.inf
+
     def test_variation_is_nonnegative_and_scales_linearly(self):
         g = make_random_digraph(np.random.default_rng(8), 10)
         f = np.random.default_rng(9).standard_normal(10)

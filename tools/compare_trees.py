@@ -53,8 +53,12 @@ is scaled, as ``perfbench/reference.py``'s spawn reference scales
 ``cli-mixed``, to nominal milliseconds: the spawn reference's nominal time
 over the mean of its two neighbouring ``pass`` timings. Per row it prints
 both sides' medians, their ratio, the median of the pairs' differences
-(``paired``) and how many pairs the change ran faster. A process that
-exits nonzero is reported and makes the exit code 1.
+(``paired``) and how many pairs the change ran faster. Beside them, the
+``main`` columns give each side's median of ``dgft.cli.main()`` alone, timed
+inside the process after its imports (unscaled ms), and their ``paired``
+median: free of the spawn and import spread, they resolve a change of a few
+milliseconds that the wall times cannot. A process that exits nonzero is
+reported and makes the exit code 1.
 
 Set ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads (this script does,
 unless it is set already) and keep the box otherwise idle.
@@ -87,6 +91,11 @@ IN_PROCESS = ("jordan-decompose", "symmetric-transform")
 # Taps for the filters of the jordan-decompose members, which carry none.
 JORDAN_TAPS = np.array([0.5, -0.25, 0.125, -1.0])
 SIDES = ("parent", "change")
+# workloads.ENTRY with main() timed after the imports: ns on stderr's last line.
+TIMED_ENTRY = (
+    "import sys, time; from dgft.cli import main; t = time.perf_counter_ns(); code = main(); "
+    "print(time.perf_counter_ns() - t, file=sys.stderr); sys.exit(code)"
+)
 # Relative bound, against ||L||_F ||v||_1, on analyze's variation sums.
 VARIATION_TOL = 1e-12
 # (name, n, edges) of the inputs far from unit scale that --check adds: the
@@ -251,7 +260,7 @@ def startup(trees, workloads, seed: int, k: int, workdir: Path) -> int:
         command, argv = w._argv(i)
         label = f"{command} {'directed' if i < len(workloads.COMMANDS) else 'undirected'}"
         spectrum = w._graph(i)[0]["spectrum"] if command == "gft" else None
-        rows.append((label, ["-c", workloads.ENTRY, *argv], spectrum))  # igft reads gft's output
+        rows.append((label, ["-c", TIMED_ENTRY, *argv], spectrum))  # igft reads gft's output
     envs = [dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
             for tree in trees]
     ref = reference.Reference("spawn")
@@ -259,9 +268,10 @@ def startup(trees, workloads, seed: int, k: int, workdir: Path) -> int:
     failures = 0
     print(f"\ncli start-up, seed {seed}: {k} fresh processes per row and side, "
           f"scaled to {reference.NOMINAL_MS['spawn']:g} ms per python -c pass (nominal ms)")
-    print(f"{'':28} {'parent':>9} {'change':>9} {'ratio':>7} {'paired':>8} {'wins':>7}")
+    print(f"{'':28} {'parent':>9} {'change':>9} {'ratio':>7} {'paired':>8} {'wins':>7}"
+          f" {'main p':>8} {'main c':>8} {'paired':>8}")
     for label, args, spectrum in rows:
-        ms = [[], []]
+        ms, main_ms = [[], []], [[], []]
         for r in range(k):
             for s in (0, 1) if r % 2 == 0 else (1, 0):
                 start = time.perf_counter_ns()
@@ -273,11 +283,18 @@ def startup(trees, workloads, seed: int, k: int, workdir: Path) -> int:
                 if proc.returncode != 0:
                     failures += 1
                     print(f"EXIT {proc.returncode} {SIDES[s]} {label}: {proc.stderr[-200:]!r}")
-                elif spectrum is not None:
+                    continue
+                if args[1] == TIMED_ENTRY:
+                    main_ms[s].append(int(proc.stderr.split()[-1]) / 1e6)
+                if spectrum is not None:
                     spectrum.write_bytes(proc.stdout)
         (p, c), paired = map(statistics.median, ms), statistics.median(np.subtract(*ms[::-1]))
         wins = int(np.sum(np.asarray(ms[1]) < np.asarray(ms[0])))
-        print(f"{label:28} {p:9.2f} {c:9.2f} {c / p:7.3f} {paired:8.2f} {wins:>3}/{k}")
+        main = ""
+        if all(main_ms) and len(main_ms[0]) == len(main_ms[1]):
+            mp, mc = map(statistics.median, main_ms)
+            main = f" {mp:8.2f} {mc:8.2f} {statistics.median(np.subtract(*main_ms[::-1])):8.2f}"
+        print(f"{label:28} {p:9.2f} {c:9.2f} {c / p:7.3f} {paired:8.2f} {wins:>3}/{k}{main}")
     return 1 if failures else 0
 
 
