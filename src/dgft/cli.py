@@ -46,7 +46,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NUMERIC = 4
-SUBCOMMANDS = ("laplacian", "gft", "igft", "filter", "analyze")
 
 
 def _tolerance(text: str) -> float:
@@ -93,20 +92,33 @@ def _checked_decompose(g: Graph, args: argparse.Namespace):
 
 
 def _parse_taps(text: str) -> list[complex]:
-    tokens = [t for t in (piece.strip() for piece in text.split(",")) if t]
-    if not tokens:
+    fields = [piece.strip() for piece in text.split(",")]
+    if not any(fields):
         raise EmptyTapsError("no taps given")
     try:
-        return [fileio.parse_complex(t) for t in tokens]
+        taps = [fileio.parse_complex(t) for t in fields if t]
     except ValueError as exc:
         raise ParseError(f"bad tap: {exc}") from None
+    if "" in fields:  # skipped, it would move every higher tap down one order
+        raise ParseError(f"bad tap: field {fields.index('') + 1} of {len(fields)} is empty")
+    return taps
 
 
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
 
-def _cmd_laplacian(args: argparse.Namespace) -> int:
+def _graph_and_input(args: argparse.Namespace, load, path, name: str, unit: str):
+    """The graph and ``load(path)``, which must hold one entry per node; the refusal
+    reads "``name`` has k ``unit`` but the graph has n nodes"."""
+    g = _load_graph_argument(args)
+    x = load(path)
+    if x.n != g.n:
+        raise DimensionMismatchError(f"{name} has {x.n} {unit} but the graph has {g.n} nodes")
+    return g, x
+
+
+def _cmd_laplacian(args: argparse.Namespace) -> None:
     g = _load_graph_argument(args)
     if args.matrix == "w":
         m = g.weights
@@ -116,42 +128,24 @@ def _cmd_laplacian(args: argparse.Namespace) -> int:
         m = as_laplacian(g).matrix
     dump = fileio.dump_matrix_csv if args.format == "csv" else fileio.dump_matrix_json
     dump(m, args.output)
-    return EXIT_OK
 
 
-def _cmd_gft(args: argparse.Namespace) -> int:
-    g = _load_graph_argument(args)
-    signal = fileio.load_signal(args.signal)
-    if signal.n != g.n:
-        raise DimensionMismatchError(
-            f"signal has {signal.n} values but the graph has {g.n} nodes"
-        )
+def _cmd_gft(args: argparse.Namespace) -> None:
+    g, signal = _graph_and_input(args, fileio.load_signal, args.signal, "signal", "values")
     _, dec = _checked_decompose(g, args)
     spec = spectrum(dec, signal)
     dump = fileio.dump_spectrum_csv if args.format == "csv" else fileio.dump_spectrum_json
     dump(spec, args.output)
-    return EXIT_OK
 
 
-def _cmd_igft(args: argparse.Namespace) -> int:
-    g = _load_graph_argument(args)
-    spec = fileio.load_spectrum(args.spectrum)
-    if spec.n != g.n:
-        raise DimensionMismatchError(
-            f"spectrum has {spec.n} entries but the graph has {g.n} nodes"
-        )
+def _cmd_igft(args: argparse.Namespace) -> None:
+    g, spec = _graph_and_input(args, fileio.load_spectrum, args.spectrum, "spectrum", "entries")
     _, dec = _checked_decompose(g, args)
     fileio.dump_signal(igft(dec, spec.coefficients), args.output)
-    return EXIT_OK
 
 
-def _cmd_filter(args: argparse.Namespace) -> int:
-    g = _load_graph_argument(args)
-    signal = fileio.load_signal(args.signal)
-    if signal.n != g.n:
-        raise DimensionMismatchError(
-            f"signal has {signal.n} values but the graph has {g.n} nodes"
-        )
+def _cmd_filter(args: argparse.Namespace) -> None:
+    g, signal = _graph_and_input(args, fileio.load_signal, args.signal, "signal", "values")
     taps = _parse_taps(args.taps)
     if args.domain == "vertex":
         values = apply_vertex_domain(g, taps, signal)
@@ -159,10 +153,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         _, dec = _checked_decompose(g, args)
         values = apply_spectral_domain(dec, taps, signal)
     fileio.dump_signal(values, args.output)
-    return EXIT_OK
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     g = _load_graph_argument(args)
     lap, dec = _checked_decompose(g, args)
     report = check_lsi_preconditions(dec)
@@ -211,7 +204,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ],
     }
     fileio.dump_report(doc, args.output)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +242,31 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+_FORMAT = (("--format",), dict(choices=("csv", "json"), default="csv"))
+_SIGNAL = (("--signal",), dict(required=True, help="signal JSON file"))
+
+# name: (help, body, its options after the common ones)
+SUBCOMMANDS = {
+    "laplacian": ("assemble graph matrices and write one out", _cmd_laplacian, [
+        _FORMAT,
+        (("--matrix",), dict(choices=("w", "din", "l"), default="l", help="which matrix to "
+                             "emit: weights, in-degree diagonal, or the Laplacian (default l)")),
+    ]),
+    "gft": ("transform a signal into the spectral domain", _cmd_gft, [_SIGNAL, _FORMAT]),
+    "igft": ("synthesize a signal from a spectrum file", _cmd_igft, [
+        (("--spectrum",), dict(required=True, help="spectrum CSV or JSON file")),
+    ]),
+    "filter": ("apply a polynomial filter to a signal", _cmd_filter, [
+        _SIGNAL,
+        (("--taps",), dict(required=True, help="comma-separated taps, lowest order first "
+                           "(complex as a+bi); write a negative first tap as --taps=-1,1")),
+        (("--domain",), dict(choices=("vertex", "spectral"), default="vertex",
+                             help="where to run the filter (default vertex)")),
+    ]),
+    "analyze": ("report spectral structure as JSON", _cmd_analyze, []),
+}
+
+
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``dgft`` parser with every subcommand, or with ``command``'s alone."""
     parser = argparse.ArgumentParser(
@@ -259,55 +276,13 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.metavar = command and "{" + ",".join(SUBCOMMANDS) + "}"  # the full parser's usage
-    if command in (None, "laplacian"):
-        p = sub.add_parser("laplacian", help="assemble graph matrices and write one out")
-        _add_common(p)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
-            "--matrix",
-            choices=("w", "din", "l"),
-            default="l",
-            help="which matrix to emit: weights, in-degree diagonal, or the "
-            "Laplacian (default l)",
-        )
-        p.set_defaults(func=_cmd_laplacian)
-
-    if command in (None, "gft"):
-        p = sub.add_parser("gft", help="transform a signal into the spectral domain")
-        _add_common(p)
-        p.add_argument("--signal", required=True, help="signal JSON file")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.set_defaults(func=_cmd_gft)
-
-    if command in (None, "igft"):
-        p = sub.add_parser("igft", help="synthesize a signal from a spectrum file")
-        _add_common(p)
-        p.add_argument("--spectrum", required=True, help="spectrum CSV or JSON file")
-        p.set_defaults(func=_cmd_igft)
-
-    if command in (None, "filter"):
-        p = sub.add_parser("filter", help="apply a polynomial filter to a signal")
-        _add_common(p)
-        p.add_argument("--signal", required=True, help="signal JSON file")
-        p.add_argument(
-            "--taps",
-            required=True,
-            help="comma-separated taps, lowest order first (complex as a+bi); "
-            "write a negative first tap as --taps=-1,1",
-        )
-        p.add_argument(
-            "--domain",
-            choices=("vertex", "spectral"),
-            default="vertex",
-            help="where to run the filter (default vertex)",
-        )
-        p.set_defaults(func=_cmd_filter)
-
-    if command in (None, "analyze"):
-        p = sub.add_parser("analyze", help="report spectral structure as JSON")
-        _add_common(p)
-        p.set_defaults(func=_cmd_analyze)
-
+    for name, (help_text, body, options) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            _add_common(p)
+            for flags, settings in options:
+                p.add_argument(*flags, **settings)
+            p.set_defaults(func=body)
     return parser
 
 
@@ -320,7 +295,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning on stderr
-            return args.func(args)
+            args.func(args)
+        return EXIT_OK
     except (DimensionMismatchError, NonSquareError) as exc:
         print(f"dgft: error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

@@ -27,7 +27,8 @@ class DuplicateEdgeError(DgftError):
 
 
 class GraphSizeError(DgftError):
-    """A generator was asked for a graph smaller than it supports."""
+    """A node count is refused: not an integer, below the least a graph (or the
+    ring generator) takes, too large for an n x n matrix, or an empty matrix's 0."""
 
 
 class DimensionMismatchError(DgftError):

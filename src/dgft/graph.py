@@ -183,11 +183,6 @@ class Graph(_Record):
         w.flags.writeable = False
         self.__dict__.update(n=n, weights=w)
 
-    @property
-    def is_undirected(self) -> bool:
-        """Whether the Laplacian is undirected (:attr:`DirectedLaplacian.is_undirected`)."""
-        return directed_laplacian(self).is_undirected
-
 
 class GraphSignal(_Record):
     """One (possibly complex) value per node, as a length-``n`` vector."""

@@ -64,12 +64,16 @@ def parse_complex(token: str) -> complex:
 
 @contextlib.contextmanager
 def _opened(target, mode: str) -> Iterator[IO[str]]:
-    """Open a path (closed on exit), or pass an open text file through."""
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield target
+    """Open a path (closed on exit), or pass an open text file through. Text
+    that does not decode, UTF-8 for a path, is a :class:`ParseError`."""
+    try:
+        if isinstance(target, (str, os.PathLike)):
+            with open(target, mode, encoding="utf-8") as fh:
+                yield fh
+        else:
+            yield target
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not {exc.encoding.upper()} text: {exc.reason}") from None
 
 
 def _json(value) -> str:
@@ -199,13 +203,6 @@ def _edge_columns(n: int, lines: list[str]) -> Graph | None:
 # Signals
 
 
-def _value_to_json(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
-
-
 def _finite(re, im, where: str, line: int | None = None) -> complex:
     """``re + im*i`` as a complex, refusing values no double holds finitely."""
     try:
@@ -265,20 +262,25 @@ def _check_declared_n(doc: dict, count: int, noun: str) -> None:
         raise ParseError(f"declared n={json.dumps(declared)} but {count} {noun} present")
 
 
-def dump_signal(signal, dst) -> None:
-    """A plain number for a value with no imaginary part, else a [re, im] pair."""
-    v = real_or_complex(signal.values if isinstance(signal, GraphSignal) else signal).ravel()
-    values = v.tolist() if v.dtype.kind != "c" else [
+def _json_values(v: np.ndarray) -> list:
+    """The vector ``v`` as JSON values: a plain number for an entry with no
+    imaginary part, else a [re, im] pair."""
+    return v.tolist() if v.dtype.kind != "c" else [
         re if im == 0.0 else [re, im] for re, im in zip(v.real.tolist(), v.imag.tolist())]
-    _dump_json({"n": len(values), "values": values}, dst)
+
+
+def dump_signal(signal, dst) -> None:
+    """{"n": N, "values": [...]}, each value as :func:`_json_values` writes it."""
+    v = real_or_complex(signal.values if isinstance(signal, GraphSignal) else signal).ravel()
+    _dump_json({"n": len(v), "values": _json_values(v)}, dst)
 
 
 # ---------------------------------------------------------------------------
 # Matrices
 
 
-def _formatted_rows(m, fmt) -> list[list[str]]:
-    """``fmt`` of every entry of the matrix ``m``, as rows of text.
+def dump_matrix_csv(m, dst) -> None:
+    """Comma-separated rows, complex entries in the a+bi text form.
 
     Each distinct entry is formatted once. Entries are told apart by their
     bytes, so ``-0.0`` and ``0.0`` keep their own text.
@@ -286,29 +288,17 @@ def _formatted_rows(m, fmt) -> list[list[str]]:
     m = real_or_complex(m)
     keys = m.view(np.dtype((np.void, m.itemsize))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([fmt(v) for v in m.ravel()[first].tolist()], dtype=object)
-    return text[which].reshape(m.shape).tolist()
-
-
-def dump_matrix_csv(m, dst) -> None:
-    """Comma-separated rows, complex entries in the a+bi text form."""
+    text = np.array([_format_complex(v) for v in m.ravel()[first].tolist()], dtype=object)
     with _opened(dst, "w") as fh:
-        for row in _formatted_rows(m, _format_complex):
+        for row in text[which].reshape(m.shape).tolist():
             fh.write(",".join(row))
             fh.write("\n")
 
 
 def dump_matrix_json(m, dst) -> None:
-    """{"n": N, "rows": [[...], ...]} with number-or-pair entries.
-
-    The text :func:`json.dump` writes, with each entry formatted by
-    :func:`_json` and joined by its default separators.
-    """
-    rows = _formatted_rows(m, lambda z: _json(_value_to_json(z)))
-    with _opened(dst, "w") as fh:
-        fh.write('{"n": %d, "rows": [' % len(rows))
-        fh.write(", ".join("[" + ", ".join(row) + "]" for row in rows))
-        fh.write("]}\n")
+    """{"n": N, "rows": [[...], ...]}, each row as :func:`_json_values` writes it."""
+    m = real_or_complex(m)
+    _dump_json({"n": len(m), "rows": [_json_values(row) for row in m]}, dst)
 
 
 # ---------------------------------------------------------------------------

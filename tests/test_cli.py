@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import dgft
-from dgft import Graph, apply_vertex_domain, decompose, demo_graph, gft, ring_graph
+from dgft import (
+    Graph,
+    apply_vertex_domain,
+    decompose,
+    demo_graph,
+    directed_laplacian,
+    gft,
+    ring_graph,
+)
 from dgft.cli import SUBCOMMANDS, _build_parser, main
 from dgft.io import SPECTRUM_HEADER, load_graph, load_signal, load_spectrum
 from conftest import DATA, env_importing_dgft, make_random_digraph
@@ -86,6 +94,15 @@ class TestLaplacian:
             code, out, _ = run_cli(capsys, "laplacian", str(p), "--matrix", which)
             assert code == 0
             assert out.splitlines() == ["0,0,0", "0,0,0", "0,0,0"]
+
+    def test_sum_duplicates_flag(self, capsys, tmp_path):
+        graph = tmp_path / "dup.txt"
+        graph.write_text("nodes 2\n1 2 1.0\n1 2 2.5\n")
+        refused = (2, "", "dgft: error: line 3: duplicate edge 1 -> 2\n")
+        assert run_cli(capsys, "laplacian", str(graph), "--matrix", "w") == refused
+        assert run_cli(capsys, "analyze", str(graph)) == refused
+        summed = run_cli(capsys, "laplacian", str(graph), "--matrix", "w", "--sum-duplicates")
+        assert summed == (0, "0,0\n3.5,0\n", "")
 
     def test_graph_and_ring_together_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "laplacian", DEMO, "--ring", "4")
@@ -310,8 +327,15 @@ class TestFilter:
         assert json.loads(out)["values"] == expected.tolist()
 
     def test_empty_taps_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "filter", DEMO, "--signal", SIGNAL, "--taps", ",")
-        assert code == 2
+        code, _, err = run_cli(capsys, "filter", DEMO, "--signal", SIGNAL, "--taps", ",")
+        assert (code, err) == (2, "dgft: error: no taps given\n")
+
+    @pytest.mark.parametrize("taps, field", [("1,,0.5", 2), ("1,0.5,", 3), (" ,1", 1)])
+    def test_an_empty_tap_among_taps_exits_2_naming_its_field(self, capsys, taps, field):
+        # skipped, the empty field in "1,,0.5" would filter as "1,0.5" does
+        argv = ["filter", "--ring", "5", "--signal", SIGNAL, f"--taps={taps}"]
+        message = f"dgft: error: bad tap: field {field} of {taps.count(',') + 1} is empty\n"
+        assert run_cli(capsys, *argv) == (2, "", message)
 
     @pytest.mark.parametrize("domain", ["vertex", "spectral"])
     def test_overflowing_output_prints_null_without_a_numpy_warning(self, tmp_path, domain):
@@ -373,7 +397,7 @@ class TestAnalyze:
     def test_complex_symmetric_weights_are_not_undirected(self, capsys, tmp_path):
         p = tmp_path / "complex.txt"
         p.write_text("nodes 3\n1 2 1+1i\n2 1 1+1i\n2 3 2\n3 2 2\n")
-        assert load_graph(p).is_undirected is False
+        assert directed_laplacian(load_graph(p)).is_undirected is False
         code, out, _ = run_cli(capsys, "analyze", str(p))
         assert code == 0
         doc = json.loads(out)
@@ -502,6 +526,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "laplacian", "no_such_file.txt")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["laplacian", "{}"], ["gft", DEMO, "--signal", "{}"], ["igft", DEMO, "--spectrum", "{}"],
+    ])
+    def test_a_file_that_is_not_utf8_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes("nodes 2\n".encode("utf-16"))  # the bytes ff fe first
+        code, out, err = run_cli(capsys, *[a.format(bad) for a in argv])
+        assert (code, out, err) == (2, "", "dgft: error: not UTF-8 text: invalid start byte\n")
 
     def test_node_count_too_large_exits_2(self, capsys, tmp_path):
         # --ring N is checked under a memory limit in test_graph.py.

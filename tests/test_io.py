@@ -28,7 +28,6 @@ from dgft.io import (
     _format_complex,
     _spectrum_columns,
     _value_from_json,
-    _value_to_json,
     dump_matrix_csv,
     dump_matrix_json,
     dump_report,
@@ -141,6 +140,17 @@ class TestEdgeList:
         assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("read", [load_graph, load_signal, load_spectrum])
+def test_text_that_is_not_utf8_is_a_parse_error(tmp_path, read):
+    # from a path or an open text file alike, not a UnicodeDecodeError
+    path = tmp_path / "utf16.txt"
+    path.write_bytes("nodes 2\n".encode("utf-16"))
+    with pytest.raises(ParseError, match="^not UTF-8 text: invalid start byte$"):
+        read(path)
+    with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match="^not UTF-8 text"):
+        read(fh)
+
+
 class TestSignalJson:
     def test_load_real_and_complex_values(self):
         s = load_signal(stdio.StringIO('{"n": 3, "values": [1, 2.5, [0, -1]]}'))
@@ -229,13 +239,17 @@ class TestMatrixDumps:
             assert buf.getvalue() == per_cell(m)
 
     def test_json_matches_the_per_cell_loop(self):
-        # The per-cell loop converts all n^2 cells and lets json.dump write
-        # them; dump_matrix_json formats each distinct entry once and must
-        # write the same bytes.
+        # The per-cell loop converts each of the n^2 cells on its own, a plain
+        # number if real, else [re, im], and lets json.dump write them;
+        # dump_matrix_json converts whole rows and must write the same bytes.
+        def value(z):
+            z = complex(z)
+            return z.real if z.imag == 0.0 else [z.real, z.imag]
+
         def per_cell(m):
             m = np.asarray(m)
             out = stdio.StringIO()
-            rows = [[_value_to_json(v) for v in row] for row in m]
+            rows = [[value(v) for v in row] for row in m]
             json.dump({"n": int(m.shape[0]), "rows": rows}, out)
             return out.getvalue() + "\n"
 

@@ -40,7 +40,13 @@ which are sums whose order may change, and may differ by
 own decomposition of the graph file). It
 compares the inputs of ``EXTREME`` the same way, once, after the seeds:
 far from unit scale, where a change to how a matrix's size is measured
-shows first. The exit code is 1 on any difference.
+shows first. Last it runs a fixed list of front-end commands against
+both trees, byte for byte (stdout, stderr and exit code): ``dgft --help``,
+each subcommand's ``--help`` and a usage error, every ``laplacian
+--matrix`` and ``--format`` on a directed, an undirected and a
+complex-weight file, ``gft --format json``, ``filter`` in both domains,
+``analyze --ring 6``, and a malformed and a non-UTF-8 file for each
+reader. The exit code is 1 on any difference.
 
 ``--startup`` times what the in-process modes cannot: the start of every
 ``dgft`` process, as ``cli-mixed`` pays it. For ``import dgft.cli`` alone
@@ -106,6 +112,46 @@ EXTREME = [
     for k in (3, 4) for w in (1e-300, 1e300)
 ] + [("5-ring and 3-path at 1e-200", 8,
       [(i, (i + 1) % 5, 1.0) for i in range(5)] + [(5, 6, 1e-200), (6, 7, 1e-200)])]
+
+
+# The files the front-end commands of --check read, by name, as bytes.
+FRONT_FILES = {
+    "directed.txt": b"nodes 5\n5 1 3\n1 2 1\n3 2 2\n4 3 3\n1 4 2\n2 4 4\n5 4 1\n1 5 3\n2 5 3\n",
+    "undirected.txt": b"nodes 3\n1 2 1\n2 1 1\n2 3 2\n3 2 2\n",
+    "complex.txt": b"nodes 3\n1 2 1+1i\n2 1 1-0.5i\n2 3 2\n3 2 2\n",
+    "signal.json": b'{"n": 5, "values": [0.12, [0.38, -1], 0.81, 0.24, 0.88]}\n',
+    "bad-graph.txt": b"nodes 3\n1 2 1\n2 x 1\n",
+    "bad-signal.json": b'{"n": 5, "values": [1, 2, true, 4, 5]}\n',
+    "bad-spectrum.csv": b"spectral_index,eig_re\n0,1\n",
+    "utf16.txt": "nodes 2\n".encode("utf-16"),  # starts with the bytes ff fe
+}
+
+
+def front_end_commands(files: dict) -> list:
+    """The fixed front-end argv lists of --check; ``files`` maps FRONT_FILES' names to paths."""
+    graph, signal = files["directed.txt"], ["--signal", files["signal.json"]]
+    taps = "--taps=0.5,-1,0.25"
+    return (
+        [["--help"]]
+        + [[name, flag] for name in ("laplacian", "gft", "igft", "filter", "analyze")
+           for flag in ("--help", "--tol=0")]
+        + [["laplacian", files[name], "--matrix", matrix, "--format", fmt]
+           for name in ("directed.txt", "undirected.txt", "complex.txt")
+           for matrix in ("w", "din", "l") for fmt in ("csv", "json")]
+        + [
+            ["gft", graph, *signal, "--format", "json"],
+            ["filter", graph, *signal, taps],
+            ["filter", graph, *signal, taps, "--domain", "spectral"],
+            ["analyze", "--ring", "6"],
+            ["laplacian", files["bad-graph.txt"]],
+            ["gft", graph, "--signal", files["bad-signal.json"]],
+            ["igft", graph, "--spectrum", files["bad-spectrum.csv"]],
+            ["laplacian", files["utf16.txt"]],
+            ["gft", graph, "--signal", files["utf16.txt"]],
+            ["igft", graph, "--spectrum", files["utf16.txt"]],
+            ["filter", graph, *signal, "--taps=1,,0.5"],
+        ]
+    )
 
 
 def load_side(tree: Path, side: str):
@@ -230,20 +276,23 @@ def outputs(pkg, lap, signals, taps) -> dict:
     return {key: bits(value) for key, value in out.items()}
 
 
+def dgft(tree: Path, workloads, argv: list) -> subprocess.CompletedProcess:
+    """One ``dgft`` process of ``tree``, started as ``cli-mixed`` starts it."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-c", workloads.ENTRY, *argv],
+                          cwd=tree, env=env, capture_output=True)
+
+
 def cli_runs(tree: Path, workloads, seed: int, workdir: Path) -> list:
     """(argv, exit code, stdout, stderr) of every command of a cli-mixed cycle."""
     w = workloads.CliMixed(seed, workdir)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     runs = []
     for i in range(w.cycle):
         command, argv = w._argv(i)
         spectrum = w._graph(i)[0]["spectrum"]
         if command == "gft":
             spectrum.unlink(missing_ok=True)
-        proc = subprocess.run(
-            [sys.executable, "-c", workloads.ENTRY, *argv],
-            cwd=tree, env=env, capture_output=True,
-        )
+        proc = dgft(tree, workloads, argv)
         if command == "gft" and proc.returncode == 0:
             spectrum.write_bytes(proc.stdout)  # the cycle's igft reads it
         runs.append((argv, proc.returncode, proc.stdout, proc.stderr))
@@ -359,7 +408,27 @@ def check(sides, trees, seeds, workdir: Path) -> int:
             extreme += 1
             print(f"DIFFERS extreme {name}: {key}")
     print(f"{len(EXTREME)} extreme-scale inputs compared, {extreme} differences")
-    return 1 if failures or extreme else 0
+    front = front_end(trees, sides[1][1], workdir)
+    return 1 if failures or extreme or front else 0
+
+
+def front_end(trees, workloads, workdir: Path) -> int:
+    """The number of differences between the trees on :func:`front_end_commands`."""
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir()
+    files = {name: str(workdir / name) for name in FRONT_FILES}
+    for name, text in FRONT_FILES.items():
+        Path(files[name]).write_bytes(text)
+    commands, failures = front_end_commands(files), 0
+    for argv in commands:
+        p, c = (dgft(tree, workloads, argv) for tree in trees)
+        shown = " ".join(argv).replace(f"{workdir}/", "")
+        for label in ("returncode", "stdout", "stderr"):
+            if getattr(p, label) != getattr(c, label):
+                failures += 1
+                print(f"DIFFERS front end {shown}: {label}")
+    print(f"{len(commands)} front-end commands compared, {failures} differences")
+    return failures
 
 
 def main(argv=None) -> int:
