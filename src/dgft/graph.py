@@ -72,12 +72,13 @@ def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(2^-e m, e)`` for a matrix or each matrix of a stack, exactly
     (:func:`_ldexp`): ``e`` is even, as ``eig``'s bits follow ``4^k m`` but
     not ``2 m``, and brings the largest real or imaginary part into [1/4, 1)
-    (0 for a zero matrix). Read off the parts, not a norm, it overflows at no scale."""
-    parts = np.maximum(np.abs(m.real), np.abs(m.imag)) if m.dtype.kind == "c" else np.abs(m)
-    e = np.frexp(parts.max(axis=(-2, -1), initial=0.0))[1]
-    del parts  # freed before the scaled copy is allocated, which then reuses its pages
+    (0 for a zero matrix; at every ``e`` 0, ``m`` itself, not a copy). Read off the
+    parts, not a norm, it overflows at no scale."""
+    part = np.ascontiguousarray(m).view(float) if m.dtype.kind == "c" else m  # re, im side by side
+    big = np.maximum(part.max(axis=(-2, -1), initial=0.0), -part.min(axis=(-2, -1), initial=0.0))
+    e = np.frexp(big)[1]  # from the extremes of each part: no |m| is allocated
     e += e & 1
-    return _ldexp(m, -e[..., None, None]), e
+    return (_ldexp(m, -e[..., None, None]) if e.any() else m), e
 
 
 def is_normal(m: np.ndarray) -> np.ndarray:
@@ -271,12 +272,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, complex]]) -> Graph:
     be a self-loop or repeat a (src, dst) pair; neither is folded or summed.
     The checks run on whole columns; a failed one names the first offending edge.
     The n x n matrix comes first: one memory cannot hold is a :class:`GraphSizeError`.
+    It is float64 unless a weight has an imaginary part or is another number (a Fraction).
     """
     n = _node_count(n)
-    try:
-        weights = np.zeros((n, n), dtype=complex)
-    except MemoryError as exc:
-        raise GraphSizeError(f"node count {n} is too large for an n x n matrix: {exc}") from None
+    weights = _zeros(n, float)
     edges = list(edges)
     try:
         src, dst, weight = zip(*edges, strict=True) if edges else ((), (), ())
@@ -299,8 +298,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, complex]]) -> Graph:
         if (s, d) in seen:
             raise DuplicateEdgeError(f"duplicate edge ({s}, {d})")
         seen.add((s, d))
-    weights[dst, src] = weight  # every edge passed; other numbers (Fraction, say) as objects
+    weight = real_or_complex(weight) if weight.dtype.kind == "c" else weight  # every edge passed
+    if weight.dtype.kind not in "biuf":  # complex, or other numbers as objects
+        weights = _zeros(n, complex)
+    weights[dst, src] = weight
     return Graph(n=n, weights=weights)
+
+
+def _zeros(n: int, dtype) -> np.ndarray:
+    """An n x n zero matrix; one memory cannot hold is a :class:`GraphSizeError`."""
+    try:
+        return np.zeros((n, n), dtype=dtype)
+    except MemoryError as exc:
+        raise GraphSizeError(f"node count {n} is too large for an n x n matrix: {exc}") from None
 
 
 def in_degree_matrix(g: Graph) -> np.ndarray:

@@ -65,10 +65,11 @@ def parse_complex(token: str) -> complex:
 @contextlib.contextmanager
 def _opened(target, mode: str) -> Iterator[IO[str]]:
     """Open a path (closed on exit), or pass an open text file through. Text
-    that does not decode, UTF-8 for a path, is a :class:`ParseError`."""
+    that does not decode, UTF-8 for a path, is a :class:`ParseError`; a path is
+    read past a leading byte-order mark, and written without one."""
     try:
         if isinstance(target, (str, os.PathLike)):
-            with open(target, mode, encoding="utf-8") as fh:
+            with open(target, mode, encoding="utf-8-sig" if "r" in mode else "utf-8") as fh:
                 yield fh
         else:
             yield target

@@ -212,6 +212,8 @@ def cluster_eigenvalues(values, tol: float, labels=None) -> list[list[int]]:
     near = np.abs(ws[t] - ws[s]) <= tol
     if labels is not None:
         near &= np.take(labels, order[s]) == np.take(labels, order[t])
+    if not near.any():  # every value its own cluster
+        return [[i] for i in range(w.size)]
     roots = _component_minima(w.size, order[s[near]], order[t[near]])
     groups: dict[int, list[int]] = {}
     for i, root in enumerate(roots.tolist()):
@@ -229,9 +231,9 @@ def _component_minima(n: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     label is the component's smallest member, the one no label goes below.
     """
     labels = np.arange(n)
-    while not np.array_equal(low := labels[i], high := labels[k]):
+    while ((low := labels[i]) != (high := labels[k])).any():
         np.minimum.at(labels, np.maximum(low, high), np.minimum(low, high))
-        while not np.array_equal(jumped := labels[labels], labels):
+        while ((jumped := labels[labels]) != labels).any():
             labels = jumped
     return labels
 
@@ -281,14 +283,14 @@ def order_with_ties(
     tie = np.abs(np.diff(m)) <= tie_tol * m[1:]
     if not tie.any():  # no tie: the magnitude sort is the whole answer
         return order.tolist(), []
-    group = np.cumsum(np.r_[True, ~tie]) - 1
-    ends = np.flatnonzero(np.r_[group[1:] != group[:-1], True])
+    group = np.cumsum(np.append(True, ~tie)) - 1
+    ends = np.flatnonzero(np.append(group[1:] != group[:-1], True))
     slack = tie_tol * m[ends]  # magnitudes ascend, so the last is the largest
     # Within each group, by real part; runs of chained real parts, by imaginary part.
     order = order[np.lexsort((w.real[order], group))]
     split = (np.diff(group) != 0) | ~(np.abs(np.diff(w.real[order])) <= slack[group[1:]])
-    order = order[np.lexsort((w.imag[order], np.cumsum(np.r_[True, split])))].tolist()
-    starts = np.r_[0, ends[:-1] + 1].tolist()
+    order = order[np.lexsort((w.imag[order], np.cumsum(np.append(True, split))))].tolist()
+    starts = np.append(0, ends[:-1] + 1).tolist()
     return order, [tuple(order[s : e + 1]) for s, e in zip(starts, ends.tolist()) if e > s]
 
 
@@ -301,13 +303,15 @@ def _normalize_chains(v: np.ndarray, heads: np.ndarray) -> None:
     entry rotated real positive (first such entry on ties), and the tail
     inherits the same factor.
 
-    A real ``v`` stays real. Its factors are still formed by complex
-    division, whose rounding differs from real division, so a real basis
-    gets the bits a complex one with the same values would.
+    ``v`` is read in place when every column heads a chain, and a norm's
+    last bits may follow its layout. A real ``v`` stays real. Its factors
+    are still formed by complex division, whose rounding differs from real
+    division, so a real basis gets the bits a complex one would.
     """
-    head = v[:, heads]  # a copy, whose contiguous columns each norm sums pairwise
-    norms = np.linalg.norm(head, axis=0)
-    pivots = head[np.argmax(np.abs(head), axis=0), np.arange(head.shape[1])]
+    head = v if heads.all() else v[:, heads]
+    mag = np.abs(head)
+    norms, pivots = np.sqrt(np.einsum("ij,ij->j", mag, mag)), np.argmax(mag, axis=0)
+    pivots = head[pivots, np.arange(head.shape[1])]
     factors = np.ones(head.shape[1], dtype=complex)
     live = norms > 0  # a zero head (a singular basis) leaves its chain as it is
     factors[live] = np.conj(pivots[live], dtype=complex) / (np.abs(pivots[live]) * norms[live])
@@ -471,23 +475,25 @@ def _finish(
     4. Columns ``c`` and ``c + 1`` form a pair when ``A`` is real, neither
        is in a ``unitary`` stack, both are 1x1 blocks, their eigenvalues
        are exact conjugates and ``v[:, c + 1] == conj(v[:, c])`` holds
-       exactly. ``W`` is ``V`` with each pair's columns replaced by
-       ``Re v_c`` and ``Im v_c`` (:func:`_pair_form`), so ``V = W T``
-       exactly, ``T`` holding one block ``[[1, 1], [i, -i]]`` per pair.
-       ``W`` follows the dtype rule: it is real once every complex column
-       has its partner, and it is ``V`` itself when there are no pairs.
+       exactly. ``W`` is built once from ``V``: ``Re V``, each pair's
+       second column ``Im v_c``, so ``V = W T`` exactly, ``T`` holding one
+       block ``[[1, 1], [i, -i]]`` per pair. ``W`` is real once every
+       complex column has its partner, and ``V`` when there are no pairs.
        Each stack of ``W`` is inverted alone into ``Z``: a ``unitary`` one
        by its conjugate transpose, any other by ``np.linalg.inv`` in its
-       dtype (:func:`_inverse`). ``V^-1 = T^-1 Z`` is assembled exactly:
-       each pair's rows are ``(Z[c] -/+ i Z[c + 1]) / 2``. Each stack's
-       residual is ``||(W B) Z - A||_F`` with ``B = T J T^-1``, which is
-       ``J`` with each pair's diagonal replaced by ``[[a, b], [-b, a]]``
-       for ``lambda_c = a + ib``; ``W B`` is the pair form of ``V J``,
-       formed once by :class:`_Bidiagonal`. As ``T`` is exact, this is the
-       residual of the returned ``v``, ``J`` and ``v_inv`` in another
-       summation order. Their root sum of squares, above ``recon_tol *
-       norm``, raises :class:`ReconstructionError`: the basis does not
-       reproduce ``A``.
+       dtype (:func:`_inverse`). ``V^-1 = T^-1 Z`` is written exactly into
+       one complex copy of ``Z``: each pair's rows are ``(Z[c] -/+ i Z[c +
+       1]) / 2``. Each stack's residual is ``||(W B) Z - A||_F`` with ``B =
+       T J T^-1``, ``J`` with each pair's diagonal replaced by ``[[a, b],
+       [-b, a]]`` for ``lambda_c = a + ib``. ``W B`` is formed from ``W``
+       in ``W``'s arithmetic: each column times its diagonal entry of
+       ``B``, each chain tail plus the column before it
+       (:class:`_Bidiagonal`), a pair's columns ``x a - y b`` and ``x b +
+       y a`` for ``x = Re v_c`` and ``y = Im v_c``. As ``T`` is exact,
+       this is the residual of the returned ``v``, ``J`` and ``v_inv`` in
+       another summation order. Their root sum of squares, above
+       ``recon_tol * norm``, raises :class:`ReconstructionError`: the basis
+       does not reproduce ``A``.
     5. Back to the input's scale, exactly: eigenvalues, residual and
        ``cluster_tol`` times ``2^scale``; column p of each chain (the head
        is p = 0) times ``2^(-scale p)`` and its row of ``V^-1`` times
@@ -533,25 +539,36 @@ def _finish(
     lam, proper = real_or_complex(eigenvalues[order]), np.flatnonzero(heads)  # J
 
     # The pairs: 1x1 blocks c, c + 1 of a real A with exactly conjugate values and
-    # columns, outside the unitary stacks.
-    c = np.empty(0, dtype=int)
+    # columns, outside the unitary stacks; keep marks the other columns.
+    c, w, keep = np.empty(0, dtype=int), v, np.ones(n, dtype=bool)
     if np.isrealobj(a) and np.iscomplexobj(v):
         inverted = np.repeat(np.logical_not(unitary), [rows.size for rows in stacks])[order]
         single = heads & np.append(heads[1:], True) & inverted
         c = np.flatnonzero(
             single[:-1] & single[1:] & (lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj())
         )
-        c = c[(v[:, c + 1] == v[:, c].conj()).all(axis=0)]
-    w, wb = _pair_form(v, c), _pair_form(v @ _Bidiagonal(lam, proper), c)  # W and W B
+    if c.size:
+        w, y = v.real.copy(), v.imag[:, c]
+        pair = ((w[:, c + 1] == w[:, c]) & (v.imag[:, c + 1] == -y)).all(axis=0)
+        c, y = c[pair], y[:, pair]
+        keep[c], keep[c + 1] = False, False
+        if v.imag[:, keep].any():  # a complex column without its partner keeps W complex
+            w = np.where(keep, v, v.real)
+        w[:, c + 1] = y  # W = V T^-1
+    wb, imag = w @ _Bidiagonal(real_or_complex(np.where(keep, lam, lam.real)), proper), lam[c].imag
+    wb[:, c] -= w[:, c + 1] * imag
+    wb[:, c + 1] += w[:, c] * imag
     z = _block_diagonal(n, [
         (cols, rows, b.conj().transpose(0, 2, 1) if u else _inverse(b))
         for (rows, cols), u in zip(parts, unitary)
         for b in [w[_blocks(rows, cols, n)]]
     ])
     v_inv = z
-    if c.size:  # V^-1 = T^-1 Z
-        v_inv, re, im = z.astype(complex), z[c] / 2, 1j * (z[c + 1] / 2)
-        v_inv[c], v_inv[c + 1] = re - im, re + im
+    if c.size:  # V^-1 = T^-1 Z: rows c, c + 1 are (Z[c] -/+ i Z[c + 1]) / 2, written in place
+        v_inv, h, t = z.astype(complex), z[c] / 2, z[c + 1] / 2
+        hi, ti = (h.imag, t.imag) if np.iscomplexobj(z) else (0.0, 0.0)
+        v_inv.real[c], v_inv.imag[c] = h.real + ti, hi - t.real
+        v_inv.real[c + 1], v_inv.imag[c + 1] = h.real - ti, hi + t.real
     residuals = [wb[_blocks(*part, n)] @ z[_blocks(*part[::-1], n)] for part in parts]
     del w, wb, z  # not held through the norms, which copy each residual's parts
     for r, (rows, _) in zip(residuals, parts):
@@ -664,7 +681,7 @@ def jordan_decompose(
         sub = a[_blocks(rows, rows, n)]
         route = np.where((sub == sub.conj().transpose(0, 2, 1)).all(axis=(1, 2)), 0, 2)
         if (rest := route > 0).any():
-            route[rest] = np.where(is_normal(sub[rest]), 1, 2)
+            route[rest] = np.where(is_normal(sub if rest.all() else sub[rest]), 1, 2)
         for r in sorted(set(route.tolist())):
             pick = route == r
             stacks.append((r, rows[pick], sub if pick.all() else sub[pick]))
@@ -750,19 +767,6 @@ def _block_diagonal(n: int, parts: list[tuple[np.ndarray, np.ndarray, np.ndarray
     for rows, cols, stack in parts:
         out[_blocks(rows, cols, n)] = stack
     return out
-
-
-def _pair_form(m: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``m T^-1`` for the pairs ``c``, ``c + 1`` of :func:`_finish`: each
-    pair's columns become the real and imaginary parts of column ``c``,
-    which is exact when column ``c + 1`` is its conjugate. The result
-    follows the dtype rule; with no pairs it is ``m`` itself."""
-    if not c.size:
-        return m
-    out = m.copy()
-    out[:, c + 1] = m[:, c].imag
-    out[:, c] = m[:, c].real
-    return real_or_complex(out)
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:

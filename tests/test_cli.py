@@ -1,4 +1,5 @@
 import ast
+import codecs
 import json
 import shutil
 import subprocess
@@ -535,6 +536,26 @@ class TestExitCodes:
         bad.write_bytes("nodes 2\n".encode("utf-16"))  # the bytes ff fe first
         code, out, err = run_cli(capsys, *[a.format(bad) for a in argv])
         assert (code, out, err) == (2, "", "dgft: error: not UTF-8 text: invalid start byte\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["laplacian", "{graph}"],
+        ["gft", DEMO, "--signal", "{signal}"],
+        ["igft", DEMO, "--spectrum", "{spectrum}"],
+    ])
+    def test_a_byte_order_mark_reads_like_the_plain_file(self, capsys, tmp_path, argv):
+        # Some editors start a UTF-8 file with the bytes ef bb bf. Each reader
+        # skips them, and every writer writes UTF-8 without them.
+        files = {"graph": Path(DEMO), "signal": tmp_path / "f.json", "spectrum": tmp_path / "s.csv"}
+        files["signal"].write_text('{"n": 5, "values": [0.5, -1, 2, 0.25, 1]}\n')
+        code, *_ = run_cli(capsys, "gft", DEMO, "--signal", str(files["signal"]),
+                           "-o", str(files["spectrum"]))
+        assert code == 0 and not files["spectrum"].read_bytes().startswith(codecs.BOM_UTF8)
+        marked = {name: tmp_path / f"bom-{path.name}" for name, path in files.items()}
+        for name, path in marked.items():
+            path.write_bytes(codecs.BOM_UTF8 + files[name].read_bytes())
+        want = run_cli(capsys, *[a.format(**files) for a in argv])
+        assert want[0] == 0 and want[1]
+        assert run_cli(capsys, *[a.format(**marked) for a in argv]) == want
 
     def test_node_count_too_large_exits_2(self, capsys, tmp_path):
         # --ring N is checked under a memory limit in test_graph.py.

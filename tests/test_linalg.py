@@ -46,6 +46,7 @@ from dgft.linalg import (
     _default_cluster_tol,
     _inverse,
     _jordan_chains,
+    _normalize_chains,
     _nullspace_basis,
     _orthogonal_residual,
     cluster_eigenvalues,
@@ -948,6 +949,43 @@ class TestSharedFinisher:
                 got = dec.v[:, b.start : b.start + b.size]
                 assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("name", ["digraph", "ring", "path"])
+    def test_normalization_convention_on_every_layout(self, monkeypatch, name):
+        # _normalize_chains reads V in place when every column heads a chain,
+        # so its convention must not depend on V's layout: the basis _finish
+        # hands it (C-contiguous, from eig or from the ring's split), and the
+        # same columns in Fortran order and as a strided view.
+        graphs = {
+            "digraph": make_random_digraph(np.random.default_rng(4), 12),
+            "ring": ring_graph(7),
+            "path": build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]),
+        }
+        seen = []
+        normalize = _normalize_chains
+
+        def recording(v, heads):
+            seen.append((v.copy(), heads.copy(), v.flags.c_contiguous))
+            normalize(v, heads)
+            seen[-1] += (v.copy(),)
+
+        monkeypatch.setattr("dgft.linalg._normalize_chains", recording)
+        jordan_decompose(directed_laplacian(graphs[name]).matrix)
+        ((raw, heads, c_order, done),) = seen
+        assert c_order and heads.all() == (name != "path")
+        strided = np.zeros((raw.shape[0], 2 * raw.shape[1]), dtype=raw.dtype)[:, ::2]
+        strided[...] = raw
+        for v in (np.asfortranarray(raw), strided):
+            normalize(v, heads)
+            assert np.allclose(v, done, rtol=0, atol=1e-15)
+        starts = np.flatnonzero(heads).tolist()
+        for s, e in zip(starts, starts[1:] + [len(heads)]):
+            head = done[:, s]
+            assert np.linalg.norm(head) == pytest.approx(1, abs=1e-14)
+            k = int(np.argmax(np.abs(raw[:, s])))  # the first largest-magnitude entry
+            assert head[k].real > 0 and abs(head[k].imag) <= 1e-15 * head[k].real
+            factor = head[k] / raw[k, s]  # the tail carries the head's factor
+            assert np.allclose(done[:, s:e], raw[:, s:e] * factor, rtol=1e-14, atol=0)
+
     def test_derived_facts_are_read_only(self):
         dec = jordan_decompose(np.diag([2.0, 5.0]))
         assert np.array_equal(dec.eigenvalues, np.diag(jordan_matrix(dec)))
@@ -1350,6 +1388,25 @@ class TestComponents:
         labels = _component_minima(n, *np.divmod(np.flatnonzero(a != 0), n))
         assert labels.tolist() == _union_find_minima(n, np.argwhere(a != 0).tolist())
 
+    def test_a_unitary_stack_beside_an_inverted_one(self):
+        # A 3-node digraph with a conjugate pair beside a directed 3-ring: the
+        # ring's unitary columns are complex and have no partner, so W and Z
+        # stay complex, and the digraph's pair still comes out exactly conjugate.
+        tri = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 2, 0.5)]
+        ring = [(3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0)]
+        lap = directed_laplacian(build_graph(6, tri + ring)).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = jordan_decompose(lap)
+        lam, own = dec.eigenvalues, ~dec.v[3:].any(axis=0)  # the digraph's columns
+        (c,) = [k for k in range(5) if own[k] and own[k + 1] and lam[k].imag != 0
+                and lam[k + 1] == lam[k].conj()]
+        assert np.count_nonzero(lam[~own].imag) == 2  # the ring's pair, unitary
+        assert np.array_equal(dec.v[:, c + 1], dec.v[:, c].conj())
+        assert np.array_equal(dec.v_inv[c + 1], dec.v_inv[c].conj())
+        want = np.linalg.norm(dec.reconstruct() - lap)
+        assert dec.residual == pytest.approx(want, abs=1e-13 * np.linalg.norm(lap))
+
     def test_block_residuals_add_in_squares(self):
         g, _ = _chain_union(np.random.default_rng(3), [3, 5, 4], delta=1e-8)
         lap = directed_laplacian(g).matrix
@@ -1631,6 +1688,28 @@ class TestPairForm:
         assert np.linalg.norm(dec.v_inv @ dec.v - np.eye(10)) <= 1e-13
         want = np.linalg.norm(dec.reconstruct() - lap)
         assert abs(dec.residual - want) <= 1e-13 * np.linalg.norm(lap)
+
+    def test_complex_w_keeps_the_pair_rows_exact(self):
+        # One real component with a defective complex pair, whose chains have
+        # no partner columns, and a simple complex pair: W and Z are complex,
+        # and the simple pair's rows of V^-1 are exactly (Z[c] -/+ i Z[c + 1]) / 2
+        # for Z the inverse of W. Every entry is at unit scale, so v is W's.
+        def rotation(a, b):
+            return np.array([[a, -b], [b, a]])
+
+        m = np.zeros((6, 6))
+        m[:2, :2] = m[2:4, 2:4] = rotation(0.25, 0.5)
+        m[:2, 2:4], m[:4, 4:], m[4:, 4:] = 0.5 * np.eye(2), 0.5, rotation(0.75, 0.125)
+        dec = jordan_decompose(m)
+        v, lam = dec.v, dec.eigenvalues
+        assert dec.proper_indices == (0, 2, 4, 5)
+        (c,) = [k for k in range(5) if lam[k].imag != 0 and lam[k + 1] == lam[k].conj()
+                and np.array_equal(v[:, k + 1], v[:, k].conj())]
+        w = v.copy()
+        w[:, c], w[:, c + 1] = v[:, c].real, v[:, c].imag
+        z = np.linalg.inv(w)
+        assert np.array_equal(dec.v_inv[c], (z[c] - 1j * z[c + 1]) / 2)
+        assert np.array_equal(dec.v_inv[c + 1], (z[c] + 1j * z[c + 1]) / 2)
 
 
 class TestDtypeRule:

@@ -45,8 +45,10 @@ both trees, byte for byte (stdout, stderr and exit code): ``dgft --help``,
 each subcommand's ``--help`` and a usage error, every ``laplacian
 --matrix`` and ``--format`` on a directed, an undirected and a
 complex-weight file, ``gft --format json``, ``filter`` in both domains,
-``analyze --ring 6``, and a malformed and a non-UTF-8 file for each
-reader. The exit code is 1 on any difference.
+``analyze --ring 6``, and a malformed file, a non-UTF-8 file and a file
+that starts with a UTF-8 byte-order mark for each reader. Each difference of
+an array or a float prints with its size, ``max|x - y| / max|x|``. The exit
+code is 1 on any difference.
 
 ``--startup`` times what the in-process modes cannot: the start of every
 ``dgft`` process, as ``cli-mixed`` pays it. For ``import dgft.cli`` alone
@@ -81,6 +83,7 @@ sys.dont_write_bytecode = True  # leave no bytecode cache in either tree
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -125,6 +128,13 @@ FRONT_FILES = {
     "bad-spectrum.csv": b"spectral_index,eig_re\n0,1\n",
     "utf16.txt": "nodes 2\n".encode("utf-16"),  # starts with the bytes ff fe
 }
+# Each reader's input again, after a UTF-8 byte-order mark.
+FRONT_FILES.update({
+    "bom-graph.txt": b"\xef\xbb\xbf" + FRONT_FILES["directed.txt"],
+    "bom-signal.json": b"\xef\xbb\xbf" + FRONT_FILES["signal.json"],
+    "bom-spectrum.csv": b"\xef\xbb\xbfspectral_index,eig_re,eig_im,coeff_re,coeff_im,magnitude,"
+    b"frequency_rank\n" + b"".join(b"%d,%d,0,0.5,-1,%d,%d\n" % (k, k, k, k) for k in range(5)),
+})
 
 
 def front_end_commands(files: dict) -> list:
@@ -149,6 +159,9 @@ def front_end_commands(files: dict) -> list:
             ["laplacian", files["utf16.txt"]],
             ["gft", graph, "--signal", files["utf16.txt"]],
             ["igft", graph, "--spectrum", files["utf16.txt"]],
+            ["laplacian", files["bom-graph.txt"]],
+            ["gft", files["bom-graph.txt"], "--signal", files["bom-signal.json"]],
+            ["igft", graph, "--spectrum", files["bom-spectrum.csv"]],
             ["filter", graph, *signal, "--taps=1,,0.5"],
         ]
     )
@@ -252,7 +265,7 @@ def bits(x):
 
 
 def outputs(pkg, lap, signals, taps) -> dict:
-    """Every compared output of one member on one side."""
+    """Every compared output of one member on one side, as it was returned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -273,7 +286,7 @@ def outputs(pkg, lap, signals, taps) -> dict:
                 out[f"vertex[{s}]"] = pkg.apply_vertex_domain(lap, taps, f)
                 out[f"spectral[{s}]"] = pkg.apply_spectral_domain(dec, taps, f)
     out["warnings"] = [(w.category.__name__, str(w.message)) for w in caught]
-    return {key: bits(value) for key, value in out.items()}
+    return out
 
 
 def dgft(tree: Path, workloads, argv: list) -> subprocess.CompletedProcess:
@@ -347,17 +360,57 @@ def startup(trees, workloads, seed: int, k: int, workdir: Path) -> int:
     return 1 if failures else 0
 
 
+def relative_difference(x, y) -> str:
+    """`` (max|x - y| / max|x|)`` for two numeric arrays or floats of one shape,
+    else nothing: the size of a difference, so that a last-digit move reads apart
+    from a changed basis."""
+    if not all(isinstance(value, (np.ndarray, float)) for value in (x, y)):
+        return ""
+    try:
+        x, y = np.asarray(x), np.asarray(y)
+        if x.shape != y.shape or x.dtype.kind not in "fc" or y.dtype.kind not in "fc":
+            return ""
+        with np.errstate(all="ignore"):
+            return f" ({float(np.max(np.abs(x - y), initial=0.0) / np.max(np.abs(x))):.1e})"
+    except (TypeError, ValueError):
+        return ""
+
+
+# A number as dgft prints one: %.17g, with an optional imaginary part's sign.
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+def text_difference(x: bytes, y: bytes) -> str:
+    """:func:`relative_difference` of the numbers in two outputs that differ only
+    in them (the same text between the same count of numbers), else nothing."""
+    if NUMBER.split(x) != NUMBER.split(y):
+        return ""
+    return relative_difference(*(np.array(NUMBER.findall(t), dtype=float) for t in (x, y)))
+
+
 def differing(sides, pair) -> list:
-    """The keys of :func:`outputs` on which the sides differ for one member."""
+    """The keys of :func:`outputs` on which the sides differ for one member, each
+    with its :func:`relative_difference`."""
     got = [outputs(pkg, *member) for (pkg, _), member in zip(sides, pair)]
-    return [key for key in sorted(set(got[0]) | set(got[1])) if got[0].get(key) != got[1].get(key)]
+    return [key + relative_difference(got[0].get(key), got[1].get(key))
+            for key in sorted(set(got[0]) | set(got[1]))
+            if bits(got[0].get(key)) != bits(got[1].get(key))]
+
+
+def json_numbers(value):
+    """A JSON value as a float array (``null`` as NaN), or as it is when it is not all numbers."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        return value
 
 
 def report_differences(pkg, path: str, stdouts) -> list:
     """The keys on which two ``analyze`` reports of one graph file differ."""
     docs = [json.loads(text) for text in stdouts]
     rows = [doc.pop("proper_vector_variation") for doc in docs]
-    keys = [k for k in sorted(docs[0].keys() | docs[1].keys()) if docs[0].get(k) != docs[1].get(k)]
+    keys = [k + relative_difference(*(json_numbers(d.get(k)) for d in docs))
+            for k in sorted(docs[0].keys() | docs[1].keys()) if docs[0].get(k) != docs[1].get(k)]
     lap = pkg.directed_laplacian(importlib.import_module(f"{pkg.__name__}.io").load_graph(path))
     v, norm = pkg.decompose(lap).v, float(np.linalg.norm(lap.matrix))
     indices = [[r["spectral_index"] for r in side] for side in rows]
@@ -390,15 +443,17 @@ def check(sides, trees, seeds, workdir: Path) -> int:
         for (argv, *p), (_, *c) in zip(*runs):
             compared += 1
             labels = ["exit code", "stdout", "stderr"]
+            shown = " ".join(map(str, argv)).replace(f"{workdir}/", "")
             if argv[0] == "analyze" and p[0] == c[0] == 0:
                 labels[1] = None
                 for key in report_differences(sides[1][0], argv[1], (p[1], c[1])):
                     failures += 1
-                    print(f"DIFFERS cli-mixed seed {seed} {' '.join(argv[:2])}: {key}")
+                    print(f"DIFFERS cli-mixed seed {seed} {shown}: {key}")
             for label, x, y in zip(labels, p, c):
                 if label and x != y:
                     failures += 1
-                    print(f"DIFFERS cli-mixed seed {seed} {' '.join(argv[:2])}: {label}")
+                    size = text_difference(x, y) if label == "stdout" else ""
+                    print(f"DIFFERS cli-mixed seed {seed} {shown}: {label}{size}")
     print(f"{compared} members and commands compared, {failures} differences")
     extreme = 0
     for name, n, edges in EXTREME:
@@ -426,7 +481,8 @@ def front_end(trees, workloads, workdir: Path) -> int:
         for label in ("returncode", "stdout", "stderr"):
             if getattr(p, label) != getattr(c, label):
                 failures += 1
-                print(f"DIFFERS front end {shown}: {label}")
+                size = text_difference(p.stdout, c.stdout) if label == "stdout" else ""
+                print(f"DIFFERS front end {shown}: {label}{size}")
     print(f"{len(commands)} front-end commands compared, {failures} differences")
     return failures
 
