@@ -210,38 +210,22 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 # Parser assembly
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", nargs="?", help="edge-list file (or use --ring)")
-    p.add_argument("--ring", type=int, metavar="N", help="directed cycle on N nodes")
-    p.add_argument(
-        "--sum-duplicates",
-        action="store_true",
-        help="accumulate repeated edges instead of rejecting them",
-    )
-    p.add_argument(
-        "-o", "--output", type=_destination, default="-", help="output path (default stdout)"
-    )
-    p.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=DEFAULT_RANK_TOL,
-        help=f"rank / zero-detection tolerance (default {DEFAULT_RANK_TOL:g})",
-    )
-    p.add_argument(
-        "--tol-cluster",
-        dest="cluster_tol",
-        type=_tolerance,
-        help="eigenvalue clustering tolerance (default scales with the matrix)",
-    )
-    p.add_argument(
-        "--tol-recon",
-        type=_tolerance,
-        default=RECON_LIMIT,
-        help="relative reconstruction residual above which results are "
-        f"refused (default {RECON_LIMIT:g})",
-    )
-
-
+_COMMON = [
+    (("graph",), dict(nargs="?", help="edge-list file (or use --ring)")),
+    (("--ring",), dict(type=int, metavar="N", help="directed cycle on N nodes")),
+    (("--sum-duplicates",), dict(action="store_true",
+                                 help="accumulate repeated edges instead of rejecting them")),
+    (("-o", "--output"), dict(type=_destination, default="-", help="output path (default stdout)")),
+]
+# The decomposition's tolerances, on each subcommand that decomposes.
+_TOLERANCES = [
+    (("--tol",), dict(type=_tolerance, default=DEFAULT_RANK_TOL,
+                      help=f"rank / zero-detection tolerance (default {DEFAULT_RANK_TOL:g})")),
+    (("--tol-cluster",), dict(dest="cluster_tol", type=_tolerance, help="eigenvalue clustering "
+                              "tolerance (default scales with the matrix)")),
+    (("--tol-recon",), dict(type=_tolerance, default=RECON_LIMIT, help="relative reconstruction "
+                            f"residual above which results are refused (default {RECON_LIMIT:g})")),
+]
 _FORMAT = (("--format",), dict(choices=("csv", "json"), default="csv"))
 _SIGNAL = (("--signal",), dict(required=True, help="signal JSON file"))
 
@@ -252,18 +236,21 @@ SUBCOMMANDS = {
         (("--matrix",), dict(choices=("w", "din", "l"), default="l", help="which matrix to "
                              "emit: weights, in-degree diagonal, or the Laplacian (default l)")),
     ]),
-    "gft": ("transform a signal into the spectral domain", _cmd_gft, [_SIGNAL, _FORMAT]),
+    "gft": ("transform a signal into the spectral domain", _cmd_gft,
+            [*_TOLERANCES, _SIGNAL, _FORMAT]),
     "igft": ("synthesize a signal from a spectrum file", _cmd_igft, [
+        *_TOLERANCES,
         (("--spectrum",), dict(required=True, help="spectrum CSV or JSON file")),
     ]),
     "filter": ("apply a polynomial filter to a signal", _cmd_filter, [
+        *_TOLERANCES,
         _SIGNAL,
         (("--taps",), dict(required=True, help="comma-separated taps, lowest order first "
                            "(complex as a+bi); write a negative first tap as --taps=-1,1")),
         (("--domain",), dict(choices=("vertex", "spectral"), default="vertex",
                              help="where to run the filter (default vertex)")),
     ]),
-    "analyze": ("report spectral structure as JSON", _cmd_analyze, []),
+    "analyze": ("report spectral structure as JSON", _cmd_analyze, _TOLERANCES),
 }
 
 
@@ -279,8 +266,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (help_text, body, options) in SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
-            _add_common(p)
-            for flags, settings in options:
+            for flags, settings in _COMMON + options:
                 p.add_argument(*flags, **settings)
             p.set_defaults(func=body)
     return parser

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidValueError
 from .graph import _as_square, _Record, _unit_scale, signal_values
 from .linalg import (
     SpectralDecomposition,
@@ -63,22 +63,20 @@ def apply_spectral_domain(decomposition: SpectralDecomposition, h, f) -> np.ndar
 class ShiftInvariance(_Record):
     """Commutation verdict as its evidence: ``residual``, the relative
     commutator ``||L H - H L||_F / (||L||_F ||H||_F)`` (0 when the commutator
-    is exactly 0), and the ``bound`` it is compared against,
-    :data:`COMMUTATOR_TOL`. Both are ratios, so they read the same in any
-    unit of weight.
+    is exactly 0). It is a ratio, so it reads the same in any unit of weight.
 
-    Truthy exactly when ``residual <= bound``, so the result drops into any
-    boolean context and cannot hold a verdict its evidence contradicts.
+    Truthy exactly when ``residual <= COMMUTATOR_TOL``, so the result drops
+    into any boolean context and cannot hold a verdict its evidence
+    contradicts.
     """
 
     residual: float
-    bound: float
 
-    def __init__(self, residual, bound):
-        self.__dict__.update(residual=residual, bound=bound)
+    def __init__(self, residual):
+        self.__dict__.update(residual=residual)
 
     def __bool__(self) -> bool:
-        return bool(self.residual <= self.bound)
+        return bool(self.residual <= COMMUTATOR_TOL)
 
 
 def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
@@ -90,15 +88,18 @@ def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
     overflows or underflows. The relative residual
     ``||L H - H L||_F / (||L||_F ||H||_F)`` is compared against
     ``COMMUTATOR_TOL``. An operator that is not n x n raises
-    :class:`NonSquareError` or :class:`DimensionMismatchError`.
+    :class:`NonSquareError` or :class:`DimensionMismatchError`, and one with
+    a non-finite entry :class:`InvalidValueError`.
     """
     m, op = as_laplacian(lap).matrix, _as_square(operator)
     if len(op) != len(m):
         raise DimensionMismatchError(f"operator is {len(op)}x{len(op)}, graph has {len(m)} nodes")
     (m, _), (op, _) = _unit_scale(m), _unit_scale(op)
+    size = float(np.linalg.norm(op))  # at unit scale, finite exactly when every entry is
+    if not np.isfinite(size):
+        raise InvalidValueError("the operator has a non-finite entry")
     residual = float(np.linalg.norm(m @ op - op @ m))  # nonzero only if m and op are
-    residual = residual and residual / (float(np.linalg.norm(m)) * float(np.linalg.norm(op)))
-    return ShiftInvariance(residual=residual, bound=COMMUTATOR_TOL)
+    return ShiftInvariance(residual and residual / (float(np.linalg.norm(m)) * size))
 
 
 class EigenvalueMultiplicity(_Record):

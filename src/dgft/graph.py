@@ -161,20 +161,18 @@ def _node_count(n, least: int = 1) -> int:
 
 
 class Graph(_Record):
-    """Weighted directed graph over ``n`` nodes.
+    """Weighted directed graph over ``n`` nodes, one per row of ``weights``.
 
     ``weights[i, j]`` holds the weight of the edge from node ``j`` to node
     ``i``; the diagonal must be zero and the weights finite. Instances are
     immutable: the weight matrix is copied and made read-only on creation.
     """
 
-    n: int
     weights: np.ndarray
+    n: int
 
-    def __init__(self, n, weights):
-        n, w = _node_count(n), _as_square(weights, copy=True)
-        if w.shape[0] != n:
-            raise DimensionMismatchError(f"weight matrix is {w.shape[0]}x{w.shape[1]} but n={n}")
+    def __init__(self, weights):
+        w = _as_square(weights, copy=True)
         if np.any(np.diag(w) != 0):
             bad = int(np.flatnonzero(np.diag(w))[0])
             raise SelfLoopError(f"nonzero diagonal entry at node {bad}")
@@ -182,7 +180,7 @@ class Graph(_Record):
             dst, src = np.argwhere(~np.isfinite(w))[0]
             raise InvalidValueError(f"edge ({src}, {dst}) has non-finite weight {w[dst, src]}")
         w.flags.writeable = False
-        self.__dict__.update(n=n, weights=w)
+        self.__dict__.update(weights=w, n=len(w))
 
 
 class GraphSignal(_Record):
@@ -302,7 +300,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, complex]]) -> Graph:
     if weight.dtype.kind not in "biuf":  # complex, or other numbers as objects
         weights = _zeros(n, complex)
     weights[dst, src] = weight
-    return Graph(n=n, weights=weights)
+    return Graph(weights)
 
 
 def _zeros(n: int, dtype) -> np.ndarray:

@@ -1,9 +1,11 @@
 """File formats: edge lists, signal JSON, spectrum CSV/JSON, matrix dumps.
 
-Text output is byte deterministic: floats go through ``%.17g`` (enough
-digits to round-trip IEEE doubles), complex numbers through one fixed
-``a+bi`` shape, and rows are emitted in a fixed order. Readers accept
-either a path or an open text file; writers likewise.
+Text output is byte deterministic, and every float round-trips: the CSV
+writers print floats through ``%.17g`` and complex matrix entries in one
+fixed ``a+bi`` shape, the JSON writers Python's shortest round-trip form
+(``repr``), a complex value as an ``[re, im]`` pair; rows are emitted in
+a fixed order. Readers accept either a path or an open text file; writers
+likewise.
 
 The imaginary unit is ``i`` in every file format, independent of the
 ``j`` Python uses in memory.
@@ -197,7 +199,7 @@ def _edge_columns(n: int, lines: list[str]) -> Graph | None:
     if not (np.isfinite(weight).all() and _clean_columns(n, src, dst, weight)):
         return None
     weights[dst, src] = weight
-    return Graph(n=n, weights=weights)
+    return Graph(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,11 @@ class SpectralDecomposition(_Record):
     its own block either way.
 
     ``residual`` is the absolute residual ``||V J V^-1 - A||_F`` it was
-    certified with. The blocks and both verdicts are read off the fields
-    rather than stored, ``blocks`` once, on first access; ``_bidiagonal``
-    keeps ``J``'s layout (:class:`_Bidiagonal`).
+    certified with. ``basis_condition``, derived, is ``||V||_1 * ||V^-1||_1``;
+    a unitary ``v_inv`` laid out as ``v``'s conjugate transpose reads its
+    magnitudes off ``|v|``, bit for bit. The blocks and both verdicts are
+    read off the fields rather than stored, ``blocks`` once, on first access;
+    ``_bidiagonal`` keeps ``J``'s layout (:class:`_Bidiagonal`).
 
     The dtype rule (:func:`dgft.graph.real_or_complex`), which the
     package applies to every array it takes in and to the basis it
@@ -133,13 +135,13 @@ class SpectralDecomposition(_Record):
     proper_indices: tuple[int, ...]
     v_inv: np.ndarray
     is_unitary_basis: bool
-    basis_condition: float
     cluster_tol: float
     residual: float
+    basis_condition: float
     n: int
 
-    def __init__(self, v, eigenvalues, proper_indices, v_inv, is_unitary_basis,
-                 basis_condition, cluster_tol, residual):
+    def __init__(self, v, eigenvalues, proper_indices, v_inv, is_unitary_basis, cluster_tol,
+                 residual):
         n = v.shape[0]
         for name, m in (("v", v), ("v_inv", v_inv)):
             if m.shape != (n, n):
@@ -152,10 +154,12 @@ class SpectralDecomposition(_Record):
                 and (np.diff(heads) > 0).all() and heads[-1] < n):
             raise InvalidValueError(f"proper indices {proper_indices!r} must rise from 0 below {n}")
         w.flags.writeable = False
+        mag = np.abs(v)
+        inv = mag.T if is_unitary_basis and v_inv.flags.f_contiguous else np.abs(v_inv)
         self.__dict__.update(
             v=v, eigenvalues=w, proper_indices=tuple(heads.tolist()), v_inv=v_inv,
-            is_unitary_basis=is_unitary_basis, basis_condition=basis_condition,
-            cluster_tol=cluster_tol, residual=residual, n=n,
+            is_unitary_basis=is_unitary_basis, cluster_tol=cluster_tol, residual=residual,
+            basis_condition=float(mag.sum(axis=0).max() * inv.sum(axis=0).max()), n=n,
             _bidiagonal=_Bidiagonal(w, heads),  # read by every transform
         )
 
@@ -257,13 +261,12 @@ def _nullspace_basis(m: np.ndarray, cutoff: float) -> np.ndarray:
 DEFAULT_TIE_TOL = 1e-10
 
 
-@np.errstate(over="ignore")  # a difference past float64 is inf: no tie, as it should be
-def order_with_ties(
-    values, tie_tol: float = DEFAULT_TIE_TOL
-) -> tuple[list[int], list[tuple[int, ...]]]:
+# A difference past float64 is inf, and one of two infinite magnitudes NaN: no tie either way.
+@np.errstate(over="ignore", invalid="ignore")
+def order_with_ties(values) -> tuple[list[int], list[tuple[int, ...]]]:
     """Permutation ordering complex values by magnitude, ties resolved.
 
-    Indices whose magnitudes chain together within ``tie_tol * mag``
+    Indices whose magnitudes chain together within ``DEFAULT_TIE_TOL * mag``
     (the larger magnitude of each consecutive pair) form one tie group;
     inside it, ranking goes by real part (again chained, with the slack
     of the group's largest magnitude, since a computed conjugate pair can
@@ -280,12 +283,12 @@ def order_with_ties(
     mag = np.abs(w)
     order = np.argsort(mag, kind="stable")
     m = mag[order]
-    tie = np.abs(np.diff(m)) <= tie_tol * m[1:]
+    tie = np.abs(np.diff(m)) <= DEFAULT_TIE_TOL * m[1:]
     if not tie.any():  # no tie: the magnitude sort is the whole answer
         return order.tolist(), []
     group = np.cumsum(np.append(True, ~tie)) - 1
     ends = np.flatnonzero(np.append(group[1:] != group[:-1], True))
-    slack = tie_tol * m[ends]  # magnitudes ascend, so the last is the largest
+    slack = DEFAULT_TIE_TOL * m[ends]  # magnitudes ascend, so the last is the largest
     # Within each group, by real part; runs of chained real parts, by imaginary part.
     order = order[np.lexsort((w.real[order], group))]
     split = (np.diff(group) != 0) | ~(np.abs(np.diff(w.real[order])) <= slack[group[1:]])
@@ -453,9 +456,9 @@ def _finish(
     each stack's (m, k, k) vectors,
     ``columns[s][i][:, t]`` the t-th column of component i in its rows.
     Numbered stack by stack, component by component, each column has an
-    entry in the complex ``eigenvalues`` and in ``chains``, which numbers
-    the chains 0, 1, ... in the order ties keep; a chain's columns come
-    head first and share one eigenvalue. ``a`` is the input ``A`` times
+    entry in the complex ``eigenvalues`` and in ``chains``, which names its
+    chain by the chain head's column; a chain's columns come head first
+    and share one eigenvalue. ``a`` is the input ``A`` times
     ``2^-scale`` and ``norm`` its ``||.||_F``; steps 1 to 4 run at that
     scale. In order:
 
@@ -465,9 +468,10 @@ def _finish(
        vector the component's all-ones vector.
     2. One :func:`order_with_ties` of the eigenvalues, the ones ``J``'s
        diagonal gets, orders the chains; at one value the longest chain
-       comes first, then the component with the smallest row (both sorts
-       are stable). The ordering is idempotent, so the columns come out
-       in frequency order: each column's index is its frequency rank.
+       comes first, then the component with the smallest row, then the
+       chain whose head has the smallest column (both sorts are stable).
+       The ordering is idempotent, so the columns come out in frequency
+       order: each column's index is its frequency rank.
     3. Each component's columns, in that order, fill its rows of ``V``,
        which is C-contiguous. Each chain is scaled and phased through its
        head (:func:`_normalize_chains`), which gives a snapped vector its
@@ -594,26 +598,15 @@ def _finish(
             "an eigenvalue, the residual or cluster_tol leaves float64's range at this scale"
         )
     lam, (residual, cluster_tol) = back[:-2].view(lam.dtype), back[-2:].tolist()
-    mag = np.abs(v)  # a unitary V^-1 laid out as V^H has |V|^T for magnitudes, bit for bit
-    inv = mag.T if all(unitary) and v_inv.flags.f_contiguous else np.abs(v_inv)
-    condition = float(mag.sum(axis=0).max() * inv.sum(axis=0).max())  # ||V||_1 ||V^-1||_1
-    if condition > ILL_CONDITIONED_LIMIT:
+    dec = SpectralDecomposition(v, lam, proper, v_inv, all(unitary), cluster_tol, residual)
+    if dec.ill_conditioned:
         warnings.warn(
-            f"Jordan basis condition {condition:.3e} exceeds "
+            f"Jordan basis condition {dec.basis_condition:.3e} exceeds "
             f"{ILL_CONDITIONED_LIMIT:.0e}; transform results carry that uncertainty",
             IllConditionedBasisWarning,
             stacklevel=3,
         )
-    return SpectralDecomposition(
-        v=v,
-        eigenvalues=lam,
-        proper_indices=proper,
-        v_inv=v_inv,
-        is_unitary_basis=all(unitary),
-        basis_condition=condition,
-        cluster_tol=cluster_tol,
-        residual=residual,
-    )
+    return dec
 
 
 # Scaling back to A's scale can overflow, which _finish refuses; so can a product with a
@@ -655,9 +648,11 @@ def jordan_decompose(
     ``A``, as is the certificate bound). Every route ends in the one
     finisher (:func:`_finish`): columns in frequency order, by (magnitude,
     real, imaginary) with ties (:func:`order_with_ties`), at one value the
-    longest chain first, then the component with the smallest node; one
-    basis convention, certified block by block. A reconstruction residual
-    above ``recon_tol`` relative raises :class:`ReconstructionError`, which
+    longest chain first, then the component with the smallest node, then
+    the chain with the smallest head column; one basis convention,
+    certified block by block. A non-finite entry raises
+    :class:`InvalidValueError`. A reconstruction residual above
+    ``recon_tol`` relative raises :class:`ReconstructionError`, which
     also refuses a component a route cannot reproduce; a basis condition
     above :data:`ILL_CONDITIONED_LIMIT` raises
     :class:`IllConditionedBasisWarning`. Everything runs on ``2^-e A`` at
@@ -666,6 +661,8 @@ def jordan_decompose(
     """
     a, e = _unit_scale(_as_square(a))  # every kernel runs at unit scale
     n, norm = len(a), float(np.linalg.norm(a))
+    if not math.isfinite(norm):  # at unit scale, a finite A has a finite norm
+        raise InvalidValueError("a non-finite entry; nothing can be decomposed")
     if not math.isfinite(recon_tol * norm):
         raise ReconstructionError(f"recon_tol {recon_tol!r} overflows; nothing can be certified")
     ct = _default_cluster_tol(n, norm) if cluster_tol is None else np.ldexp(float(cluster_tol), -e)
@@ -695,9 +692,9 @@ def jordan_decompose(
         clusters = cluster_eigenvalues(w, ct, np.arange(m * k) // k) if route else []
         if route == 1:
             w, v = _split_clusters(sub - h, w, v, clusters)
-        # Every column its own chain until its cluster says otherwise; chains
-        # number by their cluster's first column, then by their head's place.
-        lams, keys = w.astype(complex), (first + np.arange(m * k)) * n
+        # Every column its own chain until its cluster says otherwise; a chain
+        # is named by its head's column.
+        lams, keys = w.astype(complex), first + np.arange(m * k)
         for cluster in [c for c in clusters if len(c) > 1 and route == 2]:
             i, t = np.divmod(cluster, k)  # one component
             lam = complex(np.mean(w[cluster]))
@@ -710,15 +707,14 @@ def jordan_decompose(
             v[i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
             lengths += [1] * (len(cluster) - covered)
             lams[cluster[:covered]] = lam
-            keys[cluster] = keys[cluster[0]] + np.repeat(np.cumsum(lengths) - lengths, lengths)
+            keys[cluster] = np.repeat(keys[cluster][np.cumsum(lengths) - lengths], lengths)
         values.append(lams)
         columns.append(v)
         chains.append(keys)
         first += m * k
     return _finish(
         a, home, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
-        np.unique(np.concatenate(chains), return_inverse=True)[1],
-        norm=norm, tol=tol, cluster_tol=ct, unitary=[route < 2 for route, *_ in stacks],
+        np.concatenate(chains), norm=norm, tol=tol, cluster_tol=ct, unitary=[route < 2 for route, *_ in stacks],
         recon_tol=recon_tol, scale=int(e),
     )
 

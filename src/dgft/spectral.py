@@ -96,20 +96,21 @@ def quadratic_form(lap, f) -> float:
 class FrequencyOrdering(_Record):
     """Permutation of spectral indices from lowest to highest frequency.
 
-    ``order[k]`` is the spectral index holding frequency rank ``k``;
-    ``ranks`` is the inverse permutation. ``tie_groups`` lists the groups
-    of two or more indices whose magnitudes coincide within tolerance
-    (conjugate pairs, for one), already in their deterministic resolved
-    order: real part ascending, then imaginary part ascending, so the
-    negative-imaginary half of a pair comes first.
+    ``order[k]`` is the spectral index holding frequency rank ``k``.
+    ``tie_groups`` lists the groups of two or more indices whose magnitudes
+    coincide within tolerance (conjugate pairs, for one), already in their
+    deterministic resolved order: real part ascending, then imaginary part
+    ascending, so the negative-imaginary half of a pair comes first.
+    ``ranks``, derived, is the inverse permutation of ``order``.
     """
 
     order: tuple[int, ...]
-    ranks: tuple[int, ...]
     tie_groups: tuple[tuple[int, ...], ...]
+    ranks: tuple[int, ...]
 
-    def __init__(self, order, ranks, tie_groups):
-        self.__dict__.update(order=order, ranks=ranks, tie_groups=tie_groups)
+    def __init__(self, order, tie_groups):
+        ranks = tuple(np.argsort(order).tolist())
+        self.__dict__.update(order=order, tie_groups=tie_groups, ranks=ranks)
 
 
 def order_frequencies(eigenvalues) -> FrequencyOrdering:
@@ -123,11 +124,7 @@ def order_frequencies(eigenvalues) -> FrequencyOrdering:
     order and chains stay contiguous, head first.
     """
     order, tie_groups = order_with_ties(eigenvalues)
-    return FrequencyOrdering(
-        order=tuple(order),
-        ranks=tuple(np.argsort(order).tolist()),  # the inverse permutation
-        tie_groups=tuple(tie_groups),
-    )
+    return FrequencyOrdering(order=tuple(order), tie_groups=tuple(tie_groups))
 
 
 class Spectrum(_Record):

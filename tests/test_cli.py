@@ -1,3 +1,4 @@
+import argparse
 import ast
 import codecs
 import json
@@ -54,6 +55,13 @@ class TestLaplacian:
             "-2,-4,0,7,-1",
             "-3,-3,0,0,6",
         ]
+
+    @pytest.mark.parametrize("flag", ["--tol=5", "--tol-cluster=1e-3", "--tol-recon=1"])
+    def test_takes_no_decomposition_tolerance(self, capsys, flag):
+        # laplacian decomposes nothing, so a tolerance is an unknown flag.
+        code, out, err = run_cli(capsys, "laplacian", "--ring", "3", flag)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_ring_flag(self, capsys):
         code, out, _ = run_cli(capsys, "laplacian", "--ring", "3")
@@ -422,7 +430,7 @@ class TestAnalyze:
         # this digraph undirected and certified a unitary basis 23% off.
         g = make_random_digraph(np.random.default_rng(0), 50)
         p = tmp_path / "tiny.txt"
-        p.write_text(edge_list(Graph(n=g.n, weights=g.weights * 1e-12)))
+        p.write_text(edge_list(Graph(g.weights * 1e-12)))
         code, out, _ = run_cli(capsys, "analyze", str(p))
         assert code == 0
         doc = json.loads(out)
@@ -703,7 +711,8 @@ class TestExitCodes:
     [[], ["--help"], ["nosuch"]]
     + [[name, "--help"] for name in SUBCOMMANDS]
     + [[name, "--no-such-flag"] for name in SUBCOMMANDS]  # the top-level usage
-    + [[name, "--tol=0"] for name in SUBCOMMANDS]  # the subcommand's usage
+    # the subcommand's usage, from a value of its own option
+    + [[name, "--matrix=x" if name == "laplacian" else "--tol=0"] for name in SUBCOMMANDS]
     + [[name, "a", "b"] for name in SUBCOMMANDS],
 )
 def test_one_subparser_prints_what_the_full_parser_prints(capsys, argv):
@@ -715,6 +724,42 @@ def test_one_subparser_prints_what_the_full_parser_prints(capsys, argv):
         _build_parser().parse_args(argv)
     want = capsys.readouterr()
     assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
+
+
+def test_every_option_a_subcommand_declares_is_read(capsys, monkeypatch, tmp_path):
+    # Each subcommand runs through main with its body reading a namespace
+    # that records every attribute read; over its runs (filter in both
+    # domains), each dest its subparser declares must be read. A graph file,
+    # not --ring, so that --sum-duplicates is read as well.
+    spectrum = str(tmp_path / "spec.csv")
+    runs = {
+        "laplacian": [[DEMO]],
+        "gft": [[DEMO, "--signal", SIGNAL, "-o", spectrum]],
+        "igft": [[DEMO, "--spectrum", spectrum]],
+        "filter": [[DEMO, "--signal", SIGNAL, "--taps", "1,0.5", "--domain", domain]
+                   for domain in ("vertex", "spectral")],
+        "analyze": [[DEMO]],
+    }
+    assert list(runs) == list(SUBCOMMANDS)
+    for name, argvs in runs.items():
+        help_text, body, options = SUBCOMMANDS[name]
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, attr):
+                read.add(attr)
+                return super().__getattribute__(attr)
+
+        def recorded(args, body=body):
+            body(Recording(**vars(args)))
+
+        monkeypatch.setitem(SUBCOMMANDS, name, (help_text, recorded, options))
+        for argv in argvs:
+            assert run_cli(capsys, name, *argv)[0] == 0, argv
+        (sub,) = [a for a in _build_parser(name)._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        declared = {action.dest for action in sub.choices[name]._actions} - {"help"}
+        assert sorted(declared - read) == [], name
 
 
 def test_console_script_smoke():

@@ -74,7 +74,7 @@ def _laplacians(draw):
         g = make_random_digraph(rng, n, p=draw(st.sampled_from([0.15, 0.3, 0.6])))
         if family == "complex":
             phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=g.weights.shape))
-            g = Graph(n=n, weights=g.weights * phases)
+            g = Graph(g.weights * phases)
         return family, directed_laplacian(g).matrix
     if family == "out-tree":  # each node fed by one earlier node
         w = _weights(rng, n, delta)

@@ -31,26 +31,27 @@ from dgft import (
     demo_graph,
     ring_graph,
 )
+from dgft.filters import COMMUTATOR_TOL
 
 _DEC = decompose(demo_graph())
 _MULTIPLICITY = EigenvalueMultiplicity(2j, 2, 1)
 
 # class: (constructor arguments in field order, derived fields with their values)
 RECORDS = {
-    Graph: ((2, np.array([[0.0, 1.0], [0.0, 0.0]])), {}),
+    Graph: ((np.array([[0.0, 1.0], [0.0, 0.0]]),), {"n": 2}),
     GraphSignal: (([2.5, -1.0],), {"n": 2}),
     DirectedLaplacian: ((np.array([[1.0, -1.0], [0.0, 0.0]]),), {"n": 2}),
     JordanBlock: ((1 + 0j, 2, 0), {}),
     SpectralDecomposition: (
-        (_DEC.v, _DEC.eigenvalues, _DEC.proper_indices, _DEC.v_inv, False, 12.5, 1e-9, 3e-15),
-        {"n": 5},
+        (_DEC.v, _DEC.eigenvalues, _DEC.proper_indices, _DEC.v_inv, False, 1e-9, 3e-15),
+        {"basis_condition": _DEC.basis_condition, "n": 5},
     ),
-    FrequencyOrdering: (((1, 0, 2), (1, 0, 2), ((1, 0),)), {}),
+    FrequencyOrdering: (((1, 0, 2), ((1, 0),)), {"ranks": (1, 0, 2)}),
     Spectrum: (
         (np.array([0.0, 1.0]), np.array([1.0, 2.0])),
-        {"ordering": FrequencyOrdering((0, 1), (0, 1), ()), "n": 2},
+        {"ordering": FrequencyOrdering((0, 1), ()), "n": 2},
     ),
-    ShiftInvariance: ((1e-12, 1e-10), {}),
+    ShiftInvariance: ((1e-12,), {}),
     EigenvalueMultiplicity: ((2j, 2, 1), {}),
     MultiplicityReport: (((_MULTIPLICITY,),), {"polynomials_span_commutant": True}),
 }
@@ -164,7 +165,7 @@ def test_repr_text():
     )
     assert repr(Spectrum([0.0], [1.0])) == (
         "Spectrum(eigenvalues=array([0.]), coefficients=array([1.]), "
-        "ordering=FrequencyOrdering(order=(0,), ranks=(0,), tie_groups=()), n=1)"
+        "ordering=FrequencyOrdering(order=(0,), tie_groups=(), ranks=(0,)), n=1)"
     )
 
 
@@ -188,11 +189,11 @@ def test_a_subclass_keeps_the_fields_and_its_own_class():
 
 
 def test_shift_invariance_is_truthy_exactly_when_invariant():
-    # The verdict is its evidence: residual within the bound, a NaN never.
-    assert ShiftInvariance(0.0, 1.0) and ShiftInvariance(1.0, 1.0)
-    assert not ShiftInvariance(2.0, 1.0)
-    assert not ShiftInvariance(float("nan"), 1.0)
-    assert bool(ShiftInvariance(np.float64(0.5), np.float64(1.0))) is True
+    # The verdict is its evidence: residual within COMMUTATOR_TOL, a NaN never.
+    assert ShiftInvariance(0.0) and ShiftInvariance(COMMUTATOR_TOL)
+    assert not ShiftInvariance(2 * COMMUTATOR_TOL)
+    assert not ShiftInvariance(float("nan"))
+    assert bool(ShiftInvariance(np.float64(COMMUTATOR_TOL / 2))) is True
 
 
 def test_blocks_are_computed_once():
@@ -214,7 +215,7 @@ def test_a_decomposition_holds_no_square_array_but_its_basis():
 
 
 def test_decomposition_refuses_a_j_that_does_not_fit_its_basis():
-    basis = dict(is_unitary_basis=True, basis_condition=3.0, cluster_tol=1e-9, residual=0.0)
+    basis = dict(is_unitary_basis=True, cluster_tol=1e-9, residual=0.0)
 
     def build(eigenvalues, proper_indices):
         return SpectralDecomposition(np.eye(3), eigenvalues, proper_indices, np.eye(3), **basis)

@@ -42,7 +42,8 @@ compares the inputs of ``EXTREME`` the same way, once, after the seeds:
 far from unit scale, where a change to how a matrix's size is measured
 shows first. Last it runs a fixed list of front-end commands against
 both trees, byte for byte (stdout, stderr and exit code): ``dgft --help``,
-each subcommand's ``--help`` and a usage error, every ``laplacian
+each subcommand's ``--help`` and a bad value of one of its own options
+(``laplacian --matrix=x``, ``--tol=0`` elsewhere), every ``laplacian
 --matrix`` and ``--format`` on a directed, an undirected and a
 complex-weight file, ``gft --format json``, ``filter`` in both domains,
 ``analyze --ring 6``, and a malformed file, a non-UTF-8 file and a file
@@ -144,7 +145,7 @@ def front_end_commands(files: dict) -> list:
     return (
         [["--help"]]
         + [[name, flag] for name in ("laplacian", "gft", "igft", "filter", "analyze")
-           for flag in ("--help", "--tol=0")]
+           for flag in ("--help", "--matrix=x" if name == "laplacian" else "--tol=0")]
         + [["laplacian", files[name], "--matrix", matrix, "--format", fmt]
            for name in ("directed.txt", "undirected.txt", "complex.txt")
            for matrix in ("w", "din", "l") for fmt in ("csv", "json")]
