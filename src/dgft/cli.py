@@ -4,9 +4,9 @@ Subcommands: ``laplacian`` (assemble and dump the matrix), ``gft``
 (signal to spectrum), ``igft`` (spectrum back to signal), ``filter``
 (apply a tap polynomial), ``analyze`` (spectral structure report).
 
-Exit codes: 0 success, 2 malformed input or usage, 3 dimension mismatch
-between inputs, 4 numeric failure (no convergence, singular basis, or a
-decomposition that fails to reproduce the Laplacian).
+Exit codes: 0 success, 1 an unreadable path, 2 malformed input or usage,
+3 dimension mismatch between inputs, 4 numeric failure (no convergence,
+singular basis, or a decomposition that fails to reproduce the Laplacian).
 """
 
 from __future__ import annotations

@@ -49,13 +49,16 @@ def real_or_complex(values, *, copy: bool = False) -> np.ndarray:
 
 
 def _as_square(matrix, *, copy: bool = False) -> np.ndarray:
-    """:func:`real_or_complex`, refusing anything but a square matrix with
-    at least one row."""
+    """:func:`real_or_complex`, refusing anything but a finite square matrix
+    with at least one row: the one check of every matrix from outside."""
     a = real_or_complex(matrix, copy=copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if not a.size:
         raise GraphSizeError("a matrix needs at least one row, got shape (0, 0)")
+    if not (finite := np.isfinite(a)).all():
+        row, col = np.argwhere(~finite)[0]
+        raise InvalidValueError(f"non-finite entry {a[row, col]} at row {row}, column {col}")
     return a
 
 
@@ -72,13 +75,13 @@ def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(2^-e m, e)`` for a matrix or each matrix of a stack, exactly
     (:func:`_ldexp`): ``e`` is even, as ``eig``'s bits follow ``4^k m`` but
     not ``2 m``, and brings the largest real or imaginary part into [1/4, 1)
-    (0 for a zero matrix; at every ``e`` 0, ``m`` itself, not a copy). Read off the
-    parts, not a norm, it overflows at no scale."""
+    (0 for a zero matrix). Read off the parts, not a norm, it overflows at
+    no scale."""
     part = np.ascontiguousarray(m).view(float) if m.dtype.kind == "c" else m  # re, im side by side
     big = np.maximum(part.max(axis=(-2, -1), initial=0.0), -part.min(axis=(-2, -1), initial=0.0))
     e = np.frexp(big)[1]  # from the extremes of each part: no |m| is allocated
     e += e & 1
-    return (_ldexp(m, -e[..., None, None]) if e.any() else m), e
+    return _ldexp(m, -e[..., None, None]), e
 
 
 def is_normal(m: np.ndarray) -> np.ndarray:
@@ -176,9 +179,6 @@ class Graph(_Record):
         if np.any(np.diag(w) != 0):
             bad = int(np.flatnonzero(np.diag(w))[0])
             raise SelfLoopError(f"nonzero diagonal entry at node {bad}")
-        if not np.isfinite(w).all():
-            dst, src = np.argwhere(~np.isfinite(w))[0]
-            raise InvalidValueError(f"edge ({src}, {dst}) has non-finite weight {w[dst, src]}")
         w.flags.writeable = False
         self.__dict__.update(weights=w, n=len(w))
 
@@ -209,12 +209,9 @@ class DirectedLaplacian(_Record):
 
     def __init__(self, matrix):
         m = _as_square(matrix, copy=True)
-        # At unit scale no row sum overflows, and a non-finite entry makes the
-        # largest absolute row sum non-finite. Row sums are products with ones (BLAS).
+        # At unit scale no row sum overflows. Row sums are products with ones (BLAS).
         u, ones = _unit_scale(m)[0], np.ones(len(m))
         largest = float(np.max(np.abs(u) @ ones))
-        if not np.isfinite(largest):
-            raise InvalidValueError("a non-finite entry; not a valid in-degree Laplacian matrix")
         row_sums = np.abs(u @ ones)
         if np.any(row_sums > ROW_SUM_TOL * largest):
             worst = int(np.argmax(row_sums))

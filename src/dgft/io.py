@@ -244,14 +244,8 @@ def load_signal(src) -> GraphSignal:
         raise ParseError("signal file must hold a JSON object")
     if "values" not in doc or not isinstance(doc["values"], list):
         raise ParseError("signal object needs a 'values' list")
-    items = doc["values"]
-    try:  # plain numbers (a bool is none) as one array
-        values = np.array(items, float) if {*map(type, items)} <= {int, float} else None
-    except OverflowError:  # an int past float64's range
-        values = None
-    if values is None or not np.isfinite(values).all():  # item by item, naming the one refused
-        values = [_value_from_json(v, f"values[{k}]") for k, v in enumerate(items)]
-    if not len(values):
+    values = [_value_from_json(v, f"values[{k}]") for k, v in enumerate(doc["values"])]
+    if not values:
         raise ParseError("signal has no values")
     _check_declared_n(doc, len(values), "values")
     return GraphSignal(values)

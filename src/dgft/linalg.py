@@ -43,6 +43,7 @@ ill-conditioning thresholds are fixed module constants.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from functools import cached_property
 
@@ -216,8 +217,6 @@ def cluster_eigenvalues(values, tol: float, labels=None) -> list[list[int]]:
     near = np.abs(ws[t] - ws[s]) <= tol
     if labels is not None:
         near &= np.take(labels, order[s]) == np.take(labels, order[t])
-    if not near.any():  # every value its own cluster
-        return [[i] for i in range(w.size)]
     roots = _component_minima(w.size, order[s[near]], order[t[near]])
     groups: dict[int, list[int]] = {}
     for i, root in enumerate(roots.tolist()):
@@ -261,7 +260,7 @@ def _nullspace_basis(m: np.ndarray, cutoff: float) -> np.ndarray:
 DEFAULT_TIE_TOL = 1e-10
 
 
-# A difference past float64 is inf, and one of two infinite magnitudes NaN: no tie either way.
+# A magnitude past float64 is inf; its difference from any other, inf or NaN, is no tie.
 @np.errstate(over="ignore", invalid="ignore")
 def order_with_ties(values) -> tuple[list[int], list[tuple[int, ...]]]:
     """Permutation ordering complex values by magnitude, ties resolved.
@@ -283,7 +282,7 @@ def order_with_ties(values) -> tuple[list[int], list[tuple[int, ...]]]:
     mag = np.abs(w)
     order = np.argsort(mag, kind="stable")
     m = mag[order]
-    tie = np.abs(np.diff(m)) <= DEFAULT_TIE_TOL * m[1:]
+    tie = (np.abs(d := np.diff(m)) <= DEFAULT_TIE_TOL * m[1:]) & np.isfinite(d)
     if not tie.any():  # no tie: the magnitude sort is the whole answer
         return order.tolist(), []
     group = np.cumsum(np.append(True, ~tie)) - 1
@@ -600,18 +599,18 @@ def _finish(
     lam, (residual, cluster_tol) = back[:-2].view(lam.dtype), back[-2:].tolist()
     dec = SpectralDecomposition(v, lam, proper, v_inv, all(unitary), cluster_tol, residual)
     if dec.ill_conditioned:
+        frame, level = sys._getframe(), 1  # the warning names the first frame outside the package
+        while frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"Jordan basis condition {dec.basis_condition:.3e} exceeds "
             f"{ILL_CONDITIONED_LIMIT:.0e}; transform results carry that uncertainty",
             IllConditionedBasisWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     return dec
 
 
-# Scaling back to A's scale can overflow, which _finish refuses; so can a product with a
-# near-singular inverse, which fails the certificate. Neither gives a numpy warning first.
-@np.errstate(over="ignore", invalid="ignore")
 def jordan_decompose(
     a,
     tol: float = DEFAULT_RANK_TOL,
@@ -659,64 +658,67 @@ def jordan_decompose(
     unit scale (:func:`dgft.graph._unit_scale`), so ``4^k A`` decomposes as
     ``A`` does, bit for bit, at any scale whose chains and eigenvalues fit.
     """
-    a, e = _unit_scale(_as_square(a))  # every kernel runs at unit scale
-    n, norm = len(a), float(np.linalg.norm(a))
-    if not math.isfinite(norm):  # at unit scale, a finite A has a finite norm
-        raise InvalidValueError("a non-finite entry; nothing can be decomposed")
-    if not math.isfinite(recon_tol * norm):
-        raise ReconstructionError(f"recon_tol {recon_tol!r} overflows; nothing can be certified")
-    ct = _default_cluster_tol(n, norm) if cluster_tol is None else np.ldexp(float(cluster_tol), -e)
-    home = _component_minima(n, *np.divmod(np.flatnonzero(a != 0), n))  # nonzeros as edges
-    size = np.bincount(home)[home]
-    by_size = np.lexsort((home, size))
+    # Scaling back to A's scale can overflow, which _finish refuses; so can a product with a
+    # near-singular inverse, which fails the certificate. Neither gives a numpy warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, e = _unit_scale(_as_square(a))  # every kernel runs at unit scale
+        n, norm = len(a), float(np.linalg.norm(a))
+        if not math.isfinite(recon_tol * norm):
+            raise ReconstructionError(
+                f"recon_tol {recon_tol!r} overflows; nothing can be certified")
+        ct = (_default_cluster_tol(n, norm) if cluster_tol is None
+              else np.ldexp(float(cluster_tol), -e))
+        home = _component_minima(n, *np.divmod(np.flatnonzero(a != 0), n))  # nonzeros as edges
+        size = np.bincount(home)[home]
+        by_size = np.lexsort((home, size))
 
-    # Components of each size k as an (m, k) stack of rows with their
-    # submatrices, split by route: 0 Hermitian, 1 normal, 2 Jordan.
-    stacks = []
-    for k in sorted(set(size.tolist())):
-        rows = by_size[size[by_size] == k].reshape(-1, k)
-        sub = a[_blocks(rows, rows, n)]
-        route = np.where((sub == sub.conj().transpose(0, 2, 1)).all(axis=(1, 2)), 0, 2)
-        if (rest := route > 0).any():
-            route[rest] = np.where(is_normal(sub if rest.all() else sub[rest]), 1, 2)
-        for r in sorted(set(route.tolist())):
-            pick = route == r
-            stacks.append((r, rows[pick], sub if pick.all() else sub[pick]))
+        # Components of each size k as an (m, k) stack of rows with their
+        # submatrices, split by route: 0 Hermitian, 1 normal, 2 Jordan.
+        stacks = []
+        for k in sorted(set(size.tolist())):
+            rows = by_size[size[by_size] == k].reshape(-1, k)
+            sub = a[_blocks(rows, rows, n)]
+            route = np.where((sub == sub.conj().transpose(0, 2, 1)).all(axis=(1, 2)), 0, 2)
+            if (rest := route > 0).any():
+                route[rest] = np.where(is_normal(sub if rest.all() else sub[rest]), 1, 2)
+            for r in sorted(set(route.tolist())):
+                pick = route == r
+                stacks.append((r, rows[pick], sub if pick.all() else sub[pick]))
 
-    values, columns, chains, first = [], [], [], 0
-    for route, rows, sub in stacks:
-        m, k = rows.shape
-        h = (sub + sub.conj().transpose(0, 2, 1)) / 2.0 if route == 1 else sub
-        w, v = _converged(np.linalg.eig if route == 2 else np.linalg.eigh, h)
-        w = w.ravel()  # column i * k + t of component i
-        clusters = cluster_eigenvalues(w, ct, np.arange(m * k) // k) if route else []
-        if route == 1:
-            w, v = _split_clusters(sub - h, w, v, clusters)
-        # Every column its own chain until its cluster says otherwise; a chain
-        # is named by its head's column.
-        lams, keys = w.astype(complex), first + np.arange(m * k)
-        for cluster in [c for c in clusters if len(c) > 1 and route == 2]:
-            i, t = np.divmod(cluster, k)  # one component
-            lam = complex(np.mean(w[cluster]))
-            lam = 0j if abs(lam) <= tol * norm else lam  # the zero snap's threshold
-            mu = lam.real if lam.imag == 0 else lam  # real chains, even in a stack eig made complex
-            found = _jordan_chains(sub[i[0]], mu, len(cluster), tol)
-            # The chains take the cluster's first columns, longest first. A shortfall is a
-            # clustering artifact: the rest keep their eigenvectors, each its own block.
-            covered = sum(lengths := [len(chain) for chain in found])
-            v[i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
-            lengths += [1] * (len(cluster) - covered)
-            lams[cluster[:covered]] = lam
-            keys[cluster] = np.repeat(keys[cluster][np.cumsum(lengths) - lengths], lengths)
-        values.append(lams)
-        columns.append(v)
-        chains.append(keys)
-        first += m * k
-    return _finish(
-        a, home, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
-        np.concatenate(chains), norm=norm, tol=tol, cluster_tol=ct, unitary=[route < 2 for route, *_ in stacks],
-        recon_tol=recon_tol, scale=int(e),
-    )
+        values, columns, chains, first = [], [], [], 0
+        for route, rows, sub in stacks:
+            m, k = rows.shape
+            h = (sub + sub.conj().transpose(0, 2, 1)) / 2.0 if route == 1 else sub
+            w, v = _converged(np.linalg.eig if route == 2 else np.linalg.eigh, h)
+            w = w.ravel()  # column i * k + t of component i
+            clusters = cluster_eigenvalues(w, ct, np.arange(m * k) // k) if route else []
+            if route == 1:
+                w, v = _split_clusters(sub - h, w, v, clusters)
+            # Every column its own chain until its cluster says otherwise; a chain
+            # is named by its head's column.
+            lams, keys = w.astype(complex), first + np.arange(m * k)
+            for cluster in [c for c in clusters if len(c) > 1 and route == 2]:
+                i, t = np.divmod(cluster, k)  # one component
+                lam = complex(np.mean(w[cluster]))
+                lam = 0j if abs(lam) <= tol * norm else lam  # the zero snap's threshold
+                mu = lam.real if lam.imag == 0 else lam  # real chains, even in a complex stack
+                found = _jordan_chains(sub[i[0]], mu, len(cluster), tol)
+                # The chains take the cluster's first columns, longest first. A shortfall is a
+                # clustering artifact: the rest keep their eigenvectors, each its own block.
+                covered = sum(lengths := [len(chain) for chain in found])
+                v[i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
+                lengths += [1] * (len(cluster) - covered)
+                lams[cluster[:covered]] = lam
+                keys[cluster] = np.repeat(keys[cluster][np.cumsum(lengths) - lengths], lengths)
+            values.append(lams)
+            columns.append(v)
+            chains.append(keys)
+            first += m * k
+        return _finish(
+            a, home, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
+            np.concatenate(chains), norm=norm, tol=tol, cluster_tol=ct,
+            unitary=[route < 2 for route, *_ in stacks], recon_tol=recon_tol, scale=int(e),
+        )
 
 
 def _split_clusters(skew, w, v, clusters):

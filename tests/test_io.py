@@ -27,7 +27,6 @@ from dgft.io import (
     _fmt_float,
     _format_complex,
     _spectrum_columns,
-    _value_from_json,
     dump_matrix_csv,
     dump_matrix_json,
     dump_report,
@@ -599,44 +598,6 @@ class TestSpectrumColumns:
         lines = ['"spectral_index"' + ",".join(("",) + SPECTRUM_HEADER[1:]), "0,1,0,2,0,2,0"]
         assert _spectrum_columns(lines) is None
         assert load_spectrum(stdio.StringIO("\n".join(lines))).coefficients.tolist() == [2.0]
-
-
-_SIGNAL_ITEMS = st.one_of(
-    _WEIGHTS,
-    st.integers(-(2**70), 2**70),
-    st.sampled_from([10**400, -(10**400), True, False, float("nan"), float("inf")]),
-    st.lists(_WEIGHTS, min_size=2, max_size=2),
-    st.lists(_WEIGHTS, min_size=1, max_size=3),
-)
-
-
-class TestSignalColumns:
-    @staticmethod
-    def _walk(items):
-        return GraphSignal([_value_from_json(item, f"values[{k}]") for k, item in enumerate(items)])
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(_WEIGHTS, st.integers(-(2**70), 2**70)), min_size=1, max_size=8))
-    def test_plain_numbers_give_the_walkers_values_bit_for_bit(self, items):
-        want = _outcome(lambda: self._walk(items))
-        assert want[0][0] == "<f8"
-        text = json.dumps({"n": len(items), "values": items})
-        assert _outcome(lambda: load_signal(stdio.StringIO(text))) == want
-
-    @pytest.mark.parametrize(
-        "items", [[1.0, float("nan")], [float("-inf")], [2, 10**400], [1.5, True], [1, [0, 1]]]
-    )
-    def test_what_one_array_cannot_hold_gets_the_walkers_verdict(self, items):
-        text = json.dumps({"values": items})
-        want = _outcome(lambda: self._walk(items))
-        assert _outcome(lambda: load_signal(stdio.StringIO(text))) == want
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(_SIGNAL_ITEMS, min_size=1, max_size=6))
-    def test_any_values_give_the_walkers_values_or_error(self, items):
-        want = _outcome(lambda: self._walk(items))
-        text = json.dumps({"values": items})  # NaN and Infinity as Python's json writes them
-        assert _outcome(lambda: load_signal(stdio.StringIO(text))) == want
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from dgft import (
     GraphSignal,
     GraphSizeError,
     IllConditionedBasisWarning,
-    InvalidValueError,
     NoConvergenceError,
     NonSquareError,
     ReconstructionError,
     SingularMatrixError,
+    Spectrum,
     apply_spectral_domain,
     apply_vertex_domain,
     build_graph,
@@ -241,6 +241,13 @@ class TestOrderWithTies:
         assert order == [0, 1, 2]
         assert groups == [(0, 1, 2)]
 
+    def test_an_infinite_magnitude_ties_with_no_finite_one(self):
+        huge = 1.7976931348623157e308 * (1 + 1j)  # |huge| overflows to inf
+        assert order_with_ties([1.0, huge]) == ([0, 1], [])
+        assert Spectrum([np.inf, 1.0], [1, 2]).ordering.tie_groups == ()
+        # Only exact zeros tie with 0, and two infinite magnitudes do not tie either.
+        assert order_with_ties([0, 0, 0, huge, huge]) == ([0, 1, 2, 3, 4], [(0, 1, 2)])
+
 
 class TestEigenDecompose:
     """Defectiveness verdicts, read from ``jordan_decompose(a).is_diagonalizable``."""
@@ -406,6 +413,17 @@ class TestJordanDecompose:
         assert dec.ill_conditioned
         assert dec.basis_condition > 1e12
         assert dec.is_diagonalizable
+
+    def test_ill_conditioned_basis_warning_names_the_callers_line(self):
+        # Not a frame inside dgft or numpy's errstate wrapper, through either entry point.
+        calls = [
+            lambda: jordan_decompose(np.array([[1.0, 1.0], [0.0, 1.0 + 1e-12]]), cluster_tol=1e-13),
+            lambda: decompose(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0 + 1e-12)]), cluster_tol=1e-13),
+        ]
+        for call in calls:
+            with pytest.warns(IllConditionedBasisWarning) as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__]
 
     def test_oversized_cluster_tol_falls_back_gracefully(self):
         # merging everything into one cluster must not crash or lose columns
@@ -1484,15 +1502,11 @@ class TestRouting:
                 with pytest.raises(GraphSizeError):
                     call(np.zeros((0, 0)))
 
-    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
-    def test_a_non_finite_entry_is_an_invalid_value(self, entry):
-        # At unit scale a finite matrix has a finite norm, so a non-finite
-        # norm names the entry, not recon_tol; only a bound that overflows
-        # on a finite matrix blames recon_tol.
+    def test_a_recon_tol_that_overflows_is_refused(self):
+        # A non-finite entry never gets this far (graph._as_square), so only
+        # a bound that overflows on a finite matrix blames recon_tol.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidValueError, match="non-finite entry"):
-                jordan_decompose(np.array([[entry, 0.0], [0.0, 0.0]]))
             with pytest.raises(ReconstructionError, match="overflows"):
                 jordan_decompose(np.full((4, 4), 0.5), recon_tol=1e308)  # ||.||_F = 2 as it is
 
