@@ -9,6 +9,7 @@ from dgft import (
     DimensionMismatchError,
     EmptyTapsError,
     Graph,
+    InvalidValueError,
     NonSquareError,
     apply_spectral_domain,
     apply_vertex_domain,
@@ -230,6 +231,18 @@ class TestShiftInvariance:
         for vector in (np.ones(5), np.ones((5, 1))):
             with pytest.raises(NonSquareError):
                 is_shift_invariant(g, vector)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_a_non_finite_operator_is_refused_typed(self, entry):
+        # A NaN residual would read as a verdict, falsy, on no evidence.
+        operator = np.eye(3, dtype=type(entry))
+        operator[0, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValueError, match="non-finite entry"):
+                is_shift_invariant(ring_graph(3), operator)
+            with pytest.raises(InvalidValueError, match="non-finite entry"):
+                is_shift_invariant(ring_graph(3), np.full((3, 3), entry))
 
 
 class TestPreconditions:

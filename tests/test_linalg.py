@@ -17,6 +17,7 @@ from dgft import (
     GraphSignal,
     GraphSizeError,
     IllConditionedBasisWarning,
+    InvalidValueError,
     NoConvergenceError,
     NonSquareError,
     ReconstructionError,
@@ -1501,6 +1502,13 @@ class TestRouting:
             for call in (decompose, jordan_decompose, DirectedLaplacian):
                 with pytest.raises(GraphSizeError):
                     call(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_a_non_finite_entry_is_an_invalid_value(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValueError, match="non-finite entry"):
+                jordan_decompose(np.array([[entry, 0.0], [0.0, 0.0]]))
 
     def test_a_recon_tol_that_overflows_is_refused(self):
         # A non-finite entry never gets this far (graph._as_square), so only
