@@ -12,7 +12,6 @@ singular basis, or a decomposition that fails to reproduce the Laplacian).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .filters import apply_spectral_domain, apply_vertex_domain, check_lsi_preconditions
 from .graph import Graph, in_degree_matrix, ring_graph
-from .linalg import DEFAULT_RANK_TOL, RECON_LIMIT
+from .linalg import DEFAULT_RANK_TOL, RECON_LIMIT, _is_tolerance
 from .spectral import (
     as_laplacian,
     decompose,
@@ -49,14 +48,14 @@ EXIT_NUMERIC = 4
 
 
 def _tolerance(text: str) -> float:
-    """The type of every tolerance flag: a finite number above zero."""
+    """The type of every tolerance flag: a finite number above zero, the
+    library's one test (:func:`dgft.linalg._is_tolerance`)."""
     try:
-        value = float(text)
+        if _is_tolerance(value := float(text)):
+            return value
     except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:  # NaN fails every comparison
-        raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
-    return value
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
 
 
 def _load_graph_argument(args: argparse.Namespace) -> Graph:

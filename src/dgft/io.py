@@ -372,7 +372,7 @@ def _load_spectrum_json(text: str) -> Spectrum:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+    if not isinstance(doc.get("entries"), list):  # text starting with "{" loads as a dict
         raise ParseError("spectrum object needs an 'entries' list")
     rows = []
     for k, entry in enumerate(doc["entries"]):

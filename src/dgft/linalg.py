@@ -70,6 +70,11 @@ ILL_CONDITIONED_LIMIT = 1e12
 RECON_LIMIT = 1e-6
 
 
+def _is_tolerance(value) -> bool:
+    """A tolerance is a finite number above zero; NaN fails every comparison."""
+    return 0 < value < math.inf
+
+
 def _default_cluster_tol(n: int, norm: float) -> float:
     """Absolute distance under which computed eigenvalues are merged, for an
     n x n matrix with ``||A||_F`` equal to ``norm``.
@@ -342,52 +347,51 @@ def _jordan_chains(
     the cluster was a numerical artifact; the caller backfills.
 
     The arithmetic follows the arguments: a real ``a`` with a real ``lam``
-    keeps the powers, null spaces and chains real. At each chain level the
-    null-space basis is projected off the obstruction once, and one thin
-    SVD of what remains gives the level's tops all at once: its leading
-    ``chain_counts[s]`` left singular vectors, orthonormal and orthogonal
-    to the obstruction. A ``chain_counts[s]``-th singular value at or below
-    1e-10 is a shortfall. A chain's level vector joins the obstruction when
-    its residual exceeds 1e-12 of its norm. The tops walk down as one block
-    product per level.
+    keeps the powers, null spaces and chains real. At each chain level s
+    the obstruction is one orthonormal basis: the null space one power
+    down, or, below a chain already built, one QR of that null space and
+    each built chain's level-s vector. The null-space basis is projected
+    off it once, and one thin SVD of what remains gives the level's tops
+    all at once: its leading ``counts[s - 1]`` left singular vectors,
+    orthonormal and orthogonal to the obstruction. A ``counts[s - 1]``-th
+    singular value at or below 1e-10 is a shortfall. The tops walk down as
+    one block product per level.
     """
     n = a.shape[0]
     shifted = a - lam * np.eye(n)
     nullities = [0]
     bases = [np.zeros((n, 0), dtype=shifted.dtype)]
     power = np.eye(n, dtype=shifted.dtype)
-    while nullities[-1] < multiplicity and len(nullities) <= multiplicity:
+    while nullities[-1] < multiplicity:  # at most multiplicity powers: each raises the nullity
         power = power @ shifted
         basis = _nullspace_basis(power, rank_tol * float(np.linalg.norm(power)))
         if basis.shape[1] <= nullities[-1]:
             break
         nullities.append(basis.shape[1])
         bases.append(basis)
-    depth = len(nullities) - 1
+    # counts[s - 1] chains of length s: the padded nullities' second differences.
     padded = nullities + [nullities[-1]]
-    chain_counts = {
-        s: 2 * padded[s] - padded[s - 1] - padded[s + 1] for s in range(1, depth + 1)
-    }
+    counts = [2 * mid - lo - hi for lo, mid, hi in zip(padded, padded[1:], padded[2:])]
     # A nullity past the multiplicity, or nullity increments that grow
     # with the power, fit no Jordan structure: the cluster is an artifact.
-    if depth == 0 or nullities[-1] > multiplicity or min(chain_counts.values()) < 0:
+    if not counts or nullities[-1] > multiplicity or min(counts) < 0:
         return []
 
     chains: list[list[np.ndarray]] = []
-    for s in range(depth, 0, -1):
-        count = chain_counts[s]
+    for s in range(len(counts), 0, -1):
+        count = counts[s - 1]
         if count == 0:
             continue
         # Everything a new length-s chain top must stay independent of:
         # the null space one power down, plus the level-s vector of every
-        # chain already constructed.
+        # chain already constructed (chain[k] is its level-(k+1) vector).
+        # The null space alone is orthonormal already, so the first level
+        # with chains skips the QR, which every cluster would pay for
+        # nothing (about 2 ms per 200-node chain union).
         obstruction = bases[s - 1]
-        for chain in chains:
-            level_vec = chain[s - 1]  # chain[k] is the level-(k+1) vector
-            r = _orthogonal_residual(level_vec, obstruction)
-            r_norm = float(np.linalg.norm(r))
-            if r_norm > 1e-12 * float(np.linalg.norm(level_vec)):
-                obstruction = np.column_stack([obstruction, r / r_norm])
+        if chains:
+            obstruction = np.linalg.qr(
+                np.column_stack([obstruction] + [chain[s - 1] for chain in chains]))[0]
         residuals = _orthogonal_residual(bases[s], obstruction)
         tops, sigma, _ = _converged(np.linalg.svd, residuals, full_matrices=False)
         if sigma[count - 1] <= 1e-10:
@@ -649,8 +653,10 @@ def jordan_decompose(
     real, imaginary) with ties (:func:`order_with_ties`), at one value the
     longest chain first, then the component with the smallest node, then
     the chain with the smallest head column; one basis convention,
-    certified block by block. A non-finite entry raises
-    :class:`InvalidValueError`. A reconstruction residual above
+    certified block by block. A non-finite entry, or a ``tol``,
+    ``recon_tol`` or given ``cluster_tol`` that is not a finite number
+    above zero (:func:`_is_tolerance`), raises :class:`InvalidValueError`
+    before any kernel runs. A reconstruction residual above
     ``recon_tol`` relative raises :class:`ReconstructionError`, which
     also refuses a component a route cannot reproduce; a basis condition
     above :data:`ILL_CONDITIONED_LIMIT` raises
@@ -658,6 +664,9 @@ def jordan_decompose(
     unit scale (:func:`dgft.graph._unit_scale`), so ``4^k A`` decomposes as
     ``A`` does, bit for bit, at any scale whose chains and eigenvalues fit.
     """
+    for name, value in (("tol", tol), ("recon_tol", recon_tol), ("cluster_tol", cluster_tol)):
+        if value is not None and not _is_tolerance(value):
+            raise InvalidValueError(f"{name} must be a finite number above zero, got {value!r}")
     # Scaling back to A's scale can overflow, which _finish refuses; so can a product with a
     # near-singular inverse, which fails the certificate. Neither gives a numpy warning first.
     with np.errstate(over="ignore", invalid="ignore"):

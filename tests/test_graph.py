@@ -106,6 +106,8 @@ class TestBuildGraph:
             ([(0, 1, 1.0), 7], InvalidValueError, "edge 7 is not a"),
             # The first offending edge in input order, whatever its fault.
             ([(0, 2, "x"), (0, 1, 1.0), (0, 1, 2.0)], InvalidValueError, r"edge \(0, 2\)"),
+            # A weight column of more than one dimension: a list is no number.
+            ([(0, 1, [1.0, 2.0])], InvalidValueError, r"weight \[1\.0, 2\.0\], not a number"),
         ],
     )
     def test_malformed_edges_are_refused_typed(self, edges, error, match):

@@ -154,6 +154,8 @@ class TestSignalJson:
     def test_load_real_and_complex_values(self):
         s = load_signal(stdio.StringIO('{"n": 3, "values": [1, 2.5, [0, -1]]}'))
         assert np.array_equal(s.values, np.array([1, 2.5, -1j]))
+        s = load_signal(stdio.StringIO('{"values": [1, 2.5, [0, -1]]}'))  # "n" is optional
+        assert np.array_equal(s.values, np.array([1, 2.5, -1j]))
 
     def test_declared_length_mismatch(self):
         with pytest.raises(ParseError, match="declared"):
@@ -173,8 +175,12 @@ class TestSignalJson:
             load_signal(stdio.StringIO('{"n": %s, "values": [2.5]}' % declared))
 
     def test_rejects_bad_pair(self):
-        with pytest.raises(ParseError):
-            load_signal(stdio.StringIO('{"n": 1, "values": [[1, 2, 3]]}'))
+        # Neither a number nor a pair of two numbers: a triple, a string, null, a
+        # pair with a string or a null part.
+        match = r"values\[0\]: expected a number or a \[re, im\] pair"
+        for value in ["[1, 2, 3]", '"1"', "null", '[1, "2"]', "[null, 1]"]:
+            with pytest.raises(ParseError, match=match):
+                load_signal(stdio.StringIO('{"n": 1, "values": [%s]}' % value))
 
     @pytest.mark.parametrize(
         "text, match",

@@ -1518,6 +1518,20 @@ class TestRouting:
             with pytest.raises(ReconstructionError, match="overflows"):
                 jordan_decompose(np.full((4, 4), 0.5), recon_tol=1e308)  # ||.||_F = 2 as it is
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["tol", "cluster_tol", "recon_tol"])
+    @pytest.mark.parametrize("call", [decompose, lambda g, **kw: jordan_decompose(
+        directed_laplacian(g).matrix, **kw)], ids=["decompose", "jordan_decompose"])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused_first(self, call, name, value):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("an eigensolver ran")
+
+        with mock.patch.object(np.linalg, "eig", no_kernel), \
+                mock.patch.object(np.linalg, "eigh", no_kernel):
+            with pytest.raises(InvalidValueError,
+                               match=f"^{name} must be a finite number above zero, got "):
+                call(demo_graph(), **{name: value})
+
 
 def _scale_corpus():
     """(name, Laplacian) over every family whose decomposition must not

@@ -29,8 +29,9 @@ those per-member mins and show where a gain sits.
 401), that both trees return bit-identical ``v``, ``eigenvalues``,
 ``proper_indices``, ``v_inv``, ``reconstruct()``, ``residual``,
 ``basis_condition``, ``blocks``, ``is_unitary_basis``, ``gft``,
-``igft(gft)`` and both filter domains' outputs, the same warnings, and
-equal typed refusals (class name and message). On
+``igft(gft)`` and both filter domains' outputs, the same warnings (by
+category, message, and the basename of the file each names with the text
+of its line), and equal typed refusals (class name and message). On
 ``cli-mixed`` it runs every command of each seed's cycle against both
 trees and compares stdout, stderr and the exit code byte for byte, except
 ``analyze``'s stdout: its two reports must be equal after ``json.loads``,
@@ -84,6 +85,7 @@ sys.dont_write_bytecode = True  # leave no bytecode cache in either tree
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import linecache  # noqa: E402
 import re  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
@@ -286,7 +288,10 @@ def outputs(pkg, lap, signals, taps) -> dict:
                 out[f"igft[{s}]"] = pkg.igft(dec, f_hat)
                 out[f"vertex[{s}]"] = pkg.apply_vertex_domain(lap, taps, f)
                 out[f"spectral[{s}]"] = pkg.apply_spectral_domain(dec, taps, f)
-    out["warnings"] = [(w.category.__name__, str(w.message)) for w in caught]
+    # A warning's place is its file's basename and the text of its line: a line number
+    # inside either tree moves with every edit above it, the statement does not.
+    out["warnings"] = [(w.category.__name__, str(w.message), Path(w.filename).name,
+                        linecache.getline(w.filename, w.lineno).strip()) for w in caught]
     return out
 
 
