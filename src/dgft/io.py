@@ -48,7 +48,8 @@ def _format_complex(z: complex) -> str:
 
 
 def parse_complex(token: str) -> complex:
-    """Parse ``a``, ``bi``, ``a+bi``, ``a-bi`` (also accepts ``j``).
+    """Parse ``a``, ``bi``, ``a+bi``, ``a-bi`` (also accepts ``j``); the unit
+    is read only at the end of the token, so ``inf`` is a number.
 
     Raises ValueError on anything else, including non-finite values.
     """
@@ -56,7 +57,7 @@ def parse_complex(token: str) -> complex:
     if not text:
         raise ValueError("empty number")
     try:  # complex() itself refuses inner whitespace such as "1 +2j"
-        value = complex(text.replace("i", "j").replace("I", "j"))
+        value = complex(text[:-1] + "j" if text[-1] in "iI" else text)
     except ValueError:
         raise ValueError(f"not a number: {token!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):

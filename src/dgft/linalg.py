@@ -112,11 +112,10 @@ class SpectralDecomposition(_Record):
     its own block either way.
 
     ``residual`` is the absolute residual ``||V J V^-1 - A||_F`` it was
-    certified with. ``basis_condition``, derived, is ``||V||_1 * ||V^-1||_1``;
-    a unitary ``v_inv`` laid out as ``v``'s conjugate transpose reads its
-    magnitudes off ``|v|``, bit for bit. The blocks and both verdicts are
-    read off the fields rather than stored, ``blocks`` once, on first access;
-    ``_bidiagonal`` keeps ``J``'s layout (:class:`_Bidiagonal`).
+    certified with. ``basis_condition``, derived, is ``||V||_1 * ||V^-1||_1``.
+    The blocks and both verdicts are read off the fields rather than stored,
+    ``blocks`` once, on first access; ``_bidiagonal`` keeps ``J``'s layout
+    (:class:`_Bidiagonal`).
 
     The dtype rule (:func:`dgft.graph.real_or_complex`), which the
     package applies to every array it takes in and to the basis it
@@ -129,11 +128,13 @@ class SpectralDecomposition(_Record):
     signal against a real basis runs as one real product over its real
     and imaginary parts.
 
-    A real ``A``'s complex basis is inverted and certified in its real
-    pair form (:func:`_finish`): ``V = W T`` with a real ``W`` and an
-    exact ``T``, ``residual`` is evaluated as ``(W B) Z - A`` with
-    ``B = T J T^-1`` and ``Z = W^-1``, and ``v_inv = T^-1 Z`` is
-    assembled exactly, so each pair's two rows are exact conjugates.
+    A complex basis is inverted and certified in its real pair form
+    (:func:`_finish`), each pair of exactly conjugate columns standing in
+    as its real and imaginary parts: ``V = W T`` with an exact ``T``,
+    ``residual`` is evaluated as ``(W B) Z - A`` with ``B = T J T^-1`` and
+    ``Z = W^-1``, and ``v_inv = T^-1 Z`` is assembled exactly, so each
+    pair's two rows are exact conjugates. ``W`` is real once every complex
+    column has its partner.
     """
 
     v: np.ndarray
@@ -160,12 +161,11 @@ class SpectralDecomposition(_Record):
                 and (np.diff(heads) > 0).all() and heads[-1] < n):
             raise InvalidValueError(f"proper indices {proper_indices!r} must rise from 0 below {n}")
         w.flags.writeable = False
-        mag = np.abs(v)
-        inv = mag.T if is_unitary_basis and v_inv.flags.f_contiguous else np.abs(v_inv)
+        cond = np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max()
         self.__dict__.update(
             v=v, eigenvalues=w, proper_indices=tuple(heads.tolist()), v_inv=v_inv,
             is_unitary_basis=is_unitary_basis, cluster_tol=cluster_tol, residual=residual,
-            basis_condition=float(mag.sum(axis=0).max() * inv.sum(axis=0).max()), n=n,
+            basis_condition=float(cond), n=n,
             _bidiagonal=_Bidiagonal(w, heads),  # read by every transform
         )
 
@@ -479,13 +479,14 @@ def _finish(
        which is C-contiguous. Each chain is scaled and phased through its
        head (:func:`_normalize_chains`), which gives a snapped vector its
        exact unit form ``1/sqrt(k)``. ``J`` is kept as eigenvalues and heads.
-    4. Columns ``c`` and ``c + 1`` form a pair when ``A`` is real, neither
-       is in a ``unitary`` stack, both are 1x1 blocks, their eigenvalues
-       are exact conjugates and ``v[:, c + 1] == conj(v[:, c])`` holds
-       exactly. ``W`` is built once from ``V``: ``Re V``, each pair's
-       second column ``Im v_c``, so ``V = W T`` exactly, ``T`` holding one
-       block ``[[1, 1], [i, -i]]`` per pair. ``W`` is real once every
-       complex column has its partner, and ``V`` when there are no pairs.
+    4. Columns ``c`` and ``c + 1`` form a pair when neither is in a
+       ``unitary`` stack, both are 1x1 blocks, their eigenvalues are exact
+       conjugates and ``v[:, c + 1] == conj(v[:, c])`` holds exactly, as a
+       real ``A``'s ``eig`` gives them. ``W`` is built once from ``V``:
+       ``Re V``, each pair's second column ``Im v_c``, so ``V = W T``
+       exactly, ``T`` holding one block ``[[1, 1], [i, -i]]`` per pair.
+       ``W`` is real once every complex column has its partner, and ``V``
+       when there are no pairs.
        Each stack of ``W`` is inverted alone into ``Z``: a ``unitary`` one
        by its conjugate transpose, any other by ``np.linalg.inv`` in its
        dtype (:func:`_inverse`). ``V^-1 = T^-1 Z`` is written exactly into
@@ -545,23 +546,20 @@ def _finish(
     v = real_or_complex(v)  # a complex matrix can still have a real basis
     lam, proper = real_or_complex(eigenvalues[order]), np.flatnonzero(heads)  # J
 
-    # The pairs: 1x1 blocks c, c + 1 of a real A with exactly conjugate values and
-    # columns, outside the unitary stacks; keep marks the other columns.
-    c, w, keep = np.empty(0, dtype=int), v, np.ones(n, dtype=bool)
-    if np.isrealobj(a) and np.iscomplexobj(v):
+    # The pairs: 1x1 blocks c, c + 1 outside the unitary stacks with exactly conjugate
+    # values and columns; keep marks the other columns.
+    c, keep = np.empty(0, dtype=int), np.ones(n, dtype=bool)
+    if np.iscomplexobj(v):
         inverted = np.repeat(np.logical_not(unitary), [rows.size for rows in stacks])[order]
         single = heads & np.append(heads[1:], True) & inverted
         c = np.flatnonzero(
             single[:-1] & single[1:] & (lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj())
         )
-    if c.size:
-        w, y = v.real.copy(), v.imag[:, c]
-        pair = ((w[:, c + 1] == w[:, c]) & (v.imag[:, c + 1] == -y)).all(axis=0)
-        c, y = c[pair], y[:, pair]
+        c = c[(v[:, c + 1] == v[:, c].conj()).all(axis=0)]
         keep[c], keep[c + 1] = False, False
-        if v.imag[:, keep].any():  # a complex column without its partner keeps W complex
-            w = np.where(keep, v, v.real)
-        w[:, c + 1] = y  # W = V T^-1
+    # W = V T^-1: V itself without pairs, complex while a complex column lacks its partner.
+    w = v if not c.size else (v if v.imag[:, keep].any() else v.real).copy()
+    w[:, c], w[:, c + 1] = (head := v[:, c]).real, head.imag
     wb, imag = w @ _Bidiagonal(real_or_complex(np.where(keep, lam, lam.real)), proper), lam[c].imag
     wb[:, c] -= w[:, c + 1] * imag
     wb[:, c + 1] += w[:, c] * imag
@@ -671,7 +669,7 @@ def jordan_decompose(
     # near-singular inverse, which fails the certificate. Neither gives a numpy warning first.
     with np.errstate(over="ignore", invalid="ignore"):
         a, e = _unit_scale(_as_square(a))  # every kernel runs at unit scale
-        n, norm = len(a), float(np.linalg.norm(a))
+        n, norm = len(a), float(np.linalg.norm(a, axis=(-2, -1)))  # numpy's sum, not BLAS
         if not math.isfinite(recon_tol * norm):
             raise ReconstructionError(
                 f"recon_tol {recon_tol!r} overflows; nothing can be certified")

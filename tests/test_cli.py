@@ -529,6 +529,35 @@ class TestAnalyze:
         last = doc["proper_vector_variation"][1]
         assert (last["tv"], last["lambda_times_l1"]) == (None, None)
 
+    def test_structure_is_the_same_at_one_and_two_blas_threads(self, tmp_path):
+        # The thread count is fixed when numpy loads, so each count runs in its own
+        # process. Only the sums whose order BLAS splits by thread may differ.
+        # The graphs perfbench's cli-mixed draws at seed 7: a digraph, then an undirected graph.
+        rng, n = np.random.default_rng([7, 3]), 200
+        arcs = rng.random((n, n)) < 0.05
+        np.fill_diagonal(arcs, False)
+        out = np.zeros((n, n))  # out[src, dst]
+        out[arcs] = rng.uniform(0.0, 1.0, arcs.sum())
+        pairs = np.triu(rng.random((n, n)) < 0.05, k=1)
+        up = np.zeros((n, n))
+        up[pairs] = rng.uniform(0.5, 2.0, pairs.sum())
+        sums = {"basis_condition", "reconstruction_residual", "proper_vector_variation"}
+        for label, weights in [("digraph", out.T), ("undirected", up + up.T)]:
+            path = tmp_path / f"{label}.txt"
+            path.write_text(edge_list(Graph(weights)))
+            docs = []
+            for threads in ("1", "2"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dgft.cli", "analyze", str(path)],
+                    capture_output=True, text=True,
+                    env={**env_importing_dgft(), "OPENBLAS_NUM_THREADS": threads},
+                )
+                assert (proc.returncode, proc.stderr) == (0, ""), label
+                docs.append(json.loads(proc.stdout))
+            assert docs[0].keys() == docs[1].keys()
+            differing = {key for key in docs[0] if docs[0][key] != docs[1][key]}
+            assert differing <= sums, (label, differing - sums)
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):

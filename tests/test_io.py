@@ -69,8 +69,12 @@ class TestNumberFormats:
             assert parse_complex(_format_complex(z)) == z
 
     def test_parse_complex_rejects_garbage(self):
-        for bad in ("", "abc", "1 + 2i", "inf", "nan", "1+2"):
+        for bad in ("", "abc", "1 + 2i", "nan", "1+2"):
             with pytest.raises(ValueError):
+                parse_complex(bad)
+        # Only a final i is the imaginary unit, so "inf" parses and is refused as non-finite.
+        for bad in ("inf", "Infinity", "1+infi", "1+nani"):
+            with pytest.raises(ValueError, match=re.escape(f"non-finite number: '{bad}'")):
                 parse_complex(bad)
 
 
@@ -124,6 +128,7 @@ class TestEdgeList:
         "text, match",
         [
             ("nodes x\n", "bad node count 'x'"),
+            ("node 5\n", "expected header 'nodes N'"),
             ("nodes 0\n", "node count must be positive"),
             ("nodes 2\n1.5 2 1\n", "endpoints must be integers"),
         ],
@@ -176,15 +181,19 @@ class TestSignalJson:
 
     def test_rejects_bad_pair(self):
         # Neither a number nor a pair of two numbers: a triple, a string, null, a
-        # pair with a string or a null part.
+        # pair with a string, a null or a boolean part.
         match = r"values\[0\]: expected a number or a \[re, im\] pair"
-        for value in ["[1, 2, 3]", '"1"', "null", '[1, "2"]', "[null, 1]"]:
+        for value in ["[1, 2, 3]", '"1"', "null", '[1, "2"]', "[null, 1]", "[true, 1]"]:
             with pytest.raises(ParseError, match=match):
                 load_signal(stdio.StringIO('{"n": 1, "values": [%s]}' % value))
 
     @pytest.mark.parametrize(
         "text, match",
-        [("[1, 2]", "must hold a JSON object"), ('{"n": 0, "values": []}', "no values")],
+        [
+            ("[1, 2]", "must hold a JSON object"),
+            ('{"n": 0, "values": []}', "no values"),
+            ('{"values": 3}', "needs a 'values' list"),
+        ],
     )
     def test_rejects_wrong_shape(self, text, match):
         with pytest.raises(ParseError, match=match):
@@ -392,6 +401,7 @@ class TestSpectrumFiles:
             ("", "empty spectrum file", None),
             (",".join(SPECTRUM_HEADER) + "\n", "holds no entries", None),
             (",".join(SPECTRUM_HEADER) + "\n0,0,0,1,0\n", "expected 7 fields, got 5", 2),
+            (",".join(SPECTRUM_HEADER) + "\njunk\n", "expected 7 fields, got 1", 2),
             (",".join(SPECTRUM_HEADER) + "\n0,0,0,1,0,1,0\nx,1,0,1,0,1,1\n", "invalid literal", 3),
             ("{", "invalid JSON", None),
             ('{"entries": 3}', "'entries' list", None),

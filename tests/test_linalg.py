@@ -1322,7 +1322,7 @@ class TestComponents:
         assert np.linalg.norm(dec.reconstruct() - lap) <= RECON_LIMIT * scale
         want = np.linalg.norm(dec.reconstruct() - lap)
         assert dec.residual == pytest.approx(want, abs=1e-13 * scale)
-        assert dec.cluster_tol == _default_cluster_tol(len(lap), np.linalg.norm(lap))
+        assert dec.cluster_tol == _default_cluster_tol(len(lap), np.linalg.norm(lap, axis=(-2, -1)))
         assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n))
 
         expected = []

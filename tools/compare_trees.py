@@ -19,11 +19,8 @@ call by call, the first side alternating member by member, and the min of
 ``decompose`` alone. It prints the medians over the members, their ratio,
 the median over the members of the change's time minus the parent's
 (``paired``, which cancels the spread between members) and how many
-members the change ran faster.
-The LAPACK kernel (``eigh`` of a symmetric Laplacian, else ``eig`` of the
-whole matrix) is timed once per member, as both sides call the same one;
-the rows ``decompose - kernel`` and ``op - decompose`` are differences of
-those per-member mins and show where a gain sits.
+members the change ran faster. The row ``op - decompose`` is the
+difference of those per-member mins and shows where a gain sits.
 
 ``--check`` asserts, for every member of the given seeds (default 7 and
 401), that both trees return bit-identical ``v``, ``eigenvalues``,
@@ -221,7 +218,6 @@ def timing(sides, name: str, seed: int, k: int, workdir: Path) -> None:
     built = [members(pkg, wl, name, seed, workdir) for pkg, wl in sides]
     count = len(built[0][1])
     ms = {key: [[], []] for key in ("op", "decompose")}
-    kernel = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for i in range(count):
@@ -235,14 +231,9 @@ def timing(sides, name: str, seed: int, k: int, workdir: Path) -> None:
                     best[s, key] = min(best[s, key], t)
             for s, key, _ in calls:
                 ms[key][s].append(best[s, key])
-            a = built[0][1][i][0].matrix
-            solver = np.linalg.eigh if np.array_equal(a, a.conj().T) else np.linalg.eig
-            kernel.append(min(call_ms(lambda: solver(a), np.linalg.LinAlgError) for _ in range(k)))
     rows = {
         "op": ms["op"],
         "decompose": ms["decompose"],
-        "kernel (eigh/eig)": [kernel, kernel],
-        "decompose - kernel": [np.subtract(d, kernel) for d in ms["decompose"]],
         "op - decompose": [np.subtract(o, d) for o, d in zip(ms["op"], ms["decompose"])],
     }
     print(f"\n{name}, seed {seed}: {count} members, min of {k} per member and side (ms)")
