@@ -95,8 +95,10 @@ def is_shift_invariant(lap, operator: np.ndarray) -> ShiftInvariance:
     if len(op) != len(m):
         raise DimensionMismatchError(f"operator is {len(op)}x{len(op)}, graph has {len(m)} nodes")
     (m, _), (op, _) = _unit_scale(m), _unit_scale(op)
-    residual = float(np.linalg.norm(m @ op - op @ m))  # nonzero only if m and op are
-    return ShiftInvariance(residual and residual / float(np.linalg.norm(m) * np.linalg.norm(op)))
+    # numpy's sums, not a BLAS dot product, whose order follows the thread count
+    residual, norm_m, norm_op = (float(np.linalg.norm(x, axis=(-2, -1)))
+                                 for x in (m @ op - op @ m, m, op))
+    return ShiftInvariance(residual and residual / (norm_m * norm_op))  # no 0 / 0 at m or op 0
 
 
 class EigenvalueMultiplicity(_Record):

@@ -254,10 +254,16 @@ def _converged(kernel, *args, **kwargs):
         raise NoConvergenceError(f"{kernel.__name__} did not converge: {exc}") from exc
 
 
-def _nullspace_basis(m: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis of the numerical null space (SVD, threshold cutoff)."""
+def _nullspace_basis(m: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis of the numerical null space of ``m`` (SVD): the
+    singular values at or below ``rank_tol * ||m||_F`` count as zero.
+
+    ``||m||_F`` is read off those singular values, as their root sum of
+    squares in ``math.hypot``, not summed over ``m`` by BLAS, whose order
+    follows the thread count; so the rank does not.
+    """
     _, s, vh = _converged(np.linalg.svd, m)
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = int(np.count_nonzero(s > rank_tol * math.hypot(*s.tolist())))
     return vh[rank:].conj().T
 
 
@@ -342,9 +348,11 @@ def _jordan_chains(
     power s-1 to power s). Chain tops are picked from the deepest null
     space, orthogonal to everything already claimed, then walked down by
     repeated multiplication, ranks cut at ``rank_tol`` times each power's
-    own Frobenius norm. Returned longest chain first, heads first within
-    each chain. Returns fewer than ``multiplicity`` vectors, or none, when
-    the cluster was a numerical artifact; the caller backfills.
+    own Frobenius norm (:func:`_nullspace_basis`). Returned longest chain
+    first, heads first within each chain. A cluster gets all its chains or
+    none: where the nullities fit no Jordan structure or a level falls
+    short, the cluster was a numerical artifact, and none is returned, so
+    each of its columns keeps its own eigenvector and eigenvalue.
 
     The arithmetic follows the arguments: a real ``a`` with a real ``lam``
     keeps the powers, null spaces and chains real. At each chain level s
@@ -364,7 +372,7 @@ def _jordan_chains(
     power = np.eye(n, dtype=shifted.dtype)
     while nullities[-1] < multiplicity:  # at most multiplicity powers: each raises the nullity
         power = power @ shifted
-        basis = _nullspace_basis(power, rank_tol * float(np.linalg.norm(power)))
+        basis = _nullspace_basis(power, rank_tol)
         if basis.shape[1] <= nullities[-1]:
             break
         nullities.append(basis.shape[1])
@@ -395,7 +403,7 @@ def _jordan_chains(
         residuals = _orthogonal_residual(bases[s], obstruction)
         tops, sigma, _ = _converged(np.linalg.svd, residuals, full_matrices=False)
         if sigma[count - 1] <= 1e-10:
-            return chains  # numerical shortfall; caller backfills
+            return []  # a numerical shortfall: all the chains or none
         levels = [tops[:, :count]]  # levels[k] holds the level-(s-k) vectors
         for _ in range(s - 1):
             levels.append(shifted @ levels[-1])
@@ -437,31 +445,28 @@ class _Bidiagonal:
 def _finish(
     a: np.ndarray,
     home: np.ndarray,
-    stacks: list[np.ndarray],
-    columns: list[np.ndarray],
-    eigenvalues: np.ndarray,
-    chains: np.ndarray,
+    stacks: list[tuple],
     *,
     norm: float,
     tol: float,
     cluster_tol: float,
-    unitary: list[bool],
     recon_tol: float,
     scale: int,
 ) -> SpectralDecomposition:
     """The one tail of every route of :func:`jordan_decompose`: column
     order, basis convention, J, inverse and the certificate, on whole arrays.
 
-    ``stacks`` holds the rows of each stack of equal-size components as an
-    (m, k) array, ascending within a component; a connected ``A`` gives one
-    stack of all n rows. ``home`` names each row's component by its smallest row.
-    ``unitary`` marks each stack whose basis is unitary. ``columns`` holds
-    each stack's (m, k, k) vectors,
-    ``columns[s][i][:, t]`` the t-th column of component i in its rows.
-    Numbered stack by stack, component by component, each column has an
-    entry in the complex ``eigenvalues`` and in ``chains``, which names its
-    chain by the chain head's column; a chain's columns come head first
-    and share one eigenvalue. ``a`` is the input ``A`` times
+    ``stacks`` holds one record ``(rows, columns, eigenvalues, chains,
+    unitary)`` per stack of m equal-size components, k rows each, in the
+    order their columns are numbered. ``rows`` is an (m, k) array,
+    ascending within a component; a connected ``A`` gives one stack of all
+    n rows. ``columns`` holds the (m, k, k) vectors, ``columns[i][:, t]``
+    the t-th column of component i in its rows, and ``unitary`` says
+    whether they form a unitary basis. Numbered stack by stack, component
+    by component, each column has an entry in the complex ``eigenvalues``
+    and in ``chains``, which names its chain by the chain head's column; a
+    chain's columns come head first and share one eigenvalue. ``home``
+    names each row's component by its smallest row. ``a`` is the input ``A`` times
     ``2^-scale`` and ``norm`` its ``||.||_F``; steps 1 to 4 run at that
     scale. In order:
 
@@ -506,8 +511,8 @@ def _finish(
        ``cluster_tol`` times ``2^scale``; column p of each chain (the head
        is p = 0) times ``2^(-scale p)`` and its row of ``V^-1`` times
        ``2^(scale p)``. A chain that leaves float64's normal range on the
-       way raises :class:`ReconstructionError`, as does an eigenvalue, the
-       residual or ``cluster_tol`` that overflows, or that underflows to 0.
+       way, or an eigenvalue, the residual or ``cluster_tol`` that
+       overflows or underflows to 0, raises one :class:`ReconstructionError`.
 
     ``v``, its inverse and the eigenvalues follow the dtype rule
     (:class:`SpectralDecomposition`). A basis condition
@@ -516,6 +521,8 @@ def _finish(
     defective matrices legitimately live there, so it is not an error.
     """
     n = a.shape[0]
+    stacks, columns, values, keys, unitary = zip(*stacks)  # from here, the rows of each stack
+    eigenvalues, chains = np.concatenate(values), np.concatenate(keys)
     component = home[np.concatenate([rows.ravel() for rows in stacks])]  # each column's
     length = np.bincount(chains)[chains]  # each column's chain's
 
@@ -588,16 +595,14 @@ def _finish(
     p = np.arange(n) - np.maximum.accumulate(np.where(heads, np.arange(n), 0))  # chain place
     tail, s = p > 0, scale * p[p > 0]
     cols, rows = _ldexp(v[:, tail], -s), _ldexp(v_inv[tail], s[:, None])
-    if not (np.array_equal(_ldexp(cols, s), v[:, tail])
-            and np.array_equal(_ldexp(rows, -s[:, None]), v_inv[tail])):
-        raise ReconstructionError("a Jordan chain leaves float64's range at this scale")
-    v[:, tail], v_inv[tail] = cols, rows
     parts = np.concatenate([lam.view(float), [residual, cluster_tol]])  # lam's real (, imag)
     back = np.ldexp(parts, scale)
-    if not (np.isfinite(back).all() and back[parts != 0].all()):
-        raise ReconstructionError(
-            "an eigenvalue, the residual or cluster_tol leaves float64's range at this scale"
-        )
+    if not (np.array_equal(_ldexp(cols, s), v[:, tail])
+            and np.array_equal(_ldexp(rows, -s[:, None]), v_inv[tail])
+            and np.isfinite(back).all() and back[parts != 0].all()):
+        raise ReconstructionError("a Jordan chain, an eigenvalue, the residual or cluster_tol "
+                                  "leaves float64's range at this scale")
+    v[:, tail], v_inv[tail] = cols, rows
     lam, (residual, cluster_tol) = back[:-2].view(lam.dtype), back[-2:].tolist()
     dec = SpectralDecomposition(v, lam, proper, v_inv, all(unitary), cluster_tol, residual)
     if dec.ill_conditioned:
@@ -639,9 +644,9 @@ def jordan_decompose(
     - everything else: ``eig``; its computed eigenvalues are clustered,
       each cluster is represented by its mean, and generalized-eigenvector
       chains are built from rank-revealing null spaces of powers of the
-      shifted component (:func:`_jordan_chains`). A cluster that yields
-      too few chains leaves its other columns with their own eigenvectors,
-      each ranked by its own eigenvalue.
+      shifted component (:func:`_jordan_chains`). A cluster gets all its
+      chains or none; none leaves each of its columns its own eigenvector
+      and eigenvalue, ranked by that eigenvalue.
 
     The first two routes give a unitary block of the basis, the third an
     inverted one. Clusters form within a component only, by single linkage
@@ -680,8 +685,9 @@ def jordan_decompose(
         by_size = np.lexsort((home, size))
 
         # Components of each size k as an (m, k) stack of rows with their
-        # submatrices, split by route: 0 Hermitian, 1 normal, 2 Jordan.
-        stacks = []
+        # submatrices, split by route (0 Hermitian, 1 normal, 2 Jordan) and
+        # decomposed stack by stack.
+        stacks, first = [], 0
         for k in sorted(set(size.tolist())):
             rows = by_size[size[by_size] == k].reshape(-1, k)
             sub = a[_blocks(rows, rows, n)]
@@ -690,42 +696,32 @@ def jordan_decompose(
                 route[rest] = np.where(is_normal(sub if rest.all() else sub[rest]), 1, 2)
             for r in sorted(set(route.tolist())):
                 pick = route == r
-                stacks.append((r, rows[pick], sub if pick.all() else sub[pick]))
-
-        values, columns, chains, first = [], [], [], 0
-        for route, rows, sub in stacks:
-            m, k = rows.shape
-            h = (sub + sub.conj().transpose(0, 2, 1)) / 2.0 if route == 1 else sub
-            w, v = _converged(np.linalg.eig if route == 2 else np.linalg.eigh, h)
-            w = w.ravel()  # column i * k + t of component i
-            clusters = cluster_eigenvalues(w, ct, np.arange(m * k) // k) if route else []
-            if route == 1:
-                w, v = _split_clusters(sub - h, w, v, clusters)
-            # Every column its own chain until its cluster says otherwise; a chain
-            # is named by its head's column.
-            lams, keys = w.astype(complex), first + np.arange(m * k)
-            for cluster in [c for c in clusters if len(c) > 1 and route == 2]:
-                i, t = np.divmod(cluster, k)  # one component
-                lam = complex(np.mean(w[cluster]))
-                lam = 0j if abs(lam) <= tol * norm else lam  # the zero snap's threshold
-                mu = lam.real if lam.imag == 0 else lam  # real chains, even in a complex stack
-                found = _jordan_chains(sub[i[0]], mu, len(cluster), tol)
-                # The chains take the cluster's first columns, longest first. A shortfall is a
-                # clustering artifact: the rest keep their eigenvectors, each its own block.
-                covered = sum(lengths := [len(chain) for chain in found])
-                v[i[0]][:, t[:covered]] = np.transpose([x for chain in found for x in chain])
-                lengths += [1] * (len(cluster) - covered)
-                lams[cluster[:covered]] = lam
-                keys[cluster] = np.repeat(keys[cluster][np.cumsum(lengths) - lengths], lengths)
-            values.append(lams)
-            columns.append(v)
-            chains.append(keys)
-            first += m * k
-        return _finish(
-            a, home, [rows for _, rows, _ in stacks], columns, np.concatenate(values),
-            np.concatenate(chains), norm=norm, tol=tol, cluster_tol=ct,
-            unitary=[route < 2 for route, *_ in stacks], recon_tol=recon_tol, scale=int(e),
-        )
+                part = sub if pick.all() else sub[pick]
+                h = (part + part.conj().transpose(0, 2, 1)) / 2.0 if r == 1 else part
+                w, v = _converged(np.linalg.eig if r == 2 else np.linalg.eigh, h)
+                w = w.ravel()  # column i * k + t of component i
+                clusters = cluster_eigenvalues(w, ct, np.arange(w.size) // k) if r else []
+                if r == 1:
+                    w, v = _split_clusters(part - h, w, v, clusters)
+                # Every column its own chain until its cluster says otherwise; a chain
+                # is named by its head's column.
+                lams, keys = w.astype(complex), first + np.arange(w.size)
+                for cluster in [c for c in clusters if len(c) > 1 and r == 2]:
+                    i, t = np.divmod(cluster, k)  # one component
+                    lam = complex(np.mean(w[cluster]))
+                    lam = 0j if abs(lam) <= tol * norm else lam  # the zero snap's threshold
+                    mu = lam.real if lam.imag == 0 else lam  # real chains, even in a complex stack
+                    # The chains, longest first, take all the cluster's columns, or none does.
+                    if found := _jordan_chains(part[i[0]], mu, len(cluster), tol):
+                        v[i[0]][:, t] = np.transpose([x for chain in found for x in chain])
+                        lams[cluster] = lam
+                        lengths = [len(chain) for chain in found]
+                        heads = keys[cluster][np.cumsum(lengths) - lengths]
+                        keys[cluster] = np.repeat(heads, lengths)
+                stacks.append((rows[pick], v, lams, keys, r < 2))
+                first += w.size
+        return _finish(a, home, stacks, norm=norm, tol=tol, cluster_tol=ct, recon_tol=recon_tol,
+                       scale=int(e))
 
 
 def _split_clusters(skew, w, v, clusters):

@@ -541,8 +541,12 @@ class TestAnalyze:
         pairs = np.triu(rng.random((n, n)) < 0.05, k=1)
         up = np.zeros((n, n))
         up[pairs] = rng.uniform(0.5, 2.0, pairs.sum())
+        # And a random out-tree, every weight 1/3, whose chains take many rank decisions.
+        tree, rng = np.zeros((n, n)), np.random.default_rng(5)
+        for k in range(1, n):
+            tree[k, rng.integers(0, k)] = 1 / 3  # tree[dst, src]: node k fed by an earlier node
         sums = {"basis_condition", "reconstruction_residual", "proper_vector_variation"}
-        for label, weights in [("digraph", out.T), ("undirected", up + up.T)]:
+        for label, weights in [("digraph", out.T), ("undirected", up + up.T), ("out-tree", tree)]:
             path = tmp_path / f"{label}.txt"
             path.write_text(edge_list(Graph(weights)))
             docs = []

@@ -589,7 +589,7 @@ def _reference_chains(a, lam, multiplicity, rank_tol):
     power = np.eye(n, dtype=complex)
     while nullities[-1] < multiplicity and len(nullities) <= multiplicity:
         power = power @ shifted
-        basis = _nullspace_basis(power, rank_tol * float(np.linalg.norm(power)))
+        basis = _nullspace_basis(power, rank_tol)
         if basis.shape[1] <= nullities[-1]:
             break
         nullities.append(basis.shape[1])
@@ -695,6 +695,26 @@ class TestBlockChainPick:
 
         monkeypatch.setattr(np.linalg, "svd", short)
         assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL) == []
+
+    def test_a_shortfall_after_built_chains_returns_none(self, monkeypatch):
+        # The first chain level builds the two length-4 chains; a thin SVD that
+        # refuses the second level (the length-2 chain) leaves the cluster no
+        # chain at all, not the two built before it.
+        g, _ = _chain_union(np.random.default_rng(7), [5, 5, 3])
+        lap = directed_laplacian(g).matrix
+        svd, levels = np.linalg.svd, []
+
+        def short_second_level(m, *args, **kwargs):
+            u, sigma, vh = svd(m, *args, **kwargs)
+            if kwargs.get("full_matrices", True) is False:
+                levels.append(sigma.size)
+                if len(levels) == 2:
+                    sigma = np.full_like(sigma, 1e-10)
+            return u, sigma, vh
+
+        monkeypatch.setattr(np.linalg, "svd", short_second_level)
+        assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL) == []
+        assert len(levels) == 2
 
 
 class TestBasisCondition:
@@ -1495,6 +1515,23 @@ class TestRouting:
         cols = np.flatnonzero(dec.v[nodes[0]].any(axis=0))  # the undirected component's
         assert cols.size == 12
         assert np.array_equal(dec.v_inv[cols][:, nodes[0]], dec.v[nodes[0]][:, cols].T)
+
+    def test_one_size_holds_all_three_routes(self, kernel_shapes):
+        # Three 4-node components, one per route: an undirected path (eigh), a
+        # directed ring (eigh of its Hermitian part, whose 1x1 and 2x2 clusters
+        # are split by eig) and a directed path (eig, chains and inv).
+        undirected = [e for a, b, w in [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5)]
+                      for e in [(a, b, w), (b, a, w)]]
+        path = [(8 + k, 9 + k, 1.0) for k in range(3)]
+        lap = directed_laplacian(build_graph(12, undirected + _ring_edges(range(4, 8)) + path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = jordan_decompose(lap.matrix)  # certified, or it raises
+        assert kernel_shapes["eigh"] == [(1, 4, 4), (1, 4, 4)]
+        assert kernel_shapes["eig"] == [(2, 1, 1), (1, 2, 2), (1, 4, 4)]
+        assert kernel_shapes["inv"] == [(1, 4, 4)]
+        assert [b.size for b in dec.blocks if b.eigenvalue == 1] == [3]
+        assert not dec.is_unitary_basis
 
     def test_empty_matrix_is_refused_typed(self):
         with warnings.catch_warnings():

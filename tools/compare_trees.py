@@ -68,7 +68,9 @@ milliseconds that the wall times cannot. A process that exits nonzero is
 reported and makes the exit code 1.
 
 Set ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads (this script does,
-unless it is set already) and keep the box otherwise idle.
+unless it is set already) and keep the box otherwise idle. Every mode
+first prints the numpy version, the BLAS build and that thread count, as
+``numpy 2.4.6, scipy-openblas 0.3.31.188.0, OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -499,6 +501,9 @@ def main(argv=None) -> int:
     trees = [args.parent.resolve(), args.change.resolve()]
     sys.path.insert(0, str(PERFBENCH))  # workloads.py imports corpus and tracing
     sides = [load_side(tree, side) for tree, side in zip(trees, SIDES)]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"numpy {np.__version__}, {blas['name']} {blas['version']}, "
+          f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
     root = Path(tempfile.mkdtemp(prefix="compare_trees_"))
     try:
         if args.check:
