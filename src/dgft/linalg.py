@@ -350,9 +350,10 @@ def _jordan_chains(
     repeated multiplication, ranks cut at ``rank_tol`` times each power's
     own Frobenius norm (:func:`_nullspace_basis`). Returned longest chain
     first, heads first within each chain. A cluster gets all its chains or
-    none: where the nullities fit no Jordan structure or a level falls
-    short, the cluster was a numerical artifact, and none is returned, so
-    each of its columns keeps its own eigenvector and eigenvalue.
+    none: where the nullities stop short of ``multiplicity`` or pass it,
+    fit no Jordan structure, or a level falls short, the cluster was a
+    numerical artifact, and none is returned, so each of its columns keeps
+    its own eigenvector and eigenvalue.
 
     The arithmetic follows the arguments: a real ``a`` with a real ``lam``
     keeps the powers, null spaces and chains real. At each chain level s
@@ -380,9 +381,10 @@ def _jordan_chains(
     # counts[s - 1] chains of length s: the padded nullities' second differences.
     padded = nullities + [nullities[-1]]
     counts = [2 * mid - lo - hi for lo, mid, hi in zip(padded, padded[1:], padded[2:])]
-    # A nullity past the multiplicity, or nullity increments that grow
-    # with the power, fit no Jordan structure: the cluster is an artifact.
-    if not counts or nullities[-1] > multiplicity or min(counts) < 0:
+    # Nullities that stop short of the multiplicity or pass it, or whose
+    # increments grow with the power, fit no Jordan structure of the whole
+    # cluster: the cluster is an artifact.
+    if not counts or nullities[-1] != multiplicity or min(counts) < 0:
         return []
 
     chains: list[list[np.ndarray]] = []
@@ -521,9 +523,9 @@ def _finish(
     defective matrices legitimately live there, so it is not an error.
     """
     n = a.shape[0]
-    stacks, columns, values, keys, unitary = zip(*stacks)  # from here, the rows of each stack
+    rows_of, columns, values, keys, unitary = zip(*stacks)
     eigenvalues, chains = np.concatenate(values), np.concatenate(keys)
-    component = home[np.concatenate([rows.ravel() for rows in stacks])]  # each column's
+    component = home[np.concatenate([rows.ravel() for rows in rows_of])]  # each column's
     length = np.bincount(chains)[chains]  # each column's chain's
 
     zero = (length == 1) & (np.abs(eigenvalues) <= tol * norm)
@@ -540,7 +542,7 @@ def _finish(
     # A component's i-th smallest row and its i-th column share a slot.
     slot, owner = np.empty(n, dtype=int), component[order]
     slot[np.argsort(home, kind="stable")] = np.argsort(owner, kind="stable")
-    parts, basis, first = [(rows, slot[rows]) for rows in stacks], [], 0
+    parts, basis, first = [(rows, slot[rows]) for rows in rows_of], [], 0
     for (rows, cols), stack in zip(parts, columns):  # block i of each stack is component i's
         if ((pick := order[cols] - first).ravel() != np.arange(pick.size)).any():  # not in order
             flat = stack.transpose(1, 0, 2).reshape(rows.shape[1], -1)  # column i * k + t
@@ -557,7 +559,7 @@ def _finish(
     # values and columns; keep marks the other columns.
     c, keep = np.empty(0, dtype=int), np.ones(n, dtype=bool)
     if np.iscomplexobj(v):
-        inverted = np.repeat(np.logical_not(unitary), [rows.size for rows in stacks])[order]
+        inverted = np.repeat(np.logical_not(unitary), [rows.size for rows in rows_of])[order]
         single = heads & np.append(heads[1:], True) & inverted
         c = np.flatnonzero(
             single[:-1] & single[1:] & (lam[:-1].imag != 0) & (lam[1:] == lam[:-1].conj())

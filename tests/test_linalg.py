@@ -597,7 +597,7 @@ def _reference_chains(a, lam, multiplicity, rank_tol):
     depth = len(nullities) - 1
     padded = nullities + [nullities[-1]]
     counts = {s: 2 * padded[s] - padded[s - 1] - padded[s + 1] for s in range(1, depth + 1)}
-    if depth == 0 or nullities[-1] > multiplicity or min(counts.values()) < 0:
+    if depth == 0 or nullities[-1] != multiplicity or min(counts.values()) < 0:
         return []
     chains = []
     for s in range(depth, 0, -1):
@@ -611,7 +611,7 @@ def _reference_chains(a, lam, multiplicity, rank_tol):
             norms = np.linalg.norm(residuals, axis=0)
             best = int(np.argmax(norms))
             if norms[best] <= 1e-10:
-                return chains
+                return []
             top = _orthogonal_residual(bases[s][:, best], obstruction)
             top = top / np.linalg.norm(top)
             obstruction = np.column_stack([obstruction, top])
@@ -715,6 +715,25 @@ class TestBlockChainPick:
         monkeypatch.setattr(np.linalg, "svd", short_second_level)
         assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL) == []
         assert len(levels) == 2
+
+    def test_a_nullity_plateau_below_the_multiplicity_returns_none(self):
+        # Eigenvalues 0, 1 and 2 clustered as one: the nullity stops at 1, so
+        # one eigenvector cannot stand for the whole cluster of 3.
+        assert _jordan_chains(np.diag([0.0, 1.0, 2.0]), 0.0, 3, DEFAULT_RANK_TOL) == []
+
+    def test_a_cluster_the_rank_cutoff_splits_keeps_its_eigenvectors(self):
+        # A 3-path at weights 1e-9 and 2e-9 beside a unit-weight 3-path: its
+        # eigenvalues 0, 1e-9 and 2e-9 cluster below cluster_tol, but each
+        # power's own rank cutoff sees three distinct eigenvalues, so the
+        # cluster gets no chain and each column keeps its eigenvector.
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1e-9), (4, 5, 2e-9)]
+        lap = directed_laplacian(build_graph(6, edges)).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = jordan_decompose(lap)  # certified, or it raises
+        small = sorted(b.eigenvalue.real for b in dec.blocks if abs(b.eigenvalue) < 1e-6)
+        assert small == pytest.approx([0.0, 0.0, 1e-9, 2e-9], rel=1e-6, abs=1e-18)
+        assert sorted(b.size for b in dec.blocks) == [1, 1, 1, 1, 2]
 
 
 class TestBasisCondition:
