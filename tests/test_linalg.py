@@ -41,18 +41,11 @@ from dgft import (
 from dgft import linalg
 from dgft.graph import is_normal, signal_values
 from dgft.linalg import (
-    DEFAULT_RANK_TOL,
     DEFAULT_TIE_TOL,
     RECON_LIMIT,
     JordanBlock,
     SpectralDecomposition,
     _component_minima,
-    _default_cluster_tol,
-    _inverse,
-    _jordan_chains,
-    _normalize_chains,
-    _nullspace_basis,
-    _orthogonal_residual,
     cluster_eigenvalues,
     jordan_decompose,
     matrix_polynomial_apply,
@@ -107,9 +100,10 @@ class TestClustering:
         assert groups == [[0, 3], [1], [2]]
 
     def test_default_tol_is_linear_in_the_norm(self):
-        assert _default_cluster_tol(3, 0.0) == 0.0
-        for norm in (2.0**-600, 1e-12, 1.0, 3.0, 1e200):
-            assert _default_cluster_tol(3, norm) == 1e-6 * norm / 3
+        # 1e-6 ||A||_F / n at every scale: diag(3, 4) times 2^k has ||.||_F = 5 * 2^k.
+        assert jordan_decompose(np.zeros((3, 3))).cluster_tol == 0.0
+        for k in (-600, -40, 0, 1, 600):
+            assert jordan_decompose(np.diag([3.0, 4.0]) * 2.0**k).cluster_tol == 1e-6 * (5 * 2.0**k) / 2
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_grid_values(), _clique_values()))
@@ -308,35 +302,94 @@ def _chain_union(rng, lengths, delta=0.0):
     return build_graph(n, edges), lengths
 
 
-def _assert_blocks_match_exact_oracle(dec, matrix, name):
-    """Group the blocks by integer eigenvalue and compare each group's
-    sizes against the exact rational rank oracle."""
-    eigenvalues = {int(round(b.eigenvalue.real)) for b in dec.blocks}
-    for lam in eigenvalues:
-        got: dict[int, int] = {}
-        for b in dec.blocks:
-            if abs(b.eigenvalue - lam) < 1e-6:
-                got[b.size] = got.get(b.size, 0) + 1
-        expected = exact_block_sizes(
-            [[Fraction(int(x.real)) for x in row] for row in matrix], lam
-        )
-        assert got == expected, f"{name} at eigenvalue {lam}"
+def _jordan_cases():
+    """(kind, name, integer Laplacian, its blocks as sorted (eigenvalue,
+    size)): the defective zoo, by exact rational ranks, and by construction
+    10 exact chain unions (n = 16, 40) and unions of paths on 5, 5, 3; 2, 2,
+    4; and 1, 3, 6 nodes, as a path on L nodes has one block of size L - 1
+    at 1 and one of size 1 at 0."""
+    cases = []
+    for name, g in defective_zoo():
+        lap = directed_laplacian(g).matrix
+        exact = [[Fraction(int(x)) for x in row] for row in lap]
+        blocks = [(lam, size) for lam in set(np.diag(lap).astype(int).tolist())
+                  for size, count in exact_block_sizes(exact, lam).items() for _ in range(count)]
+        cases.append(("zoo", name, lap, sorted(blocks)))
+    unions = [(np.random.default_rng(seed), [3, 3, 5, 5] if seed < 5 else [3] * 5 + [5] * 5)
+              for seed in range(10)]
+    rng = np.random.default_rng(5)
+    unions += [(rng, lengths) for lengths in ([5, 5, 3], [2, 2, 4], [1, 3, 6])]
+    for rng, lengths in unions:
+        blocks = [(0, 1)] * len(lengths) + [(1, k - 1) for k in lengths if k > 1]
+        lap = directed_laplacian(_chain_union(rng, lengths)[0]).matrix
+        cases.append(("union", f"paths {lengths}", lap, sorted(blocks)))
+    return cases
+
+
+@lru_cache(maxsize=None)
+def _jordan_decompositions():
+    """Each of ``_jordan_cases`` decomposed as it is, with a real basis, and
+    turned by a phase, with complex chains: (kind, name, matrix, turn, its
+    blocks, decomposition)."""
+    phase = np.exp(1j * np.pi / 3)
+    return [(kind, name, turn * lap, turn, want, jordan_decompose(turn * lap))
+            for kind, name, lap, want in _jordan_cases() for turn in (1.0, phase)]
+
+
+def _blocks_turned_back(dec, turn, name):
+    """``dec``'s blocks as sorted (integer eigenvalue, size), each eigenvalue
+    divided by ``turn`` and within 1e-6 of its integer."""
+    got = [(b.eigenvalue / turn, b.size) for b in dec.blocks]
+    assert max(abs(lam - round(lam.real)) for lam, _ in got) < 1e-6, name
+    return sorted((round(lam.real), size) for lam, size in got)
+
+
+def _assert_chain_recurrence(dec, a, name):
+    """Within each block of ``dec``, ``(A - lam I) v_k = v_{k-1}`` with
+    ``v_{-1} = 0``, to 1e-10 relative."""
+    bound = 1e-10 * np.linalg.norm(a)
+    for b in dec.blocks:
+        shifted = a - b.eigenvalue * np.eye(dec.n)
+        below = np.zeros(dec.n)
+        for v in dec.v[:, b.start : b.start + b.size].T:
+            assert np.linalg.norm(shifted @ v - below) <= bound * np.linalg.norm(v), (name, b)
+            below = v
 
 
 class TestJordanDecompose:
     def test_zoo_block_structure_matches_exact_oracle(self):
-        for name, g in defective_zoo():
-            lap = directed_laplacian(g)
-            dec = jordan_decompose(lap.matrix)
-            assert not dec.is_diagonalizable, name
-            _assert_blocks_match_exact_oracle(dec, lap.matrix, name)
+        for kind, name, _, turn, want, dec in _jordan_decompositions():
+            if kind == "zoo" and turn == 1.0:
+                assert not dec.is_diagonalizable, name
+                assert _blocks_turned_back(dec, turn, name) == want, name
+
+    def test_chain_unions_have_the_blocks_of_their_paths(self):
+        for kind, name, _, turn, want, dec in _jordan_decompositions():
+            if kind == "union" and turn == 1.0:
+                assert _blocks_turned_back(dec, turn, name) == want, name
+
+    def test_chain_recurrence_holds(self):
+        # Each block's columns are a Jordan chain, real or complex.
+        for _, name, a, _, _, dec in _jordan_decompositions():
+            _assert_chain_recurrence(dec, a, name)
 
     def test_zoo_reconstruction(self):
-        for name, g in defective_zoo():
-            lap = directed_laplacian(g)
-            dec = jordan_decompose(lap.matrix)
-            residual = np.linalg.norm(dec.reconstruct() - lap.matrix)
-            assert residual <= 1e-8 * max(1.0, np.linalg.norm(lap.matrix)), name
+        for _, name, a, _, _, dec in _jordan_decompositions():
+            assert np.linalg.norm(dec.reconstruct() - a) <= 1e-8 * np.linalg.norm(a), name
+
+    def test_chain_heads_are_proper_eigenvectors(self):
+        # On every route: chains, eig's simple columns, the ring's unitary split
+        # and an undirected graph's eigh.
+        rng = np.random.default_rng(9)
+        graphs = [g for _, g in defective_zoo()] + [ring_graph(7), make_random_undirected(rng, 9)]
+        graphs += [make_random_digraph(rng, 9 + s) for s in range(5)]
+        for g in graphs:
+            lap = directed_laplacian(g).matrix
+            dec = jordan_decompose(lap)
+            for b in dec.blocks:
+                head = dec.v[:, b.start]
+                residual = np.linalg.norm(lap @ head - b.eigenvalue * head)
+                assert residual <= 1e-8 * max(1.0, np.linalg.norm(lap)), b
 
     def test_superdiagonal_is_exactly_one(self):
         for name, g in defective_zoo():
@@ -344,27 +397,6 @@ class TestJordanDecompose:
             for b in dec.blocks:
                 for k in range(b.size - 1):
                     assert jordan_matrix(dec)[b.start + k, b.start + k + 1] == 1.0, name
-
-    def test_chain_heads_are_proper_eigenvectors(self):
-        for name, g in defective_zoo():
-            lap = directed_laplacian(g)
-            dec = jordan_decompose(lap.matrix)
-            for b in dec.blocks:
-                head = dec.v[:, b.start]
-                residual = np.linalg.norm(lap.matrix @ head - b.eigenvalue * head)
-                assert residual <= 1e-8 * max(1.0, np.linalg.norm(lap.matrix)), name
-
-    def test_chain_recurrence_holds(self):
-        # within a block, (A - lam I) maps each later column to the previous
-        g = dict(defective_zoo())["chain5"]
-        lap = directed_laplacian(g)
-        dec = jordan_decompose(lap.matrix)
-        for b in dec.blocks:
-            shifted = lap.matrix - b.eigenvalue * np.eye(dec.n)
-            for k in range(1, b.size):
-                lhs = shifted @ dec.v[:, b.start + k]
-                rhs = dec.v[:, b.start + k - 1]
-                assert np.linalg.norm(lhs - rhs) < 1e-8
 
     def test_head_normalization_convention(self):
         for _, g in defective_zoo():
@@ -517,17 +549,26 @@ class TestRealArithmetic:
     """Real clusters of real matrices keep their chains real; complex
     clusters and complex weights take the same chain code in complex."""
 
-    def test_exact_chains_of_real_laplacians_are_real(self, svd_dtypes):
-        cases = [(name, directed_laplacian(g).matrix) for name, g in defective_zoo()]
-        for seed in range(5):
-            g, _ = _chain_union(np.random.default_rng(seed), [3, 3, 5, 5])
-            cases.append((f"chain union {seed}", directed_laplacian(g).matrix))
-        for name, lap in cases:
-            svd_dtypes.clear()
-            dec = jordan_decompose(lap)
-            assert svd_dtypes and set(svd_dtypes) == {np.dtype(float)}, name
-            assert np.all(dec.v.imag == 0), name
-            _assert_blocks_match_exact_oracle(dec, lap, name)
+    def test_exact_chains_of_real_laplacians_are_real(self):
+        for _, name, _, turn, _, dec in _jordan_decompositions():
+            if turn == 1.0:
+                assert dec.v.dtype == dec.v_inv.dtype == np.dtype(float), name
+
+    def test_complex_weight_defective_cluster(self):
+        # Every weight turned by e^{i pi/3} turns each eigenvalue with it and
+        # keeps the blocks; the chains are complex.
+        for _, name, _, turn, want, dec in _jordan_decompositions():
+            if turn != 1.0:
+                assert dec.v.dtype == np.dtype(complex), name
+                assert _blocks_turned_back(dec, turn, name) == want, name
+
+    def test_zero_imaginary_parts_take_the_real_chains(self):
+        # A real Laplacian held in complex128 is decomposed as the real one.
+        for _, name, a, turn, _, dec in _jordan_decompositions():
+            if turn == 1.0:
+                held = jordan_decompose(a.astype(complex))
+                assert np.array_equal(held.v, dec.v) and np.array_equal(held.v_inv, dec.v_inv), name
+                assert held.v.dtype == np.dtype(float), name
 
     def test_real_cluster_in_a_complex_eig_stack(self, svd_dtypes):
         # A 4-cycle with one double weight (not normal, so not on the unitary
@@ -554,16 +595,6 @@ class TestRealArithmetic:
             assert abs(b.eigenvalue - 1j * round(b.eigenvalue.imag)) < 1e-6
         assert np.linalg.norm(dec.reconstruct() - a) <= 1e-8 * np.linalg.norm(a)
 
-    def test_complex_weight_defective_cluster(self, svd_dtypes):
-        g, lengths = _chain_union(np.random.default_rng(3), [3, 3, 5, 5])
-        phase = np.exp(1j * np.pi / 3)
-        lap = directed_laplacian(Graph(g.weights * phase)).matrix
-        dec = jordan_decompose(lap)
-        assert svd_dtypes and set(svd_dtypes) == {np.dtype(complex)}
-        sizes = sorted(b.size for b in dec.blocks if abs(b.eigenvalue - phase) < 1e-6)
-        assert sizes == sorted(length - 1 for length in lengths)
-        assert np.linalg.norm(dec.reconstruct() - lap) <= 1e-8 * np.linalg.norm(lap)
-
     @pytest.mark.parametrize("weight", [1.0, 1j], ids=["real", "complex"])
     def test_nilpotent_pair_is_one_block_at_zero(self, weight):
         # Weights w (0 -> 1) and -w (1 -> 0) give L^2 = 0 exactly: one 2-block
@@ -578,148 +609,67 @@ class TestRealArithmetic:
         assert dec.residual == 0.0
 
 
-def _reference_chains(a, lam, multiplicity, rank_tol):
-    """Chain extraction that re-projects every candidate against the whole
-    obstruction before each pick, in complex arithmetic: the reference the
-    per-level projection of ``_jordan_chains`` must agree with."""
-    n = a.shape[0]
-    shifted = a - lam * np.eye(n, dtype=complex)
-    nullities = [0]
-    bases = [np.zeros((n, 0), dtype=complex)]
-    power = np.eye(n, dtype=complex)
-    while nullities[-1] < multiplicity and len(nullities) <= multiplicity:
-        power = power @ shifted
-        basis = _nullspace_basis(power, rank_tol)
-        if basis.shape[1] <= nullities[-1]:
-            break
-        nullities.append(basis.shape[1])
-        bases.append(basis)
-    depth = len(nullities) - 1
-    padded = nullities + [nullities[-1]]
-    counts = {s: 2 * padded[s] - padded[s - 1] - padded[s + 1] for s in range(1, depth + 1)}
-    if depth == 0 or nullities[-1] != multiplicity or min(counts.values()) < 0:
-        return []
-    chains = []
-    for s in range(depth, 0, -1):
-        obstruction = bases[s - 1]
-        for chain in chains:
-            r = _orthogonal_residual(chain[s - 1], obstruction)
-            if np.linalg.norm(r) > 1e-12 * np.linalg.norm(chain[s - 1]):
-                obstruction = np.column_stack([obstruction, r / np.linalg.norm(r)])
-        for _ in range(counts[s]):
-            residuals = bases[s] - obstruction @ (obstruction.conj().T @ bases[s])
-            norms = np.linalg.norm(residuals, axis=0)
-            best = int(np.argmax(norms))
-            if norms[best] <= 1e-10:
-                return []
-            top = _orthogonal_residual(bases[s][:, best], obstruction)
-            top = top / np.linalg.norm(top)
-            obstruction = np.column_stack([obstruction, top])
-            vectors = [top]
-            for _ in range(s - 1):
-                vectors.append(shifted @ vectors[-1])
-            chains.append(vectors[::-1])
-    return chains
+def _short_level(monkeypatch, call, first):
+    """Fault injection, since no natural input is known to reach a level
+    shortfall: the ``call``-th thin SVD (one per chain level) reports its
+    singular values from index ``first`` on at 1e-10. Returns the thin SVD
+    calls seen, each as its number of singular values."""
+    svd, levels = np.linalg.svd, []
 
+    def short(m, *args, **kwargs):
+        u, sigma, vh = svd(m, *args, **kwargs)
+        if kwargs.get("full_matrices", True) is False:
+            levels.append(sigma.size)
+            if len(levels) == call:
+                sigma = np.concatenate([sigma[:first], np.full(sigma.size - first, 1e-10)])
+        return u, sigma, vh
 
-class TestChainPicks:
-    @staticmethod
-    def _clusters():
-        """(name, real matrix, eigenvalue, multiplicity) for every repeated
-        eigenvalue of the zoo and of 10 exact chain unions (n = 16, 40).
-
-        All of them are DAG Laplacians, so the eigenvalues are exactly the
-        diagonal entries."""
-        cases = [(name, directed_laplacian(g).matrix.real) for name, g in defective_zoo()]
-        for seed in range(10):
-            lengths = [3, 3, 5, 5] if seed < 5 else [3] * 5 + [5] * 5
-            g, _ = _chain_union(np.random.default_rng(seed), lengths)
-            cases.append((f"chain union {seed}", directed_laplacian(g).matrix.real))
-        for name, a in cases:
-            values, counts = np.unique(np.diag(a), return_counts=True)
-            for lam, count in zip(values, counts):
-                if count > 1:
-                    yield f"{name} at {lam}", a, float(lam), int(count)
-
-    def test_per_level_projection_matches_full_reprojection(self):
-        for name, a, lam, multiplicity in self._clusters():
-            want = _reference_chains(a, lam, multiplicity, DEFAULT_RANK_TOL)
-            assert sum(len(c) for c in want) == multiplicity, name
-            for m, mu in ((a, lam), (a.astype(complex), complex(lam))):
-                got = _jordan_chains(m, mu, multiplicity, DEFAULT_RANK_TOL)
-                assert [len(c) for c in got] == [len(c) for c in want], name
-                assert all(v.dtype == m.dtype for c in got for v in c), name
-                shifted = m - mu * np.eye(a.shape[0])
-                bound = 1e-10 * np.linalg.norm(shifted)
-                for chain in got:
-                    below = np.zeros(a.shape[0])
-                    for v in chain:  # (A - lam I) v_k = v_{k-1}, with v_{-1} = 0
-                        assert np.linalg.norm(shifted @ v - below) <= bound * np.linalg.norm(v), name
-                        below = v
+    monkeypatch.setattr(np.linalg, "svd", short)
+    return levels
 
 
 class TestBlockChainPick:
     def test_equal_chains_at_one_level_match_the_sympy_jordan_form(self):
-        # Two 5-node paths and one 3-node path: the two length-4 chains at
-        # eigenvalue 1 come out of one SVD of the deepest level.
+        # Two 5-node paths and one 3-node path: blocks 4, 4 and 2 at eigenvalue 1.
         g, _ = _chain_union(np.random.default_rng(7), [5, 5, 3])
         lap = directed_laplacian(g).matrix
-        scale = float(np.linalg.norm(lap))
-        chains = _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL)
-        assert [len(c) for c in chains] == [4, 4, 2]
         dec = jordan_decompose(lap)
-        _assert_blocks_match_exact_oracle(dec, lap, "paths 5, 5, 3")
         _, jf = sympy.Matrix(lap.astype(int).tolist()).jordan_form()
         starts = [0] + [k + 1 for k in range(g.n - 1) if jf[k, k + 1] == 0] + [g.n]
         want = sorted((int(jf[a, a]), b - a) for a, b in zip(starts, starts[1:]))
         assert sorted((round(b.eigenvalue.real), b.size) for b in dec.blocks) == want
-        for b in dec.blocks:
-            shifted = lap - b.eigenvalue * np.eye(g.n)
-            below = np.zeros(g.n)
-            for v in dec.v[:, b.start : b.start + b.size].T:
-                assert np.linalg.norm(shifted @ v - below) <= 1e-10 * scale
-                below = v
+        assert [b.size for b in dec.blocks if b.eigenvalue == 1] == [4, 4, 2]
 
-    def test_shortfall_returns_the_chains_built_so_far(self, monkeypatch):
-        # A thin SVD whose last needed singular value is at 1e-10 refuses the level.
-        g, _ = _chain_union(np.random.default_rng(7), [5, 5, 3])
-        lap = directed_laplacian(g).matrix
-        svd = np.linalg.svd
+    def test_a_first_level_shortfall_leaves_the_cluster_no_chain(self, monkeypatch):
+        # An out-tree with two 2-chains at 1, both topped by one thin SVD:
+        # with the second singular value at 1e-10 the level falls short, so
+        # the cluster keeps its nearly parallel eig vectors and is refused.
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (3, 4, 1.0)]
+        lap = directed_laplacian(build_graph(5, edges)).matrix
+        levels = _short_level(monkeypatch, call=1, first=1)
+        with pytest.raises(ReconstructionError):
+            jordan_decompose(lap)
+        assert len(levels) == 1
 
-        def short(m, *args, **kwargs):
-            u, sigma, vh = svd(m, *args, **kwargs)
-            if kwargs.get("full_matrices", True) is False:
-                sigma = sigma.copy()
-                sigma[1:] = 1e-10
-            return u, sigma, vh
-
-        monkeypatch.setattr(np.linalg, "svd", short)
-        assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL) == []
-
-    def test_a_shortfall_after_built_chains_returns_none(self, monkeypatch):
-        # The first chain level builds the two length-4 chains; a thin SVD that
-        # refuses the second level (the length-2 chain) leaves the cluster no
-        # chain at all, not the two built before it.
-        g, _ = _chain_union(np.random.default_rng(7), [5, 5, 3])
-        lap = directed_laplacian(g).matrix
-        svd, levels = np.linalg.svd, []
-
-        def short_second_level(m, *args, **kwargs):
-            u, sigma, vh = svd(m, *args, **kwargs)
-            if kwargs.get("full_matrices", True) is False:
-                levels.append(sigma.size)
-                if len(levels) == 2:
-                    sigma = np.full_like(sigma, 1e-10)
-            return u, sigma, vh
-
-        monkeypatch.setattr(np.linalg, "svd", short_second_level)
-        assert _jordan_chains(lap, 1.0, 10, DEFAULT_RANK_TOL) == []
+    def test_a_shortfall_after_built_chains_leaves_the_cluster_no_chain(self, monkeypatch):
+        # chain_with_branch has a 2-chain and a 1-chain at 1; its first level
+        # builds the 2-chain, and a thin SVD that refuses the second level
+        # leaves the cluster no chain at all, not the one built before it.
+        lap = directed_laplacian(dict(defective_zoo())["chain_with_branch"]).matrix
+        levels = _short_level(monkeypatch, call=2, first=0)
+        with pytest.raises(ReconstructionError):
+            jordan_decompose(lap)
         assert len(levels) == 2
 
-    def test_a_nullity_plateau_below_the_multiplicity_returns_none(self):
+    def test_a_nullity_plateau_below_the_multiplicity_leaves_eigenvectors(self):
         # Eigenvalues 0, 1 and 2 clustered as one: the nullity stops at 1, so
         # one eigenvector cannot stand for the whole cluster of 3.
-        assert _jordan_chains(np.diag([0.0, 1.0, 2.0]), 0.0, 3, DEFAULT_RANK_TOL) == []
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = jordan_decompose(a, cluster_tol=10.0)
+        assert dec.is_diagonalizable
+        assert dec.eigenvalues.tolist() == [0.0, 1.0, 2.0]
 
     def test_a_cluster_the_rank_cutoff_splits_keeps_its_eigenvectors(self):
         # A 3-path at weights 1e-9 and 2e-9 beside a unit-weight 3-path: its
@@ -757,7 +707,7 @@ class TestBasisCondition:
             assert 1.0 <= dec.basis_condition <= dec.n
 
 
-class TestSymmetricEigenDecompose:
+class TestUnitaryRoutes:
     """The unitary routes of ``jordan_decompose``: ``eigh`` of a Hermitian
     component, and of a normal one's Hermitian part."""
 
@@ -966,7 +916,7 @@ class TestSharedFinisher:
             assert np.max(np.abs(want[:, zero] - constant)) <= 1e-12
             assert np.max(np.abs(dec.v - want)) <= 1e-12
 
-    def test_raw_basis_keeps_kernel_columns(self):
+    def test_each_column_is_the_kernels_vector_in_the_convention(self):
         # The basis is the kernel's own columns, each times its convention
         # factor: the one that gives it unit norm and its largest-magnitude
         # entry real positive (the snapped constant column is that too).
@@ -991,63 +941,27 @@ class TestSharedFinisher:
             assert np.array_equal(dec.v[:, snapped].ravel(), np.full(12, 1 / np.sqrt(12)))
             assert np.array_equal(dec.eigenvalues[~snapped], w[order][~snapped])
 
-    def test_normalization_matches_per_chain_reference(self, monkeypatch):
-        # One factor per chain, taken from its head; the loop is the
-        # reference. The raw chains are the basis with the convention's
-        # scaling switched off.
-        graphs = [g for _, g in defective_zoo()]
-        graphs += [make_random_digraph(np.random.default_rng(s), 9) for s in range(5)]
-        laps = [directed_laplacian(g).matrix for g in graphs]
-        decs = [jordan_decompose(lap) for lap in laps]
-        monkeypatch.setattr("dgft.linalg._normalize_chains", lambda v, blocks: None)
-        for lap, dec in zip(laps, decs):
-            raw = jordan_decompose(lap)
-            for b, done in zip(raw.blocks, dec.blocks):
-                if done.eigenvalue == 0 and b.size == 1:
-                    continue  # the snapped constant column
-                chain = raw.v[:, b.start : b.start + b.size]
-                head = chain[:, 0] / np.linalg.norm(chain[:, 0])
-                pivot = head[int(np.argmax(np.abs(head)))]
-                want = chain / np.linalg.norm(chain[:, 0]) * np.conj(pivot / abs(pivot))
-                got = dec.v[:, b.start : b.start + b.size]
-                assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
-
     @pytest.mark.parametrize("name", ["digraph", "ring", "path"])
-    def test_normalization_convention_on_every_layout(self, monkeypatch, name):
-        # _normalize_chains reads V in place when every column heads a chain,
-        # so its convention must not depend on V's layout: the basis _finish
-        # hands it (C-contiguous, from eig or from the ring's split), and the
-        # same columns in Fortran order and as a strided view.
+    def test_normalization_convention_on_every_route(self, name):
+        # eig's basis, the ring's unitary split and a Jordan chain end in one
+        # convention: each head at unit norm with its largest-magnitude entry
+        # real positive, and each chain's tail scaled by its head's factor
+        # (the recurrence fixes the tail once the head is fixed).
         graphs = {
             "digraph": make_random_digraph(np.random.default_rng(4), 12),
             "ring": ring_graph(7),
             "path": build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]),
         }
-        seen = []
-        normalize = _normalize_chains
-
-        def recording(v, heads):
-            seen.append((v.copy(), heads.copy(), v.flags.c_contiguous))
-            normalize(v, heads)
-            seen[-1] += (v.copy(),)
-
-        monkeypatch.setattr("dgft.linalg._normalize_chains", recording)
-        jordan_decompose(directed_laplacian(graphs[name]).matrix)
-        ((raw, heads, c_order, done),) = seen
-        assert c_order and heads.all() == (name != "path")
-        strided = np.zeros((raw.shape[0], 2 * raw.shape[1]), dtype=raw.dtype)[:, ::2]
-        strided[...] = raw
-        for v in (np.asfortranarray(raw), strided):
-            normalize(v, heads)
-            assert np.allclose(v, done, rtol=0, atol=1e-15)
-        starts = np.flatnonzero(heads).tolist()
-        for s, e in zip(starts, starts[1:] + [len(heads)]):
-            head = done[:, s]
+        lap = directed_laplacian(graphs[name]).matrix
+        dec = jordan_decompose(lap)
+        assert dec.is_diagonalizable == (name != "path")
+        assert dec.is_unitary_basis == (name == "ring")
+        for b in dec.blocks:
+            head = dec.v[:, b.start]
             assert np.linalg.norm(head) == pytest.approx(1, abs=1e-14)
-            k = int(np.argmax(np.abs(raw[:, s])))  # the first largest-magnitude entry
+            k = int(np.argmax(np.abs(head)))
             assert head[k].real > 0 and abs(head[k].imag) <= 1e-15 * head[k].real
-            factor = head[k] / raw[k, s]  # the tail carries the head's factor
-            assert np.allclose(done[:, s:e], raw[:, s:e] * factor, rtol=1e-14, atol=0)
+        _assert_chain_recurrence(dec, lap, name)
 
     def test_derived_facts_are_read_only(self):
         dec = jordan_decompose(np.diag([2.0, 5.0]))
@@ -1106,13 +1020,9 @@ class TestDerivedBlocks:
             assert dec.is_diagonalizable == all(b.size == 1 for b in dec.blocks)
 
     def test_block_sizes_match_exact_oracle(self):
-        graphs = [(name, g) for name, g in defective_zoo()]
-        rng = np.random.default_rng(5)
-        for lengths in ([3, 3, 5, 5], [5, 5, 3], [2, 2, 4], [1, 3, 6]):
-            graphs.append((f"paths {lengths}", _chain_union(rng, lengths)[0]))
-        for name, g in graphs:
-            lap = directed_laplacian(g).matrix
-            _assert_blocks_match_exact_oracle(decompose(lap), lap, name)
+        # decompose orders by frequency; the blocks are still the known ones.
+        for _, name, lap, want in _jordan_cases():
+            assert _blocks_turned_back(decompose(lap), 1.0, name) == want, name
 
 
 def _perturbed_path() -> np.ndarray:
@@ -1361,7 +1271,7 @@ class TestComponents:
         assert np.linalg.norm(dec.reconstruct() - lap) <= RECON_LIMIT * scale
         want = np.linalg.norm(dec.reconstruct() - lap)
         assert dec.residual == pytest.approx(want, abs=1e-13 * scale)
-        assert dec.cluster_tol == _default_cluster_tol(len(lap), np.linalg.norm(lap, axis=(-2, -1)))
+        assert dec.cluster_tol == 1e-6 * np.linalg.norm(lap, axis=(-2, -1)) / len(lap)
         assert order_frequencies(dec.eigenvalues).order == tuple(range(dec.n))
 
         expected = []
@@ -1701,19 +1611,30 @@ class TestScaleInvariance:
 
 
 class TestInvert:
-    """The basis inverse: ``_inverse``, and the decomposition that holds it."""
+    """The basis inverse, and the decomposition that holds it."""
 
     def test_round_trip(self):
+        # A complex-weighted digraph: a complex basis that is inverted, not unitary.
         rng = np.random.default_rng(4)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert np.linalg.norm(_inverse(a) @ a - np.eye(6)) < 1e-10
+        g = make_random_digraph(rng, 6)
+        lap = directed_laplacian(Graph(g.weights * np.exp(2j * np.pi * rng.random((6, 6))))).matrix
+        dec = jordan_decompose(lap)
+        assert not dec.is_unitary_basis and dec.v.dtype == np.dtype(complex)
+        assert np.linalg.norm(dec.v_inv @ dec.v - np.eye(6)) < 1e-10
 
-    def test_singular_matrix_raises(self):
-        with pytest.raises(SingularMatrixError):
-            _inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    def test_singular_matrix_raises(self, monkeypatch):
+        # Fault injection: LAPACK's exactly singular verdict on a basis.
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(SingularMatrixError, match="exactly singular"):
+            jordan_decompose(np.array([[1.0, 1.0], [0.0, 2.0]]))
 
     def test_diagonal_inverse_exact(self):
-        assert np.array_equal(_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
+        # A diagonal matrix's basis is the identity, and so is its inverse, exactly.
+        dec = jordan_decompose(np.diag([2.0, 4.0]))
+        assert np.array_equal(dec.v, np.eye(2)) and np.array_equal(dec.v_inv, np.eye(2))
 
     def test_rejects_nonsquare(self):
         # An inverse of the wrong shape never makes it into a result.

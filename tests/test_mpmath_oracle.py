@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dgft.linalg
 from dgft import (
     DgftError,
     Graph,
@@ -170,20 +169,16 @@ def test_near_defective_union_far_below_unit_scale_certifies():
     _certified_or_refused("path union at 2^-500", lap)
 
 
-def test_backfilled_cluster_certifies_in_frequency_order(monkeypatch):
+def test_a_cluster_with_no_chain_certifies_in_frequency_order():
     # An out-tree draw at delta = 1e-4: nodes 1 and 2, both fed by node 0,
     # have eigenvalues 4.9e-7 apart, inside the default cluster tolerance.
     # The cluster yields no Jordan chain, so both columns keep their own
-    # eig vectors (the backfill), and each ranks by its own eigenvalue.
-    shortfalls = []
-    chains = dgft.linalg._jordan_chains
-
-    def recording(a, lam, multiplicity, rank_tol):
-        found = chains(a, lam, multiplicity, rank_tol)
-        shortfalls.append(multiplicity - sum(len(chain) for chain in found))
-        return found
-
-    monkeypatch.setattr(dgft.linalg, "_jordan_chains", recording)
+    # eig vectors, and each ranks by its own eigenvalue.
     edges = [(0, 1, 1.0000450421568265), (0, 2, 1.0000445546129306)]
-    _certified_or_refused("backfilled out-tree", directed_laplacian(build_graph(3, edges)).matrix)
-    assert shortfalls == [2]
+    lap = directed_laplacian(build_graph(3, edges)).matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = decompose(lap)
+    assert dec.is_diagonalizable
+    assert 0 < dec.eigenvalues[2] - dec.eigenvalues[1] <= dec.cluster_tol
+    _assert_certified("out-tree", lap, dec)
